@@ -23,7 +23,7 @@ from .errors import (
     DimensionMismatchError,
     LabelOutOfRangeError,
     NonFiniteLossError,
-    NonPositiveInputError,
+    OverflowLimitError,
 )
 from .optim import (
     AdamConfig,
@@ -34,7 +34,14 @@ from .optim import (
     adam_step,
     prox_l1,
 )
-from .signomial import Signomial, evaluate
+from .signomial import (
+    Signomial,
+    backward,
+    forward,
+    log_coefficients,
+    log_inputs,
+    single_input,
+)
 
 
 @dataclass
@@ -101,7 +108,7 @@ class EcselModel:
             raise DimensionMismatchError(f"signomials disagree on feature count: {ms}")
         if not 0 < threshold < 1:
             raise BadConfigError(f"threshold must be in (0, 1), got {threshold}")
-        self.signomials = list(signomials)
+        self.signomials = tuple(signomials)
         self.link = link
         self.threshold = float(threshold)
         self.m = signomials[0].m
@@ -117,20 +124,22 @@ class EcselModel:
             raise DimensionMismatchError(
                 f"{len(self.class_names)} class names for {self.C} classes"
             )
+        # the signomials are fixed from here on, so the kernel constants are too
+        self._alphas, self._betas = _stack_params(self.signomials)
+        self._kernel = (*log_coefficients(self._alphas), self._betas)
 
     @property
     def num_terms(self) -> int:
         return max(s.num_terms for s in self.signomials)
 
     def scores(self, x) -> np.ndarray:
-        return np.array([evaluate(s, x).total for s in self.signomials])
+        """Score vector (C,) at one input, from the same kernel as scores_batch."""
+        return self.scores_batch(single_input(x, self.m))[0]
 
     def scores_batch(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        alphas, betas = _stack_params(self.signomials)
-        log_x = _checked_log(X)
-        _, _, Z = _forward(alphas, betas, log_x)
-        return Z
+        """Score matrix (N, C) over a batch of inputs."""
+        _, per_term = forward(*self._kernel, log_inputs(X, self.m))
+        return per_term.sum(axis=2)
 
     def to_dict(self) -> dict:
         payload = {
@@ -192,21 +201,20 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict_proba(model: EcselModel, x) -> np.ndarray:
-    """Class-probability vector at one input."""
-    z = model.scores(x)
-    if model.link == "sigmoid":
-        p1 = float(_sigmoid(np.array([z[0]]))[0])
-        return np.array([1.0 - p1, p1])
-    return _softmax_rows(z[None, :])[0]
-
-
-def predict_proba_batch(model: EcselModel, X) -> np.ndarray:
-    Z = model.scores_batch(X)
+def _probabilities(model: EcselModel, Z: np.ndarray) -> np.ndarray:
     if model.link == "sigmoid":
         p1 = _sigmoid(Z[:, 0])
         return np.column_stack([1.0 - p1, p1])
     return _softmax_rows(Z)
+
+
+def predict_proba(model: EcselModel, x) -> np.ndarray:
+    """Class-probability vector at one input."""
+    return _probabilities(model, model.scores(x)[None, :])[0]
+
+
+def predict_proba_batch(model: EcselModel, X) -> np.ndarray:
+    return _probabilities(model, model.scores_batch(X))
 
 
 def predict(model: EcselModel, x) -> int:
@@ -227,16 +235,6 @@ def predict_batch(model: EcselModel, X) -> np.ndarray:
 # --- loss/grad core -----------------------------------------------------------
 
 
-def _checked_log(X: np.ndarray) -> np.ndarray:
-    bad = ~np.isfinite(X) | (X <= 0)
-    if np.any(bad):
-        i, j = map(int, np.argwhere(bad)[0])
-        raise NonPositiveInputError(
-            f"feature [{i}, {j}] is {X[i, j]!r}; classifier inputs must be positive"
-        )
-    return np.log(X)
-
-
 def _stack_params(signomials: list[Signomial]) -> tuple[np.ndarray, np.ndarray]:
     k = max(s.num_terms for s in signomials)
     m = signomials[0].m
@@ -247,20 +245,6 @@ def _stack_params(signomials: list[Signomial]) -> tuple[np.ndarray, np.ndarray]:
             alphas[c, : s.num_terms] = s.alphas
             betas[c, : s.num_terms] = s.betas
     return alphas, betas
-
-
-def _forward(alphas, betas, log_x):
-    """Per-term values and class scores for a batch, purely from arrays.
-
-    Returns (monomials, per_term, Z) with shapes (N, C, K), (N, C, K), (N, C).
-    """
-    n, m = log_x.shape
-    c, k, _ = betas.shape
-    log_mono = log_x @ betas.reshape(c * k, m).T  # (N, C*K)
-    with np.errstate(over="ignore"):
-        mono = np.exp(log_mono).reshape(n, c, k)
-    per_term = alphas[None, :, :] * mono
-    return mono, per_term, per_term.sum(axis=2)
 
 
 def class_weights(y: np.ndarray, num_classes: int, multiplier: float) -> np.ndarray:
@@ -276,7 +260,8 @@ def class_weights(y: np.ndarray, num_classes: int, multiplier: float) -> np.ndar
 def _smooth_loss_and_param_grad(alphas, betas, log_x, y, weights, link):
     """Weighted cross-entropy value and gradient w.r.t. alphas/betas."""
     n = log_x.shape[0]
-    mono, per_term, Z = _forward(alphas, betas, log_x)
+    mono_log, per_term = forward(*log_coefficients(alphas), betas, log_x)
+    Z = per_term.sum(axis=2)
     w = weights[y]
     if link == "sigmoid":
         z = Z[:, 0]
@@ -294,8 +279,7 @@ def _smooth_loss_and_param_grad(alphas, betas, log_x, y, weights, link):
         dz = p.copy()
         dz[np.arange(n), y] -= 1.0
         dz *= (w / n)[:, None]
-    d_alpha = np.einsum("ic,ick->ck", dz, mono)
-    d_beta = np.einsum("ic,ick,ij->ckj", dz, per_term, log_x)
+    d_alpha, d_beta = backward(dz, mono_log, per_term, log_x)
     return loss, d_alpha, d_beta
 
 
@@ -320,10 +304,9 @@ def loss_and_grad(
         raise LabelOutOfRangeError(f"labels must lie in [0, {model.C})")
     if weights is None:
         weights = np.ones(model.C)
-    alphas, betas = _stack_params(model.signomials)
-    log_x = _checked_log(X)
+    alphas, betas = model._alphas, model._betas
     smooth, d_alpha, d_beta = _smooth_loss_and_param_grad(
-        alphas, betas, log_x, y, weights, model.link
+        alphas, betas, log_inputs(X, model.m), y, weights, model.link
     )
     loss = smooth + l1_penalty * float(np.sum(np.abs(betas)))
     if not math.isfinite(loss):
@@ -376,8 +359,8 @@ def fit(
     n, m = X.shape
     c_rows = 1 if cfg.link == "sigmoid" else num_classes
     k = cfg.num_terms
-    log_x = _checked_log(X)
-    log_xv = _checked_log(Xv)
+    log_x = log_inputs(X)
+    log_xv = log_inputs(Xv)
     weights = class_weights(y, num_classes, cfg.class_weight_multiplier)
 
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
@@ -399,23 +382,28 @@ def fit(
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         running, seen = 0.0, 0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            a, b = layout.unpack(params)
-            smooth, d_alpha, d_beta = _smooth_loss_and_param_grad(
-                a, b, log_x[idx], y[idx], weights, cfg.link
-            )
-            batch_loss = smooth + cfg.l1_penalty * float(np.sum(np.abs(b)))
-            if not math.isfinite(batch_loss):
-                raise NonFiniteLossError(
-                    f"non-finite training loss at epoch {epoch}", epoch=epoch
+        try:
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                a, b = layout.unpack(params)
+                smooth, d_alpha, d_beta = _smooth_loss_and_param_grad(
+                    a, b, log_x[idx], y[idx], weights, cfg.link
                 )
-            grad = layout.pack(d_alpha, d_beta)
-            params = adam_step(adam, params, grad, adam_cfg)
-            params = prox_l1(params, beta_mask, cfg.learning_rate, cfg.l1_penalty)
-            running += batch_loss * len(idx)
-            seen += len(idx)
-        val_loss = full_loss(params, log_xv, yv)
+                batch_loss = smooth + cfg.l1_penalty * float(np.sum(np.abs(b)))
+                if not math.isfinite(batch_loss):
+                    raise NonFiniteLossError(
+                        f"non-finite training loss at epoch {epoch}", epoch=epoch
+                    )
+                grad = layout.pack(d_alpha, d_beta)
+                params = adam_step(adam, params, grad, adam_cfg)
+                params = prox_l1(params, beta_mask, cfg.learning_rate, cfg.l1_penalty)
+                running += batch_loss * len(idx)
+                seen += len(idx)
+            val_loss = full_loss(params, log_xv, yv)
+        except OverflowLimitError as exc:
+            raise NonFiniteLossError(
+                f"training overflowed at epoch {epoch}: {exc}", epoch=epoch
+            ) from exc
         if not math.isfinite(val_loss):
             raise NonFiniteLossError(
                 f"non-finite validation loss at epoch {epoch}", epoch=epoch

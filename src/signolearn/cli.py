@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -77,19 +76,6 @@ def _exit_code_for(exc: BaseException) -> int:
     if isinstance(exc, _NUMERIC_ERRORS):
         return EXIT_NUMERIC
     return EXIT_DATA
-
-
-def _threads() -> int:
-    raw = os.environ.get("SIGNOLEARN_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise BadConfigError(f"SIGNOLEARN_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise BadConfigError(f"SIGNOLEARN_THREADS must be >= 1, got {n}")
-    return n
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -589,12 +575,7 @@ def cmd_benchmark(args) -> int:
             "message": "",
         }
 
-    workers = min(_threads(), len(entries))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_one, entries))
-    else:
-        rows = [run_one(e) for e in entries]
+    rows = [run_one(e) for e in entries]
 
     fields = ["name", "status", "rate", "seeds", "meanTimeSeconds",
               "stdTimeSeconds", "message"]

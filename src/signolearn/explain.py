@@ -24,7 +24,7 @@ from .errors import (
     SameClassError,
     ZeroComponentScoreError,
 )
-from .signomial import evaluate
+from .signomial import evaluate, log_inputs
 
 
 @dataclass
@@ -267,10 +267,9 @@ def default_baseline(data: Dataset, kind: str, row: int = 0) -> np.ndarray:
     X = np.asarray(data.X, dtype=float)
     if X.size == 0:
         raise DataFormatError("cannot build a baseline from an empty dataset")
-    if np.any(X <= 0) or not np.all(np.isfinite(X)):
-        raise NonPositiveInputError("baselines need strictly positive features")
+    log_x = log_inputs(X)
     if kind == "geometric-mean":
-        return np.exp(np.log(X).mean(axis=0))
+        return np.exp(log_x.mean(axis=0))
     if kind == "all-ones":
         return np.ones(X.shape[1])
     if kind == "sample":

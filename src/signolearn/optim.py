@@ -8,6 +8,7 @@ early-stopping monitor that snapshots the best parameters seen.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,11 +30,11 @@ class ParamLayout:
 
     @property
     def n_alpha(self) -> int:
-        return int(np.prod(self.alpha_shape))
+        return math.prod(self.alpha_shape)
 
     @property
     def n_beta(self) -> int:
-        return int(np.prod(self.beta_shape))
+        return math.prod(self.beta_shape)
 
     @property
     def size(self) -> int:

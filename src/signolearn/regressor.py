@@ -25,7 +25,8 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteGradientError,
     NonFiniteLossError,
-    NonPositiveInputError,
+    OverflowLimitError,
+    SignolearnError,
     ZeroVarianceError,
 )
 from .optim import AdamConfig, AdamState, ParamLayout, adam_step, lbfgs_minimize, prox_l1
@@ -35,8 +36,13 @@ from .signomial import (
     DEFAULT_SNAP_TOLERANCE,
     CanonicalForm,
     Signomial,
+    backward,
     canonicalize,
     equivalent,
+    evaluate_batch,
+    forward,
+    log_coefficients,
+    log_inputs,
 )
 
 # fraction of a range's upper end used as the sampling floor when a benchmark
@@ -233,10 +239,6 @@ def _checked_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
         raise DataFormatError("need a non-empty 2-D feature matrix")
     if y.shape != (X.shape[0],):
         raise DimensionMismatchError(f"{len(y)} targets for {X.shape[0]} rows")
-    bad = ~np.isfinite(X) | (X <= 0)
-    if np.any(bad):
-        i, j = map(int, np.argwhere(bad)[0])
-        raise NonPositiveInputError(f"feature [{i}, {j}] is {X[i, j]!r}; must be positive")
     if not np.all(np.isfinite(y)):
         i = int(np.flatnonzero(~np.isfinite(y))[0])
         raise DataFormatError(f"target row {i} is not finite")
@@ -244,18 +246,25 @@ def _checked_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sr_smooth(alphas, betas, log_x, y):
-    """MSE and its gradient w.r.t. (alphas, betas); overflow flows to inf."""
+    """MSE and its gradient w.r.t. (alphas, betas): the kernel with C = 1.
+
+    An overflowing term makes the loss inf with an undefined (NaN) gradient,
+    so Adam counts the restart as diverged and the L-BFGS line search rejects
+    the probe.
+    """
     n = log_x.shape[0]
+    sign, log_abs = log_coefficients(alphas)
+    # terms below the limit can still square or sum past float range far out
+    # along a line search, which is also an infinite loss
     with np.errstate(over="ignore", invalid="ignore"):
-        mono = np.exp(log_x @ betas.T)  # (N, K)
-        per_term = alphas[None, :] * mono
-        z = per_term.sum(axis=1)
-        resid = y - z
-        loss = float(resid @ resid) / n
-        dz = -2.0 * resid / n
-        d_alpha = dz @ mono
-        d_beta = np.einsum("i,ik,ij->kj", dz, per_term, log_x)
-    return loss, d_alpha, d_beta
+        try:
+            mono_log, per_term = forward(sign[None], log_abs[None], betas[None], log_x)
+            resid = y - per_term[:, 0, :].sum(axis=1)
+            dz = (-2.0 / n) * resid
+            d_alpha, d_beta = backward(dz[:, None], mono_log, per_term, log_x)
+        except OverflowLimitError:
+            return math.inf, np.full_like(alphas, np.nan), np.full_like(betas, np.nan)
+        return float(resid @ resid) / n, d_alpha[0], d_beta[0]
 
 
 def sr_loss_and_grad(s: Signomial, X, y, l1_penalty: float = 0.0):
@@ -266,10 +275,8 @@ def sr_loss_and_grad(s: Signomial, X, y, l1_penalty: float = 0.0):
     during training, so it does not contribute to the gradient.
     """
     X, y = _checked_inputs(X, y)
-    if X.shape[1] != s.m:
-        raise DimensionMismatchError(f"signomial has m={s.m}, data has {X.shape[1]}")
     alphas, betas = s.alphas, s.betas
-    loss, d_alpha, d_beta = _sr_smooth(alphas, betas, np.log(X), y)
+    loss, d_alpha, d_beta = _sr_smooth(alphas, betas, log_inputs(X, s.m), y)
     total = loss + l1_penalty * float(np.sum(np.abs(betas)))
     if not math.isfinite(total):
         raise NonFiniteLossError("regression loss is non-finite")
@@ -359,12 +366,12 @@ def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
     K=1 runs multi-start L-BFGS on the raw MSE and keeps the lowest loss;
     K>1 runs short strongly-penalized Adam per restart, refines the top three
     under a weaker penalty, then prunes, freezes and polishes. Candidates are
-    always ranked by (loss, restart index) so parallel and serial runs agree.
+    always ranked by (loss, restart index), so ties break deterministically.
     """
     cfg.validate()
     X, y = _checked_inputs(X, y)
     k, m = cfg.num_terms, X.shape[1]
-    log_x = np.log(X)
+    log_x = log_inputs(X)
     restarts = cfg.resolved_restarts()
     rng = np.random.Generator(np.random.Philox(key=seed))
     inits = [
@@ -387,7 +394,7 @@ def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
         for r, (a0, b0) in enumerate(inits):
             try:
                 res = lbfgs_minimize(obj, layout.pack(a0, b0))
-            except Exception:
+            except SignolearnError:
                 stats.stage_a_losses.append(math.inf)
                 continue
             stats.stage_a_losses.append(res.loss)
@@ -473,8 +480,7 @@ def generate_benchmark_data(
     rng = np.random.default_rng(seed)
     ranges = spec.effective_ranges()
     X = np.column_stack([rng.uniform(lo, hi, size=n_samples) for lo, hi in ranges])
-    mono = np.exp(np.log(X) @ spec.truth.betas.T)
-    y = mono @ spec.truth.alphas
+    y, _ = evaluate_batch(spec.truth, X)
     if noise_sigma > 0:
         y = y + noise_sigma * rng.standard_normal(n_samples)
     names = [f"x{j + 1}" for j in range(spec.truth.m)]
@@ -488,8 +494,7 @@ def score_fit(s: Signomial, X, y) -> FitScore:
     carries the (still well-defined) mse attribute.
     """
     X, y = _checked_inputs(X, y)
-    mono = np.exp(np.log(X) @ s.betas.T)
-    z = mono @ s.alphas if s.num_terms else np.zeros(len(y))
+    z, _ = evaluate_batch(s, X)
     mse = float(np.mean((y - z) ** 2))
     ss_tot = float(np.mean((y - y.mean()) ** 2))
     if ss_tot == 0.0:

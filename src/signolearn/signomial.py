@@ -9,6 +9,11 @@ the log domain, sign(alpha_k) * exp(ln|alpha_k| + sum_j beta_kj * ln x_j), so
 large positive and negative exponents are handled symmetrically; a term whose
 log-magnitude exceeds LOG_MAGNITUDE_LIMIT raises OverflowLimitError instead of
 silently producing inf.
+
+One kernel does this for the whole package: `log_inputs` checks and logs the
+inputs, `forward` evaluates C stacked signomials at once, and `backward` gives
+their parameter gradient. `evaluate`, the classifier and the regressor are
+thin heads over it.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -111,6 +117,13 @@ class Signomial:
             else np.zeros((0, m))
         )
 
+    @cached_property
+    def _kernel(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """forward's parameters for this signomial as the C = 1 case, made on
+        first use: loading a suite builds many that are never evaluated."""
+        sign, log_abs = log_coefficients(self._alphas)
+        return sign[None], log_abs[None], self._betas[None]
+
     @property
     def m(self) -> int:
         return self._m
@@ -173,92 +186,102 @@ class Signomial:
         return hash((self._m, self._terms))
 
 
-def _check_positive_input(x, m: int) -> np.ndarray:
+def log_inputs(X, m: int | None = None) -> np.ndarray:
+    """ln X for a batch of inputs of shape (N, m).
+
+    This is the package's one positivity check: any other shape raises
+    DimensionMismatchError, and an entry that is not finite and > 0 raises
+    NonPositiveInputError.
+    """
+    arr = np.asarray(X, dtype=float)
+    if arr.ndim != 2 or (m is not None and arr.shape[1] != m):
+        raise DimensionMismatchError(
+            f"inputs have shape {arr.shape}, expected (N, {'m' if m is None else m})"
+        )
+    # min and max propagate NaN, so two reductions catch every bad entry
+    if arr.size and not (arr.min() > 0 and arr.max() < np.inf):
+        i, j = map(int, np.argwhere(~(np.isfinite(arr) & (arr > 0)))[0])
+        raise NonPositiveInputError(
+            f"input row {i}, coordinate {j} is {arr[i, j]!r}; "
+            "all inputs must be finite and > 0"
+        )
+    return np.log(arr)
+
+
+def single_input(x, m: int) -> np.ndarray:
+    """One input of shape (m,) as a batch of one row."""
     arr = np.asarray(x, dtype=float)
     if arr.shape != (m,):
         raise DimensionMismatchError(f"input has shape {arr.shape}, expected ({m},)")
-    bad = ~np.isfinite(arr) | (arr <= 0)
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        raise NonPositiveInputError(
-            f"input coordinate {j} is {arr[j]!r}; all inputs must be finite and > 0"
-        )
-    return arr
+    return arr[None, :]
 
 
-def _log_magnitudes(s: Signomial, log_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (monomial log-values, per-term log-magnitudes)."""
-    mono_log = s._betas @ log_x if s.num_terms else np.zeros(0)
+def log_coefficients(alphas) -> tuple[np.ndarray, np.ndarray]:
+    """(sign alpha, ln|alpha|) elementwise; a zero coefficient gets ln 0 = -inf."""
+    alphas = np.asarray(alphas, dtype=float)
     with np.errstate(divide="ignore"):
-        log_abs_alpha = np.log(np.abs(s._alphas))
-    return mono_log, log_abs_alpha + mono_log
+        return np.sign(alphas), np.log(np.abs(alphas))
 
 
-def _guard_overflow(log_mag: np.ndarray, what: str) -> None:
-    if log_mag.size and np.max(log_mag) > LOG_MAGNITUDE_LIMIT:
-        k = int(np.argmax(log_mag))
+def _check_log_magnitude(log_mag: np.ndarray, what: str) -> None:
+    """Raise OverflowLimitError if any entry of a (C, K, N) array is too large."""
+    if log_mag.size and log_mag.max() > LOG_MAGNITUDE_LIMIT:
+        c, k, n = map(int, np.unravel_index(np.argmax(log_mag), log_mag.shape))
         raise OverflowLimitError(
-            f"{what} log-magnitude {log_mag[k]:.1f} of term {k} exceeds "
-            f"{LOG_MAGNITUDE_LIMIT:.0f}",
+            f"{what} log-magnitude {log_mag[c, k, n]:.1f} of term {k} (score {c}, "
+            f"row {n}) exceeds {LOG_MAGNITUDE_LIMIT:.0f}",
             term_index=k,
         )
 
 
+def forward(sign_alpha, log_abs_alpha, betas, log_x) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate C stacked signomials of K terms each at N log-inputs.
+
+    Takes sign alpha and ln|alpha| of shape (C, K), betas (C, K, m) and ln x
+    (N, m). Returns the monomial logs beta . ln x and the per-term values
+    sign(alpha) * exp(ln|alpha| + beta . ln x), both (N, C, K); a term whose
+    log-magnitude exceeds LOG_MAGNITUDE_LIMIT raises OverflowLimitError.
+    The work runs with rows last, where numpy is fastest for the small C and K
+    of a signomial; the results are (N, C, K) views of that layout.
+    """
+    c, k, m = betas.shape
+    n = len(log_x)
+    mono_log = (betas.reshape(c * k, m) @ log_x.T).reshape(c, k, n)
+    log_mag = mono_log + log_abs_alpha[:, :, None]
+    _check_log_magnitude(log_mag, "term")
+    per_term = sign_alpha[:, :, None] * np.exp(log_mag)
+    return mono_log.transpose(2, 0, 1), per_term.transpose(2, 0, 1)
+
+
+def backward(dz, mono_log, per_term, log_x) -> tuple[np.ndarray, np.ndarray]:
+    """Parameter gradient of the stacked kernel from dL/dz of shape (N, C).
+
+    Returns dL/dalpha (C, K) and dL/dbeta (C, K, m). dz/dalpha_ck is the bare
+    monomial exp(beta_ck . ln x), computed without dividing by alpha so it
+    stays defined at alpha = 0 and guarded against overflow like the terms;
+    dz/dbeta_ckj = per_term_ck * ln x_j.
+    """
+    n, c, k = per_term.shape
+    mono_log = mono_log.transpose(1, 2, 0)
+    _check_log_magnitude(mono_log, "monomial")
+    dz = dz.T[:, None, :]  # (C, 1, N)
+    d_alpha = (np.exp(mono_log) @ dz.transpose(0, 2, 1))[:, :, 0]
+    weighted = dz * per_term.transpose(1, 2, 0)  # (C, K, N)
+    d_beta = (weighted.reshape(c * k, n) @ log_x).reshape(c, k, -1)
+    return d_alpha, d_beta
+
+
 def evaluate(s: Signomial, x) -> ScoreBreakdown:
-    """Evaluate s at a positive input, returning total and per-term values."""
-    arr = _check_positive_input(x, s.m)
-    log_x = np.log(arr)
-    _, log_mag = _log_magnitudes(s, log_x)
-    _guard_overflow(log_mag, "term")
-    per_term = np.sign(s._alphas) * np.exp(log_mag)
-    return ScoreBreakdown(
-        total=float(np.sum(per_term)), per_term=tuple(float(v) for v in per_term)
-    )
+    """Evaluate s at one positive input, returning total and per-term values."""
+    totals, per_term = evaluate_batch(s, single_input(x, s.m))
+    return ScoreBreakdown(total=float(totals[0]), per_term=tuple(per_term[0].tolist()))
 
 
 def evaluate_batch(s: Signomial, X) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate s at every row of X. Returns (totals (N,), per-term (N, K))."""
-    arr = np.asarray(X, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != s.m:
-        raise DimensionMismatchError(f"X has shape {arr.shape}, expected (N, {s.m})")
-    bad = ~np.isfinite(arr) | (arr <= 0)
-    if np.any(bad):
-        i, j = map(int, np.argwhere(bad)[0])
-        raise NonPositiveInputError(
-            f"X[{i}, {j}] is {arr[i, j]!r}; all inputs must be finite and > 0"
-        )
-    if s.num_terms == 0:
-        return np.zeros(arr.shape[0]), np.zeros((arr.shape[0], 0))
-    log_x = np.log(arr)
-    with np.errstate(divide="ignore"):
-        log_abs_alpha = np.log(np.abs(s._alphas))
-    log_mag = log_x @ s._betas.T + log_abs_alpha
-    if np.max(log_mag) > LOG_MAGNITUDE_LIMIT:
-        i, k = map(int, np.unravel_index(np.argmax(log_mag), log_mag.shape))
-        raise OverflowLimitError(
-            f"term {k} overflows at row {i} (log-magnitude {log_mag[i, k]:.1f})",
-            term_index=k,
-        )
-    per_term = np.sign(s._alphas) * np.exp(log_mag)
+    _, per_term = forward(*s._kernel, log_inputs(X, s.m))
+    per_term = per_term[:, 0, :]
     return per_term.sum(axis=1), per_term
-
-
-def gradient(s: Signomial, x) -> tuple[np.ndarray, np.ndarray]:
-    """Parameter gradient of z(x): (d/dalpha (K,), d/dbeta (K, m)).
-
-    d z / d alpha_k is the bare monomial value, computed without dividing by
-    alpha_k so it stays defined when a coefficient is exactly zero.
-    d z / d beta_kj = per_term_k * ln x_j.
-    """
-    arr = _check_positive_input(x, s.m)
-    log_x = np.log(arr)
-    mono_log, log_mag = _log_magnitudes(s, log_x)
-    _guard_overflow(log_mag, "term")
-    _guard_overflow(mono_log, "monomial")
-    d_alpha = np.exp(mono_log)
-    per_term = np.sign(s._alphas) * np.exp(log_mag)
-    d_beta = np.outer(per_term, log_x)
-    return d_alpha, d_beta
 
 
 def snap_exponent(value: float, tolerance: float = DEFAULT_SNAP_TOLERANCE) -> float:

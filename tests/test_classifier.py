@@ -27,6 +27,7 @@ from signolearn.errors import (
     LabelOutOfRangeError,
     NonFiniteLossError,
     NonPositiveInputError,
+    OverflowLimitError,
 )
 from signolearn.optim import ParamLayout
 from signolearn.signomial import Signomial, Term
@@ -153,6 +154,25 @@ def test_nonpositive_input_rejected():
         predict_proba(demo_model(), [1.0, -2.0, 1.0])
     with pytest.raises(NonPositiveInputError):
         predict_proba_batch(demo_model(), [[1.0, 1.0, 0.0]])
+
+
+def test_overflow_raises_alike_in_scalar_and_batch_paths():
+    # 10^400 overflows float64; every path must say so instead of returning NaN
+    model = EcselModel([Signomial([Term(1.0, (400.0,))]), Signomial([Term(1.0, (1.0,))])])
+    with pytest.raises(OverflowLimitError):
+        predict_proba(model, [10.0])
+    with pytest.raises(OverflowLimitError):
+        predict_proba_batch(model, [[10.0]])
+    with pytest.raises(OverflowLimitError):
+        predict_batch(model, [[10.0]])
+
+
+def test_wrong_feature_count_raises_alike_in_scalar_and_batch_paths():
+    model = demo_model()
+    with pytest.raises(DimensionMismatchError):
+        predict_proba(model, [1.0, 1.0])
+    with pytest.raises(DimensionMismatchError):
+        predict_proba_batch(model, [[1.0, 1.0]])
 
 
 # --- loss and gradient ----------------------------------------------------------
@@ -398,6 +418,7 @@ def test_fit_diverges_loudly_with_insane_learning_rate():
     with pytest.raises(NonFiniteLossError) as exc_info:
         fit(train, val, cfg)
     assert exc_info.value.epoch is not None
+    assert isinstance(exc_info.value.__cause__, OverflowLimitError)
 
 
 # --- threshold grid ---------------------------------------------------------------

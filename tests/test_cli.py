@@ -361,31 +361,6 @@ def test_benchmark_empty_suite(tmp_path):
     assert cli.main(["benchmark", "--suite", str(suite_path)]) == 3
 
 
-def test_benchmark_parallel_matches_serial(tmp_path, monkeypatch):
-    suite = json.load(open(SUITE))
-    mini = {"specs": [s for s in suite["specs"]
-                      if s["name"] in ("I.12.1", "Livermore-13")]}
-    suite_path = tmp_path / "suite.json"
-    suite_path.write_text(json.dumps(mini))
-
-    def run(threads):
-        out = tmp_path / f"bench_{threads}.csv"
-        monkeypatch.setenv("SIGNOLEARN_THREADS", str(threads))
-        assert cli.main(["benchmark", "--suite", str(suite_path),
-                         "--seeds", "42", "--out", str(out)]) == 0
-        with open(out) as fh:
-            return [(r["name"], r["rate"]) for r in csv.DictReader(fh)]
-
-    assert run(1) == run(2)
-
-
-def test_threads_env_var_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("SIGNOLEARN_THREADS", "many")
-    suite_path = tmp_path / "suite.json"
-    suite_path.write_text(json.dumps({"specs": [{"name": "x"}]}))
-    assert cli.main(["benchmark", "--suite", str(suite_path)]) == 2
-
-
 # --- search ------------------------------------------------------------------------
 
 

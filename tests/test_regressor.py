@@ -11,8 +11,10 @@ from signolearn.errors import (
     DataFormatError,
     DimensionMismatchError,
     NonPositiveInputError,
+    OverflowLimitError,
     ZeroVarianceError,
 )
+from signolearn import regressor
 from signolearn.regressor import (
     SrConfig,
     TargetSpec,
@@ -22,7 +24,7 @@ from signolearn.regressor import (
     score_fit,
     sr_loss_and_grad,
 )
-from signolearn.signomial import Signomial, Term, canonicalize, equivalent
+from signolearn.signomial import Signomial, Term, canonicalize, equivalent, evaluate
 
 
 def monomial_spec(name="prod", exponents=(1.0, 1.0), alpha=1.0, samples=(200, 1000)):
@@ -222,6 +224,17 @@ def test_all_restarts_failed_k3():
         fit_sr(X, y, SrConfig(num_terms=3), seed=45)
 
 
+def test_k1_restarts_let_programming_errors_through(monkeypatch):
+    # only typed numerical failures count as a diverged restart
+    def broken(*args, **kwargs):
+        raise TypeError("bug in the optimizer")
+
+    monkeypatch.setattr(regressor, "lbfgs_minimize", broken)
+    X = np.random.default_rng(0).uniform(1.0, 2.0, size=(20, 1))
+    with pytest.raises(TypeError):
+        fit_sr(X, X[:, 0], SrConfig(num_terms=1), seed=0)
+
+
 def test_monomial_recovery_across_random_seeds():
     # single random monomial, noiseless: at least 4 of the 5 standard seeds
     # must recover it after canonicalization
@@ -370,6 +383,16 @@ def test_score_zero_variance_still_carries_mse():
     with pytest.raises(ZeroVarianceError) as exc_info:
         score_fit(s, X, y)
     assert exc_info.value.mse == pytest.approx(4.0)
+
+
+def test_score_overflow_raises_like_evaluate():
+    # 10^400 overflows float64: the held-out score must fail as loudly as
+    # evaluating the same signomial at that row
+    s = Signomial([Term(1.0, (400.0,)), Term(1.0, (1.0,))])
+    with pytest.raises(OverflowLimitError):
+        evaluate(s, [10.0])
+    with pytest.raises(OverflowLimitError):
+        score_fit(s, [[10.0], [2.0]], [1.0, 2.0])
 
 
 @settings(max_examples=30, deadline=None)

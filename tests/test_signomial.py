@@ -5,22 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from signolearn.classifier import EcselModel, predict_proba, predict_proba_batch
 from signolearn.errors import (
     DimensionMismatchError,
     NameCountMismatchError,
     NonPositiveInputError,
     OverflowLimitError,
+    SignolearnError,
 )
 from signolearn.signomial import (
     CanonicalForm,
     ScoreBreakdown,
     Signomial,
     Term,
+    backward,
     canonicalize,
     equivalent,
     evaluate,
     evaluate_batch,
-    gradient,
+    forward,
+    log_coefficients,
+    log_inputs,
     render,
     snap_exponent,
 )
@@ -47,10 +52,24 @@ def signomials(draw, max_features=4, max_terms=4, exp_range=3.0):
 
 
 @st.composite
-def signomial_and_input(draw):
-    s = draw(signomials())
+def signomial_and_input(draw, exp_range=3.0):
+    s = draw(signomials(exp_range=exp_range))
     x = tuple(draw(st.floats(1.0, 10.0, allow_nan=False)) for _ in range(s.m))
     return s, x
+
+
+def kernel_args(signomials, X):
+    """Stacked kernel arguments for equal-length signomials at inputs X."""
+    alphas = np.array([s.alphas for s in signomials])
+    betas = np.array([s.betas for s in signomials])
+    return (*log_coefficients(alphas), betas, log_inputs(X))
+
+
+def gradient(s, x):
+    """dz/dalpha (K,) and dz/dbeta (K, m) at one input, through the kernel."""
+    *params, log_x = kernel_args([s], [x])
+    d_alpha, d_beta = backward(np.ones((1, 1)), *forward(*params, log_x), log_x)
+    return d_alpha[0], d_beta[0]
 
 
 # --- construction ------------------------------------------------------------
@@ -132,6 +151,38 @@ def test_total_is_sum_of_terms(case):
     assert out.total == pytest.approx(math.fsum(out.per_term), rel=1e-12, abs=1e-300)
 
 
+def outcome(fn, *args):
+    """fn's result, or the type of the SignolearnError it raised."""
+    try:
+        return fn(*args)
+    except SignolearnError as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(signomial_and_input(exp_range=400.0))
+def test_scalar_and_batch_agree_or_raise_alike(case):
+    # exponents up to 400 at x in [1, 10] overflow on some draws
+    s, x = case
+    scalar = outcome(evaluate, s, x)
+    batch = outcome(evaluate_batch, s, np.array([x]))
+    if isinstance(scalar, type) or isinstance(batch, type):
+        assert scalar == batch
+    else:
+        totals, per_term = batch
+        assert scalar.total == pytest.approx(totals[0], rel=1e-12, abs=0.0)
+        assert scalar.per_term == pytest.approx(per_term[0], rel=1e-12, abs=0.0)
+
+    other = Signomial([Term(1.0, (1.0,) * s.m)])
+    model = EcselModel([s, other])
+    scalar = outcome(predict_proba, model, x)
+    batch = outcome(predict_proba_batch, model, np.array([x]))
+    if isinstance(scalar, type) or isinstance(batch, type):
+        assert scalar == batch
+    else:
+        assert scalar == pytest.approx(batch[0], rel=1e-12, abs=0.0)
+
+
 def test_batch_matches_scalar_eval():
     rng = np.random.default_rng(7)
     s = Signomial([(0.8, (-1.2, 0.0, -0.6)), (0.6, (0.0, -1.5, -0.4))])
@@ -143,7 +194,58 @@ def test_batch_matches_scalar_eval():
         assert per_term[i] == pytest.approx(out.per_term, rel=1e-12)
 
 
-# --- gradients ---------------------------------------------------------------
+# --- kernel: forward and backward -----------------------------------------------
+
+
+def test_log_inputs_checks_shape_and_positivity():
+    assert np.allclose(log_inputs([[1.0, np.e]]), [[0.0, 1.0]])
+    with pytest.raises(DimensionMismatchError):
+        log_inputs([1.0, 2.0])
+    with pytest.raises(DimensionMismatchError):
+        log_inputs([[1.0, 2.0]], m=3)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(NonPositiveInputError, match="row 1, coordinate 0"):
+            log_inputs([[1.0, 1.0], [bad, 1.0]])
+
+
+def test_forward_stacks_scores_like_separate_evaluations():
+    rng = np.random.default_rng(3)
+    sigs = [
+        Signomial([(1.5, (0.5, -1.0)), (-0.3, (2.0, 0.0))]),
+        Signomial([(0.0, (1.0, 1.0)), (2.0, (-0.5, 0.25))]),
+    ]
+    X = rng.uniform(1.0, 10.0, size=(6, 2))
+    mono_log, per_term = forward(*kernel_args(sigs, X))
+    assert per_term.shape == mono_log.shape == (6, 2, 2)
+    for c, s in enumerate(sigs):
+        _, expected = evaluate_batch(s, X)
+        assert np.allclose(per_term[:, c, :], expected, rtol=1e-14, atol=0.0)
+    assert np.allclose(mono_log, np.einsum("ij,ckj->ick", np.log(X), [s.betas for s in sigs]))
+
+
+def test_backward_sums_rows_and_weights_scores():
+    rng = np.random.default_rng(4)
+    sigs = [Signomial([(0.7, (1.0, -0.5)), (-1.2, (0.3, 0.8))]),
+            Signomial([(0.4, (-1.0, 0.0)), (0.9, (0.0, 2.0))])]
+    X = rng.uniform(1.0, 5.0, size=(5, 2))
+    dz = rng.standard_normal((5, 2))
+    *params, log_x = kernel_args(sigs, X)
+    d_alpha, d_beta = backward(dz, *forward(*params, log_x), log_x)
+    for c, s in enumerate(sigs):
+        rows = [gradient(s, x) for x in X]
+        assert d_alpha[c] == pytest.approx(sum(dz[i, c] * r[0] for i, r in enumerate(rows)))
+        assert d_beta[c] == pytest.approx(sum(dz[i, c] * r[1] for i, r in enumerate(rows)))
+
+
+def test_backward_guards_the_bare_monomial():
+    # a zero coefficient keeps the term at 0, but its monomial 10^400 overflows
+    s = Signomial([(0.0, (400.0,))])
+    *params, log_x = kernel_args([s], [[10.0]])
+    mono_log, per_term = forward(*params, log_x)
+    assert per_term[0, 0, 0] == 0.0
+    with pytest.raises(OverflowLimitError) as exc:
+        backward(np.ones((1, 1)), mono_log, per_term, log_x)
+    assert exc.value.term_index == 0
 
 
 def test_gradient_single_term_example():
