@@ -124,6 +124,12 @@ class EcselModel:
             raise DimensionMismatchError(
                 f"{len(self.class_names)} class names for {self.C} classes"
             )
+        if scaler is not None and scaler.mins is not None:
+            shapes = {np.shape(scaler.mins), np.shape(scaler.maxs)}
+            if shapes != {(self.m,)}:
+                raise DimensionMismatchError(
+                    f"scaler bounds have shapes {sorted(shapes)} for {self.m} features"
+                )
         # the signomials are fixed from here on, so the kernel constants are too
         self._alphas, self._betas = _stack_params(self.signomials)
         self._kernel = (*log_coefficients(self._alphas), self._betas)

@@ -112,6 +112,15 @@ def _write_timing(seconds_by_label: dict, out: str | None) -> None:
         data_io.write_json_atomic(dict(seconds_by_label), _sibling(out, "timing.json"))
 
 
+def _read_json(path: str):
+    """Parse a JSON input file; malformed JSON is a DataFormatError naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
+
+
 def _transform(scaler: data_io.Scaler | None, X: np.ndarray) -> np.ndarray:
     return X if scaler is None else scaler.transform(X)
 
@@ -133,7 +142,8 @@ def _load_feature_matrix(path: str, target: str | None, feature_names: list[str]
         rows = list(csv.reader(fh))
     if not rows:
         raise DataFormatError(f"{path}: empty file")
-    header, body = rows[0], rows[1:]
+    header = rows[0]
+    body = [row for row in rows[1:] if any(cell.strip() for cell in row)]
     if not body:
         raise DataFormatError(f"{path}: no data rows")
     if set(feature_names) <= set(header):
@@ -452,13 +462,17 @@ def cmd_explain(args) -> int:
             ],
         }
     if args.scenarios is not None:
-        with open(args.scenarios, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        entries = raw["scenarios"] if isinstance(raw, dict) else raw
+        raw = _read_json(args.scenarios)
         named = []
-        for entry in entries:
-            vec = np.array([float(entry["input"][n]) for n in model.feature_names])
-            named.append((entry["name"], _transform(model.scaler, vec[None, :])[0]))
+        try:
+            for entry in raw["scenarios"] if isinstance(raw, dict) else raw:
+                vec = np.array([float(entry["input"][n]) for n in model.feature_names])
+                named.append((entry["name"], _transform(model.scaler, vec[None, :])[0]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(
+                f"{args.scenarios}: each scenario needs a name and an input value for "
+                f"every feature ({type(exc).__name__}: {exc})"
+            ) from exc
         report["scenarios"] = compare_scenarios(model, named)["scenarios"]
     report["version"] = RESULT_SCHEMA_VERSION
     report["resolvedConfig"] = {
@@ -484,12 +498,7 @@ def cmd_explain(args) -> int:
 
 
 def _load_spec(path: str) -> TargetSpec:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: not valid JSON ({exc})")
-    return TargetSpec.from_dict(raw)
+    return TargetSpec.from_dict(_read_json(path))
 
 
 def _recovery_config(spec: TargetSpec, seeds: list[int], noise: float,
@@ -545,14 +554,12 @@ def cmd_recover(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    try:
-        with open(args.suite, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{args.suite}: not valid JSON ({exc})")
-    entries = raw["specs"] if isinstance(raw, dict) else raw
-    if not entries:
-        raise DataFormatError(f"{args.suite}: empty suite")
+    raw = _read_json(args.suite)
+    entries = raw.get("specs") if isinstance(raw, dict) else raw
+    if not isinstance(entries, list) or not entries:
+        raise DataFormatError(
+            f"{args.suite}: need a non-empty list of specs, bare or under 'specs'"
+        )
     seeds = parse_seeds(args.seeds)
 
     def run_one(entry) -> dict:
@@ -613,11 +620,7 @@ def _load_space(path: str | None) -> dict:
     space = {k: list(v) for k, v in DEFAULT_SEARCH_SPACE.items()}
     if path is None:
         return space
-    with open(path, encoding="utf-8") as fh:
-        try:
-            user = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: not valid JSON ({exc})")
+    user = _read_json(path)
     if not isinstance(user, dict):
         raise BadConfigError(f"{path}: search space must be a JSON object")
     for key, value in user.items():

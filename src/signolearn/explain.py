@@ -5,6 +5,10 @@ elasticities and log-gradients per feature, exact counterfactuals under
 feature scaling, first-order sensitivity, score-margin and probability
 sensitivities, and additive attributions in log-space (exact per term,
 first-order for whole scores). Pure functions over an immutable model.
+
+Each function is one forward pass of the model's stacked kernel, over every
+class, plus closed-form algebra on the per-term values; as in model.scores,
+an overflowing term in any class raises OverflowLimitError.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import EcselModel, predict_proba, _sigmoid
+from .classifier import EcselModel, _probabilities
 from .data_io import Dataset
 from .errors import (
     BadConfigError,
@@ -24,7 +28,7 @@ from .errors import (
     SameClassError,
     ZeroComponentScoreError,
 )
-from .signomial import evaluate, log_inputs
+from .signomial import forward, log_inputs, single_input
 
 
 @dataclass
@@ -67,15 +71,30 @@ class AttributionReport:
     target: str | None = None  # "score" or "probability" (gradient mode)
 
 
-def _class_terms(model: EcselModel, class_idx: int, x):
-    """Per-term values, exponents and the total score for one class."""
-    if not 0 <= class_idx < len(model.signomials):
-        raise BadConfigError(
-            f"class index {class_idx} out of range for {len(model.signomials)} scores"
-        )
-    s = model.signomials[class_idx]
-    bd = evaluate(s, x)
-    return s, np.array(bd.per_term), bd.total
+def _kernel_values(model: EcselModel, *inputs):
+    """One forward pass of the model's stacked kernel over the given inputs.
+
+    Returns, with one leading row per input, the per-term values z_ck
+    (N, C, K), the scores (N, C) and the log-gradients G_c = sum_k z_ck *
+    beta_ck (N, C, m); a class with fewer than K terms has zero padding terms.
+    """
+    X = np.concatenate([single_input(x, model.m) for x in inputs])
+    _, per_term = forward(*model._kernel, log_inputs(X, model.m))
+    log_gradients = (per_term[:, :, None, :] @ model._betas)[:, :, 0, :]
+    return per_term, per_term.sum(axis=2), log_gradients
+
+
+def _check_index(idx: int, count: int, what: str, of: str) -> None:
+    if not 0 <= idx < count:
+        raise BadConfigError(f"{what} index {idx} out of range for {count} {of}")
+
+
+def _probability_gradient(model: EcselModel, p, log_gradients, class_idx: int):
+    """d p_c / d ln x from the probabilities (C,) and score log-gradients."""
+    if model.link == "sigmoid":
+        grad = p[1] * p[0] * log_gradients[0]
+        return grad if class_idx == 1 else -grad
+    return p[class_idx] * (log_gradients[class_idx] - p @ log_gradients)
 
 
 def elasticity(model: EcselModel, class_idx: int, x) -> ElasticityVector:
@@ -85,13 +104,10 @@ def elasticity(model: EcselModel, class_idx: int, x) -> ElasticityVector:
     G_j / z divides by the score and is only defined where the score is
     positive.
     """
-    s, per_term, z = _class_terms(model, class_idx, x)
-    if s.num_terms:
-        g = s.betas.T @ per_term
-    else:
-        g = np.zeros(s.m)
-    e = g / z if z > 0 else None
-    return ElasticityVector(score=z, log_gradient=g, elasticity=e)
+    _check_index(class_idx, len(model.signomials), "class", "scores")
+    _, z, g = _kernel_values(model, x)
+    z, g = float(z[0, class_idx]), g[0, class_idx]
+    return ElasticityVector(score=z, log_gradient=g, elasticity=g / z if z > 0 else None)
 
 
 def counterfactual_scale(
@@ -104,23 +120,19 @@ def counterfactual_scale(
     """
     if not q > 0 or not math.isfinite(q):
         raise NonPositiveInputError(f"scale factor must be positive, got {q!r}")
-    s, per_term, _ = _class_terms(model, class_idx, x)
-    if not 0 <= feature_idx < s.m:
-        raise BadConfigError(f"feature index {feature_idx} out of range for m={s.m}")
-    if not s.num_terms:
-        return 0.0
-    return float(np.power(q, s.betas[:, feature_idx]) @ per_term)
+    _check_index(class_idx, len(model.signomials), "class", "scores")
+    _check_index(feature_idx, model.m, "feature", "features")
+    per_term, _, _ = _kernel_values(model, x)
+    scale = np.power(q, model._betas[class_idx, :, feature_idx])
+    return float(scale @ per_term[0, class_idx])
 
 
 def sensitivity_first_order(
     model: EcselModel, class_idx: int, x, feature_idx: int, eps: float
 ) -> float:
     """First-order prediction of the score after scaling feature j by 1+eps."""
+    _check_index(feature_idx, model.m, "feature", "features")
     ev = elasticity(model, class_idx, x)
-    if not 0 <= feature_idx < len(ev.log_gradient):
-        raise BadConfigError(
-            f"feature index {feature_idx} out of range for m={len(ev.log_gradient)}"
-        )
     return ev.score + eps * float(ev.log_gradient[feature_idx])
 
 
@@ -132,13 +144,14 @@ def margin_sensitivity(
         raise SameClassError(f"margin of class {class_idx} against itself is zero")
     if len(model.signomials) < 2:
         raise BadConfigError("margins need a model with per-class scores")
-    a = elasticity(model, class_idx, x)
-    b = elasticity(model, other_idx, x)
+    _check_index(class_idx, len(model.signomials), "class", "scores")
+    _check_index(other_idx, len(model.signomials), "class", "scores")
+    _, z, g = _kernel_values(model, x)
     return MarginSensitivity(
         class_idx=class_idx,
         other_idx=other_idx,
-        margin=a.score - b.score,
-        per_feature=a.log_gradient - b.log_gradient,
+        margin=float(z[0, class_idx] - z[0, other_idx]),
+        per_feature=g[0, class_idx] - g[0, other_idx],
     )
 
 
@@ -149,23 +162,9 @@ def probability_sensitivity(model: EcselModel, class_idx: int, x) -> np.ndarray:
     single score, negated for class 0. Across classes these vectors sum to
     zero per feature.
     """
-    if model.link == "sigmoid":
-        if class_idx not in (0, 1):
-            raise BadConfigError(f"class index {class_idx} out of range for 2 classes")
-        ev = elasticity(model, 0, x)
-        p1 = float(_sigmoid(np.array([ev.score]))[0])
-        grad = p1 * (1.0 - p1) * ev.log_gradient
-        return grad if class_idx == 1 else -grad
-    if not 0 <= class_idx < model.C:
-        raise BadConfigError(
-            f"class index {class_idx} out of range for {model.C} classes"
-        )
-    p = predict_proba(model, x)
-    g_all = np.stack(
-        [elasticity(model, c, x).log_gradient for c in range(model.C)]
-    )
-    avg = p @ g_all
-    return p[class_idx] * (g_all[class_idx] - avg)
+    _check_index(class_idx, model.C, "class", "classes")
+    _, z, g = _kernel_values(model, x)
+    return _probability_gradient(model, _probabilities(model, z)[0], g[0], class_idx)
 
 
 def attribute_exact_log(
@@ -182,21 +181,18 @@ def attribute_exact_log(
     noise. For a single-term score this covers the entire class score; for
     multi-term scores a term index must be chosen (or use gradient mode).
     """
-    s, per_term_x, _ = _class_terms(model, class_idx, x)
+    _check_index(class_idx, len(model.signomials), "class", "scores")
+    num_terms = model.signomials[class_idx].num_terms
     if term_idx is None:
-        if s.num_terms != 1:
+        if num_terms != 1:
             raise BadConfigError(
-                f"score of class {class_idx} has {s.num_terms} terms; exact "
+                f"score of class {class_idx} has {num_terms} terms; exact "
                 "log-space attribution needs a term index, or use gradient mode"
             )
         term_idx = 0
-    if not 0 <= term_idx < s.num_terms:
-        raise BadConfigError(
-            f"term index {term_idx} out of range for {s.num_terms} terms"
-        )
-    _, per_term_b, _ = _class_terms(model, class_idx, baseline)
-    zx = float(per_term_x[term_idx])
-    zb = float(per_term_b[term_idx])
+    _check_index(term_idx, num_terms, "term", "terms")
+    per_term, _, _ = _kernel_values(model, x, baseline)
+    zx, zb = map(float, per_term[:, class_idx, term_idx])
     if zx == 0.0 or zb == 0.0:
         raise ZeroComponentScoreError(
             f"term {term_idx} of class {class_idx} evaluates to zero; "
@@ -208,8 +204,7 @@ def attribute_exact_log(
         )
     x = np.asarray(x, dtype=float)
     b = np.asarray(baseline, dtype=float)
-    beta = s.betas[term_idx]
-    phi = beta * np.log(x / b)
+    phi = model._betas[class_idx, term_idx] * np.log(x / b)
     residual = math.log(abs(zx)) - math.log(abs(zb)) - float(phi.sum())
     return AttributionReport(
         mode="exact-log",
@@ -237,18 +232,21 @@ def attribute_gradient(
     the true change minus the sum of contributions and is reported, never
     hidden.
     """
-    if target not in ("score", "probability"):
+    if target == "score":
+        _check_index(class_idx, len(model.signomials), "class", "scores")
+    elif target == "probability":
+        _check_index(class_idx, model.C, "class", "classes")
+    else:
         raise BadConfigError(f"target must be score or probability, got {target!r}")
     x = np.asarray(x, dtype=float)
     x_star = np.asarray(x_star, dtype=float)
+    _, z, g = _kernel_values(model, x_star, x)
     if target == "score":
-        grad = elasticity(model, class_idx, x_star).log_gradient
-        before = elasticity(model, class_idx, x_star).score
-        after = _class_terms(model, class_idx, x)[2]
+        values, grad = z, g[0, class_idx]
     else:
-        grad = probability_sensitivity(model, class_idx, x_star)
-        before = predict_proba(model, x_star)[class_idx]
-        after = predict_proba(model, x)[class_idx]
+        values = _probabilities(model, z)
+        grad = _probability_gradient(model, values[0], g[0], class_idx)
+    before, after = values[:, class_idx]
     phi = grad * (np.log(x) - np.log(x_star))
     residual = float(after - before) - float(phi.sum())
     return AttributionReport(
@@ -315,20 +313,18 @@ def build_report(
         rep = attribute_gradient(model, class_idx, x, baseline, target)
     else:
         raise BadConfigError(f"mode must be exact-log or gradient, got {mode!r}")
-    ev = elasticity(model, class_idx, x)
-    margins = []
-    if model.link != "sigmoid":
-        for other in range(model.C):
-            if other == class_idx:
-                continue
-            ms = margin_sensitivity(model, class_idx, other, x)
-            margins.append(
-                {
-                    "against": other,
-                    "margin": ms.margin,
-                    "perFeature": _ranked_map(names, ms.per_feature),
-                }
-            )
+    _check_index(class_idx, len(model.signomials), "class", "scores")
+    _, z, g = _kernel_values(model, x)
+    z, g = z[0], g[0]
+    margins = [
+        {
+            "against": other,
+            "margin": float(z[class_idx] - z[other]),
+            "perFeature": _ranked_map(names, g[class_idx] - g[other]),
+        }
+        for other in range(model.C)
+        if other != class_idx and model.link != "sigmoid"
+    ]
     return {
         "input": {name: float(v) for name, v in zip(names, x)},
         "baseline": {name: float(v) for name, v in zip(names, rep.baseline)},
@@ -336,8 +332,10 @@ def build_report(
         "mode": rep.mode,
         "phi": _ranked_map(names, rep.phi),
         "residual": rep.residual,
-        "elasticities": None if not ev.defined else _ranked_map(names, ev.elasticity),
-        "logGradients": _ranked_map(names, ev.log_gradient),
+        "elasticities": (
+            _ranked_map(names, g[class_idx] / z[class_idx]) if z[class_idx] > 0 else None
+        ),
+        "logGradients": _ranked_map(names, g[class_idx]),
         "margins": margins,
     }
 
@@ -346,15 +344,14 @@ def compare_scenarios(model: EcselModel, scenarios: list[tuple[str, np.ndarray]]
     """Evaluate named inputs side by side: scores, probabilities, decision."""
     if not scenarios:
         raise DataFormatError("no scenarios given")
+    xs = [np.asarray(x, dtype=float) for _, x in scenarios]
+    _, scores, _ = _kernel_values(model, *xs)
     rows = []
-    for name, x in scenarios:
-        x = np.asarray(x, dtype=float)
-        p = predict_proba(model, x)
-        scores = model.scores(x)
+    for (name, _), x, z, p in zip(scenarios, xs, scores, _probabilities(model, scores)):
         entry = {
             "name": name,
             "input": {fn: float(v) for fn, v in zip(model.feature_names, x)},
-            "scores": [float(s) for s in scores],
+            "scores": [float(s) for s in z],
             "probabilities": [float(v) for v in p],
         }
         if model.link == "sigmoid":

@@ -384,23 +384,16 @@ def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
     pool: list[tuple[float, int, np.ndarray, np.ndarray]] = []
 
     if k == 1:
-        layout = ParamLayout(alpha_shape=(k,), beta_shape=(k, m))
-
-        def obj(theta):
-            a, b = layout.unpack(theta)
-            loss, d_alpha, d_beta = _sr_smooth(a, b, log_x, y)
-            return loss, layout.pack(d_alpha, d_beta)
-
+        # random inits have no zero exponent, so the polish frees every parameter
         for r, (a0, b0) in enumerate(inits):
             try:
-                res = lbfgs_minimize(obj, layout.pack(a0, b0))
+                a, b, loss = _polish(a0, b0, log_x, y)
             except SignolearnError:
                 stats.stage_a_losses.append(math.inf)
                 continue
-            stats.stage_a_losses.append(res.loss)
-            if math.isfinite(res.loss):
-                a, b = layout.unpack(res.x)
-                pool.append((res.loss, r, a, b))
+            stats.stage_a_losses.append(loss)
+            if math.isfinite(loss):
+                pool.append((loss, r, a, b))
         if not pool:
             raise AllRestartsFailedError(f"all {restarts} restarts diverged (seed {seed})")
         pool.sort(key=lambda c: (c[0], c[1]))

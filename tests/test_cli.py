@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from signolearn import cli, data_io
-from signolearn.classifier import ClassifyConfig, compute_metrics, fit, predict_batch
-from signolearn.errors import BadConfigError
+from signolearn.classifier import (
+    ClassifyConfig,
+    EcselModel,
+    compute_metrics,
+    fit,
+    predict_batch,
+)
+from signolearn.errors import BadConfigError, CorruptModelError
 
 ASSETS = os.path.join(os.path.dirname(cli.__file__), "assets")
 IRIS = os.path.join(ASSETS, "iris.csv")
@@ -215,6 +221,41 @@ def test_predict_no_target_flag_skips_label_column(tmp_path):
     assert payload["predictions"] == json.load(open(with_target))["predictions"]
 
 
+def test_predict_skips_blank_lines_with_and_without_target(tmp_path):
+    data = write_blobs_csv(tmp_path / "blobs.csv")
+    out = str(tmp_path / "m.json")
+    cli.main(["train", "--data", data, "--target", "cls", "--k", "1",
+              "--seed", "3", "--epochs", "60", "--out", out])
+    with open(data) as fh:
+        lines = fh.read().splitlines()
+    gappy = tmp_path / "gappy.csv"
+    gappy.write_text("\n".join(lines[:10] + ["", " , , "] + lines[10:]) + "\n\n")
+    predictions = []
+    for extra in ([], ["--target", "cls"]):
+        p = str(tmp_path / f"p{len(extra)}.json")
+        assert cli.main(["predict", "--model", out, "--data", str(gappy),
+                         "--out", p, *extra]) == 0
+        predictions.append(json.load(open(p))["predictions"])
+    assert len(predictions[0]) == 60
+    assert predictions[0] == predictions[1]
+
+
+def test_model_with_mis_sized_scaler_is_corrupt(tmp_path, capsys):
+    data = write_blobs_csv(tmp_path / "blobs.csv")
+    out = str(tmp_path / "m.json")
+    cli.main(["train", "--data", data, "--target", "cls", "--k", "1",
+              "--seed", "3", "--epochs", "60", "--out", out])
+    payload = json.load(open(out))
+    payload["scaler"]["mins"] = payload["scaler"]["mins"][:1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    with pytest.raises(CorruptModelError):
+        EcselModel.load(str(bad))
+    for command in ("predict", "explain"):
+        assert cli.main([command, "--model", str(bad), "--data", data]) == 3
+        assert capsys.readouterr().err.startswith("error: CorruptModelError")
+
+
 # --- explain ---------------------------------------------------------------------
 
 
@@ -293,6 +334,28 @@ def test_explain_scenarios(tmp_path):
     assert [r["name"] for r in rows] == ["base", "double-x1"]
     assert rows[0]["scores"] == pytest.approx([1.4, 1.2])
     assert rows[0]["predicted"] == 0
+
+
+@pytest.mark.parametrize("command, text", [
+    ("explain", '{"scenarios": [{"name": "base", "input": '),
+    ("explain", json.dumps(
+        {"scenarios": [{"name": "base", "input": {"x1": 1.0, "x3": 1.0}}]}
+    )),
+    ("benchmark", json.dumps({"version": 1, "spec": []})),
+], ids=["bad-json", "missing-feature", "no-specs"])
+def test_malformed_json_input_is_a_data_error_naming_the_file(tmp_path, capsys,
+                                                              command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    if command == "explain":
+        argv = ["explain", "--model", TOY, "--data", make_ones_csv(tmp_path),
+                "--scenarios", str(path)]
+    else:
+        argv = ["benchmark", "--suite", str(path)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: DataFormatError") and str(path) in err
+    assert err.count("\n") == 1
 
 
 # --- recover / benchmark -----------------------------------------------------------

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from signolearn import classifier, explain, signomial
 from signolearn.classifier import EcselModel, predict_proba
 from signolearn.errors import (
     BadConfigError,
     DataFormatError,
     NonPositiveInputError,
     SameClassError,
+    SignolearnError,
     ZeroComponentScoreError,
 )
 from signolearn.data_io import Dataset
@@ -404,6 +408,21 @@ def test_exact_log_bad_term_index():
         attribute_exact_log(poly_model(), 0, [1.0, 1.0], [2.0, 2.0], term_idx=7)
 
 
+def test_exact_log_term_index_bounded_by_the_class_own_terms():
+    # the stacked kernel pads class 1 to two terms; its padding term is not
+    # a term of the model, so index 1 is out of range there
+    model = EcselModel(
+        [
+            Signomial([Term(1.0, (1.0,)), Term(2.0, (0.5,))]),
+            Signomial([Term(3.0, (2.0,))]),
+        ]
+    )
+    assert attribute_exact_log(model, 1, [2.0], [1.0]).term_idx == 0
+    with pytest.raises(BadConfigError):
+        attribute_exact_log(model, 1, [2.0], [1.0], term_idx=1)
+    assert attribute_exact_log(model, 0, [2.0], [1.0], term_idx=1).term_idx == 1
+
+
 # --- gradient attribution ---------------------------------------------------------
 
 
@@ -612,3 +631,115 @@ def test_compare_scenarios_sigmoid_threshold():
     assert row["threshold"] == 0.7
     # p1 = sigmoid(1) ~ 0.731 >= 0.7
     assert row["predicted"] == 1
+
+
+# --- agreement with the kernel -------------------------------------------------------
+
+
+@st.composite
+def models_and_inputs(draw):
+    """A softmax or sigmoid model whose scores may differ in term count, so
+    the stacked kernel pads, plus an input that may have the wrong shape, a
+    non-positive entry, or (with exponents up to 400) overflow some class."""
+    link = draw(st.sampled_from(["softmax", "sigmoid"]))
+    m = draw(st.integers(1, 3))
+    exp_range = draw(st.sampled_from([2.0, 400.0]))
+    finite = dict(allow_nan=False, allow_infinity=False)
+    sigs = [
+        Signomial(
+            [
+                Term(
+                    draw(st.floats(-3, 3, **finite)),
+                    tuple(draw(st.floats(-exp_range, exp_range, **finite)) for _ in range(m)),
+                )
+                for _ in range(draw(st.integers(1, 3)))
+            ],
+            m=m,
+        )
+        for _ in range(1 if link == "sigmoid" else draw(st.integers(2, 4)))
+    ]
+    model = EcselModel(sigs, link=link)
+    x = [draw(st.floats(1.0, 10.0)) for _ in range(m)]
+    flaw = draw(st.sampled_from([None, "shape", "value"]))
+    if flaw == "shape":
+        x.append(1.0)
+    elif flaw == "value":
+        x[draw(st.integers(0, m - 1))] = draw(st.sampled_from([0.0, -1.0, math.nan, math.inf]))
+    score_idx = draw(st.integers(0, len(sigs) - 1))
+    class_idx = draw(st.integers(0, model.C - 1))
+    return model, np.array(x), score_idx, class_idx
+
+
+def outcome(fn):
+    """fn's result, or the type of the SignolearnError it raised."""
+    try:
+        return fn()
+    except SignolearnError as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(models_and_inputs())
+def test_explanations_agree_with_the_kernel_or_raise_alike(case):
+    model, x, c, pc = case
+    ones = np.ones(model.m)
+    calls = {
+        "elasticity": lambda: elasticity(model, c, x),
+        "counterfactual": lambda: counterfactual_scale(model, c, x, 0, 2.0),
+        "first-order": lambda: sensitivity_first_order(model, c, x, 0, 0.01),
+        "probability": lambda: probability_sensitivity(model, pc, x),
+        "exact-log": lambda: attribute_exact_log(model, c, x, ones, term_idx=0),
+        "gradient": lambda: attribute_gradient(model, c, x, ones),
+        "gradient-p": lambda: attribute_gradient(model, pc, x, ones, "probability"),
+        "report": lambda: build_report(model, x, c, "gradient", ones),
+        "scenarios": lambda: compare_scenarios(model, [("ones", ones), ("x", x)]),
+    }
+    if model.link == "softmax":
+        calls["margin"] = lambda: margin_sensitivity(model, c, (c + 1) % model.C, x)
+    scores = outcome(lambda: model.scores(x))
+    if isinstance(scores, type):
+        assert {name: outcome(fn) for name, fn in calls.items()} == dict.fromkeys(
+            calls, scores
+        )
+        return
+    assert elasticity(model, c, x).score == pytest.approx(scores[c], rel=1e-12, abs=0.0)
+    for entry in build_report(model, x, c, "gradient", ones)["margins"]:
+        margin = scores[c] - scores[entry["against"]]
+        assert entry["margin"] == pytest.approx(margin, rel=1e-12, abs=0.0)
+    rep = attribute_gradient(model, pc, x, ones, "probability")
+    change = predict_proba(model, x)[pc] - predict_proba(model, ones)[pc]
+    total = float(rep.phi.sum())
+    assert total + rep.residual == pytest.approx(change, rel=0.0, abs=1e-12 * (1 + abs(total)))
+
+
+def test_each_explanation_runs_the_kernel_once_per_input(monkeypatch):
+    calls = []
+    real = signomial.forward
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (signomial, classifier, explain):
+        monkeypatch.setattr(module, "forward", counting, raising=False)
+    rng = np.random.default_rng(5)
+    model = random_model(rng, C=3, K=2, m=3)
+    x, b = rng.uniform(0.5, 3.0, 3), rng.uniform(0.5, 3.0, 3)
+    cases = [
+        (1, lambda: elasticity(model, 1, x)),
+        (1, lambda: counterfactual_scale(model, 1, x, 0, 2.0)),
+        (1, lambda: sensitivity_first_order(model, 1, x, 2, 0.01)),
+        (1, lambda: margin_sensitivity(model, 0, 2, x)),
+        (1, lambda: probability_sensitivity(model, 2, x)),
+        (2, lambda: attribute_exact_log(model, 0, x, b, term_idx=1)),
+        (2, lambda: attribute_gradient(model, 0, x, b)),
+        (2, lambda: attribute_gradient(model, 0, x, b, target="probability")),
+        (2, lambda: compare_scenarios(model, [("x", x), ("b", b)])),
+        (2, lambda: build_report(model, x, 1, "gradient", b)),
+        (2, lambda: build_report(model, x, 1, "gradient", b, target="probability")),
+        (2, lambda: build_report(model, x, 1, "exact-log", b, term_idx=0)),
+    ]
+    for limit, fn in cases:
+        calls.clear()
+        fn()
+        assert 1 <= len(calls) <= limit
