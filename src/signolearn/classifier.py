@@ -167,6 +167,9 @@ class EcselModel:
             scaler = (
                 None if data.get("scaler") is None else data_io.Scaler.from_dict(data["scaler"])
             )
+            # CSV columns are matched to these names, so they must be strings
+            if not all(isinstance(n, str) for n in data.get("featureNames") or ()):
+                raise TypeError(f"feature names must be strings, got {data['featureNames']!r}")
             return cls(
                 signomials=signomials,
                 link=data["link"],
@@ -175,7 +178,8 @@ class EcselModel:
                 class_names=data.get("classNames"),
                 scaler=scaler,
             )
-        except (KeyError, TypeError, BadConfigError, DimensionMismatchError) as exc:
+        except (KeyError, TypeError, ValueError, BadConfigError, DataFormatError,
+                DimensionMismatchError) as exc:
             raise CorruptModelError(f"invalid classifier payload: {exc}") from exc
 
     def save(self, path: str) -> None:

@@ -33,7 +33,9 @@ from .classifier import (
 from .errors import (
     AllRestartsFailedError,
     BadConfigError,
+    CorruptModelError,
     DataFormatError,
+    DimensionMismatchError,
     NameCountMismatchError,
     NonFiniteGradientError,
     NonFiniteLossError,
@@ -123,53 +125,6 @@ def _read_json(path: str):
 
 def _transform(scaler: data_io.Scaler | None, X: np.ndarray) -> np.ndarray:
     return X if scaler is None else scaler.transform(X)
-
-
-def _load_feature_matrix(path: str, target: str | None, feature_names: list[str],
-                         task: str = "classify"):
-    """Feature rows for a trained model, matched to its feature order.
-
-    With a target column the labels come back too (classification labels
-    encoded by first appearance); without one every column must be numeric
-    and either cover the model's feature names or match their count
-    positionally.
-    """
-    if target is not None:
-        ds = data_io.load_csv(path, target, task=task)
-        X = _reorder(ds.X, ds.feature_names, feature_names)
-        return X, ds.y, ds.class_names
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataFormatError(f"{path}: empty file")
-    header = rows[0]
-    body = [row for row in rows[1:] if any(cell.strip() for cell in row)]
-    if not body:
-        raise DataFormatError(f"{path}: no data rows")
-    if set(feature_names) <= set(header):
-        cols = [header.index(name) for name in feature_names]
-    elif len(header) == len(feature_names):
-        cols = list(range(len(header)))
-    else:
-        raise DataFormatError(
-            f"data has columns {header}, model expects {feature_names}"
-        )
-    try:
-        X = np.array([[float(row[c]) for c in cols] for row in body])
-    except (ValueError, IndexError) as exc:
-        raise DataFormatError(f"{path}: bad feature cell ({exc})")
-    return X, None, None
-
-
-def _reorder(X: np.ndarray, have: list[str], want: list[str]) -> np.ndarray:
-    if set(want) <= set(have):
-        cols = [have.index(name) for name in want]
-        return X[:, cols]
-    if X.shape[1] != len(want):
-        raise DataFormatError(
-            f"data has columns {have}, model expects {want}"
-        )
-    return X
 
 
 # --- train ------------------------------------------------------------------------
@@ -350,9 +305,9 @@ def cmd_predict(args) -> int:
     head = data_io.load_model(args.model)
     kind = head.get("kind")
     if kind == "classifier":
-        model = EcselModel.load(args.model)
-        X, y, class_names = _load_feature_matrix(args.data, args.target, model.feature_names)
-        Xs = _transform(model.scaler, X)
+        model = EcselModel.from_dict(head)
+        data = data_io.load_csv(args.data, args.target, features=model.feature_names)
+        Xs = _transform(model.scaler, data.X)
         y_pred = predict_batch(model, Xs)
         proba = predict_proba_batch(model, Xs)
         payload = {
@@ -362,22 +317,21 @@ def cmd_predict(args) -> int:
             "predictedNames": [model.class_names[int(v)] for v in y_pred],
             "probabilities": [[float(p) for p in row] for row in proba],
         }
-        if y is not None:
-            y = _remap_labels(y, class_names, model.class_names)
+        if data.y is not None:
+            y = _remap_labels(data.y, data.class_names, model.class_names)
             payload["metrics"] = compute_metrics(y, y_pred, model.C).to_dict()
     elif kind == "regressor":
-        s = Signomial.from_dict(head["signomial"])
-        names = head.get("featureNames") or [f"x{j + 1}" for j in range(s.m)]
-        X, y, _ = _load_feature_matrix(args.data, args.target, names, task="regress")
-        preds, _ = evaluate_batch(s, X)
+        s, names = _regressor_from_dict(head, args.model)
+        data = data_io.load_csv(args.data, args.target, task="regress", features=names)
+        preds, _ = evaluate_batch(s, data.X)
         payload = {
             "version": RESULT_SCHEMA_VERSION,
             "kind": "regressor",
             "predictions": [float(v) for v in preds],
         }
-        if y is not None:
+        if data.y is not None:
             try:
-                sc = score_fit(s, X, y.astype(float))
+                sc = score_fit(s, data.X, data.y)
                 payload["metrics"] = {"mse": sc.mse, "nmse": sc.nmse, "r2": sc.r2}
             except ZeroVarianceError as exc:
                 payload["metrics"] = {"mse": exc.mse, "nmse": None, "r2": None}
@@ -394,10 +348,23 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
+def _regressor_from_dict(head: dict, path: str) -> tuple[Signomial, list]:
+    """The fitted signomial and its feature names from a regressor payload."""
+    try:
+        s = Signomial.from_dict(head["signomial"])
+        names = head.get("featureNames") or [f"x{j + 1}" for j in range(s.m)]
+        if len(names) != s.m or not all(isinstance(n, str) for n in names):
+            raise DimensionMismatchError(f"feature names {names!r} for {s.m} features")
+    except (KeyError, TypeError, DimensionMismatchError) as exc:
+        raise CorruptModelError(f"{path}: invalid regressor payload: {exc}") from exc
+    return s, names
+
+
 def _remap_labels(y, data_names, model_names):
-    """Align CSV label encoding (first-appearance order) with the model's."""
-    if data_names is None or set(data_names) != set(model_names):
-        return y
+    """Re-encode CSV labels (first-appearance order) by the model's class names."""
+    unknown = [name for name in data_names if name not in model_names]
+    if unknown:
+        raise DataFormatError(f"labels {unknown} are not classes of the model {model_names}")
     lut = np.array([model_names.index(name) for name in data_names])
     return lut[y]
 
@@ -423,22 +390,29 @@ def cmd_explain(args) -> int:
     head = data_io.load_model(args.model)
     if head.get("kind") != "classifier":
         raise DataFormatError("explain works on classifier models")
-    model = EcselModel.load(args.model)
-    X, _, _ = _load_feature_matrix(args.data, args.target, model.feature_names)
-    Xs = _transform(model.scaler, X)
+    model = EcselModel.from_dict(head)
+    data = data_io.load_csv(args.data, args.target, features=model.feature_names)
+    Xs = _transform(model.scaler, data.X)
     if not 0 <= args.row < len(Xs):
         raise BadConfigError(f"row {args.row} out of range for {len(Xs)} rows")
     x = Xs[args.row]
-    class_idx = args.class_idx if args.class_idx is not None else int(predict(model, x))
+    # a sigmoid model has one score (the positive class's), explained whatever
+    # the prediction; a softmax model explains its predicted class by default
+    class_idx = args.class_idx
+    if class_idx is None:
+        class_idx = 0 if model.link == "sigmoid" else int(predict(model, x))
+    elif not 0 <= class_idx < len(model.signomials):
+        raise BadConfigError(
+            f"--class {class_idx} out of range for {len(model.signomials)} model scores"
+        )
 
     mode = args.mode
     if mode is None:
         k = model.signomials[class_idx].num_terms
         mode = "exact-log" if (k == 1 or args.term is not None) else "gradient"
-    base_data = data_io.Dataset(
-        Xs, np.zeros(len(Xs), dtype=int), model.feature_names, None
+    baseline = default_baseline(
+        data_io.Dataset(Xs, None, model.feature_names), args.baseline, row=args.baseline_row
     )
-    baseline = default_baseline(base_data, args.baseline, row=args.baseline_row)
 
     report = build_report(
         model, x, class_idx, mode, baseline,
@@ -628,6 +602,11 @@ def _load_space(path: str | None) -> dict:
             raise BadConfigError(f"unknown search-space key {key!r}")
         if not isinstance(value, list) or len(value) < 2:
             raise BadConfigError(f"space entry {key!r} needs at least two values")
+        # l1 and lr are sampled log-uniformly, the rest are whole counts
+        kind, types = ("numbers", (int, float)) if key in ("l1", "lr") else ("integers", int)
+        for v in value:
+            if isinstance(v, bool) or not isinstance(v, types) or not math.isfinite(v):
+                raise BadConfigError(f"space entry {key!r} must hold finite {kind}, got {v!r}")
         space[key] = value
     for key in ("K", "l1", "lr", "epochs"):
         if len(space[key]) != 2 or not space[key][0] <= space[key][1]:

@@ -33,7 +33,7 @@ class Dataset:
     """Feature matrix plus target vector and naming metadata."""
 
     X: np.ndarray
-    y: np.ndarray
+    y: np.ndarray | None  # None when the CSV was read without a target
     feature_names: list[str]
     class_names: list[str] | None = None  # None for regression targets
 
@@ -142,11 +142,29 @@ class Scaler:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scaler":
+        """Rebuild a scaler from `to_dict`'s payload.
+
+        A fitted scaler needs one parameter set per step, and a standardize
+        step one mean and one std per feature; otherwise DataFormatError.
+        """
         sc = cls(lo=data["lo"], hi=data["hi"], steps=data.get("steps", []))
         sc.step_params = list(data.get("stepParams", []))
         if data.get("mins") is not None:
             sc.mins = np.asarray(data["mins"], dtype=float)
             sc.maxs = np.asarray(data["maxs"], dtype=float)
+            if len(sc.step_params) != len(sc.steps):
+                raise DataFormatError(
+                    f"scaler has {len(sc.steps)} steps but "
+                    f"{len(sc.step_params)} sets of step parameters"
+                )
+            for step, params in zip(sc.steps, sc.step_params):
+                if step == "standardize":
+                    shapes = {np.asarray(params[k], dtype=float).shape for k in ("mean", "std")}
+                    if shapes != {sc.mins.shape}:
+                        raise DataFormatError(
+                            f"standardize step has shapes {sorted(shapes)} "
+                            f"for scaler bounds of shape {sc.mins.shape}"
+                        )
         return sc
 
 
@@ -218,91 +236,91 @@ def split(
 # --- CSV ---------------------------------------------------------------------
 
 
-def load_csv(path: str, target: str, task: str = "classify") -> Dataset:
-    """Load a headered CSV into a Dataset.
+def load_csv(
+    path: str, target: str | None, task: str = "classify",
+    features: Sequence[str] | None = None,
+) -> Dataset:
+    """Load a headered CSV into a Dataset; the package's one CSV parser.
 
-    All non-target columns become float features. Classification targets are
-    label-encoded in order of first appearance; regression targets must parse
-    as floats.
+    The feature columns are every non-target column, or with `features` a
+    model's columns: picked by name in that order when the header has them
+    all, else the non-target columns in file order when their count matches
+    (the Dataset then carries the model's names).
+    Only feature and target cells are parsed, so other columns may hold
+    anything. Classification targets are label-encoded in order of first
+    appearance; regression targets must parse as floats; without a target
+    the Dataset has no labels (y is None). Blank rows are skipped. Any other
+    malformation (undecodable bytes, duplicate headers, ragged rows, empty,
+    non-numeric or non-finite cells) is a DataFormatError naming the file;
+    a missing file is an OSError.
     """
     if task not in ("classify", "regress"):
         raise DataFormatError(f"unknown task {task!r}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            raise DataFormatError(f"{path}: duplicate column names in header")
-        if target not in header:
-            raise DataFormatError(f"{path}: no column named {target!r}")
-        t_pos = header.index(target)
-        feature_names = [h for i, h in enumerate(header) if i != t_pos]
-
-        rows, raw_targets = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}: row {line_no} has {len(row)} fields, expected {len(header)}"
-                )
-            feats = []
-            for i, cell in enumerate(row):
-                if i == t_pos:
-                    continue
-                cell = cell.strip()
-                if not cell:
-                    raise DataFormatError(
-                        f"{path}: row {line_no} column {header[i]!r} is empty"
-                    )
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: column {header[i]!r} is not numeric "
-                        f"(row {line_no}: {cell!r})"
-                    ) from None
-                if not math.isfinite(v):
-                    raise DataFormatError(
-                        f"{path}: column {header[i]!r} has non-finite value at row {line_no}"
-                    )
-                feats.append(v)
-            rows.append(feats)
-            raw_targets.append(row[t_pos].strip())
-
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: not a readable UTF-8 CSV ({exc})") from exc
     if not rows:
+        raise DataFormatError(f"{path}: empty file, expected a header row")
+    header = [h.strip() for h in rows[0]]
+    if len(set(header)) != len(header):
+        raise DataFormatError(f"{path}: duplicate column names in header")
+    if target is not None and target not in header:
+        raise DataFormatError(f"{path}: no column named {target!r}")
+    names = [h for h in header if h != target]
+    features = names if features is None else list(features)
+    if set(features) <= set(names):
+        cols = [header.index(name) for name in features]
+    elif len(features) == len(names):
+        cols = [header.index(name) for name in names]
+    else:
+        raise DataFormatError(f"{path}: data has columns {names}, model expects {features}")
+    t_pos = None if target is None else header.index(target)
+
+    values, targets = [], []
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise DataFormatError(
+                f"{path}: row {line_no} has {len(row)} fields, expected {len(header)}"
+            )
+        values.append([_number(path, line_no, header[i], row[i]) for i in cols])
+        if t_pos is not None:
+            t = row[t_pos]
+            targets.append(t.strip() if task == "classify" else _number(path, line_no, target, t))
+    if not values:
         raise DataFormatError(f"{path}: no data rows")
 
-    X = np.array(rows, dtype=float)
-    if task == "classify":
-        seen: dict[str, int] = {}
-        for t in raw_targets:
-            if t not in seen:
-                seen[t] = len(seen)
-        y = np.array([seen[t] for t in raw_targets], dtype=int)
-        class_names = list(seen)
-        return Dataset(X=X, y=y, feature_names=feature_names, class_names=class_names)
+    X = np.array(values, dtype=float)
+    if target is None:
+        return Dataset(X=X, y=None, feature_names=features)
+    if task == "regress":
+        return Dataset(X=X, y=np.array(targets, dtype=float), feature_names=features)
+    seen: dict[str, int] = {}
+    for t in targets:
+        seen.setdefault(t, len(seen))
+    y = np.array([seen[t] for t in targets], dtype=int)
+    return Dataset(X=X, y=y, feature_names=features, class_names=list(seen))
+
+
+def _number(path: str, line_no: int, column: str, cell: str) -> float:
+    """One numeric cell; empty, non-numeric and non-finite cells are rejected."""
+    cell = cell.strip()
+    if not cell:
+        raise DataFormatError(f"{path}: row {line_no} column {column!r} is empty")
     try:
-        y = np.array([float(t) for t in raw_targets], dtype=float)
+        v = float(cell)
     except ValueError:
-        bad = next(t for t in raw_targets if not _is_float(t))
         raise DataFormatError(
-            f"{path}: regression target {target!r} has non-numeric value {bad!r}"
+            f"{path}: column {column!r} is not numeric (row {line_no}: {cell!r})"
         ) from None
-    if not np.all(np.isfinite(y)):
-        raise DataFormatError(f"{path}: regression target {target!r} has non-finite values")
-    return Dataset(X=X, y=y, feature_names=feature_names, class_names=None)
-
-
-def _is_float(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
+    if not math.isfinite(v):
+        raise DataFormatError(
+            f"{path}: column {column!r} has non-finite value at row {line_no}"
+        )
+    return v
 
 
 # --- persistence -------------------------------------------------------------

@@ -568,6 +568,39 @@ def test_sigmoid_model_round_trip_keeps_threshold(tmp_path):
     assert back.class_names == ["no", "yes"]
 
 
+_FLOATS = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def _models(draw):
+    m = draw(st.integers(1, 3))
+    link = draw(st.sampled_from(["softmax", "sigmoid"]))
+    n_scores = 1 if link == "sigmoid" else draw(st.integers(2, 3))
+    term = st.tuples(_FLOATS, st.lists(_FLOATS, min_size=m, max_size=m))
+    signomials = [Signomial(draw(st.lists(term, min_size=1, max_size=3)), m=m)
+                  for _ in range(n_scores)]
+    scaler = None
+    if draw(st.booleans()):
+        X = np.array(draw(st.lists(st.lists(st.floats(0.1, 100), min_size=m, max_size=m),
+                                   min_size=2, max_size=5)))
+        steps = draw(st.sampled_from([(), ("log",), ("standardize",), ("log", "standardize")]))
+        scaler = data_io.Scaler(steps=steps).fit(X)
+    return EcselModel(
+        signomials, link=link, threshold=draw(st.floats(0.01, 0.99)), scaler=scaler,
+        feature_names=[f"f{j}" for j in range(m)],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=_models())
+def test_save_load_save_is_byte_identical(tmp_path_factory, model):
+    directory = tmp_path_factory.mktemp("model")
+    first, second = str(directory / "a.json"), str(directory / "b.json")
+    model.save(first)
+    EcselModel.load(first).save(second)
+    assert open(first, "rb").read() == open(second, "rb").read()
+
+
 def test_softmax_serialization_omits_threshold():
     assert "threshold" not in demo_model().to_dict()
 

@@ -14,6 +14,7 @@ from signolearn.classifier import (
     predict_batch,
 )
 from signolearn.errors import BadConfigError, CorruptModelError
+from signolearn.signomial import Signomial
 
 ASSETS = os.path.join(os.path.dirname(cli.__file__), "assets")
 IRIS = os.path.join(ASSETS, "iris.csv")
@@ -256,6 +257,99 @@ def test_model_with_mis_sized_scaler_is_corrupt(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: CorruptModelError")
 
 
+def standardized_model_file(tmp_path):
+    """A two-class model whose scaler has a standardize step, saved as JSON."""
+    data = write_blobs_csv(tmp_path / "blobs.csv")
+    X = data_io.load_csv(data, "cls").X
+    model = EcselModel(
+        [Signomial([(1.0, (1.0, -1.0))]), Signomial([(1.0, (-1.0, 1.0))])],
+        feature_names=["a", "b"], class_names=["neg", "pos"],
+        scaler=data_io.Scaler(steps=("standardize",)).fit(X),
+    )
+    out = str(tmp_path / "std.json")
+    model.save(out)
+    return out, data
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p["scaler"]["stepParams"][0].update(mean=[0.0, 0.0, 0.0]),
+    lambda p: p["scaler"].pop("stepParams"),
+    lambda p: p["scaler"].update(steps=["warp"]),
+    lambda p: p["scaler"].update(mins=[1.0, "low"]),
+    lambda p: p.update(featureNames=[["a"], ["b"]]),
+    lambda p: p.update(kind="regressor"),  # a regressor payload has no "signomial" then
+], ids=["long-standardize-mean", "no-step-params", "unknown-step", "bad-bound",
+        "feature-names-not-strings", "regressor-without-signomial"])
+def test_malformed_model_file_is_corrupt(tmp_path, capsys, edit):
+    path, data = standardized_model_file(tmp_path)
+    assert cli.main(["predict", "--model", path, "--data", data]) == 0
+    payload = json.load(open(path))
+    edit(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    commands = ["predict"] if payload["kind"] == "regressor" else ["predict", "explain"]
+    for command in commands:
+        assert cli.main([command, "--model", str(bad), "--data", data]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: CorruptModelError") and err.count("\n") == 1
+
+
+def test_predict_metrics_map_labels_by_name_on_a_subset_of_classes(tmp_path, capsys):
+    out = str(tmp_path / "m.json")
+    assert cli.main(["train", "--data", IRIS, "--target", "species", "--k", "1",
+                     "--seed", "0", "--epochs", "60", "--out", out]) == 0
+    model = EcselModel.load(out)
+    with open(IRIS) as fh:
+        lines = fh.read().splitlines()
+    subset = tmp_path / "virginica.csv"
+    subset.write_text("\n".join([lines[0]] + [ln for ln in lines if "virginica" in ln]) + "\n")
+    p = str(tmp_path / "p.json")
+    assert cli.main(["predict", "--model", out, "--data", str(subset),
+                     "--target", "species", "--out", p]) == 0
+    payload = json.load(open(p))
+    truth = model.class_names.index("virginica")
+    expected = float(np.mean(np.array(payload["predictions"]) == truth))
+    assert expected > 0.5
+    assert payload["metrics"]["accuracy"] == pytest.approx(expected)
+    # a label the model has never seen cannot be scored
+    subset.write_text(subset.read_text().replace("virginica", "iris-nova", 1))
+    assert cli.main(["predict", "--model", out, "--data", str(subset),
+                     "--target", "species"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: DataFormatError") and "iris-nova" in err
+
+
+@pytest.mark.parametrize("command", ["predict", "explain"])
+@pytest.mark.parametrize("text", [
+    "a,b,cls\n1.0,2.0,neg\n1.5,2.5,neg,extra\n",
+    "a,b,a\n1.0,2.0,3.0\n",
+], ids=["ragged-row", "duplicate-header"])
+def test_malformed_csv_without_target_is_a_data_error(tmp_path, capsys, command, text):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    model, _ = standardized_model_file(tmp_path)
+    assert cli.main([command, "--model", model, "--data", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: DataFormatError") and str(path) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict"], ["predict", "--target", "cls"], ["explain"], ["explain", "--target", "cls"],
+])
+def test_each_run_reads_the_model_file_once(tmp_path, monkeypatch, argv):
+    path, data = standardized_model_file(tmp_path)
+    calls = []
+    real = data_io.load_model
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(data_io, "load_model", counting)
+    assert cli.main([argv[0], "--model", path, "--data", data, *argv[1:]]) == 0
+    assert calls == [path]
+
+
 # --- explain ---------------------------------------------------------------------
 
 
@@ -304,6 +398,24 @@ def test_explain_defaults_to_gradient_for_multiterm(tmp_path, capsys):
     # predicted class at all-ones is 0 (scores 1.4 vs 1.2)
     assert report["class"] == 0
     assert len(report["margins"]) == 1
+
+
+def test_explain_sigmoid_model_explains_its_single_score(tmp_path, capsys):
+    model = EcselModel([Signomial([(1.0, (2.0,))])], link="sigmoid")
+    path = str(tmp_path / "sig.json")
+    model.save(path)
+    data = tmp_path / "x.csv"
+    data.write_text("x1\n3.0\n")
+    out = str(tmp_path / "e.json")
+    # x1 = 3 scores 9, so the row is predicted positive (class 1)
+    assert cli.main(["explain", "--model", path, "--data", str(data), "--out", out]) == 0
+    report = json.load(open(out))
+    assert report["class"] == report["resolvedConfig"]["class"] == 0
+    assert report["logGradients"]["x1"]["value"] == pytest.approx(18.0)  # 2 * 3**2
+    for bad in ("1", "-1"):
+        assert cli.main(["explain", "--model", path, "--data", str(data),
+                         "--class", bad]) == 2
+        assert capsys.readouterr().err.startswith("error: BadConfigError")
 
 
 def test_explain_row_out_of_range(tmp_path):
@@ -490,3 +602,21 @@ def test_search_invalid_space(tmp_path):
     assert cli.main(["search", "--data", data, "--target", "cls",
                      "--trials", "1", "--space", str(space),
                      "--out", str(tmp_path / "m.json")]) == 2
+
+
+@pytest.mark.parametrize("space", [
+    {"K": ["a", "b"]},
+    {"batch": ["x", "y"]},
+    {"K": [1.5, 3]},
+    {"l1": ["1e-4", 1e-2]},
+    {"patience": [True, 20]},
+], ids=["K-strings", "batch-strings", "K-float", "l1-string", "patience-bool"])
+def test_search_space_entries_must_be_numbers(tmp_path, capsys, space):
+    data = write_blobs_csv(tmp_path / "blobs.csv")
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    assert cli.main(["search", "--data", data, "--target", "cls", "--trials", "1",
+                     "--space", str(path), "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    (key,) = space
+    assert err.startswith("error: BadConfigError") and repr(key) in err

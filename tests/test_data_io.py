@@ -1,7 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from signolearn.data_io import (
     Dataset,
@@ -59,6 +62,21 @@ def test_scaler_log_step_applied_before_minmax():
     sc = Scaler(steps=["log"]).fit(np.array([[1.0], [100.0]]))
     mid = sc.transform(np.array([[10.0]]))  # geometric midpoint -> interval midpoint
     assert mid[0, 0] == pytest.approx(5.5, abs=1e-4)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["stepParams"][0].update(mean=[0.0, 0.0, 0.0]),
+    lambda d: d["stepParams"][0].update(std=[1.0]),
+    lambda d: d.pop("stepParams"),
+    lambda d: d["stepParams"].append({}),
+], ids=["long-mean", "short-std", "no-step-params", "extra-step-params"])
+def test_scaler_from_dict_checks_step_parameters(edit):
+    X = np.array([[1.0, 5.0], [2.0, 7.0], [4.0, 6.0]])
+    payload = Scaler(steps=("standardize",)).fit(X).to_dict()
+    Scaler.from_dict(payload)  # the untouched payload loads
+    edit(payload)
+    with pytest.raises(DataFormatError):
+        Scaler.from_dict(payload)
 
 
 def test_scaler_rejects_bad_bounds():
@@ -189,6 +207,101 @@ def test_load_csv_no_rows(tmp_path):
     path = write(tmp_path, "d.csv", "a,label\n")
     with pytest.raises(DataFormatError, match="no data rows"):
         load_csv(path, target="label")
+
+
+def test_load_csv_without_target_has_no_labels(tmp_path):
+    path = write(tmp_path, "d.csv", "a,b\n1,2\n\n3,4\n")
+    ds = load_csv(path, target=None)
+    assert ds.y is None and ds.class_names is None
+    assert ds.feature_names == ["a", "b"]
+    assert ds.X.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_load_csv_features_pick_columns_by_name_in_model_order(tmp_path):
+    path = write(tmp_path, "d.csv", "b, label ,a\n2,x,1\n4,y,3\n")
+    for target in (None, "label"):
+        ds = load_csv(path, target, features=["a", "b"])
+        assert ds.feature_names == ["a", "b"]
+        assert ds.X.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert load_csv(path, "label", features=["a", "b"]).y.tolist() == [0, 1]
+
+
+def test_load_csv_features_fall_back_to_position_on_equal_count(tmp_path):
+    path = write(tmp_path, "d.csv", "p,q,label\n1,2,x\n")
+    ds = load_csv(path, "label", features=["a", "b"])
+    assert ds.feature_names == ["a", "b"]
+    assert ds.X.tolist() == [[1.0, 2.0]]
+    with pytest.raises(DataFormatError, match=r"\['p', 'q'\].*\['a', 'b', 'c'\]"):
+        load_csv(path, "label", features=["a", "b", "c"])
+    # without a target every column counts, the label column included
+    with pytest.raises(DataFormatError, match="model expects"):
+        load_csv(path, None, features=["a", "b"])
+
+
+def test_load_csv_ignores_unused_columns_but_not_ragged_rows(tmp_path):
+    path = write(tmp_path, "d.csv", "a,note,b\n1,hello,2\n3,,4\n")
+    assert load_csv(path, None, features=["a", "b"]).X.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    with pytest.raises(DataFormatError, match="'note' is not numeric"):
+        load_csv(path, None)
+    ragged = write(tmp_path, "r.csv", "a,note,b\n1,hello,2,extra\n")
+    with pytest.raises(DataFormatError, match="row 2 has 4 fields"):
+        load_csv(ragged, None, features=["a", "b"])
+
+
+def test_load_csv_rejects_duplicate_headers_after_stripping(tmp_path):
+    path = write(tmp_path, "d.csv", "a, a,b\n1,2,3\n")
+    for target in (None, "b"):
+        with pytest.raises(DataFormatError, match="duplicate"):
+            load_csv(path, target, features=["a"])
+
+
+def test_load_csv_undecodable_bytes_and_huge_fields_are_data_errors(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"a,label\n\xff\xfe,x\n")
+    with pytest.raises(DataFormatError, match="UTF-8"):
+        load_csv(str(bad), "label")
+    huge = write(tmp_path, "huge.csv", "a,label\n" + "1" * (csv.field_size_limit() + 1) + ",x\n")
+    with pytest.raises(DataFormatError, match=str(tmp_path)):
+        load_csv(huge, "label")
+
+
+def test_load_csv_regression_target_cells_are_checked_like_features(tmp_path):
+    for cell, message in (("", "empty"), ("abc", "not numeric"), ("nan", "non-finite")):
+        path = write(tmp_path, "d.csv", f"a,y\n1,2\n3,{cell}\n")
+        with pytest.raises(DataFormatError, match=f"column 'y'.*{message}"):
+            load_csv(path, "y", task="regress")
+
+
+_CELLS = st.one_of(
+    st.sampled_from(["1", "2.5", " 3 ", "-1", "0", "1e308", "1e999", "nan", "inf", "",
+                     "a", "b", "label", '"', "\r", "1_0", "\x00"]),
+    st.text(max_size=6),
+)
+_TABLES = st.lists(st.lists(_CELLS, min_size=0, max_size=4), min_size=0, max_size=5).map(
+    lambda rows: "\n".join(",".join(row) for row in rows).encode("utf-8", "surrogatepass")
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    blob=st.one_of(st.binary(max_size=64), _TABLES),
+    target=st.sampled_from([None, "a", "label", "1"]),
+    task=st.sampled_from(["classify", "regress"]),
+    features=st.one_of(st.none(), st.lists(st.sampled_from(["a", "b", "label", "x1"]),
+                                           max_size=3)),
+)
+@example(blob=b"a,label\n\xff,1\n", target="label", task="classify", features=None)
+@example(blob=b"a,b\n1,2\n\xc3(,3\n", target=None, task="classify", features=["a", "b"])
+def test_load_csv_only_fails_with_data_format_error(tmp_path_factory, blob, target, task,
+                                                    features):
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_bytes(blob)
+    try:
+        ds = load_csv(str(path), target, task=task, features=features)
+    except DataFormatError:
+        return
+    assert ds.X.ndim == 2 and ds.X.shape[0] >= 1 and np.all(np.isfinite(ds.X))
+    assert (ds.y is None) == (target is None)
 
 
 # --- persistence -------------------------------------------------------------
