@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -35,7 +36,6 @@ from .errors import (
     BadConfigError,
     CorruptModelError,
     DataFormatError,
-    DimensionMismatchError,
     NameCountMismatchError,
     NonFiniteGradientError,
     NonFiniteLossError,
@@ -43,11 +43,10 @@ from .errors import (
     OverflowLimitError,
     SameClassError,
     SignolearnError,
-    ZeroVarianceError,
 )
 from .explain import build_report, compare_scenarios, counterfactual_scale, default_baseline
-from .regressor import SrConfig, TargetSpec, evaluate_recovery, fit_sr, score_fit
-from .signomial import Signomial, evaluate_batch, render
+from .regressor import RegressorModel, SrConfig, TargetSpec, evaluate_recovery, fit_sr, score_fit
+from .signomial import evaluate_batch, render
 
 RESULT_SCHEMA_VERSION = 1
 
@@ -63,8 +62,9 @@ _NUMERIC_ERRORS = (
     NonFiniteGradientError,
     OverflowLimitError,
     AllRestartsFailedError,
-    ZeroVarianceError,
 )
+
+MODEL_KINDS = {"classifier": EcselModel.from_dict, "regressor": RegressorModel.from_dict}
 
 
 def _error_line(exc: BaseException) -> str:
@@ -127,40 +127,48 @@ def _transform(scaler: data_io.Scaler | None, X: np.ndarray) -> np.ndarray:
     return X if scaler is None else scaler.transform(X)
 
 
+def _given(**flags) -> dict:
+    """The flags set on the command line; the rest take the config's defaults."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
+def _load_model(path: str) -> EcselModel | RegressorModel:
+    head = data_io.load_model(path)
+    kind = head.get("kind")
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
+        raise CorruptModelError(f"{path}: unknown model kind {kind!r}")
+    try:
+        return MODEL_KINDS[kind](head)
+    except CorruptModelError as exc:
+        raise CorruptModelError(f"{path}: {exc}") from exc
+
+
 # --- train ------------------------------------------------------------------------
 
 
 def _train_classifier(args, data: data_io.Dataset) -> tuple[dict, dict, list, float]:
-    spec = data_io.SplitSpec(
-        test_fraction=args.test_fraction, val_fraction=args.val_fraction, seed=args.seed
-    )
-    train, test, val = data_io.split(data, spec)
-    scaler = data_io.Scaler().fit(train.X)
-    cfg = ClassifyConfig(
-        num_terms=args.k if args.k is not None else 2,
-        l1_penalty=args.l1 if args.l1 is not None else 1e-3,
-        learning_rate=args.lr if args.lr is not None else 1e-3,
+    spec = data_io.SplitSpec(args.test_fraction, args.val_fraction, args.seed)
+    train, val, test, scaler = data_io.split_and_scale(data, spec)
+    cfg = ClassifyConfig(seed=args.seed, **_given(
+        num_terms=args.k,
+        l1_penalty=args.l1,
+        learning_rate=args.lr,
         batch_size=args.batch,
-        epochs=args.epochs if args.epochs is not None else 200,
+        epochs=args.epochs,
         patience=args.patience,
         class_weight_multiplier=args.class_weight,
-        seed=args.seed,
         link=args.link,
         threshold_grid_step=args.threshold_grid,
-    )
+    ))
     t0 = time.perf_counter()
     model, trace = fit(
-        data_io.Dataset(_transform(scaler, train.X), train.y,
-                        train.feature_names, train.class_names),
-        data_io.Dataset(_transform(scaler, val.X), val.y,
-                        val.feature_names, val.class_names),
-        cfg,
+        train, val, cfg,
         feature_names=data.feature_names,
         class_names=data.class_names,
         scaler=scaler,
     )
     elapsed = time.perf_counter() - t0
-    y_pred = predict_batch(model, _transform(scaler, test.X))
+    y_pred = predict_batch(model, test.X)
     metrics = compute_metrics(test.y, y_pred, model.C)
 
     model.save(args.out)
@@ -213,35 +221,21 @@ def _train_classifier(args, data: data_io.Dataset) -> tuple[dict, dict, list, fl
 
 
 def _train_regressor(args, data: data_io.Dataset) -> tuple[dict, dict, list, list]:
-    spec = data_io.SplitSpec(test_fraction=args.test_fraction, val_fraction=0.0,
-                             seed=args.seed)
-    train, test = data_io.split(data, spec)
-    l1 = args.l1 if args.l1 is not None else 1e-2
-    cfg = SrConfig(
-        num_terms=args.k if args.k is not None else 1,
-        lambda_struct=l1,
-        lambda_refine=min(1e-3, l1),
-        learning_rate=args.lr if args.lr is not None else 0.05,
-        adam_epochs_per_stage=args.epochs if args.epochs is not None else 500,
-        seed_list=(args.seed,),
-    )
+    train, test = data_io.split(data, data_io.SplitSpec(args.test_fraction, seed=args.seed))
+    cfg = SrConfig(seed_list=(args.seed,), **_given(
+        num_terms=args.k,
+        lambda_struct=args.l1,
+        learning_rate=args.lr,
+        adam_epochs_per_stage=args.epochs,
+    ))
+    # refinement never penalizes harder than the structure stage
+    cfg.lambda_refine = min(cfg.lambda_refine, cfg.lambda_struct)
     t0 = time.perf_counter()
     fitted, stats = fit_sr(train.X, train.y, cfg, seed=args.seed)
     elapsed = time.perf_counter() - t0
-    try:
-        sc = score_fit(fitted, test.X, test.y)
-        test_metrics = {"mse": sc.mse, "nmse": sc.nmse, "r2": sc.r2}
-    except ZeroVarianceError as exc:
-        test_metrics = {"mse": exc.mse, "nmse": None, "r2": None}
+    test_metrics = score_fit(fitted, test.X, test.y).to_dict()
 
-    data_io.save_model(
-        {
-            "kind": "regressor",
-            "signomial": fitted.to_dict(),
-            "featureNames": list(data.feature_names),
-        },
-        args.out,
-    )
+    RegressorModel(fitted, data.feature_names).save(args.out)
     equations = {
         "plain": render(fitted, data.feature_names),
         "latex": render(fitted, data.feature_names, style="latex"),
@@ -302,11 +296,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    head = data_io.load_model(args.model)
-    kind = head.get("kind")
-    if kind == "classifier":
-        model = EcselModel.from_dict(head)
-        data = data_io.load_csv(args.data, args.target, features=model.feature_names)
+    model = _load_model(args.model)
+    classify = isinstance(model, EcselModel)
+    data = data_io.load_csv(args.data, args.target, task="classify" if classify else "regress",
+                            features=model.feature_names)
+    if classify:
         Xs = _transform(model.scaler, data.X)
         y_pred = predict_batch(model, Xs)
         proba = predict_proba_batch(model, Xs)
@@ -320,23 +314,15 @@ def cmd_predict(args) -> int:
         if data.y is not None:
             y = _remap_labels(data.y, data.class_names, model.class_names)
             payload["metrics"] = compute_metrics(y, y_pred, model.C).to_dict()
-    elif kind == "regressor":
-        s, names = _regressor_from_dict(head, args.model)
-        data = data_io.load_csv(args.data, args.target, task="regress", features=names)
-        preds, _ = evaluate_batch(s, data.X)
+    else:
+        preds, _ = evaluate_batch(model.signomial, data.X)
         payload = {
             "version": RESULT_SCHEMA_VERSION,
             "kind": "regressor",
             "predictions": [float(v) for v in preds],
         }
         if data.y is not None:
-            try:
-                sc = score_fit(s, data.X, data.y)
-                payload["metrics"] = {"mse": sc.mse, "nmse": sc.nmse, "r2": sc.r2}
-            except ZeroVarianceError as exc:
-                payload["metrics"] = {"mse": exc.mse, "nmse": None, "r2": None}
-    else:
-        raise DataFormatError(f"{args.model}: unknown model kind {kind!r}")
+            payload["metrics"] = score_fit(model.signomial, data.X, data.y).to_dict()
     payload["resolvedConfig"] = {
         "command": "predict",
         "model": args.model,
@@ -346,18 +332,6 @@ def cmd_predict(args) -> int:
     }
     _write_json(payload, args.out)
     return EXIT_OK
-
-
-def _regressor_from_dict(head: dict, path: str) -> tuple[Signomial, list]:
-    """The fitted signomial and its feature names from a regressor payload."""
-    try:
-        s = Signomial.from_dict(head["signomial"])
-        names = head.get("featureNames") or [f"x{j + 1}" for j in range(s.m)]
-        if len(names) != s.m or not all(isinstance(n, str) for n in names):
-            raise DimensionMismatchError(f"feature names {names!r} for {s.m} features")
-    except (KeyError, TypeError, DimensionMismatchError) as exc:
-        raise CorruptModelError(f"{path}: invalid regressor payload: {exc}") from exc
-    return s, names
 
 
 def _remap_labels(y, data_names, model_names):
@@ -387,10 +361,9 @@ def _parse_counterfactual(text: str, feature_names: list[str]) -> tuple[int, flo
 
 
 def cmd_explain(args) -> int:
-    head = data_io.load_model(args.model)
-    if head.get("kind") != "classifier":
+    model = _load_model(args.model)
+    if not isinstance(model, EcselModel):
         raise DataFormatError("explain works on classifier models")
-    model = EcselModel.from_dict(head)
     data = data_io.load_csv(args.data, args.target, features=model.feature_names)
     Xs = _transform(model.scaler, data.X)
     if not 0 <= args.row < len(Xs):
@@ -471,17 +444,13 @@ def cmd_explain(args) -> int:
 # --- recover / benchmark ------------------------------------------------------------
 
 
-def _load_spec(path: str) -> TargetSpec:
-    return TargetSpec.from_dict(_read_json(path))
-
-
-def _recovery_config(spec: TargetSpec, seeds: list[int], noise: float,
+def _recovery_config(spec: TargetSpec, seeds: list[int], noise: float | None,
                      restarts: int | None) -> SrConfig:
     return SrConfig(
         num_terms=spec.num_terms,
         seed_list=tuple(seeds),
-        noise_sigma=noise,
         restarts=restarts,
+        **_given(noise_sigma=noise),
     )
 
 
@@ -499,7 +468,7 @@ def _recovery_table(result) -> list[str]:
 
 
 def cmd_recover(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = TargetSpec.from_dict(_read_json(args.spec))
     seeds = parse_seeds(args.seeds)
     cfg = _recovery_config(spec, seeds, args.noise, args.restarts)
     result = evaluate_recovery(spec, cfg)
@@ -510,7 +479,7 @@ def cmd_recover(args) -> int:
             "command": "recover",
             "spec": args.spec,
             "seeds": seeds,
-            "noise": args.noise,
+            "noise": cfg.noise_sigma,
             "k": cfg.num_terms,
             "restarts": cfg.resolved_restarts(),
             "out": args.out,
@@ -630,17 +599,13 @@ def _sample_trial(rng: np.random.Generator, space: dict) -> dict:
 
 
 def cmd_search(args) -> int:
+    if args.trials < 1:
+        raise BadConfigError(f"--trials must be >= 1, got {args.trials}")
     data = data_io.load_csv(args.data, args.target, task="classify")
     space = _load_space(args.space)
-    split_spec = data_io.SplitSpec(
-        test_fraction=args.test_fraction, val_fraction=args.val_fraction, seed=args.seed
-    )
-    train, test, val = data_io.split(data, split_spec)
-    scaler = data_io.Scaler().fit(train.X)
-    train_s = data_io.Dataset(_transform(scaler, train.X), train.y,
-                              train.feature_names, train.class_names)
-    val_s = data_io.Dataset(_transform(scaler, val.X), val.y,
-                            val.feature_names, val.class_names)
+    spec = data_io.SplitSpec(args.test_fraction, args.val_fraction, args.seed)
+    train, val, test, scaler = data_io.split_and_scale(data, spec)
+    base = ClassifyConfig(**_given(link=args.link, threshold_grid_step=args.threshold_grid))
 
     rng = np.random.default_rng(args.seed)
     trials = []
@@ -649,7 +614,8 @@ def cmd_search(args) -> int:
     for t in range(args.trials):
         params = _sample_trial(rng, space)
         fit_seed = args.seed + t
-        cfg = ClassifyConfig(
+        cfg = dataclasses.replace(
+            base,
             num_terms=params["k"],
             l1_penalty=params["l1"],
             learning_rate=params["lr"],
@@ -657,12 +623,10 @@ def cmd_search(args) -> int:
             epochs=params["epochs"],
             patience=params["patience"],
             seed=fit_seed,
-            link=args.link,
-            threshold_grid_step=args.threshold_grid,
         )
         try:
             model, trace = fit(
-                train_s, val_s, cfg,
+                train, val, cfg,
                 feature_names=data.feature_names,
                 class_names=data.class_names,
                 scaler=scaler,
@@ -673,7 +637,7 @@ def cmd_search(args) -> int:
                 "status": "diverged", "message": " ".join(str(exc).split()),
             })
             continue
-        val_f1 = compute_metrics(val.y, predict_batch(model, val_s.X), model.C).f1
+        val_f1 = compute_metrics(val.y, predict_batch(model, val.X), model.C).f1
         trials.append({
             "trial": t,
             "params": {**params, "fitSeed": fit_seed},
@@ -691,9 +655,7 @@ def cmd_search(args) -> int:
 
     best_f1, best_idx, best_model = best
     best_model.save(args.out)
-    test_metrics = compute_metrics(
-        test.y, predict_batch(best_model, _transform(scaler, test.X)), best_model.C
-    )
+    test_metrics = compute_metrics(test.y, predict_batch(best_model, test.X), best_model.C)
     payload = {
         "version": RESULT_SCHEMA_VERSION,
         "trials": trials,
@@ -708,8 +670,8 @@ def cmd_search(args) -> int:
             "seed": args.seed,
             "testFraction": args.test_fraction,
             "valFraction": args.val_fraction,
-            "link": args.link,
-            "thresholdGrid": args.threshold_grid,
+            "link": base.link,
+            "thresholdGrid": base.threshold_grid_step,
             "space": space,
             "f1Average": "weighted",
             "out": args.out,
@@ -739,13 +701,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="number of terms per score")
     p.add_argument("--l1", type=float, default=None)
     p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch", type=int, default=32)
+    p.add_argument("--batch", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--class-weight", type=float, default=0.0)
+    p.add_argument("--patience", type=int, default=None)
+    p.add_argument("--class-weight", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--link", choices=["softmax", "sigmoid"], default="softmax")
-    p.add_argument("--threshold-grid", type=float, default=1e-3)
+    p.add_argument("--link", choices=["softmax", "sigmoid"], default=None)
+    p.add_argument("--threshold-grid", type=float, default=None)
     p.add_argument("--test-fraction", type=float, default=0.2)
     p.add_argument("--val-fraction", type=float, default=0.2)
     p.add_argument("--out", required=True)
@@ -781,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="benchmark recovery for one target spec")
     p.add_argument("--spec", required=True)
     p.add_argument("--seeds", default="42..46")
-    p.add_argument("--noise", type=float, default=0.01)
+    p.add_argument("--noise", type=float, default=None)
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_recover)
@@ -789,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="run a suite of target specs")
     p.add_argument("--suite", required=True)
     p.add_argument("--seeds", default="42..46")
-    p.add_argument("--noise", type=float, default=0.01)
+    p.add_argument("--noise", type=float, default=None)
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--out", default=None, help="CSV path for the aggregate table")
     p.set_defaults(func=cmd_benchmark)
@@ -800,8 +762,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--space", default=None, help="JSON overriding the search space")
-    p.add_argument("--link", choices=["softmax", "sigmoid"], default="softmax")
-    p.add_argument("--threshold-grid", type=float, default=1e-3)
+    p.add_argument("--link", choices=["softmax", "sigmoid"], default=None)
+    p.add_argument("--threshold-grid", type=float, default=None)
     p.add_argument("--test-fraction", type=float, default=0.2)
     p.add_argument("--val-fraction", type=float, default=0.2)
     p.add_argument("--out", required=True)

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    BadConfigError,
     ClassTooSmallError,
     CorruptModelError,
     DataFormatError,
@@ -204,33 +205,32 @@ def split(
 
     Returns (train, test), or (train, test, val) when spec.val_fraction > 0.
     Per-class test counts stay within one sample of the exact proportion and
-    every class lands on both sides.
+    every class lands on both sides; a regression target is split as one class.
     """
     if not 0 < spec.test_fraction < 1:
-        raise DataFormatError(f"test fraction must be in (0, 1), got {spec.test_fraction}")
+        raise BadConfigError(f"test fraction must be in (0, 1), got {spec.test_fraction}")
     rng = np.random.default_rng(spec.seed)
-    if data.class_names is not None:
-        classes = np.unique(data.y)
-        pools = {int(c): np.flatnonzero(data.y == c) for c in classes}
-        test_idx, rest = _take_per_class(spec.test_fraction, rng, pools)
-        if spec.val_fraction > 0:
-            val_idx, rest = _take_per_class(spec.val_fraction, rng, rest)
-            train_idx = np.array(sorted(np.concatenate(list(rest.values()))), dtype=int)
-            return data.subset(train_idx), data.subset(test_idx), data.subset(val_idx)
-        train_idx = np.array(sorted(np.concatenate(list(rest.values()))), dtype=int)
-        return data.subset(train_idx), data.subset(test_idx)
-
-    # regression target: plain shuffled split
-    order = rng.permutation(data.n)
-    n_test = min(max(_round_half_up(spec.test_fraction * data.n), 1), data.n - 1)
-    test_idx = np.sort(order[:n_test])
-    rest = order[n_test:]
+    if data.class_names is None:
+        pools = {0: np.arange(data.n)}
+    else:
+        pools = {int(c): np.flatnonzero(data.y == c) for c in np.unique(data.y)}
+    test_idx, rest = _take_per_class(spec.test_fraction, rng, pools)
     if spec.val_fraction > 0:
-        n_val = min(max(_round_half_up(spec.val_fraction * len(rest)), 1), len(rest) - 1)
-        val_idx = np.sort(rest[:n_val])
-        train_idx = np.sort(rest[n_val:])
-        return data.subset(train_idx), data.subset(test_idx), data.subset(val_idx)
-    return data.subset(np.sort(rest)), data.subset(test_idx)
+        val_idx, rest = _take_per_class(spec.val_fraction, rng, rest)
+    train_idx = np.array(sorted(np.concatenate(list(rest.values()))), dtype=int)
+    parts = (data.subset(train_idx), data.subset(test_idx))
+    return (*parts, data.subset(val_idx)) if spec.val_fraction > 0 else parts
+
+
+def split_and_scale(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset, Scaler]:
+    """(train, val, test, scaler): split, fit the Scaler on train, scale all three."""
+    if not 0 < spec.val_fraction < 1:
+        raise BadConfigError(f"validation fraction must be in (0, 1), got {spec.val_fraction}")
+    train, test, val = split(data, spec)
+    scaler = Scaler().fit(train.X)
+    scaled = [Dataset(scaler.transform(d.X), d.y, d.feature_names, d.class_names)
+              for d in (train, val, test)]
+    return (*scaled, scaler)
 
 
 # --- CSV ---------------------------------------------------------------------
@@ -257,7 +257,8 @@ def load_csv(
     if task not in ("classify", "regress"):
         raise DataFormatError(f"unknown task {task!r}")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark spreadsheet programs write
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataFormatError(f"{path}: not a readable UTF-8 CSV ({exc})") from exc

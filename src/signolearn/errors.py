@@ -79,10 +79,6 @@ class AllRestartsFailedError(SignolearnError):
     """Every optimizer restart diverged or produced a non-finite objective."""
 
 
-class ZeroVarianceError(SignolearnError):
-    """Targets are constant, so variance-normalized scores are undefined."""
-
-
 # --- explanation errors ------------------------------------------------------
 
 class SameClassError(SignolearnError):

@@ -17,17 +17,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_io import Dataset
+from .data_io import Dataset, save_model
 from .errors import (
     AllRestartsFailedError,
     BadConfigError,
+    CorruptModelError,
     DataFormatError,
     DimensionMismatchError,
     NonFiniteGradientError,
     NonFiniteLossError,
     OverflowLimitError,
     SignolearnError,
-    ZeroVarianceError,
 )
 from .optim import AdamConfig, AdamState, ParamLayout, adam_step, lbfgs_minimize, prox_l1
 from .signomial import (
@@ -184,9 +184,44 @@ class FitStats:
 
 @dataclass
 class FitScore:
+    """Held-out scores; nmse and r2 are None when the targets are constant."""
+
     mse: float
-    nmse: float
-    r2: float
+    nmse: float | None
+    r2: float | None
+
+    def to_dict(self) -> dict:
+        return {"mse": self.mse, "nmse": self.nmse, "r2": self.r2}
+
+
+@dataclass(frozen=True)
+class RegressorModel:
+    """A fitted regression signomial and its feature names: a `regressor` model file."""
+
+    signomial: Signomial
+    feature_names: list[str]
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": "regressor",
+            "signomial": self.signomial.to_dict(),
+            "featureNames": list(self.feature_names),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "RegressorModel":
+        try:
+            s = Signomial.from_dict(data["signomial"])
+            names = data.get("featureNames") or [f"x{j + 1}" for j in range(s.m)]
+            # CSV columns are matched to these names, so they must be strings
+            if len(names) != s.m or not all(isinstance(n, str) for n in names):
+                raise DimensionMismatchError(f"feature names {names!r} for {s.m} features")
+        except (KeyError, TypeError, DimensionMismatchError) as exc:
+            raise CorruptModelError(f"invalid regressor payload: {exc}") from exc
+        return cls(s, list(names))
+
+    def save(self, path: str) -> None:
+        save_model(self.to_dict(), path)
 
 
 @dataclass
@@ -483,17 +518,14 @@ def generate_benchmark_data(
 def score_fit(s: Signomial, X, y) -> FitScore:
     """MSE, variance-normalized MSE, and R^2 of a fitted signomial.
 
-    Raises ZeroVarianceError when the targets are constant; the exception
-    carries the (still well-defined) mse attribute.
+    Constant targets leave nmse and r2 undefined, so they come back None.
     """
     X, y = _checked_inputs(X, y)
     z, _ = evaluate_batch(s, X)
     mse = float(np.mean((y - z) ** 2))
     ss_tot = float(np.mean((y - y.mean()) ** 2))
     if ss_tot == 0.0:
-        err = ZeroVarianceError("targets are constant; nmse and r2 are undefined")
-        err.mse = mse
-        raise err
+        return FitScore(mse=mse, nmse=None, r2=None)
     return FitScore(mse=mse, nmse=mse / ss_tot, r2=1.0 - mse / ss_tot)
 
 
@@ -525,15 +557,11 @@ def evaluate_recovery(spec: TargetSpec, cfg: SrConfig) -> RecoveryResult:
         )
         recovered = equivalent(canon, truth)
         holdout = generate_benchmark_data(spec, spec.samples[1], 0.0, seed + 10_000)
-        try:
-            score = score_fit(fitted, holdout.X, holdout.y)
-            mse, nmse, r2 = score.mse, score.nmse, score.r2
-        except ZeroVarianceError as exc:
-            mse, nmse, r2 = exc.mse, None, None
+        score = score_fit(fitted, holdout.X, holdout.y)
         seeds.append(
             SeedRecovery(
-                seed=seed, canonical=canon, recovered=recovered, mse=mse,
-                nmse=nmse, r2=r2, wall_time_seconds=elapsed, n_samples=n,
+                seed=seed, canonical=canon, recovered=recovered, mse=score.mse,
+                nmse=score.nmse, r2=score.r2, wall_time_seconds=elapsed, n_samples=n,
             )
         )
     rate = sum(s.recovered for s in seeds) / len(seeds)

@@ -14,6 +14,7 @@ from signolearn.classifier import (
     predict_batch,
 )
 from signolearn.errors import BadConfigError, CorruptModelError
+from signolearn.regressor import RegressorModel
 from signolearn.signomial import Signomial
 
 ASSETS = os.path.join(os.path.dirname(cli.__file__), "assets")
@@ -136,6 +137,40 @@ def test_train_regress_task(tmp_path):
     assert metrics["metrics"]["r2"] > 0.999
     with open(tmp_path / "sr.trace.csv") as fh:
         assert next(csv.reader(fh)) == ["stage", "index", "loss"]
+
+
+def test_train_reads_a_csv_with_a_byte_order_mark(tmp_path):
+    # spreadsheet programs write a BOM; the first column must keep its name
+    with open(IRIS, newline="") as fh:
+        rows = list(csv.reader(fh))
+    path = tmp_path / "bom.csv"
+    with open(path, "w", newline="", encoding="utf-8-sig") as fh:
+        csv.writer(fh).writerows([row[-1:] + row[:-1] for row in rows if row])
+    assert path.read_bytes().startswith(b"\xef\xbb\xbfspecies,")
+    out = str(tmp_path / "m.json")
+    assert cli.main(["train", "--data", str(path), "--target", "species", "--k", "1",
+                     "--epochs", "20", "--out", out]) == 0
+    assert json.load(open(out))["featureNames"] == rows[0][:-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--val-fraction", "0"],
+    ["train", "--val-fraction", "-0.2"],
+    ["train", "--val-fraction", "1"],
+    ["train", "--test-fraction", "1.5"],
+    ["train", "--task", "regress", "--test-fraction", "0"],
+    ["search", "--val-fraction", "0"],
+    ["search", "--val-fraction", "-0.2"],
+    ["search", "--test-fraction", "1.5"],
+], ids=" ".join)
+def test_out_of_range_split_fraction_is_a_usage_error(tmp_path, capsys, argv):
+    numeric = tmp_path / "numeric.csv"
+    numeric.write_text("u,t\n1,2\n2,3\n3,5\n4,4\n")
+    data, target = (str(numeric), "t") if "regress" in argv else (IRIS, "species")
+    assert cli.main([*argv, "--data", data, "--target", target,
+                     "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadConfigError") and f"got {float(argv[-1])}" in err
 
 
 def test_train_numeric_failure_exit_code(tmp_path, capsys):
@@ -278,8 +313,11 @@ def standardized_model_file(tmp_path):
     lambda p: p["scaler"].update(mins=[1.0, "low"]),
     lambda p: p.update(featureNames=[["a"], ["b"]]),
     lambda p: p.update(kind="regressor"),  # a regressor payload has no "signomial" then
+    lambda p: p.update(kind="forest"),
+    lambda p: p.update(kind=["classifier"]),
 ], ids=["long-standardize-mean", "no-step-params", "unknown-step", "bad-bound",
-        "feature-names-not-strings", "regressor-without-signomial"])
+        "feature-names-not-strings", "regressor-without-signomial", "unknown-kind",
+        "kind-not-a-string"])
 def test_malformed_model_file_is_corrupt(tmp_path, capsys, edit):
     path, data = standardized_model_file(tmp_path)
     assert cli.main(["predict", "--model", path, "--data", data]) == 0
@@ -292,6 +330,20 @@ def test_malformed_model_file_is_corrupt(tmp_path, capsys, edit):
         assert cli.main([command, "--model", str(bad), "--data", data]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: CorruptModelError") and err.count("\n") == 1
+        assert str(bad) in err
+
+
+def test_predict_regressor_on_constant_target_reports_mse_only(tmp_path):
+    model = str(tmp_path / "sr.json")
+    RegressorModel(Signomial([(1.0, (1.0, 0.0))]), ["u", "v"]).save(model)
+    data = tmp_path / "d.csv"
+    data.write_text("u,v,t\n1,5,3\n5,2,3\n")
+    out = str(tmp_path / "p.json")
+    assert cli.main(["predict", "--model", model, "--data", str(data),
+                     "--target", "t", "--out", out]) == 0
+    payload = json.load(open(out))
+    assert payload["predictions"] == pytest.approx([1.0, 5.0])
+    assert payload["metrics"] == {"mse": pytest.approx(4.0), "nmse": None, "r2": None}
 
 
 def test_predict_metrics_map_labels_by_name_on_a_subset_of_classes(tmp_path, capsys):
@@ -593,6 +645,15 @@ def test_search_same_seed_same_trial_sequence(tmp_path):
         return [t["params"] for t in log["trials"]]
 
     assert params("a") == params("b")
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_search_needs_at_least_one_trial(tmp_path, capsys, trials):
+    data = write_blobs_csv(tmp_path / "blobs.csv")
+    assert cli.main(["search", "--data", data, "--target", "cls", "--trials", trials,
+                     "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadConfigError") and trials in err
 
 
 def test_search_invalid_space(tmp_path):

@@ -12,10 +12,10 @@ from signolearn.errors import (
     DimensionMismatchError,
     NonPositiveInputError,
     OverflowLimitError,
-    ZeroVarianceError,
 )
-from signolearn import regressor
+from signolearn import data_io, regressor
 from signolearn.regressor import (
+    RegressorModel,
     SrConfig,
     TargetSpec,
     evaluate_recovery,
@@ -380,9 +380,10 @@ def test_score_zero_variance_still_carries_mse():
     s = Signomial([Term(1.0, (0.0,))])
     X = np.array([[1.0], [2.0]])
     y = np.array([3.0, 3.0])
-    with pytest.raises(ZeroVarianceError) as exc_info:
-        score_fit(s, X, y)
-    assert exc_info.value.mse == pytest.approx(4.0)
+    score = score_fit(s, X, y)
+    assert score.mse == pytest.approx(4.0)
+    assert score.nmse is None and score.r2 is None
+    assert score.to_dict() == {"mse": score.mse, "nmse": None, "r2": None}
 
 
 def test_score_overflow_raises_like_evaluate():
@@ -452,3 +453,29 @@ def test_recovery_equivalence_judged_in_canonical_form():
     truth = Signomial([Term(2.0, (1.0, 0.0)), Term(3.0, (0.0, 1.0))])
     fitted = Signomial([Term(3.001, (0.0, 0.9995)), Term(1.999, (1.0001, 0.0))])
     assert equivalent(canonicalize(fitted), canonicalize(truth))
+
+
+# --- model file ---------------------------------------------------------------------
+
+_FLOATS = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def _regressor_models(draw):
+    m = draw(st.integers(1, 3))
+    term = st.tuples(_FLOATS, st.lists(_FLOATS, min_size=m, max_size=m))
+    s = Signomial(draw(st.lists(term, min_size=1, max_size=3)), m=m)
+    if draw(st.booleans()):
+        return RegressorModel(s, [f"f{j}" for j in range(m)])
+    # a payload without names decodes with x1..xm
+    return RegressorModel.from_dict({"kind": "regressor", "signomial": s.to_dict()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=_regressor_models())
+def test_regressor_save_load_save_is_byte_identical(tmp_path_factory, model):
+    directory = tmp_path_factory.mktemp("model")
+    first, second = str(directory / "a.json"), str(directory / "b.json")
+    model.save(first)
+    RegressorModel.from_dict(data_io.load_model(first)).save(second)
+    assert open(first, "rb").read() == open(second, "rb").read()
