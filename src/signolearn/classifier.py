@@ -64,14 +64,15 @@ class ClassifyConfig:
     def validate(self) -> None:
         if self.num_terms < 1:
             raise BadConfigError(f"num_terms must be >= 1, got {self.num_terms}")
-        if self.l1_penalty < 0:
-            raise BadConfigError(f"l1_penalty must be >= 0, got {self.l1_penalty}")
+        # written so that NaN fails them too
+        if not (math.isfinite(self.l1_penalty) and self.l1_penalty >= 0):
+            raise BadConfigError(f"l1_penalty must be finite and >= 0, got {self.l1_penalty}")
         if self.batch_size < 1:
             raise BadConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise BadConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise BadConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise BadConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.link not in ("softmax", "sigmoid"):
             raise BadConfigError(f"link must be softmax or sigmoid, got {self.link!r}")
         if not 0 < self.threshold_grid_step < 0.5:

@@ -209,6 +209,8 @@ def split(
     """
     if not 0 < spec.test_fraction < 1:
         raise BadConfigError(f"test fraction must be in (0, 1), got {spec.test_fraction}")
+    if not 0 <= spec.val_fraction < 1:
+        raise BadConfigError(f"validation fraction must be in [0, 1), got {spec.val_fraction}")
     rng = np.random.default_rng(spec.seed)
     if data.class_names is None:
         pools = {0: np.arange(data.n)}

@@ -78,8 +78,9 @@ class AdamState:
     t: int = 0
 
     @classmethod
-    def init(cls, size: int) -> "AdamState":
-        return cls(m=np.zeros(size), v=np.zeros(size))
+    def init(cls, shape: int | tuple[int, ...]) -> "AdamState":
+        """Zero moments for parameters of the given size or shape."""
+        return cls(m=np.zeros(shape), v=np.zeros(shape))
 
 
 def clip_gradient(grad: np.ndarray, max_norm: float | None) -> np.ndarray:

@@ -5,6 +5,8 @@ error plus an L1 penalty on the exponents. Single-term fits run multi-start
 L-BFGS directly; multi-term fits run a staged pipeline: several short Adam
 runs under strong L1 to discover structure, refinement of the leaders under
 weak L1, then pruning, exponent freezing, and an unpenalized L-BFGS polish.
+The restarts of each Adam stage run as one stacked loop over a leading
+restart axis (the kernel's C axis); a restart that diverges leaves it.
 Recovered expressions are snapped to canonical form and compared against the
 generating equation up to algebraic equivalence.
 """
@@ -24,12 +26,11 @@ from .errors import (
     CorruptModelError,
     DataFormatError,
     DimensionMismatchError,
-    NonFiniteGradientError,
     NonFiniteLossError,
     OverflowLimitError,
     SignolearnError,
 )
-from .optim import AdamConfig, AdamState, ParamLayout, adam_step, lbfgs_minimize, prox_l1
+from .optim import AdamConfig, AdamState, adam_step, lbfgs_minimize, prox_l1
 from .signomial import (
     DEFAULT_COEF_PRUNE_THRESHOLD,
     DEFAULT_EXPONENT_ZERO_THRESHOLD,
@@ -41,7 +42,6 @@ from .signomial import (
     equivalent,
     evaluate_batch,
     forward,
-    log_coefficients,
     log_inputs,
 )
 
@@ -69,7 +69,8 @@ class SrConfig:
     def validate(self) -> None:
         if self.num_terms < 1:
             raise BadConfigError(f"num_terms must be >= 1, got {self.num_terms}")
-        if not self.lambda_struct >= self.lambda_refine >= 0:
+        if not (math.isfinite(self.lambda_struct)
+                and self.lambda_struct >= self.lambda_refine >= 0):
             raise BadConfigError(
                 "need lambda_struct >= lambda_refine >= 0, got "
                 f"{self.lambda_struct} and {self.lambda_refine}"
@@ -80,10 +81,11 @@ class SrConfig:
             raise BadConfigError("seed_list must be non-empty")
         if self.adam_epochs_per_stage < 1:
             raise BadConfigError("adam_epochs_per_stage must be >= 1")
-        if self.learning_rate <= 0:
-            raise BadConfigError("learning_rate must be > 0")
-        if self.noise_sigma < 0:
-            raise BadConfigError("noise_sigma must be >= 0")
+        # written so that NaN fails them too
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise BadConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise BadConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
     def resolved_restarts(self) -> int:
         if self.restarts is not None:
@@ -281,25 +283,35 @@ def _checked_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sr_smooth(alphas, betas, log_x, y):
-    """MSE and its gradient w.r.t. (alphas, betas): the kernel with C = 1.
+    """MSE and its gradient for C stacked signomials: the kernel's MSE head.
 
-    An overflowing term makes the loss inf with an undefined (NaN) gradient,
-    so Adam counts the restart as diverged and the L-BFGS line search rejects
-    the probe.
+    Takes alphas (C, K) and betas (C, K, m); returns the losses (C,),
+    dL/dalpha (C, K) and dL/dbeta (C, K, m). A signomial with an overflowing
+    term gets an infinite loss and an undefined (NaN) gradient, so Adam drops
+    that restart as diverged and the L-BFGS line search rejects the probe.
     """
     n = log_x.shape[0]
-    sign, log_abs = log_coefficients(alphas)
     # terms below the limit can still square or sum past float range far out
-    # along a line search, which is also an infinite loss
-    with np.errstate(over="ignore", invalid="ignore"):
+    # along a line search, which is also an infinite loss. The coefficient
+    # logs (ln 0 = -inf for a zero alpha) are taken here, not by
+    # log_coefficients, so each call enters one errstate: a second one made
+    # this, the K=1 polish objective, about 4% slower
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sign, log_abs = np.sign(alphas), np.log(np.abs(alphas))
         try:
-            mono_log, per_term = forward(sign[None], log_abs[None], betas[None], log_x)
-            resid = y - per_term[:, 0, :].sum(axis=1)
-            dz = (-2.0 / n) * resid
-            d_alpha, d_beta = backward(dz[:, None], mono_log, per_term, log_x)
+            mono_log, per_term = forward(sign, log_abs, betas, log_x)
+            resid = y - per_term.sum(axis=2).T  # (C, N)
+            d_alpha, d_beta = backward((-2.0 / n) * resid.T, mono_log, per_term, log_x)
         except OverflowLimitError:
-            return math.inf, np.full_like(alphas, np.nan), np.full_like(betas, np.nan)
-        return float(resid @ resid) / n, d_alpha[0], d_beta[0]
+            if len(alphas) == 1:
+                return (np.full(1, math.inf), np.full_like(alphas, np.nan),
+                        np.full_like(betas, np.nan))
+            # the kernel raises for the whole stack: evaluate each signomial
+            # alone to find the ones that overflow
+            rows = [_sr_smooth(a[None], b[None], log_x, y) for a, b in zip(alphas, betas)]
+            return tuple(np.concatenate(parts) for parts in zip(*rows))
+        # a stacked dot product: for C = 1 it is bit for bit resid @ resid
+        return (resid[:, None, :] @ resid[:, :, None])[:, 0, 0] / n, d_alpha, d_beta
 
 
 def sr_loss_and_grad(s: Signomial, X, y, l1_penalty: float = 0.0):
@@ -311,40 +323,57 @@ def sr_loss_and_grad(s: Signomial, X, y, l1_penalty: float = 0.0):
     """
     X, y = _checked_inputs(X, y)
     alphas, betas = s.alphas, s.betas
-    loss, d_alpha, d_beta = _sr_smooth(alphas, betas, log_inputs(X, s.m), y)
-    total = loss + l1_penalty * float(np.sum(np.abs(betas)))
+    loss, d_alpha, d_beta = _sr_smooth(alphas[None], betas[None], log_inputs(X, s.m), y)
+    total = float(loss[0]) + l1_penalty * float(np.sum(np.abs(betas)))
     if not math.isfinite(total):
         raise NonFiniteLossError("regression loss is non-finite")
-    layout = ParamLayout(alpha_shape=alphas.shape, beta_shape=betas.shape)
-    return total, layout.pack(d_alpha, d_beta)
+    return total, np.concatenate([d_alpha[0], d_beta[0].ravel()])
 
 
 # --- staged fitting ---------------------------------------------------------------
 
 
 def _adam_stage(alphas, betas, log_x, y, lam, epochs, lr):
-    """Full-batch Adam with a proximal L1 step; None when the run diverges."""
-    layout = ParamLayout(alpha_shape=alphas.shape, beta_shape=betas.shape)
-    params = layout.pack(alphas, betas)
-    state = AdamState.init(layout.size)
+    """Full-batch proximal Adam on R restarts at once: alphas (R, K), betas (R, K, m).
+
+    Each epoch makes one stacked kernel call, one Adam step and one L1
+    proximal step over every live restart; the restarts share no state, so
+    each follows the path it would follow alone. A restart whose loss or
+    gradient turns non-finite leaves the batch from that epoch on. Returns the
+    objectives (MSE + lam * L1) (R,), inf for a diverged restart, and the
+    final alphas and betas, NaN for a diverged restart.
+    """
+    r, k, m = betas.shape
+    # one (R, K + K*m) matrix; the alpha and beta blocks are views of it
+    params = np.concatenate([alphas, betas.reshape(r, k * m)], axis=1)
+    mask = np.zeros(params.shape, dtype=bool)
+    mask[:, k:] = True
+    state = AdamState.init(params.shape)
     cfg = AdamConfig(learning_rate=lr, clip_norm=None)
-    mask = layout.beta_mask()
+    live = np.arange(r)
+
+    def smooth(p):
+        return _sr_smooth(p[:, :k], p[:, k:].reshape(len(p), k, m), log_x, y)
+
     for _ in range(epochs):
-        a, b = layout.unpack(params)
-        loss, d_alpha, d_beta = _sr_smooth(a, b, log_x, y)
-        if not math.isfinite(loss):
-            return None
-        grad = layout.pack(d_alpha, d_beta)
-        try:
-            params = adam_step(state, params, grad, cfg)
-        except NonFiniteGradientError:
-            return None
-        params = prox_l1(params, mask, lr, lam)
-    a, b = layout.unpack(params)
-    loss, _, _ = _sr_smooth(a, b, log_x, y)
-    if not math.isfinite(loss):
-        return None
-    return loss + lam * float(np.sum(np.abs(b))), loss, a, b
+        losses, d_alpha, d_beta = smooth(params)
+        grad = np.concatenate([d_alpha, d_beta.reshape(len(live), k * m)], axis=1)
+        ok = np.isfinite(losses) & np.isfinite(grad).all(axis=1)
+        if not ok.all():
+            live, params, grad, mask = live[ok], params[ok], grad[ok], mask[ok]
+            state.m, state.v = state.m[ok], state.v[ok]
+            if not len(live):
+                break
+        params = prox_l1(adam_step(state, params, grad, cfg), mask, lr, lam)
+
+    objectives = np.full(r, math.inf)
+    final = np.full((r, k + k * m), np.nan)
+    if len(live):
+        losses, _, _ = smooth(params)
+        ok = np.isfinite(losses)
+        objectives[live[ok]] = losses[ok] + lam * np.abs(params[ok, k:]).sum(axis=1)
+        final[live[ok]] = params[ok]
+    return objectives, final[:, :k], final[:, k:].reshape(r, k, m)
 
 
 def _polish(alphas, betas, log_x, y):
@@ -354,15 +383,14 @@ def _polish(alphas, betas, log_x, y):
     layout_free = np.flatnonzero(free.ravel())
 
     def unpack(theta):
-        a = theta[:k]
-        b = np.zeros_like(betas).ravel()
+        b = np.zeros(betas.size)
         b[layout_free] = theta[k:]
-        return a, b.reshape(betas.shape)
+        return theta[:k], b.reshape(betas.shape)
 
     def obj(theta):
         a, b = unpack(theta)
-        loss, d_alpha, d_beta = _sr_smooth(a, b, log_x, y)
-        return loss, np.concatenate([d_alpha, d_beta.ravel()[layout_free]])
+        loss, d_alpha, d_beta = _sr_smooth(a[None], b[None], log_x, y)
+        return loss[0], np.concatenate([d_alpha[0], d_beta.ravel()[layout_free]])
 
     theta0 = np.concatenate([alphas, betas.ravel()[layout_free]])
     res = lbfgs_minimize(obj, theta0)
@@ -399,9 +427,10 @@ def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
     """Fit one signomial to (X, y) with the staged multi-start strategy.
 
     K=1 runs multi-start L-BFGS on the raw MSE and keeps the lowest loss;
-    K>1 runs short strongly-penalized Adam per restart, refines the top three
-    under a weaker penalty, then prunes, freezes and polishes. Candidates are
-    always ranked by (loss, restart index), so ties break deterministically.
+    K>1 runs short strongly-penalized Adam on all restarts in one stacked
+    loop, refines the top three in a second one under a weaker penalty, then
+    prunes, freezes and polishes. Candidates are always ranked by (loss,
+    restart index), so ties break deterministically.
     """
     cfg.validate()
     X, y = _checked_inputs(X, y)
@@ -439,38 +468,31 @@ def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
         # the final polish happens on raw targets with the penalty off
         scale = float(np.std(y)) or 1.0
         y_scaled = y / scale
-        stage_a: list[tuple[float, int, np.ndarray, np.ndarray]] = []
-        for r, (a0, b0) in enumerate(inits):
-            out = _adam_stage(
-                a0, b0, log_x, y_scaled, cfg.lambda_struct,
-                cfg.adam_epochs_per_stage, cfg.learning_rate,
-            )
-            if out is None:
-                stats.stage_a_losses.append(math.inf)
-                continue
-            obj_val, _, a, b = out
-            stats.stage_a_losses.append(obj_val)
-            stage_a.append((obj_val, r, a, b))
-        if not stage_a:
+        losses, alphas, betas = _adam_stage(
+            np.array([a for a, _ in inits]), np.array([b for _, b in inits]),
+            log_x, y_scaled, cfg.lambda_struct, cfg.adam_epochs_per_stage,
+            cfg.learning_rate,
+        )
+        stats.stage_a_losses = losses.tolist()
+        ranked = sorted((loss, r) for r, loss in enumerate(stats.stage_a_losses)
+                        if math.isfinite(loss))
+        if not ranked:
             raise AllRestartsFailedError(f"all {restarts} restarts diverged (seed {seed})")
-        stage_a.sort(key=lambda c: (c[0], c[1]))
+        top = [r for _, r in ranked[:3]]
 
-        for rank, (_, r, a, b) in enumerate(stage_a[:3]):
-            out = _adam_stage(
-                a, b, log_x, y_scaled, cfg.lambda_refine,
-                cfg.adam_epochs_per_stage, cfg.learning_rate,
-            )
-            if out is None:
-                stats.refined_losses.append(math.inf)
-                continue
-            obj_val, _, a2, b2 = out
-            stats.refined_losses.append(obj_val)
-            pool.append((obj_val, rank, a2 * scale, b2))
+        refined, alphas2, betas2 = _adam_stage(
+            alphas[top], betas[top], log_x, y_scaled, cfg.lambda_refine,
+            cfg.adam_epochs_per_stage, cfg.learning_rate,
+        )
+        stats.refined_losses = refined.tolist()
+        for rank, loss in enumerate(stats.refined_losses):
+            if math.isfinite(loss):
+                pool.append((loss, rank, alphas2[rank] * scale, betas2[rank]))
         # the best stage-A candidate joins the pool unrefined, which both
         # rescues the fit when refinement diverges and pins the guarantee
         # that the final answer is at least as good as stage A polished
-        best_a = stage_a[0]
-        pool.append((best_a[0], len(pool), best_a[2] * scale, best_a[3]))
+        best_loss, best = ranked[0]
+        pool.append((best_loss, len(pool), alphas[best] * scale, betas[best]))
 
     finals = []
     for order, (_, _, a, b) in enumerate(pool):
@@ -503,8 +525,8 @@ def generate_benchmark_data(
         raise BadConfigError(
             f"{spec.name}: n_samples {n_samples} outside {list(spec.samples)}"
         )
-    if noise_sigma < 0:
-        raise BadConfigError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise BadConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     ranges = spec.effective_ranges()
     X = np.column_stack([rng.uniform(lo, hi, size=n_samples) for lo, hi in ranges])

@@ -283,6 +283,9 @@ def test_class_weights_missing_class():
         {"batch_size": 0},
         {"epochs": 0},
         {"learning_rate": 0.0},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"l1_penalty": float("nan")},
         {"link": "probit"},
         {"threshold_grid_step": 0.0},
         {"threshold_grid_step": 0.5},

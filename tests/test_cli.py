@@ -173,6 +173,29 @@ def test_out_of_range_split_fraction_is_a_usage_error(tmp_path, capsys, argv):
     assert err.startswith("error: BadConfigError") and f"got {float(argv[-1])}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--lr", "nan"],
+    ["train", "--lr", "inf"],
+    ["train", "--l1", "nan"],
+    ["train", "--task", "regress", "--lr", "nan"],
+    ["train", "--task", "regress", "--l1", "inf"],
+], ids=" ".join)
+def test_non_finite_hyperparameter_is_a_usage_error(tmp_path, capsys, argv):
+    numeric = tmp_path / "numeric.csv"
+    numeric.write_text("u,t\n1,2\n2,3\n3,5\n4,4\n5,7\n")
+    data, target = (str(numeric), "t") if "regress" in argv else (IRIS, "species")
+    assert cli.main([*argv, "--data", data, "--target", target,
+                     "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadConfigError") and f"got {argv[-1]}" in err
+
+
+def test_recover_rejects_non_finite_noise(tmp_path, capsys):
+    assert cli.main(["recover", "--spec", single_spec_file(tmp_path), "--seeds", "42",
+                     "--noise", "nan", "--out", str(tmp_path / "rec.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: BadConfigError")
+
+
 def test_train_numeric_failure_exit_code(tmp_path, capsys):
     data = write_blobs_csv(tmp_path / "blobs.csv")
     code = cli.main([

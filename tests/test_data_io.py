@@ -16,6 +16,7 @@ from signolearn.data_io import (
     split,
 )
 from signolearn.errors import (
+    BadConfigError,
     ClassTooSmallError,
     CorruptModelError,
     DataFormatError,
@@ -133,6 +134,12 @@ def test_split_no_row_lost_or_duplicated():
     train, test, val = split(data, SplitSpec(test_fraction=0.25, val_fraction=0.2, seed=3))
     merged = np.concatenate([train.X, test.X, val.X]).ravel()
     assert sorted(merged.tolist()) == list(range(33))
+
+
+@pytest.mark.parametrize("val_fraction", [-0.2, 1.0, 1.5, float("nan")])
+def test_split_rejects_a_validation_fraction_outside_zero_to_one(val_fraction):
+    with pytest.raises(BadConfigError, match=f"got {val_fraction}"):
+        split(toy_classes([30, 30]), SplitSpec(0.2, val_fraction, 0))
 
 
 def test_split_rejects_singleton_class():

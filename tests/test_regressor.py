@@ -1,4 +1,6 @@
 import json
+import math
+import os
 
 import numpy as np
 import pytest
@@ -24,7 +26,16 @@ from signolearn.regressor import (
     score_fit,
     sr_loss_and_grad,
 )
-from signolearn.signomial import Signomial, Term, canonicalize, equivalent, evaluate
+from signolearn.signomial import (
+    Signomial,
+    Term,
+    canonicalize,
+    equivalent,
+    evaluate,
+    log_inputs,
+)
+
+SUITE = os.path.join(os.path.dirname(regressor.__file__), "assets", "feynman_subset.json")
 
 
 def monomial_spec(name="prod", exponents=(1.0, 1.0), alpha=1.0, samples=(200, 1000)):
@@ -122,6 +133,12 @@ def test_config_validation():
         SrConfig(seed_list=()).validate()
     with pytest.raises(BadConfigError):
         SrConfig(noise_sigma=-0.1).validate()
+    for bad in (math.nan, math.inf):
+        for kwargs in ({"learning_rate": bad}, {"noise_sigma": bad}, {"lambda_struct": bad}):
+            with pytest.raises(BadConfigError):
+                SrConfig(**kwargs).validate()
+    with pytest.raises(BadConfigError):
+        generate_benchmark_data(monomial_spec(), 200, math.nan, 0)
 
 
 def test_default_restarts_depend_on_term_count():
@@ -222,6 +239,66 @@ def test_all_restarts_failed_k3():
     y = np.ones(50)
     with pytest.raises(AllRestartsFailedError):
         fit_sr(X, y, SrConfig(num_terms=3), seed=45)
+
+
+def jin2_data():
+    spec = next(s for s in json.load(open(SUITE))["specs"] if s["name"] == "Jin-2")
+    return generate_benchmark_data(TargetSpec.from_dict(spec), 400, 0.01, 42)
+
+
+def jin2_stage_inputs():
+    """ln x, variance-scaled targets and 8 random starts for a Jin-2 stage A."""
+    data = jin2_data()
+    rng = np.random.default_rng(42)
+    alphas, betas = rng.standard_normal((8, 3)), rng.standard_normal((8, 3, 2))
+    return log_inputs(data.X), data.y / np.std(data.y), alphas, betas
+
+
+def run_stage(alphas, betas, log_x, y):
+    # 50 epochs: the stacked and the one-row matrix products differ in the
+    # last bits, and over 500 epochs that grows to about 1e-8 relative
+    return regressor._adam_stage(alphas, betas, log_x, y, 1e-2, 50, 0.05)
+
+
+def test_stacked_adam_stage_equals_one_restart_at_a_time():
+    log_x, y, alphas, betas = jin2_stage_inputs()
+    stacked = run_stage(alphas, betas, log_x, y)
+    assert np.isfinite(stacked[0]).all()
+    for r in range(len(alphas)):
+        alone = run_stage(alphas[r : r + 1], betas[r : r + 1], log_x, y)
+        for got, want in zip(stacked, alone):
+            np.testing.assert_allclose(got[r], want[0], rtol=1e-12, atol=0)
+
+
+def test_a_diverged_restart_leaves_the_others_untouched():
+    log_x, y, alphas, betas = jin2_stage_inputs()
+    bad = betas.copy()
+    bad[3] = -1e3  # small inputs push beta . ln x far past the overflow limit
+    assert regressor._sr_smooth(alphas[3:4], bad[3:4], log_x, y)[0][0] == math.inf
+    losses, a, b = run_stage(alphas, bad, log_x, y)
+    assert losses[3] == math.inf and np.isnan(a[3]).all() and np.isnan(b[3]).all()
+    others = [0, 1, 2, 4, 5, 6, 7]
+    alone = run_stage(alphas[others], betas[others], log_x, y)
+    for got, want in zip((losses, a, b), alone):
+        np.testing.assert_allclose(got[others], want, rtol=1e-12, atol=0)
+
+
+def test_each_multi_term_stage_is_one_stacked_adam_loop(monkeypatch):
+    # one Adam step per epoch over all restarts: 8 in stage A, the top 3 after
+    shapes = []
+    real = regressor.adam_step
+
+    def counting(state, params, grad, cfg):
+        shapes.append(params.shape)
+        return real(state, params, grad, cfg)
+
+    monkeypatch.setattr(regressor, "adam_step", counting)
+    data = jin2_data()
+    cfg = SrConfig(num_terms=3, adam_epochs_per_stage=60)
+    _, stats = fit_sr(data.X, data.y, cfg, seed=42)
+    assert all(map(math.isfinite, stats.stage_a_losses + stats.refined_losses))
+    epochs = cfg.adam_epochs_per_stage
+    assert shapes == [(8, 9)] * epochs + [(3, 9)] * epochs
 
 
 def test_k1_restarts_let_programming_errors_through(monkeypatch):
