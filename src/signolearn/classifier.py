@@ -25,15 +25,7 @@ from .errors import (
     NonFiniteLossError,
     OverflowLimitError,
 )
-from .optim import (
-    AdamConfig,
-    AdamState,
-    EarlyStopMonitor,
-    EarlyStopPolicy,
-    ParamLayout,
-    adam_step,
-    prox_l1,
-)
+from .optim import AdamState, EarlyStopMonitor, adam_step, prox_l1
 from .signomial import (
     Signomial,
     backward,
@@ -42,6 +34,9 @@ from .signomial import (
     log_inputs,
     single_input,
 )
+
+# global L2 norm each mini-batch gradient is clipped to before its Adam step
+GRAD_CLIP_NORM = 1.0
 
 
 @dataclass
@@ -54,12 +49,10 @@ class ClassifyConfig:
     batch_size: int = 32
     epochs: int = 200
     patience: int = 20
-    min_delta: float = 0.0
     class_weight_multiplier: float = 0.0
     seed: int = 0
     link: str = "softmax"
     threshold_grid_step: float = 1e-3
-    clip_norm: float | None = 1.0
 
     def validate(self) -> None:
         if self.num_terms < 1:
@@ -71,8 +64,14 @@ class ClassifyConfig:
             raise BadConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise BadConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.patience < 1:
+            raise BadConfigError(f"patience must be >= 1, got {self.patience}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise BadConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not math.isfinite(self.class_weight_multiplier):
+            raise BadConfigError(
+                f"class_weight_multiplier must be finite, got {self.class_weight_multiplier}"
+            )
         if self.link not in ("softmax", "sigmoid"):
             raise BadConfigError(f"link must be softmax or sigmoid, got {self.link!r}")
         if not 0 < self.threshold_grid_step < 0.5:
@@ -259,13 +258,23 @@ def _stack_params(signomials: list[Signomial]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def class_weights(y: np.ndarray, num_classes: int, multiplier: float) -> np.ndarray:
-    """Per-class weights 1 + multiplier * (N / (C * N_c) - 1)."""
+    """Per-class weights 1 + multiplier * (N / (C * N_c) - 1).
+
+    A negative weight would make the loss unbounded below, so it is refused.
+    """
     counts = np.bincount(y, minlength=num_classes).astype(float)
     if np.any(counts == 0):
         missing = int(np.argmin(counts))
         raise ClassTooSmallError(f"class {missing} has no samples; cannot weight it")
     n = float(len(y))
-    return 1.0 + multiplier * (n / (num_classes * counts) - 1.0)
+    weights = 1.0 + multiplier * (n / (num_classes * counts) - 1.0)
+    if np.any(weights < 0):
+        worst = int(np.argmin(weights))
+        raise BadConfigError(
+            f"class weight multiplier {multiplier} gives class {worst} "
+            f"the negative weight {weights[worst]}"
+        )
+    return weights
 
 
 def _smooth_loss_and_param_grad(alphas, betas, log_x, y, weights, link):
@@ -303,7 +312,7 @@ def loss_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Objective value (including the L1 term) and smooth-part gradient.
 
-    The gradient is a flat vector in ParamLayout order (alphas then betas);
+    The gradient is a flat vector, alphas then betas, each raveled;
     the L1 term contributes to the reported loss but not to this gradient,
     since training handles it with a proximal step.
     """
@@ -322,8 +331,7 @@ def loss_and_grad(
     loss = smooth + l1_penalty * float(np.sum(np.abs(betas)))
     if not math.isfinite(loss):
         raise NonFiniteLossError("loss is non-finite")
-    layout = ParamLayout(alpha_shape=alphas.shape, beta_shape=betas.shape)
-    return loss, layout.pack(d_alpha, d_beta)
+    return loss, np.concatenate([d_alpha.ravel(), d_beta.ravel()])
 
 
 # --- training -----------------------------------------------------------------
@@ -377,16 +385,19 @@ def fit(
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     alphas = 0.1 + 0.1 * rng.standard_normal((c_rows, k))
     betas = 0.05 * rng.standard_normal((c_rows, k, m))
-    layout = ParamLayout(alpha_shape=(c_rows, k), beta_shape=(c_rows, k, m))
-    params = layout.pack(alphas, betas)
-    beta_mask = layout.beta_mask()
-    adam = AdamState.init(layout.size)
-    adam_cfg = AdamConfig(learning_rate=cfg.learning_rate, clip_norm=cfg.clip_norm)
-    monitor = EarlyStopMonitor(EarlyStopPolicy(cfg.patience, cfg.min_delta))
+    # one flat vector, alphas then betas: the order Adam's clip norm sums in
+    params = np.concatenate([alphas.ravel(), betas.ravel()])
+    n_alpha = alphas.size
+    beta_mask = np.arange(params.size) >= n_alpha
+    adam = AdamState.init(params.size)
+    monitor = EarlyStopMonitor(cfg.patience)
     trace = FitTrace()
 
+    def unpack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return p[:n_alpha].reshape(c_rows, k), p[n_alpha:].reshape(c_rows, k, m)
+
     def full_loss(p: np.ndarray, lx: np.ndarray, labels: np.ndarray) -> float:
-        a, b = layout.unpack(p)
+        a, b = unpack(p)
         smooth, _, _ = _smooth_loss_and_param_grad(a, b, lx, labels, weights, cfg.link)
         return smooth + cfg.l1_penalty * float(np.sum(np.abs(b)))
 
@@ -396,7 +407,7 @@ def fit(
         try:
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                a, b = layout.unpack(params)
+                a, b = unpack(params)
                 smooth, d_alpha, d_beta = _smooth_loss_and_param_grad(
                     a, b, log_x[idx], y[idx], weights, cfg.link
                 )
@@ -405,8 +416,8 @@ def fit(
                     raise NonFiniteLossError(
                         f"non-finite training loss at epoch {epoch}", epoch=epoch
                     )
-                grad = layout.pack(d_alpha, d_beta)
-                params = adam_step(adam, params, grad, adam_cfg)
+                grad = np.concatenate([d_alpha.ravel(), d_beta.ravel()])
+                params = adam_step(adam, params, grad, cfg.learning_rate, GRAD_CLIP_NORM)
                 params = prox_l1(params, beta_mask, cfg.learning_rate, cfg.l1_penalty)
                 running += batch_loss * len(idx)
                 seen += len(idx)
@@ -428,7 +439,7 @@ def fit(
 
     best = monitor.best_params if monitor.best_params is not None else params
     trace.best_epoch = monitor.best_epoch if monitor.best_epoch >= 0 else cfg.epochs - 1
-    alphas, betas = layout.unpack(best)
+    alphas, betas = unpack(best)
     signomials = [
         Signomial.from_arrays(alphas[c], betas[c]) for c in range(c_rows)
     ]

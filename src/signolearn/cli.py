@@ -444,10 +444,10 @@ def cmd_explain(args) -> int:
 # --- recover / benchmark ------------------------------------------------------------
 
 
-def _recovery_config(spec: TargetSpec, seeds: list[int], noise: float | None,
+def _recovery_config(num_terms: int, seeds: list[int], noise: float | None,
                      restarts: int | None) -> SrConfig:
     return SrConfig(
-        num_terms=spec.num_terms,
+        num_terms=num_terms,
         seed_list=tuple(seeds),
         restarts=restarts,
         **_given(noise_sigma=noise),
@@ -470,7 +470,7 @@ def _recovery_table(result) -> list[str]:
 def cmd_recover(args) -> int:
     spec = TargetSpec.from_dict(_read_json(args.spec))
     seeds = parse_seeds(args.seeds)
-    cfg = _recovery_config(spec, seeds, args.noise, args.restarts)
+    cfg = _recovery_config(spec.num_terms, seeds, args.noise, args.restarts)
     result = evaluate_recovery(spec, cfg)
     payload = {
         "version": RESULT_SCHEMA_VERSION,
@@ -504,11 +504,14 @@ def cmd_benchmark(args) -> int:
             f"{args.suite}: need a non-empty list of specs, bare or under 'specs'"
         )
     seeds = parse_seeds(args.seeds)
+    # the run-wide flags are checked once, so a bad one is a usage error and
+    # not an error row per spec; each spec's own faults still get a row
+    _recovery_config(1, seeds, args.noise, args.restarts).validate()
 
     def run_one(entry) -> dict:
         try:
             spec = TargetSpec.from_dict(entry)
-            cfg = _recovery_config(spec, seeds, args.noise, args.restarts)
+            cfg = _recovery_config(spec.num_terms, seeds, args.noise, args.restarts)
             result = evaluate_recovery(spec, cfg)
         except SignolearnError as exc:
             name = entry.get("name", "?") if isinstance(entry, dict) else "?"
@@ -576,6 +579,9 @@ def _load_space(path: str | None) -> dict:
         for v in value:
             if isinstance(v, bool) or not isinstance(v, types) or not math.isfinite(v):
                 raise BadConfigError(f"space entry {key!r} must hold finite {kind}, got {v!r}")
+            # checked before the first trial, so no finished trial is thrown away
+            if kind == "integers" and v < 1:
+                raise BadConfigError(f"space entry {key!r} must hold integers >= 1, got {v!r}")
         space[key] = value
     for key in ("K", "l1", "lr", "epochs"):
         if len(space[key]) != 2 or not space[key][0] <= space[key][1]:

@@ -8,8 +8,7 @@ early-stopping monitor that snapshots the best parameters seen.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -17,58 +16,13 @@ import numpy as np
 from .errors import NonFiniteGradientError, NonFiniteObjectiveError
 
 
-@dataclass(frozen=True)
-class ParamLayout:
-    """Fixed packing of (alphas, betas) arrays into one flat vector.
-
-    Coefficients occupy the leading slots, exponents the rest; pack and
-    unpack are exact inverses of each other.
-    """
-
-    alpha_shape: tuple[int, ...]
-    beta_shape: tuple[int, ...]
-
-    @property
-    def n_alpha(self) -> int:
-        return math.prod(self.alpha_shape)
-
-    @property
-    def n_beta(self) -> int:
-        return math.prod(self.beta_shape)
-
-    @property
-    def size(self) -> int:
-        return self.n_alpha + self.n_beta
-
-    def pack(self, alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-        alphas = np.asarray(alphas, dtype=float)
-        betas = np.asarray(betas, dtype=float)
-        assert alphas.shape == self.alpha_shape and betas.shape == self.beta_shape
-        return np.concatenate([alphas.ravel(), betas.ravel()])
-
-    def unpack(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        flat = np.asarray(flat, dtype=float)
-        assert flat.shape == (self.size,)
-        alphas = flat[: self.n_alpha].reshape(self.alpha_shape).copy()
-        betas = flat[self.n_alpha :].reshape(self.beta_shape).copy()
-        return alphas, betas
-
-    def beta_mask(self) -> np.ndarray:
-        mask = np.zeros(self.size, dtype=bool)
-        mask[self.n_alpha :] = True
-        return mask
-
-
 # --- Adam --------------------------------------------------------------------
 
 
-@dataclass
-class AdamConfig:
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_norm: float | None = 1.0  # global L2 clip; None disables
+# the fixed moment decays and denominator guard of Kingma & Ba (2015)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
@@ -94,21 +48,28 @@ def clip_gradient(grad: np.ndarray, max_norm: float | None) -> np.ndarray:
 
 
 def adam_step(
-    state: AdamState, params: np.ndarray, grad: np.ndarray, cfg: AdamConfig
+    state: AdamState,
+    params: np.ndarray,
+    grad: np.ndarray,
+    learning_rate: float,
+    clip_norm: float | None = None,
 ) -> np.ndarray:
-    """One Adam update. Mutates state, returns the new parameter vector."""
+    """One Adam update, after clipping grad to L2 norm clip_norm if given.
+
+    Mutates state, returns the new parameter vector.
+    """
     grad = np.asarray(grad, dtype=float)
     if not np.all(np.isfinite(grad)):
         raise NonFiniteGradientError(
             f"non-finite gradient at adam step {state.t + 1}"
         )
-    grad = clip_gradient(grad, cfg.clip_norm)
+    grad = clip_gradient(grad, clip_norm)
     state.t += 1
-    state.m = cfg.beta1 * state.m + (1 - cfg.beta1) * grad
-    state.v = cfg.beta2 * state.v + (1 - cfg.beta2) * grad**2
-    m_hat = state.m / (1 - cfg.beta1**state.t)
-    v_hat = state.v / (1 - cfg.beta2**state.t)
-    return params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    state.m = BETA1 * state.m + (1 - BETA1) * grad
+    state.v = BETA2 * state.v + (1 - BETA2) * grad**2
+    m_hat = state.m / (1 - BETA1**state.t)
+    v_hat = state.v / (1 - BETA2**state.t)
+    return params - learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def prox_l1(
@@ -127,17 +88,11 @@ def prox_l1(
 # --- early stopping ----------------------------------------------------------
 
 
-@dataclass
-class EarlyStopPolicy:
-    patience: int = 20
-    min_delta: float = 0.0
-
-
 class EarlyStopMonitor:
     """Tracks validation loss; says when to stop and keeps the best snapshot."""
 
-    def __init__(self, policy: EarlyStopPolicy):
-        self.policy = policy
+    def __init__(self, patience: int):
+        self.patience = patience
         self.best_loss = np.inf
         self.best_params: np.ndarray | None = None
         self.best_epoch = -1
@@ -145,14 +100,14 @@ class EarlyStopMonitor:
 
     def update(self, loss: float, params: np.ndarray, epoch: int) -> bool:
         """Record one epoch. Returns True when patience is exhausted."""
-        if loss < self.best_loss - self.policy.min_delta:
+        if loss < self.best_loss:
             self.best_loss = float(loss)
             self.best_params = np.array(params, dtype=float, copy=True)
             self.best_epoch = epoch
             self.stale = 0
             return False
         self.stale += 1
-        return self.stale >= self.policy.patience
+        return self.stale >= self.patience
 
 
 # --- L-BFGS ------------------------------------------------------------------

@@ -30,11 +30,10 @@ from .errors import (
     OverflowLimitError,
     SignolearnError,
 )
-from .optim import AdamConfig, AdamState, adam_step, lbfgs_minimize, prox_l1
+from .optim import AdamState, adam_step, lbfgs_minimize, prox_l1
 from .signomial import (
     DEFAULT_COEF_PRUNE_THRESHOLD,
     DEFAULT_EXPONENT_ZERO_THRESHOLD,
-    DEFAULT_SNAP_TOLERANCE,
     CanonicalForm,
     Signomial,
     backward,
@@ -61,9 +60,6 @@ class SrConfig:
     adam_epochs_per_stage: int = 500
     learning_rate: float = 0.05
     seed_list: tuple[int, ...] = (42, 43, 44, 45, 46)
-    snap_tolerance: float = DEFAULT_SNAP_TOLERANCE
-    coef_prune_threshold: float = DEFAULT_COEF_PRUNE_THRESHOLD
-    exponent_zero_threshold: float = DEFAULT_EXPONENT_ZERO_THRESHOLD
     noise_sigma: float = 0.01
 
     def validate(self) -> None:
@@ -349,7 +345,6 @@ def _adam_stage(alphas, betas, log_x, y, lam, epochs, lr):
     mask = np.zeros(params.shape, dtype=bool)
     mask[:, k:] = True
     state = AdamState.init(params.shape)
-    cfg = AdamConfig(learning_rate=lr, clip_norm=None)
     live = np.arange(r)
 
     def smooth(p):
@@ -364,7 +359,7 @@ def _adam_stage(alphas, betas, log_x, y, lam, epochs, lr):
             state.m, state.v = state.m[ok], state.v[ok]
             if not len(live):
                 break
-        params = prox_l1(adam_step(state, params, grad, cfg), mask, lr, lam)
+        params = prox_l1(adam_step(state, params, grad, lr), mask, lr, lam)
 
     objectives = np.full(r, math.inf)
     final = np.full((r, k + k * m), np.nan)
@@ -398,7 +393,7 @@ def _polish(alphas, betas, log_x, y):
     return a, b, res.loss
 
 
-def _prune_freeze_polish(alphas, betas, log_x, y, cfg: SrConfig):
+def _prune_freeze_polish(alphas, betas, log_x, y):
     """Alternate pruning and polishing until the sparsity pattern is stable.
 
     Returns (alphas, betas, mse, pruned_terms, zeroed_exponents); terms with
@@ -407,16 +402,16 @@ def _prune_freeze_polish(alphas, betas, log_x, y, cfg: SrConfig):
     """
     a, b = np.array(alphas, dtype=float), np.array(betas, dtype=float)
     pruned = zeroed = 0
-    b[np.abs(b) < cfg.exponent_zero_threshold] = 0.0
+    b[np.abs(b) < DEFAULT_EXPONENT_ZERO_THRESHOLD] = 0.0
     while True:
-        keep = np.abs(a) >= cfg.coef_prune_threshold
+        keep = np.abs(a) >= DEFAULT_COEF_PRUNE_THRESHOLD
         pruned += int(np.sum(~keep))
         a, b = a[keep], b[keep]
         if len(a) == 0:
             return a, b, float(y @ y) / len(y), pruned, zeroed
         a, b, mse = _polish(a, b, log_x, y)
-        small_beta = (b != 0.0) & (np.abs(b) < cfg.exponent_zero_threshold)
-        small_alpha = np.abs(a) < cfg.coef_prune_threshold
+        small_beta = (b != 0.0) & (np.abs(b) < DEFAULT_EXPONENT_ZERO_THRESHOLD)
+        small_alpha = np.abs(a) < DEFAULT_COEF_PRUNE_THRESHOLD
         if not small_beta.any() and not small_alpha.any():
             return a, b, mse, pruned, zeroed
         zeroed += int(small_beta.sum())
@@ -496,7 +491,7 @@ def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
 
     finals = []
     for order, (_, _, a, b) in enumerate(pool):
-        a2, b2, mse, pruned, zeroed = _prune_freeze_polish(a, b, log_x, y, cfg)
+        a2, b2, mse, pruned, zeroed = _prune_freeze_polish(a, b, log_x, y)
         stats.candidate_mses.append(mse)
         finals.append((mse, order, a2, b2, pruned, zeroed))
     finals.sort(key=lambda c: (c[0], c[1]))
@@ -561,10 +556,7 @@ def evaluate_recovery(spec: TargetSpec, cfg: SrConfig) -> RecoveryResult:
     the fit call only.
     """
     cfg.validate()
-    truth = canonicalize(
-        spec.truth, cfg.snap_tolerance, cfg.coef_prune_threshold,
-        cfg.exponent_zero_threshold,
-    )
+    truth = canonicalize(spec.truth)
     seeds = []
     for seed in cfg.seed_list:
         n_rng = np.random.default_rng([seed, 7])
@@ -573,10 +565,7 @@ def evaluate_recovery(spec: TargetSpec, cfg: SrConfig) -> RecoveryResult:
         t0 = time.perf_counter()
         fitted, _ = fit_sr(data.X, data.y, cfg, seed)
         elapsed = time.perf_counter() - t0
-        canon = canonicalize(
-            fitted, cfg.snap_tolerance, cfg.coef_prune_threshold,
-            cfg.exponent_zero_threshold,
-        )
+        canon = canonicalize(fitted)
         recovered = equivalent(canon, truth)
         holdout = generate_benchmark_data(spec, spec.samples[1], 0.0, seed + 10_000)
         score = score_fit(fitted, holdout.X, holdout.y)

@@ -31,7 +31,6 @@ from signolearn.explain import (
     probability_sensitivity,
     sensitivity_first_order,
 )
-from signolearn.optim import ParamLayout
 from signolearn.regressor import SrConfig, TargetSpec, evaluate_recovery, sr_loss_and_grad
 from signolearn.signomial import Signomial, Term, evaluate
 
@@ -346,14 +345,14 @@ def test_criterion_6_training_gradients_match_fd():
         y = rng.integers(0, C, size=5)
         _, grad = loss_and_grad(model, X, y, l1_penalty=0.0)
         n_sig = len(model.signomials)
-        layout = ParamLayout(alpha_shape=(n_sig, 2), beta_shape=(n_sig, 2, 3))
-        theta0 = layout.pack(
-            np.array([s.alphas for s in model.signomials]),
-            np.array([s.betas for s in model.signomials]),
-        )
+        theta0 = np.concatenate([
+            np.array([s.alphas for s in model.signomials]).ravel(),
+            np.array([s.betas for s in model.signomials]).ravel(),
+        ])
 
         def loss_at(theta):
-            a, b = layout.unpack(theta)
+            a = theta[: n_sig * 2].reshape(n_sig, 2)
+            b = theta[n_sig * 2 :].reshape(n_sig, 2, 3)
             sigs = [Signomial.from_arrays(a[c], b[c]) for c in range(n_sig)]
             val, _ = loss_and_grad(EcselModel(sigs, link=link), X, y, l1_penalty=0.0)
             return val
@@ -374,11 +373,10 @@ def test_criterion_6_training_gradients_match_fd():
         X = rng.uniform(0.5, 2.0, size=(8, m))
         y = rng.normal(0.0, 2.0, size=8)
         _, grad = sr_loss_and_grad(s, X, y)
-        layout = ParamLayout(alpha_shape=(K,), beta_shape=(K, m))
-        theta0 = layout.pack(alphas, betas)
+        theta0 = np.concatenate([alphas, betas.ravel()])
 
         def sr_loss_at(theta):
-            a, b = layout.unpack(theta)
+            a, b = theta[:K], theta[K:].reshape(K, m)
             val, _ = sr_loss_and_grad(Signomial.from_arrays(a, b), X, y)
             return val
 

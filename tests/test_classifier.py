@@ -29,7 +29,6 @@ from signolearn.errors import (
     NonPositiveInputError,
     OverflowLimitError,
 )
-from signolearn.optim import ParamLayout
 from signolearn.signomial import Signomial, Term
 
 
@@ -215,20 +214,15 @@ def test_gradient_matches_finite_differences():
         y = rng.integers(0, C, size=5)
         weights = 1.0 + rng.uniform(0, 1, size=C)
         _, grad = loss_and_grad(model, X, y, l1_penalty=0.0, weights=weights)
-        layout = ParamLayout(
-            alpha_shape=(len(model.signomials), 2),
-            beta_shape=(len(model.signomials), 2, 3),
-        )
-        alphas, betas = layout.unpack(
-            layout.pack(
-                np.array([s.alphas for s in model.signomials]),
-                np.array([s.betas for s in model.signomials]),
-            )
-        )
-        theta0 = layout.pack(alphas, betas)
+        n_sig = len(model.signomials)
+        theta0 = np.concatenate([
+            np.array([s.alphas for s in model.signomials]).ravel(),
+            np.array([s.betas for s in model.signomials]).ravel(),
+        ])
 
         def loss_at(theta):
-            a, b = layout.unpack(theta)
+            a = theta[: n_sig * 2].reshape(n_sig, 2)
+            b = theta[n_sig * 2 :].reshape(n_sig, 2, 3)
             sigs = [Signomial.from_arrays(a[c], b[c]) for c in range(a.shape[0])]
             mdl = EcselModel(sigs, link=link)
             val, _ = loss_and_grad(mdl, X, y, l1_penalty=0.0, weights=weights)
@@ -272,6 +266,14 @@ def test_class_weights_missing_class():
         class_weights(np.array([0, 0, 0]), 2, multiplier=1.0)
 
 
+def test_class_weights_refuse_a_negative_weight():
+    # class 1 gets 1 - 2 * (4 / (2 * 1) - 1) = -1: the loss is unbounded below
+    with pytest.raises(BadConfigError, match="class 1"):
+        class_weights(np.array([0, 0, 0, 1]), 2, multiplier=-2.0)
+    # a weight of exactly zero is still a bounded loss
+    np.testing.assert_allclose(class_weights(np.array([0, 0, 0, 1]), 2, -1.0), [4 / 3, 0.0])
+
+
 # --- config validation ------------------------------------------------------------
 
 
@@ -289,6 +291,8 @@ def test_class_weights_missing_class():
         {"link": "probit"},
         {"threshold_grid_step": 0.0},
         {"threshold_grid_step": 0.5},
+        {"patience": 0},
+        {"patience": -3},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -416,8 +420,7 @@ def test_fit_rejects_sigmoid_multiclass():
 
 def test_fit_diverges_loudly_with_insane_learning_rate():
     train, val = make_sets(seed=2)
-    cfg = ClassifyConfig(num_terms=2, epochs=30, learning_rate=1e3, seed=0,
-                         clip_norm=None)
+    cfg = ClassifyConfig(num_terms=2, epochs=30, learning_rate=1e3, seed=0)
     with pytest.raises(NonFiniteLossError) as exc_info:
         fit(train, val, cfg)
     assert exc_info.value.epoch is not None

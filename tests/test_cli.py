@@ -179,6 +179,8 @@ def test_out_of_range_split_fraction_is_a_usage_error(tmp_path, capsys, argv):
     ["train", "--l1", "nan"],
     ["train", "--task", "regress", "--lr", "nan"],
     ["train", "--task", "regress", "--l1", "inf"],
+    ["train", "--class-weight", "nan"],
+    ["train", "--class-weight", "inf"],
 ], ids=" ".join)
 def test_non_finite_hyperparameter_is_a_usage_error(tmp_path, capsys, argv):
     numeric = tmp_path / "numeric.csv"
@@ -188,6 +190,27 @@ def test_non_finite_hyperparameter_is_a_usage_error(tmp_path, capsys, argv):
                      "--out", str(tmp_path / "m.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: BadConfigError") and f"got {argv[-1]}" in err
+
+
+@pytest.mark.parametrize("patience", ["0", "-3"])
+def test_patience_below_one_is_a_usage_error(tmp_path, capsys, patience):
+    assert cli.main(["train", "--data", IRIS, "--target", "species", "--patience", patience,
+                     "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadConfigError") and f"got {patience}" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_class_weight_giving_a_negative_weight_is_a_usage_error(tmp_path, capsys):
+    # "pos" is a fifth of the rows, so multiplier -2 gives it a weight near
+    # 1 - 2 * (5 / 2 - 1) = -2, which would make the loss unbounded below
+    data = write_blobs_csv(tmp_path / "blobs.csv", n_per=20)
+    with open(data) as fh:
+        lines = fh.read().splitlines()
+    (tmp_path / "skewed.csv").write_text("\n".join(lines[:21] + lines[21:26]) + "\n")
+    assert cli.main(["train", "--data", str(tmp_path / "skewed.csv"), "--target", "cls",
+                     "--class-weight", "-2", "--out", str(tmp_path / "m.json")]) == 2
+    assert "negative weight" in capsys.readouterr().err
 
 
 def test_recover_rejects_non_finite_noise(tmp_path, capsys):
@@ -589,9 +612,11 @@ def test_recover_missing_spec_file(tmp_path, capsys):
 
 def test_benchmark_isolates_bad_specs(tmp_path):
     suite = json.load(open(SUITE))
+    good = next(s for s in suite["specs"] if s["name"] == "Livermore-13")
     mini = {"version": 1, "specs": [
-        next(s for s in suite["specs"] if s["name"] == "Livermore-13"),
+        good,
         {"name": "broken"},
+        {**good, "name": "no-terms", "K": 0},
     ]}
     suite_path = tmp_path / "suite.json"
     suite_path.write_text(json.dumps(mini))
@@ -600,9 +625,23 @@ def test_benchmark_isolates_bad_specs(tmp_path):
                      "--seeds", "42..43", "--out", out]) == 0
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
-    assert [r["name"] for r in rows] == ["Livermore-13", "broken"]
+    assert [r["name"] for r in rows] == ["Livermore-13", "broken", "no-terms"]
     assert rows[0]["status"] == "ok" and float(rows[0]["rate"]) == 1.0
     assert rows[1]["status"] == "error" and rows[1]["message"]
+    assert rows[2]["status"] == "error" and "num_terms" in rows[2]["message"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--noise", "nan"],
+    ["--noise", "-0.1"],
+    ["--restarts", "0"],
+], ids=" ".join)
+def test_benchmark_bad_run_wide_flag_is_a_usage_error(tmp_path, capsys, flags):
+    out = tmp_path / "bench.csv"
+    assert cli.main(["benchmark", "--suite", SUITE, "--seeds", "42", *flags,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: BadConfigError")
+    assert not out.exists()
 
 
 def test_benchmark_empty_suite(tmp_path):
@@ -677,6 +716,25 @@ def test_search_needs_at_least_one_trial(tmp_path, capsys, trials):
                      "--out", str(tmp_path / "m.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: BadConfigError") and trials in err
+
+
+@pytest.mark.parametrize("space", [
+    {"patience": [20, 0]},
+    {"patience": [-3, 20]},
+    {"batch": [32, 0]},
+    {"K": [0, 2]},
+    {"epochs": [0, 10]},
+], ids=json.dumps)
+def test_search_space_count_below_one_fails_before_any_trial(tmp_path, capsys, space):
+    data = write_blobs_csv(tmp_path / "blobs.csv")
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    assert cli.main(["search", "--data", data, "--target", "cls", "--trials", "4",
+                     "--space", str(path), "--out", str(tmp_path / "m.json")]) == 2
+    out, err = capsys.readouterr()
+    (key,) = space
+    assert f"{key!r} must hold integers >= 1" in err
+    assert out == "" and not (tmp_path / "m.json").exists()
 
 
 def test_search_invalid_space(tmp_path):

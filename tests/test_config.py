@@ -1,0 +1,91 @@
+"""Properties every training config must keep: no value slips past validate()
+unchecked, and every field reaches a command's resolvedConfig."""
+
+import dataclasses
+import json
+import os
+import typing
+
+import pytest
+
+from signolearn import cli
+from signolearn.classifier import ClassifyConfig
+from signolearn.errors import BadConfigError
+from signolearn.regressor import SrConfig
+
+ASSETS = os.path.join(os.path.dirname(cli.__file__), "assets")
+IRIS = os.path.join(ASSETS, "iris.csv")
+SUITE = os.path.join(ASSETS, "feynman_subset.json")
+
+FLOAT_FIELDS = [
+    (cls, name)
+    for cls in (ClassifyConfig, SrConfig)
+    for name, hint in typing.get_type_hints(cls).items()
+    if hint is float
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS])
+def test_validate_rejects_every_non_finite_float(cls, name, value):
+    with pytest.raises(BadConfigError):
+        cls(**{name: value}).validate()
+
+
+# every config field and the resolvedConfig key that records it
+CLASSIFY_KEYS = {
+    "num_terms": "k",
+    "l1_penalty": "l1",
+    "learning_rate": "lr",
+    "batch_size": "batch",
+    "epochs": "epochs",
+    "patience": "patience",
+    "class_weight_multiplier": "classWeight",
+    "seed": "seed",
+    "link": "link",
+    "threshold_grid_step": "thresholdGrid",
+}
+SR_KEYS = {  # (command, key): `train --task regress` or `recover`
+    "num_terms": ("train", "k"),
+    "lambda_struct": ("train", "l1"),
+    "lambda_refine": ("train", "lambdaRefine"),
+    "restarts": ("train", "restarts"),
+    "adam_epochs_per_stage": ("train", "epochs"),
+    "learning_rate": ("train", "lr"),
+    "seed_list": ("recover", "seeds"),
+    "noise_sigma": ("recover", "noise"),
+}
+
+
+def test_every_config_field_is_in_a_resolved_config(tmp_path):
+    regress = tmp_path / "r.csv"
+    regress.write_text("u,t\n1,2\n2,4.1\n3,5.9\n4,8.2\n5,9.9\n6,12.1\n")
+    spec = next(s for s in json.load(open(SUITE))["specs"] if s["name"] == "I.12.1")
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    runs = {
+        "classify": ["train", "--data", IRIS, "--target", "species", "--epochs", "2",
+                     "--out", str(tmp_path / "c.json")],
+        "train": ["train", "--data", str(regress), "--target", "t", "--task", "regress",
+                  "--k", "1", "--out", str(tmp_path / "r.json")],
+        "recover": ["recover", "--spec", str(tmp_path / "spec.json"), "--seeds", "42",
+                    "--out", str(tmp_path / "rec.json")],
+    }
+    for argv in runs.values():
+        assert cli.main(argv) == 0
+    resolved = {
+        "classify": json.load(open(tmp_path / "c.metrics.json"))["resolvedConfig"],
+        "train": json.load(open(tmp_path / "r.metrics.json"))["resolvedConfig"],
+        "recover": json.load(open(tmp_path / "rec.json"))["resolvedConfig"],
+    }
+
+    classify_fields = [f.name for f in dataclasses.fields(ClassifyConfig)]
+    assert sorted(classify_fields) == sorted(CLASSIFY_KEYS), "a ClassifyConfig field has no key"
+    defaults = ClassifyConfig(epochs=2)
+    for name, key in CLASSIFY_KEYS.items():
+        assert resolved["classify"][key] == getattr(defaults, name), name
+
+    sr_fields = [f.name for f in dataclasses.fields(SrConfig)]
+    assert sorted(sr_fields) == sorted(SR_KEYS), "an SrConfig field has no key"
+    for name, (command, key) in SR_KEYS.items():
+        assert key in resolved[command], name
