@@ -66,6 +66,8 @@ class ClassifyConfig:
             raise BadConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.patience < 1:
             raise BadConfigError(f"patience must be >= 1, got {self.patience}")
+        if self.seed < 0:
+            raise BadConfigError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise BadConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not math.isfinite(self.class_weight_multiplier):
@@ -469,9 +471,9 @@ def best_f1_threshold(p1: np.ndarray, y: np.ndarray, grid_step: float) -> float:
         raise BadConfigError(f"grid step must be in (0, 0.5), got {grid_step}")
     p1 = np.asarray(p1, dtype=float)
     y = np.asarray(y, dtype=int)
-    steps = int(round(1.0 / grid_step))
     best_th, best_f1 = None, -1.0
-    for kk in range(1, steps):
+    # every k * grid_step below 1: k runs up to floor(1 / grid_step)
+    for kk in range(1, int(1.0 / grid_step) + 1):
         th = kk * grid_step
         if th >= 1.0:
             break
@@ -519,13 +521,10 @@ class Metrics:
         }
 
 
-def compute_metrics(
-    y_true, y_pred, num_classes: int, average: str = "weighted"
-) -> Metrics:
-    """Accuracy, averaged precision/recall/F1, minority recall, confusion.
+def compute_metrics(y_true, y_pred, num_classes: int) -> Metrics:
+    """Accuracy, support-weighted precision/recall/F1, minority recall, confusion.
 
-    average is 'weighted' (support-weighted, the default) or 'macro'. The
-    confusion matrix has true classes as rows, predictions as columns.
+    The confusion matrix has true classes as rows, predictions as columns.
     Minority recall is the recall of the least-frequent true class, with
     ties going to the lowest class index.
     """
@@ -540,8 +539,6 @@ def compute_metrics(
     for arr, name in ((y_true, "true"), (y_pred, "predicted")):
         if arr.min() < 0 or arr.max() >= num_classes:
             raise LabelOutOfRangeError(f"{name} labels outside [0, {num_classes})")
-    if average not in ("weighted", "macro"):
-        raise BadConfigError(f"average must be weighted or macro, got {average!r}")
 
     confusion = np.zeros((num_classes, num_classes), dtype=int)
     np.add.at(confusion, (y_true, y_pred), 1)
@@ -554,10 +551,7 @@ def compute_metrics(
         f1_c = np.where(
             prec_c + rec_c > 0, 2 * prec_c * rec_c / np.maximum(prec_c + rec_c, 1e-300), 0.0
         )
-    if average == "weighted":
-        w = support / support.sum()
-    else:
-        w = np.full(num_classes, 1.0 / num_classes)
+    w = support / support.sum()
     present = support > 0
     minority = int(np.argmin(np.where(present, support, np.iinfo(np.int64).max)))
     return Metrics(

@@ -81,7 +81,7 @@ def _exit_code_for(exc: BaseException) -> int:
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'42..46' (inclusive), '42,43,44', or a single integer."""
+    """'42..46' (inclusive), '42,43,44', or a single integer; seeds are >= 0."""
     text = text.strip()
     try:
         if ".." in text:
@@ -89,12 +89,14 @@ def parse_seeds(text: str) -> list[int]:
             lo, hi = int(lo_s), int(hi_s)
             if hi < lo:
                 raise BadConfigError(f"empty seed range {text!r}")
-            return list(range(lo, hi + 1))
-        if "," in text:
-            return [int(p) for p in text.split(",")]
-        return [int(text)]
+            seeds = list(range(lo, hi + 1))
+        else:
+            seeds = [int(p) for p in text.split(",")]
     except ValueError:
         raise BadConfigError(f"cannot parse seeds {text!r}")
+    if min(seeds) < 0:
+        raise BadConfigError(f"seeds must be >= 0, got {text!r}")
+    return seeds
 
 
 def _sibling(out: str, tag: str) -> str:
@@ -357,6 +359,8 @@ def _parse_counterfactual(text: str, feature_names: list[str]) -> tuple[int, flo
         q = float(raw)
     except ValueError:
         raise BadConfigError(f"bad scale factor {raw!r} in {text!r}")
+    if not (math.isfinite(q) and q > 0):
+        raise BadConfigError(f"scale factor must be finite and > 0, got {raw!r} in {text!r}")
     return feature_names.index(name), q
 
 

@@ -1,7 +1,7 @@
 """Data ingestion, positivity scaling, splits, and model persistence.
 
 Signomials need strictly positive inputs, so features are min-max scaled
-into a positive interval (default [1, 10]) before training. Splits are
+into the positive interval [1, 10] before training. Splits are
 stratified and fully determined by their seed. Persisted models are JSON
 with an explicit schema version, written atomically.
 """
@@ -59,84 +59,44 @@ class Dataset:
 
 
 class Scaler:
-    """Min-max scaler into [lo, hi] with optional named preprocessing steps.
+    """Min-max scaler into the fixed interval [lo, hi] = [1, 10].
 
-    Steps run before the min-max stage, in order. Supported steps:
-    'log' (ln(x + 1e-6)) and 'standardize' (per-feature z-score). Unseen data
-    is clamped into [lo, hi] after scaling; a feature that was constant at
-    fit time maps to lo.
+    Unseen data is clamped into [lo, hi] after scaling; a feature that was
+    constant at fit time maps to lo.
     """
 
-    _LOG_SHIFT = 1e-6
+    lo = 1.0
+    hi = 10.0
 
-    def __init__(self, lo: float = 1.0, hi: float = 10.0, steps: Sequence[str] = ()):
-        if not lo < hi:
-            raise DataFormatError(f"scaler needs lo < hi, got [{lo}, {hi}]")
-        if lo <= 0:
-            raise DataFormatError(f"scaler lower bound must be positive, got {lo}")
-        for s in steps:
-            if s not in ("log", "standardize"):
-                raise DataFormatError(f"unknown preprocessing step {s!r}")
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self.steps = list(steps)
-        self.step_params: list[dict] = []
+    def __init__(self):
         self.mins: np.ndarray | None = None
         self.maxs: np.ndarray | None = None
 
-    def _apply_steps(self, X: np.ndarray, fitting: bool) -> np.ndarray:
-        out = X
-        for i, step in enumerate(self.steps):
-            if step == "log":
-                shifted = out + self._LOG_SHIFT
-                if np.any(shifted <= 0):
-                    j = int(np.argwhere(shifted <= 0)[0][1])
-                    raise DataFormatError(
-                        f"log step needs values > {-self._LOG_SHIFT}; column {j} violates it"
-                    )
-                out = np.log(shifted)
-                if fitting:
-                    self.step_params.append({})
-            elif step == "standardize":
-                if fitting:
-                    mean = out.mean(axis=0)
-                    std = out.std(axis=0)
-                    std = np.where(std == 0, 1.0, std)
-                    self.step_params.append({"mean": mean.tolist(), "std": std.tolist()})
-                params = self.step_params[i]
-                out = (out - np.asarray(params["mean"])) / np.asarray(params["std"])
-        return out
-
     def fit(self, X: np.ndarray) -> "Scaler":
         X = np.asarray(X, dtype=float)
-        self.step_params = []
-        staged = self._apply_steps(X, fitting=True)
-        self.mins = staged.min(axis=0)
-        self.maxs = staged.max(axis=0)
+        self.mins = X.min(axis=0)
+        self.maxs = X.max(axis=0)
         return self
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         if self.mins is None:
             raise DataFormatError("scaler used before fit")
         X = np.asarray(X, dtype=float)
-        staged = self._apply_steps(X, fitting=False)
         span = self.maxs - self.mins
         scaled = np.where(
             span == 0,
             self.lo,
-            self.lo + (self.hi - self.lo) * (staged - self.mins) / np.where(span == 0, 1.0, span),
+            self.lo + (self.hi - self.lo) * (X - self.mins) / np.where(span == 0, 1.0, span),
         )
         return np.clip(scaled, self.lo, self.hi)
 
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
-
     def to_dict(self) -> dict:
+        # steps and stepParams are part of the model-file format; no scaler has any
         return {
             "lo": self.lo,
             "hi": self.hi,
-            "steps": list(self.steps),
-            "stepParams": self.step_params,
+            "steps": [],
+            "stepParams": [],
             "mins": None if self.mins is None else self.mins.tolist(),
             "maxs": None if self.maxs is None else self.maxs.tolist(),
         }
@@ -145,27 +105,21 @@ class Scaler:
     def from_dict(cls, data: dict) -> "Scaler":
         """Rebuild a scaler from `to_dict`'s payload.
 
-        A fitted scaler needs one parameter set per step, and a standardize
-        step one mean and one std per feature; otherwise DataFormatError.
+        A payload with another range, any preprocessing step, or bounds that
+        are not finite is a DataFormatError.
         """
-        sc = cls(lo=data["lo"], hi=data["hi"], steps=data.get("steps", []))
-        sc.step_params = list(data.get("stepParams", []))
+        fixed = {k: data.get(k) for k in ("lo", "hi", "steps", "stepParams")}
+        if fixed != {"lo": cls.lo, "hi": cls.hi, "steps": [], "stepParams": []}:
+            raise DataFormatError(
+                f"scaler must be [{cls.lo}, {cls.hi}] with empty steps and stepParams, "
+                f"got {fixed}"
+            )
+        sc = cls()
         if data.get("mins") is not None:
             sc.mins = np.asarray(data["mins"], dtype=float)
             sc.maxs = np.asarray(data["maxs"], dtype=float)
-            if len(sc.step_params) != len(sc.steps):
-                raise DataFormatError(
-                    f"scaler has {len(sc.steps)} steps but "
-                    f"{len(sc.step_params)} sets of step parameters"
-                )
-            for step, params in zip(sc.steps, sc.step_params):
-                if step == "standardize":
-                    shapes = {np.asarray(params[k], dtype=float).shape for k in ("mean", "std")}
-                    if shapes != {sc.mins.shape}:
-                        raise DataFormatError(
-                            f"standardize step has shapes {sorted(shapes)} "
-                            f"for scaler bounds of shape {sc.mins.shape}"
-                        )
+            if not (np.isfinite(sc.mins).all() and np.isfinite(sc.maxs).all()):
+                raise DataFormatError("scaler bounds must be finite")
         return sc
 
 
@@ -211,6 +165,8 @@ def split(
         raise BadConfigError(f"test fraction must be in (0, 1), got {spec.test_fraction}")
     if not 0 <= spec.val_fraction < 1:
         raise BadConfigError(f"validation fraction must be in [0, 1), got {spec.val_fraction}")
+    if spec.seed < 0:
+        raise BadConfigError(f"split seed must be >= 0, got {spec.seed}")
     rng = np.random.default_rng(spec.seed)
     if data.class_names is None:
         pools = {0: np.arange(data.n)}

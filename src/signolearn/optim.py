@@ -125,6 +125,15 @@ class LbfgsResult:
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
+# curvature pairs kept, the gradient infinity-norm that counts as converged,
+# the iteration budget, and the strong-Wolfe sufficient-decrease (C1) and
+# curvature (C2) constants
+LBFGS_MEMORY = 10
+LBFGS_GRAD_TOL = 1e-8
+LBFGS_MAX_ITERS = 500
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
+
 
 class _BestSeen:
     def __init__(self):
@@ -155,16 +164,16 @@ def _two_loop(grad: np.ndarray, history: list[tuple[np.ndarray, np.ndarray, floa
     return -q
 
 
-def _zoom(phi, a_lo, a_hi, f_lo, f0, df0, c1, c2, eps_f, max_iter=30):
+def _zoom(phi, a_lo, a_hi, f_lo, f0, df0, eps_f):
     """Strong-Wolfe zoom on the bracket [a_lo, a_hi]."""
-    for _ in range(max_iter):
+    for _ in range(30):
         a = 0.5 * (a_lo + a_hi)
         f, df, x, g = phi(a)
-        armijo = np.isfinite(f) and f <= f0 + c1 * a * df0 + eps_f
+        armijo = np.isfinite(f) and f <= f0 + WOLFE_C1 * a * df0 + eps_f
         if not armijo or f >= f_lo + eps_f:
             a_hi = a
         else:
-            if abs(df) <= -c2 * df0:
+            if abs(df) <= -WOLFE_C2 * df0:
                 return a, f, x, g
             if df * (a_hi - a_lo) >= 0:
                 a_hi = a_lo
@@ -174,7 +183,7 @@ def _zoom(phi, a_lo, a_hi, f_lo, f0, df0, c1, c2, eps_f, max_iter=30):
     return None
 
 
-def _line_search(phi, f0, df0, c1, c2, eps_f, max_iter=25):
+def _line_search(phi, f0, df0, eps_f):
     """Strong-Wolfe search along a descent direction; None on failure.
 
     Objective comparisons carry a small noise allowance eps_f so the search
@@ -182,34 +191,26 @@ def _line_search(phi, f0, df0, c1, c2, eps_f, max_iter=25):
     """
     a_prev, f_prev = 0.0, f0
     a = 1.0
-    for i in range(max_iter):
+    for i in range(25):
         f, df, x, g = phi(a)
-        too_high = not np.isfinite(f) or f > f0 + c1 * a * df0 + eps_f
+        too_high = not np.isfinite(f) or f > f0 + WOLFE_C1 * a * df0 + eps_f
         if too_high or (i > 0 and f >= f_prev + eps_f):
-            return _zoom(phi, a_prev, a, f_prev, f0, df0, c1, c2, eps_f)
-        if abs(df) <= -c2 * df0:
+            return _zoom(phi, a_prev, a, f_prev, f0, df0, eps_f)
+        if abs(df) <= -WOLFE_C2 * df0:
             return a, f, x, g
         if df >= 0:
-            return _zoom(phi, a, a_prev, f, f0, df0, c1, c2, eps_f)
+            return _zoom(phi, a, a_prev, f, f0, df0, eps_f)
         a_prev, f_prev = a, f
         a = min(2.0 * a, 1e10)
     return None
 
 
-def lbfgs_minimize(
-    fun: Objective,
-    x0: np.ndarray,
-    memory: int = 10,
-    grad_tol: float = 1e-8,
-    max_iters: int = 500,
-    c1: float = 1e-4,
-    c2: float = 0.9,
-) -> LbfgsResult:
+def lbfgs_minimize(fun: Objective, x0: np.ndarray) -> LbfgsResult:
     """Minimize fun (returning value and gradient) from x0.
 
-    Stops when the gradient infinity-norm falls below grad_tol, the iteration
-    budget runs out, or the line search fails; in the last two cases the best
-    point seen so far is returned with converged=False.
+    Stops when the gradient infinity-norm falls below LBFGS_GRAD_TOL, the
+    LBFGS_MAX_ITERS budget runs out, or the line search fails; in the last two
+    cases the best point seen so far is returned with converged=False.
     """
     x = np.array(x0, dtype=float, copy=True)
     evals = 0
@@ -228,9 +229,9 @@ def lbfgs_minimize(
 
     history: list[tuple[np.ndarray, np.ndarray, float]] = []
     iterations = 0
-    converged = bool(np.max(np.abs(g)) <= grad_tol)
+    converged = bool(np.max(np.abs(g)) <= LBFGS_GRAD_TOL)
 
-    while not converged and iterations < max_iters:
+    while not converged and iterations < LBFGS_MAX_ITERS:
         d = _two_loop(g, history)
         df0 = float(g @ d)
         if not np.isfinite(df0) or df0 >= 0:
@@ -249,7 +250,7 @@ def lbfgs_minimize(
             with np.errstate(invalid="ignore", over="ignore"):
                 return fv, float(gv @ _d), z, gv
 
-        hit = _line_search(phi, f, df0, c1, c2, eps_f=1e-12 * (1.0 + abs(f)))
+        hit = _line_search(phi, f, df0, eps_f=1e-12 * (1.0 + abs(f)))
         iterations += 1
         if hit is None:
             return LbfgsResult(
@@ -262,10 +263,10 @@ def lbfgs_minimize(
         sy = float(s @ y)
         if sy > 1e-12:
             history.append((s, y, 1.0 / sy))
-            if len(history) > memory:
+            if len(history) > LBFGS_MEMORY:
                 history.pop(0)
         x, f, g = x_new, f_new, g_new
-        converged = bool(np.max(np.abs(g)) <= grad_tol)
+        converged = bool(np.max(np.abs(g)) <= LBFGS_GRAD_TOL)
 
     if converged:
         return LbfgsResult(

@@ -75,6 +75,8 @@ class SrConfig:
             raise BadConfigError(f"restarts must be >= 1, got {self.restarts}")
         if not self.seed_list:
             raise BadConfigError("seed_list must be non-empty")
+        if min(self.seed_list) < 0:
+            raise BadConfigError(f"seeds must be >= 0, got {list(self.seed_list)}")
         if self.adam_epochs_per_stage < 1:
             raise BadConfigError("adam_epochs_per_stage must be >= 1")
         # written so that NaN fails them too
@@ -233,8 +235,8 @@ class SeedRecovery:
     wall_time_seconds: float
     n_samples: int
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "seed": self.seed,
             "equivalent": self.recovered,
             "mse": self.mse,
@@ -243,9 +245,6 @@ class SeedRecovery:
             "nSamples": self.n_samples,
             "canonical": self.canonical.to_signomial().to_dict(),
         }
-        if include_timing:
-            out["wallTimeSeconds"] = self.wall_time_seconds
-        return out
 
 
 @dataclass
@@ -254,11 +253,11 @@ class RecoveryResult:
     seeds: list[SeedRecovery]
     recovery_rate: float
 
-    def to_dict(self, include_timing: bool = False) -> dict:
+    def to_dict(self) -> dict:
         return {
             "spec": self.spec_name,
             "recoveryRate": self.recovery_rate,
-            "seeds": [s.to_dict(include_timing) for s in self.seeds],
+            "seeds": [s.to_dict() for s in self.seeds],
         }
 
 
@@ -428,6 +427,8 @@ def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
     restart index), so ties break deterministically.
     """
     cfg.validate()
+    if seed < 0:
+        raise BadConfigError(f"seed must be >= 0, got {seed}")
     X, y = _checked_inputs(X, y)
     k, m = cfg.num_terms, X.shape[1]
     log_x = log_inputs(X)

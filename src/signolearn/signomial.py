@@ -18,6 +18,7 @@ thin heads over it.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -168,6 +169,9 @@ class Signomial:
         try:
             m = int(data["m"])
             terms = [Term(t["alpha"], tuple(t["beta"])) for t in data["terms"]]
+            # checked on decode, not in __init__, which the fitting code calls often
+            if not all(math.isfinite(v) for t in terms for v in (t.alpha, *t.beta)):
+                raise ValueError("coefficients and exponents must be finite")
         except (KeyError, TypeError, ValueError) as exc:
             raise DimensionMismatchError(f"malformed signomial payload: {exc}") from exc
         return cls(terms, m=m)
@@ -284,9 +288,9 @@ def evaluate_batch(s: Signomial, X) -> tuple[np.ndarray, np.ndarray]:
     return per_term.sum(axis=1), per_term
 
 
-def snap_exponent(value: float, tolerance: float = DEFAULT_SNAP_TOLERANCE) -> float:
+def snap_exponent(value: float) -> float:
     """Snap an exponent to the nearest preferred rational p/q (q <= 6, |p| <= 12)
-    when it lies within tolerance; otherwise return it unchanged.
+    when it lies within DEFAULT_SNAP_TOLERANCE; otherwise return it unchanged.
 
     Ties prefer the smaller denominator, then the smaller |numerator|.
     """
@@ -295,7 +299,7 @@ def snap_exponent(value: float, tolerance: float = DEFAULT_SNAP_TOLERANCE) -> fl
     snapped = float(value)
     for v, p, q in _SNAP_TABLE[max(0, idx - 1) : idx + 2]:
         d = abs(value - v)
-        if d <= tolerance:
+        if d <= DEFAULT_SNAP_TOLERANCE:
             key = (d, q, abs(p))
             if best_key is None or key < best_key:
                 best_key = key
@@ -318,50 +322,41 @@ class CanonicalForm:
         return len(self.terms)
 
 
-def canonicalize(
-    s: Signomial,
-    snap_tolerance: float = DEFAULT_SNAP_TOLERANCE,
-    prune_threshold: float = DEFAULT_COEF_PRUNE_THRESHOLD,
-    exponent_zero_threshold: float = DEFAULT_EXPONENT_ZERO_THRESHOLD,
-) -> CanonicalForm:
+def canonicalize(s: Signomial) -> CanonicalForm:
     """Reduce a signomial to canonical form.
 
-    Exponents below exponent_zero_threshold in magnitude become 0, remaining
-    exponents snap to nearby preferred rationals, terms with |alpha| below
-    prune_threshold are dropped, terms with identical exponent vectors merge,
-    and the result is sorted by exponent vector then by descending coefficient.
+    Exponents below DEFAULT_EXPONENT_ZERO_THRESHOLD in magnitude become 0,
+    remaining exponents snap to nearby preferred rationals, terms with |alpha|
+    below DEFAULT_COEF_PRUNE_THRESHOLD are dropped, terms with identical
+    exponent vectors merge, and the result is sorted by exponent vector then by
+    descending coefficient.
     """
     merged: dict[tuple[float, ...], float] = {}
     for t in s.terms:
-        if abs(t.alpha) < prune_threshold:
+        if abs(t.alpha) < DEFAULT_COEF_PRUNE_THRESHOLD:
             continue
         beta = tuple(
-            snap_exponent(0.0 if abs(b) < exponent_zero_threshold else b, snap_tolerance)
+            snap_exponent(0.0 if abs(b) < DEFAULT_EXPONENT_ZERO_THRESHOLD else b)
             for b in t.beta
         )
         merged[beta] = merged.get(beta, 0.0) + t.alpha
     kept = [
         Term(alpha, beta)
         for beta, alpha in merged.items()
-        if abs(alpha) >= prune_threshold
+        if abs(alpha) >= DEFAULT_COEF_PRUNE_THRESHOLD
     ]
     kept.sort(key=lambda t: (t.beta, -t.alpha))
     return CanonicalForm(terms=tuple(kept), m=s.m)
 
 
-def _match_terms(
-    a: Sequence[Term],
-    b: Sequence[Term],
-    exponent_tolerance: float,
-    coef_relative_tolerance: float,
-) -> bool:
+def _match_terms(a: Sequence[Term], b: Sequence[Term]) -> bool:
     """Backtracking search for a perfect 1:1 pairing of terms within tolerance."""
 
     def close(ta: Term, tb: Term) -> bool:
-        if any(abs(x - y) > exponent_tolerance for x, y in zip(ta.beta, tb.beta)):
+        if any(abs(x - y) > DEFAULT_EXPONENT_TOLERANCE for x, y in zip(ta.beta, tb.beta)):
             return False
         scale = max(abs(ta.alpha), abs(tb.alpha))
-        return abs(ta.alpha - tb.alpha) <= coef_relative_tolerance * scale
+        return abs(ta.alpha - tb.alpha) <= DEFAULT_COEF_RELATIVE_TOLERANCE * scale
 
     used = [False] * len(b)
 
@@ -379,17 +374,13 @@ def _match_terms(
     return assign(0)
 
 
-def equivalent(
-    a: CanonicalForm,
-    b: CanonicalForm,
-    exponent_tolerance: float = DEFAULT_EXPONENT_TOLERANCE,
-    coef_relative_tolerance: float = DEFAULT_COEF_RELATIVE_TOLERANCE,
-) -> bool:
+def equivalent(a: CanonicalForm, b: CanonicalForm) -> bool:
     """Decide whether two canonical forms describe the same expression.
 
-    Requires identical term counts, every exponent within exponent_tolerance,
-    and coefficients within a relative tolerance of each other under some 1:1
-    pairing of terms.
+    Requires identical term counts, every exponent within
+    DEFAULT_EXPONENT_TOLERANCE, and coefficients within
+    DEFAULT_COEF_RELATIVE_TOLERANCE of each other (relative to the larger)
+    under some 1:1 pairing of terms.
     """
     if a.m != b.m:
         raise DimensionMismatchError(
@@ -397,7 +388,7 @@ def equivalent(
         )
     if a.num_terms != b.num_terms:
         return False
-    return _match_terms(a.terms, b.terms, exponent_tolerance, coef_relative_tolerance)
+    return _match_terms(a.terms, b.terms)
 
 
 def _default_names(m: int) -> list[str]:

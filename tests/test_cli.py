@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -54,7 +55,7 @@ def test_parse_seeds_forms():
     assert cli.parse_seeds("7") == [7]
 
 
-@pytest.mark.parametrize("bad", ["4x..9", "9..2", "a,b", ""])
+@pytest.mark.parametrize("bad", ["4x..9", "9..2", "a,b", "", "-1", "-2..3", "4,-1"])
 def test_parse_seeds_rejects_garbage(bad):
     with pytest.raises(BadConfigError):
         cli.parse_seeds(bad)
@@ -338,14 +339,14 @@ def test_model_with_mis_sized_scaler_is_corrupt(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: CorruptModelError")
 
 
-def standardized_model_file(tmp_path):
-    """A two-class model whose scaler has a standardize step, saved as JSON."""
+def scaled_model_file(tmp_path):
+    """A two-class model with a fitted scaler, saved as JSON."""
     data = write_blobs_csv(tmp_path / "blobs.csv")
     X = data_io.load_csv(data, "cls").X
     model = EcselModel(
         [Signomial([(1.0, (1.0, -1.0))]), Signomial([(1.0, (-1.0, 1.0))])],
         feature_names=["a", "b"], class_names=["neg", "pos"],
-        scaler=data_io.Scaler(steps=("standardize",)).fit(X),
+        scaler=data_io.Scaler().fit(X),
     )
     out = str(tmp_path / "std.json")
     model.save(out)
@@ -353,19 +354,26 @@ def standardized_model_file(tmp_path):
 
 
 @pytest.mark.parametrize("edit", [
-    lambda p: p["scaler"]["stepParams"][0].update(mean=[0.0, 0.0, 0.0]),
+    # a standardize step in the model-file format; a scaler may have no steps
+    lambda p: p["scaler"].update(steps=["standardize"],
+                                 stepParams=[{"mean": [0.0, 0.0], "std": [1.0, 1.0]}]),
+    lambda p: p["scaler"].update(lo=0.5),
     lambda p: p["scaler"].pop("stepParams"),
     lambda p: p["scaler"].update(steps=["warp"]),
     lambda p: p["scaler"].update(mins=[1.0, "low"]),
+    lambda p: p["scaler"]["maxs"].__setitem__(1, math.inf),
+    lambda p: p["signomials"][0]["terms"][0].update(alpha=math.nan),
+    lambda p: p["signomials"][1]["terms"][0]["beta"].__setitem__(0, math.inf),
     lambda p: p.update(featureNames=[["a"], ["b"]]),
     lambda p: p.update(kind="regressor"),  # a regressor payload has no "signomial" then
     lambda p: p.update(kind="forest"),
     lambda p: p.update(kind=["classifier"]),
-], ids=["long-standardize-mean", "no-step-params", "unknown-step", "bad-bound",
+], ids=["scaler-with-steps", "scaler-other-range", "no-step-params", "unknown-step",
+        "bad-bound", "infinite-bound", "nan-alpha", "infinite-beta",
         "feature-names-not-strings", "regressor-without-signomial", "unknown-kind",
         "kind-not-a-string"])
 def test_malformed_model_file_is_corrupt(tmp_path, capsys, edit):
-    path, data = standardized_model_file(tmp_path)
+    path, data = scaled_model_file(tmp_path)
     assert cli.main(["predict", "--model", path, "--data", data]) == 0
     payload = json.load(open(path))
     edit(payload)
@@ -425,7 +433,7 @@ def test_predict_metrics_map_labels_by_name_on_a_subset_of_classes(tmp_path, cap
 def test_malformed_csv_without_target_is_a_data_error(tmp_path, capsys, command, text):
     path = tmp_path / "d.csv"
     path.write_text(text)
-    model, _ = standardized_model_file(tmp_path)
+    model, _ = scaled_model_file(tmp_path)
     assert cli.main([command, "--model", model, "--data", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: DataFormatError") and str(path) in err
@@ -435,7 +443,7 @@ def test_malformed_csv_without_target_is_a_data_error(tmp_path, capsys, command,
     ["predict"], ["predict", "--target", "cls"], ["explain"], ["explain", "--target", "cls"],
 ])
 def test_each_run_reads_the_model_file_once(tmp_path, monkeypatch, argv):
-    path, data = standardized_model_file(tmp_path)
+    path, data = scaled_model_file(tmp_path)
     calls = []
     real = data_io.load_model
 
@@ -526,6 +534,14 @@ def test_explain_bad_counterfactual_feature(tmp_path):
     ones = make_ones_csv(tmp_path)
     assert cli.main(["explain", "--model", TOY, "--data", ones,
                      "--counterfactual", "bogus=2.0"]) == 2
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_explain_counterfactual_scale_must_be_positive(tmp_path, capsys, scale):
+    ones = make_ones_csv(tmp_path)
+    assert cli.main(["explain", "--model", TOY, "--data", ones,
+                     "--counterfactual", f"x1={scale}"]) == 2
+    assert capsys.readouterr().err.startswith("error: BadConfigError")
 
 
 def test_explain_scenarios(tmp_path):

@@ -6,9 +6,10 @@ import json
 import os
 import typing
 
+import numpy as np
 import pytest
 
-from signolearn import cli
+from signolearn import cli, data_io, regressor
 from signolearn.classifier import ClassifyConfig
 from signolearn.errors import BadConfigError
 from signolearn.regressor import SrConfig
@@ -89,3 +90,38 @@ def test_every_config_field_is_in_a_resolved_config(tmp_path):
     assert sorted(sr_fields) == sorted(SR_KEYS), "an SrConfig field has no key"
     for name, (command, key) in SR_KEYS.items():
         assert key in resolved[command], name
+
+
+# --- seeds --------------------------------------------------------------------
+
+
+def test_negative_seeds_are_config_errors():
+    with pytest.raises(BadConfigError):
+        ClassifyConfig(seed=-1).validate()
+    with pytest.raises(BadConfigError):
+        SrConfig(seed_list=(42, -1)).validate()
+    data = data_io.load_csv(IRIS, "species")
+    with pytest.raises(BadConfigError):
+        data_io.split(data, data_io.SplitSpec(seed=-1))
+    X = np.array([[1.0], [2.0], [3.0]])
+    with pytest.raises(BadConfigError):
+        regressor.fit_sr(X, 2.0 * X[:, 0], SrConfig(), seed=-1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", IRIS, "--target", "species", "--seed", "-1"],
+    ["train", "--data", "NUMERIC", "--target", "t", "--task", "regress", "--seed", "-1"],
+    ["search", "--data", IRIS, "--target", "species", "--trials", "1", "--seed", "-2"],
+    ["recover", "--spec", "SPEC", "--seeds", "-3"],
+    ["benchmark", "--suite", SUITE, "--seeds", "-1"],
+], ids=["train", "train-regress", "search", "recover", "benchmark"])
+def test_negative_seed_flags_exit_2(tmp_path, capsys, argv):
+    inputs = {"SPEC": tmp_path / "spec.json", "NUMERIC": tmp_path / "d.csv"}
+    inputs["SPEC"].write_text(json.dumps(json.load(open(SUITE))["specs"][0]))
+    inputs["NUMERIC"].write_text("a,t\n" + "".join(f"{i},{2 * i}\n" for i in range(1, 11)))
+    argv = [str(inputs.get(a, a)) for a in argv]
+    if argv[0] in ("train", "search"):
+        argv += ["--out", str(tmp_path / "m.json")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: BadConfigError")
+    assert sorted(os.listdir(tmp_path)) == ["d.csv", "spec.json"]

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -34,15 +35,17 @@ def write(tmp_path, name, text):
 
 
 def test_scaler_maps_to_target_interval():
-    sc = Scaler(lo=1.0, hi=10.0)
-    out = sc.fit_transform(np.array([[0.0], [5.0], [10.0]]))
+    sc = Scaler()
+    X = np.array([[0.0], [5.0], [10.0]])
+    out = sc.fit(X).transform(X)
     # oracle: 1 + 9 * x/10 by hand -> 1, 5.5, 10
+    assert (sc.lo, sc.hi) == (1.0, 10.0)
     assert out.ravel() == pytest.approx([1.0, 5.5, 10.0])
 
 
 def test_scaler_constant_column_maps_to_lo():
-    sc = Scaler()
-    out = sc.fit_transform(np.array([[3.0, 1.0], [3.0, 2.0]]))
+    X = np.array([[3.0, 1.0], [3.0, 2.0]])
+    out = Scaler().fit(X).transform(X)
     assert out[:, 0] == pytest.approx([1.0, 1.0])
 
 
@@ -53,46 +56,50 @@ def test_scaler_clamps_unseen_data():
 
 
 def test_scaler_round_trip_serialization():
-    sc = Scaler(steps=["standardize"]).fit(np.array([[1.0, 2.0], [3.0, 8.0]]))
+    sc = Scaler().fit(np.array([[1.0, 2.0], [3.0, 8.0]]))
     sc2 = Scaler.from_dict(sc.to_dict())
     X = np.array([[2.0, 4.0], [0.5, 9.0]])
     assert np.allclose(sc.transform(X), sc2.transform(X))
 
 
-def test_scaler_log_step_applied_before_minmax():
-    sc = Scaler(steps=["log"]).fit(np.array([[1.0], [100.0]]))
-    mid = sc.transform(np.array([[10.0]]))  # geometric midpoint -> interval midpoint
-    assert mid[0, 0] == pytest.approx(5.5, abs=1e-4)
+def test_scaler_payload_with_empty_steps_round_trips():
+    # the six keys a fitted scaler has always written, steps included
+    payload = {"lo": 1.0, "hi": 10.0, "steps": [], "stepParams": [],
+               "mins": [4.3, 2.0], "maxs": [7.9, 4.4]}
+    assert Scaler.from_dict(payload).to_dict() == payload
 
 
 @pytest.mark.parametrize("edit", [
-    lambda d: d["stepParams"][0].update(mean=[0.0, 0.0, 0.0]),
-    lambda d: d["stepParams"][0].update(std=[1.0]),
+    lambda d: d.update(steps=["standardize"],
+                       stepParams=[{"mean": [0.0, 0.0], "std": [1.0, 1.0]}]),
+    lambda d: d.update(steps=["log"], stepParams=[{}]),
     lambda d: d.pop("stepParams"),
     lambda d: d["stepParams"].append({}),
-], ids=["long-mean", "short-std", "no-step-params", "extra-step-params"])
+], ids=["standardize-step", "log-step", "no-step-params", "extra-step-params"])
 def test_scaler_from_dict_checks_step_parameters(edit):
     X = np.array([[1.0, 5.0], [2.0, 7.0], [4.0, 6.0]])
-    payload = Scaler(steps=("standardize",)).fit(X).to_dict()
+    payload = Scaler().fit(X).to_dict()
     Scaler.from_dict(payload)  # the untouched payload loads
     edit(payload)
-    with pytest.raises(DataFormatError):
+    with pytest.raises(DataFormatError, match="empty steps"):
         Scaler.from_dict(payload)
 
 
 def test_scaler_rejects_bad_bounds():
-    with pytest.raises(DataFormatError):
-        Scaler(lo=5.0, hi=1.0)
-    with pytest.raises(DataFormatError):
-        Scaler(lo=0.0, hi=1.0)
-    with pytest.raises(DataFormatError):
-        Scaler(steps=["unknown"])
+    # a file may only hold the fixed range [1, 10] and finite feature bounds
+    edits = [{"lo": 5.0, "hi": 1.0}, {"lo": 0.0, "hi": 1.0}, {"hi": 20.0},
+             {"mins": [math.nan, 5.0]}, {"maxs": [2.0, math.inf]}]
+    for edit in edits:
+        payload = Scaler().fit(np.array([[1.0, 5.0], [2.0, 7.0]])).to_dict()
+        payload.update(edit)
+        with pytest.raises(DataFormatError):
+            Scaler.from_dict(payload)
 
 
 def test_scaler_output_strictly_positive():
     rng = np.random.default_rng(3)
     X = rng.normal(scale=100.0, size=(50, 4))
-    out = Scaler().fit_transform(X)
+    out = Scaler().fit(X).transform(X)
     assert np.all(out >= 1.0) and np.all(out <= 10.0)
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from signolearn import optim
 from signolearn.errors import NonFiniteGradientError, NonFiniteObjectiveError
 from signolearn.optim import (
     AdamState,
@@ -135,7 +136,7 @@ def test_lbfgs_solves_convex_quadratics_quickly():
         eigs = rng.uniform(0.5, 100.0, size=n)
         A = Q @ np.diag(eigs) @ Q.T
         b = rng.normal(size=n)
-        res = lbfgs_minimize(quadratic(A, b), rng.normal(size=n), max_iters=50)
+        res = lbfgs_minimize(quadratic(A, b), rng.normal(size=n))
         assert res.converged, f"trial {trial} did not converge"
         assert res.iterations <= 50
         assert np.max(np.abs(res.grad)) <= 1e-8
@@ -157,8 +158,9 @@ def test_lbfgs_rosenbrock():
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-4)
 
 
-def test_lbfgs_zero_budget_returns_initial_point():
-    res = lbfgs_minimize(quadratic(np.eye(2), np.ones(2)), np.zeros(2), max_iters=0)
+def test_lbfgs_zero_budget_returns_initial_point(monkeypatch):
+    monkeypatch.setattr(optim, "LBFGS_MAX_ITERS", 0)
+    res = lbfgs_minimize(quadratic(np.eye(2), np.ones(2)), np.zeros(2))
     assert np.array_equal(res.x, np.zeros(2))
     assert not res.converged
     assert res.iterations == 0
@@ -184,6 +186,6 @@ def test_lbfgs_line_search_failure_returns_best_seen():
         r = np.sqrt(np.sum(x**2)) + 1e-12
         return np.sqrt(r), x / (2 * np.sqrt(r) * r)
 
-    res = lbfgs_minimize(cusp, np.array([1.0, 1.0]), max_iters=200)
+    res = lbfgs_minimize(cusp, np.array([1.0, 1.0]))
     assert not res.converged
     assert res.loss <= np.sqrt(np.sqrt(2.0)) + 1e-12  # no worse than the start

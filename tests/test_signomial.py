@@ -93,6 +93,15 @@ def test_dict_round_trip():
     assert Signomial.from_dict(s.to_dict()) == s
 
 
+@pytest.mark.parametrize("alpha,beta", [
+    (math.nan, [1.0, -2.0]), (0.5, [1.0, math.inf]), (-math.inf, [1.0, -2.0]),
+], ids=["nan-alpha", "infinite-beta", "infinite-alpha"])
+def test_from_dict_rejects_non_finite_parameters(alpha, beta):
+    payload = {"m": 2, "terms": [{"alpha": alpha, "beta": beta}]}
+    with pytest.raises(DimensionMismatchError, match="finite"):
+        Signomial.from_dict(payload)
+
+
 # --- evaluation --------------------------------------------------------------
 
 
@@ -371,11 +380,15 @@ def test_equivalent_is_symmetric(s1, s2):
 
 
 def test_equivalent_within_tolerances():
+    # exponents may differ by 0.02, coefficients by 5% of the larger one
     a = canonicalize(Signomial([(1.0, (0.5,))]))
-    b = CanonicalForm(terms=(Term(1.02, (0.51,)),), m=1)
-    assert equivalent(a, b, exponent_tolerance=0.02, coef_relative_tolerance=0.05)
-    assert not equivalent(a, b, exponent_tolerance=0.005)
-    assert not equivalent(a, b, coef_relative_tolerance=0.01)
+
+    def form(alpha, beta):
+        return CanonicalForm(terms=(Term(alpha, (beta,)),), m=1)
+
+    assert equivalent(a, form(1.04, 0.515))
+    assert not equivalent(a, form(1.0, 0.53))
+    assert not equivalent(a, form(1.06, 0.5))
 
 
 def test_equivalent_needs_same_term_count():
