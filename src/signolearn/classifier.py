@@ -66,8 +66,7 @@ class ClassifyConfig:
             raise BadConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.patience < 1:
             raise BadConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.seed < 0:
-            raise BadConfigError(f"seed must be >= 0, got {self.seed}")
+        data_io.check_seed(self.seed)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise BadConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not math.isfinite(self.class_weight_multiplier):

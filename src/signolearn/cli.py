@@ -81,7 +81,7 @@ def _exit_code_for(exc: BaseException) -> int:
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'42..46' (inclusive), '42,43,44', or a single integer; seeds are >= 0."""
+    """'42..46' (inclusive), '42,43,44', or a single integer; seeds are in [0, 2**128)."""
     text = text.strip()
     try:
         if ".." in text:
@@ -89,14 +89,15 @@ def parse_seeds(text: str) -> list[int]:
             lo, hi = int(lo_s), int(hi_s)
             if hi < lo:
                 raise BadConfigError(f"empty seed range {text!r}")
-            seeds = list(range(lo, hi + 1))
+            ends = [lo, hi]
         else:
-            seeds = [int(p) for p in text.split(",")]
+            ends = [int(p) for p in text.split(",")]
     except ValueError:
         raise BadConfigError(f"cannot parse seeds {text!r}")
-    if min(seeds) < 0:
-        raise BadConfigError(f"seeds must be >= 0, got {text!r}")
-    return seeds
+    # a range is checked at its ends, before it is built
+    for seed in ends:
+        data_io.check_seed(seed, "seeds")
+    return list(range(lo, hi + 1)) if ".." in text else ends
 
 
 def _sibling(out: str, tag: str) -> str:
@@ -611,6 +612,9 @@ def _sample_trial(rng: np.random.Generator, space: dict) -> dict:
 def cmd_search(args) -> int:
     if args.trials < 1:
         raise BadConfigError(f"--trials must be >= 1, got {args.trials}")
+    # trial t fits with seed + t, so the last trial's seed must be valid too
+    data_io.check_seed(args.seed, "--seed")
+    data_io.check_seed(args.seed + args.trials - 1, "the last trial's seed")
     data = data_io.load_csv(args.data, args.target, task="classify")
     space = _load_space(args.space)
     spec = data_io.SplitSpec(args.test_fraction, args.val_fraction, args.seed)

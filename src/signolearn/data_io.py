@@ -28,6 +28,15 @@ from .errors import (
 
 MODEL_SCHEMA_VERSION = 1
 
+# numpy's Philox generator, which every fit is seeded with, takes keys below 2**128
+SEED_LIMIT = 2**128
+
+
+def check_seed(seed: int, what: str = "seed") -> None:
+    """Raise BadConfigError unless 0 <= seed < SEED_LIMIT."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise BadConfigError(f"{what} must be in [0, 2**128), got {seed}")
+
 
 @dataclass
 class Dataset:
@@ -165,8 +174,7 @@ def split(
         raise BadConfigError(f"test fraction must be in (0, 1), got {spec.test_fraction}")
     if not 0 <= spec.val_fraction < 1:
         raise BadConfigError(f"validation fraction must be in [0, 1), got {spec.val_fraction}")
-    if spec.seed < 0:
-        raise BadConfigError(f"split seed must be >= 0, got {spec.seed}")
+    check_seed(spec.seed, "split seed")
     rng = np.random.default_rng(spec.seed)
     if data.class_names is None:
         pools = {0: np.arange(data.n)}

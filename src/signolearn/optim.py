@@ -1,19 +1,23 @@
-"""First-order and quasi-Newton optimizers used by the trainers.
+"""Optimizers used by the trainers.
 
 Everything here is deterministic given its inputs: Adam with global-norm
-gradient clipping, an L1 proximal step applied to exponent slots only, a
-two-loop-recursion L-BFGS with a strong-Wolfe line search, and an
-early-stopping monitor that snapshots the best parameters seen.
+gradient clipping, an L1 proximal step applied to exponent slots only, an
+early-stopping monitor that snapshots the best parameters seen, and a
+Levenberg-Marquardt least-squares solver with Marquardt's diagonal damping,
+which polishes signomial regression fits. The package no longer calls its
+two-loop-recursion L-BFGS with a strong-Wolfe line search; it stays while the
+benchmark's tracer (`perfbench/tracer.py`) still looks it up by name.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteGradientError, NonFiniteObjectiveError
+from .errors import NonFiniteGradientError, NonFiniteObjectiveError, OverflowLimitError
 
 
 # --- Adam --------------------------------------------------------------------
@@ -277,3 +281,90 @@ def lbfgs_minimize(fun: Objective, x0: np.ndarray) -> LbfgsResult:
         x=best.x, loss=best.f, grad=best.g,
         iterations=iterations, converged=False, n_evals=evals,
     )
+
+
+# --- Levenberg-Marquardt -------------------------------------------------------
+
+
+@dataclass
+class LmResult:
+    x: np.ndarray
+    sse: float  # sum of squared residuals at x
+    iterations: int
+    converged: bool  # False when the budget ran out or no damped step improved
+
+
+Residuals = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+# Marquardt's damping weight: its start, the factor it moves by after each
+# trial, and the weight past which no step counts as improving; the relative
+# decrease and relative step length that count as converged; the iteration
+# budget
+LM_MU_INIT = 1e-3
+LM_MU_FACTOR = 10.0
+LM_MU_MAX = 1e16
+LM_FTOL = 1e-14
+LM_XTOL = 1e-12
+LM_MAX_ITERS = 200
+
+
+def _lm_point(fun: Residuals, x: np.ndarray):
+    """(residuals, Jacobian, sum of squares) at x, or None if x is unusable.
+
+    A point where fun raises OverflowLimitError or returns anything
+    non-finite is unusable, so arithmetic warnings on the way are expected.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            r, jac = fun(x)
+        except OverflowLimitError:
+            return None
+        sse = float(r @ r)
+    if not (math.isfinite(sse) and np.isfinite(jac).all()):
+        return None
+    return r, jac, sse
+
+
+def levenberg_marquardt(fun: Residuals, x0: np.ndarray) -> LmResult:
+    """Minimize the sum of squares of fun(x)[0] from x0; fun(x) = (r (N,), J (N, P)).
+
+    Each iteration solves (J'J + mu diag(J'J)) step = -J'r, dividing mu by
+    LM_MU_FACTOR when the trial lowers the sum of squares and multiplying it
+    otherwise; a trial that overflows or turns non-finite is a rejected step.
+    Stops on a relative decrease below LM_FTOL or a relative step below
+    LM_XTOL (converged), or when mu passes LM_MU_MAX without an improving
+    step or LM_MAX_ITERS iterations are spent. Raises NonFiniteObjectiveError
+    if x0 itself is unusable.
+    """
+    x = np.array(x0, dtype=float, copy=True)
+    at = _lm_point(fun, x)
+    if at is None:
+        raise NonFiniteObjectiveError("residuals are non-finite at the initial point")
+    r, jac, sse = at
+    mu = LM_MU_INIT
+    for iterations in range(LM_MAX_ITERS):
+        grad = jac.T @ r
+        if not grad.any():
+            return LmResult(x, sse, iterations, converged=True)
+        jtj = jac.T @ jac
+        # a parameter the residuals ignore gets unit scale, as in MINPACK
+        scale = np.diag(jtj).copy()
+        scale[scale == 0.0] = 1.0
+        x_norm = np.linalg.norm(x)
+        while True:
+            step = np.linalg.solve(jtj + np.diag(mu * scale), -grad)
+            if np.linalg.norm(step) <= LM_XTOL * (x_norm + LM_XTOL):
+                return LmResult(x, sse, iterations + 1, converged=True)
+            trial = _lm_point(fun, x + step)
+            if trial is not None and trial[2] < sse:
+                break
+            mu *= LM_MU_FACTOR
+            if mu > LM_MU_MAX:
+                return LmResult(x, sse, iterations + 1, converged=False)
+        mu /= LM_MU_FACTOR
+        decrease = sse - trial[2]
+        x = x + step
+        r, jac, sse = trial
+        if decrease <= LM_FTOL * (sse + decrease):
+            return LmResult(x, sse, iterations + 1, converged=True)
+    return LmResult(x, sse, LM_MAX_ITERS, converged=False)

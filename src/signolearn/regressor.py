@@ -1,10 +1,12 @@
 """Symbolic regression with a single signomial.
 
 Fits z(x) = sum_k alpha_k * prod_j x_j^beta_kj to real targets by mean squared
-error plus an L1 penalty on the exponents. Single-term fits run multi-start
-L-BFGS directly; multi-term fits run a staged pipeline: several short Adam
-runs under strong L1 to discover structure, refinement of the leaders under
-weak L1, then pruning, exponent freezing, and an unpenalized L-BFGS polish.
+error plus an L1 penalty on the exponents. Single-term fits polish each of
+several random starts, with the coefficient on the sign of the targets' mean,
+by Levenberg-Marquardt; multi-term fits run a staged pipeline: several short
+Adam runs under strong L1 to discover structure, refinement of the leaders
+under weak L1, then pruning, exponent freezing, and an unpenalized
+Levenberg-Marquardt polish of the survivors' residuals.
 The restarts of each Adam stage run as one stacked loop over a leading
 restart axis (the kernel's C axis); a restart that diverges leaves it.
 Recovered expressions are snapped to canonical form and compared against the
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_io import Dataset, save_model
+from .data_io import Dataset, check_seed, save_model
 from .errors import (
     AllRestartsFailedError,
     BadConfigError,
@@ -30,7 +32,7 @@ from .errors import (
     OverflowLimitError,
     SignolearnError,
 )
-from .optim import AdamState, adam_step, lbfgs_minimize, prox_l1
+from .optim import AdamState, adam_step, levenberg_marquardt, prox_l1
 from .signomial import (
     DEFAULT_COEF_PRUNE_THRESHOLD,
     DEFAULT_EXPONENT_ZERO_THRESHOLD,
@@ -41,6 +43,8 @@ from .signomial import (
     equivalent,
     evaluate_batch,
     forward,
+    jacobian,
+    log_coefficients,
     log_inputs,
 )
 
@@ -75,8 +79,8 @@ class SrConfig:
             raise BadConfigError(f"restarts must be >= 1, got {self.restarts}")
         if not self.seed_list:
             raise BadConfigError("seed_list must be non-empty")
-        if min(self.seed_list) < 0:
-            raise BadConfigError(f"seeds must be >= 0, got {list(self.seed_list)}")
+        for seed in self.seed_list:
+            check_seed(seed)
         if self.adam_epochs_per_stage < 1:
             raise BadConfigError("adam_epochs_per_stage must be >= 1")
         # written so that NaN fails them too
@@ -283,14 +287,13 @@ def _sr_smooth(alphas, betas, log_x, y):
     Takes alphas (C, K) and betas (C, K, m); returns the losses (C,),
     dL/dalpha (C, K) and dL/dbeta (C, K, m). A signomial with an overflowing
     term gets an infinite loss and an undefined (NaN) gradient, so Adam drops
-    that restart as diverged and the L-BFGS line search rejects the probe.
+    that restart as diverged.
     """
     n = log_x.shape[0]
-    # terms below the limit can still square or sum past float range far out
-    # along a line search, which is also an infinite loss. The coefficient
-    # logs (ln 0 = -inf for a zero alpha) are taken here, not by
-    # log_coefficients, so each call enters one errstate: a second one made
-    # this, the K=1 polish objective, about 4% slower
+    # terms below the limit can still square or sum past float range, which
+    # is also an infinite loss. The coefficient logs (ln 0 = -inf for a zero
+    # alpha) are taken here, not by log_coefficients, so each call enters one
+    # errstate
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sign, log_abs = np.sign(alphas), np.log(np.abs(alphas))
         try:
@@ -371,25 +374,32 @@ def _adam_stage(alphas, betas, log_x, y, lam, epochs, lr):
 
 
 def _polish(alphas, betas, log_x, y):
-    """L-BFGS on the surviving parameters with zeroed exponents frozen."""
-    free = betas != 0.0
-    k = len(alphas)
-    layout_free = np.flatnonzero(free.ravel())
+    """Levenberg-Marquardt on the surviving parameters with zeroed exponents frozen.
+
+    Returns the polished alphas and betas and their MSE. The residuals and
+    their Jacobian come from one kernel call per point; a point where a term
+    overflows is a rejected step, and a start where one does raises
+    NonFiniteObjectiveError.
+    """
+    k, n = len(alphas), len(y)
+    free = np.flatnonzero(betas.ravel() != 0.0)
 
     def unpack(theta):
         b = np.zeros(betas.size)
-        b[layout_free] = theta[k:]
+        b[free] = theta[k:]
         return theta[:k], b.reshape(betas.shape)
 
-    def obj(theta):
+    def residuals(theta):
         a, b = unpack(theta)
-        loss, d_alpha, d_beta = _sr_smooth(a[None], b[None], log_x, y)
-        return loss[0], np.concatenate([d_alpha[0], d_beta.ravel()[layout_free]])
+        sign, log_abs = log_coefficients(a)
+        mono_log, per_term = forward(sign[None], log_abs[None], b[None], log_x)
+        d_alpha, d_beta = jacobian(mono_log, per_term, log_x)
+        jac = np.concatenate([d_alpha[:, 0], d_beta[:, 0].reshape(n, -1)[:, free]], axis=1)
+        return per_term[:, 0].sum(axis=1) - y, jac
 
-    theta0 = np.concatenate([alphas, betas.ravel()[layout_free]])
-    res = lbfgs_minimize(obj, theta0)
+    res = levenberg_marquardt(residuals, np.concatenate([alphas, betas.ravel()[free]]))
     a, b = unpack(res.x)
-    return a, b, res.loss
+    return a, b, res.sse / n
 
 
 def _prune_freeze_polish(alphas, betas, log_x, y):
@@ -420,15 +430,16 @@ def _prune_freeze_polish(alphas, betas, log_x, y):
 def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
     """Fit one signomial to (X, y) with the staged multi-start strategy.
 
-    K=1 runs multi-start L-BFGS on the raw MSE and keeps the lowest loss;
-    K>1 runs short strongly-penalized Adam on all restarts in one stacked
-    loop, refines the top three in a second one under a weaker penalty, then
-    prunes, freezes and polishes. Candidates are always ranked by (loss,
-    restart index), so ties break deterministically.
+    K=1 polishes every random start by Levenberg-Marquardt on the raw
+    residuals, after giving its coefficient the sign of the targets' mean,
+    and keeps the lowest loss; K>1 runs short strongly-penalized Adam on all
+    restarts in one stacked loop, refines the top three in a second one under
+    a weaker penalty, then prunes, freezes and polishes by
+    Levenberg-Marquardt. Candidates are always ranked by (loss, restart
+    index), so ties break deterministically.
     """
     cfg.validate()
-    if seed < 0:
-        raise BadConfigError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     X, y = _checked_inputs(X, y)
     k, m = cfg.num_terms, X.shape[1]
     log_x = log_inputs(X)
@@ -444,10 +455,13 @@ def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
     pool: list[tuple[float, int, np.ndarray, np.ndarray]] = []
 
     if k == 1:
-        # random inits have no zero exponent, so the polish frees every parameter
+        # a one-term signomial has the sign of its alpha everywhere, and its
+        # exponent gradients vanish where alpha crosses zero, so a start of
+        # the wrong sign is stuck; each start takes the sign of the targets'
+        # mean. Random inits have no zero exponent, so every parameter is free
         for r, (a0, b0) in enumerate(inits):
             try:
-                a, b, loss = _polish(a0, b0, log_x, y)
+                a, b, loss = _polish(np.copysign(a0, y.mean()), b0, log_x, y)
             except SignolearnError:
                 stats.stage_a_losses.append(math.inf)
                 continue

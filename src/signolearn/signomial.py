@@ -11,9 +11,9 @@ log-magnitude exceeds LOG_MAGNITUDE_LIMIT raises OverflowLimitError instead of
 silently producing inf.
 
 One kernel does this for the whole package: `log_inputs` checks and logs the
-inputs, `forward` evaluates C stacked signomials at once, and `backward` gives
-their parameter gradient. `evaluate`, the classifier and the regressor are
-thin heads over it.
+inputs, `forward` evaluates C stacked signomials at once, `backward` gives
+their parameter gradient and `jacobian` the derivatives of every output.
+`evaluate`, the classifier and the regressor are thin heads over it.
 """
 
 from __future__ import annotations
@@ -273,6 +273,17 @@ def backward(dz, mono_log, per_term, log_x) -> tuple[np.ndarray, np.ndarray]:
     weighted = dz * per_term.transpose(1, 2, 0)  # (C, K, N)
     d_beta = (weighted.reshape(c * k, n) @ log_x).reshape(c, k, -1)
     return d_alpha, d_beta
+
+
+def jacobian(mono_log, per_term, log_x) -> tuple[np.ndarray, np.ndarray]:
+    """dz/dparameters of the stacked kernel at every row, before any contraction.
+
+    Returns dz/dalpha (N, C, K), the bare monomials guarded against overflow
+    as in `backward`, and dz/dbeta (N, C, K, m) = per_term * ln x. Contracting
+    both with dL/dz over the rows gives `backward`'s gradient.
+    """
+    _check_log_magnitude(mono_log.transpose(1, 2, 0), "monomial")
+    return np.exp(mono_log), per_term[..., None] * log_x[:, None, None, :]
 
 
 def evaluate(s: Signomial, x) -> ScoreBreakdown:

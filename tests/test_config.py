@@ -108,6 +108,22 @@ def test_negative_seeds_are_config_errors():
         regressor.fit_sr(X, 2.0 * X[:, 0], SrConfig(), seed=-1)
 
 
+def test_seeds_of_2_to_the_128_or_more_are_config_errors():
+    # numpy's Philox takes keys below 2**128; the largest one still works
+    ClassifyConfig(seed=2**128 - 1).validate()
+    SrConfig(seed_list=(2**128 - 1,)).validate()
+    with pytest.raises(BadConfigError):
+        ClassifyConfig(seed=2**128).validate()
+    with pytest.raises(BadConfigError):
+        SrConfig(seed_list=(42, 2**128)).validate()
+    data = data_io.load_csv(IRIS, "species")
+    with pytest.raises(BadConfigError):
+        data_io.split(data, data_io.SplitSpec(seed=2**128))
+    X = np.array([[1.0], [2.0], [3.0]])
+    with pytest.raises(BadConfigError):
+        regressor.fit_sr(X, 2.0 * X[:, 0], SrConfig(), seed=2**128)
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--data", IRIS, "--target", "species", "--seed", "-1"],
     ["train", "--data", "NUMERIC", "--target", "t", "--task", "regress", "--seed", "-1"],
@@ -116,6 +132,22 @@ def test_negative_seeds_are_config_errors():
     ["benchmark", "--suite", SUITE, "--seeds", "-1"],
 ], ids=["train", "train-regress", "search", "recover", "benchmark"])
 def test_negative_seed_flags_exit_2(tmp_path, capsys, argv):
+    assert_seed_flags_exit_2(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", IRIS, "--target", "species", "--seed", str(2**128)],
+    ["train", "--data", "NUMERIC", "--target", "t", "--task", "regress", "--seed", str(2**128)],
+    # the second trial would fit with seed 2**128
+    ["search", "--data", IRIS, "--target", "species", "--trials", "2", "--seed", str(2**128 - 1)],
+    ["recover", "--spec", "SPEC", "--seeds", f"0..{2**128}"],
+    ["benchmark", "--suite", SUITE, "--seeds", f"42,{2**130}"],
+], ids=["train", "train-regress", "search", "recover", "benchmark"])
+def test_seed_flags_of_2_to_the_128_or_more_exit_2(tmp_path, capsys, argv):
+    assert_seed_flags_exit_2(tmp_path, capsys, argv)
+
+
+def assert_seed_flags_exit_2(tmp_path, capsys, argv):
     inputs = {"SPEC": tmp_path / "spec.json", "NUMERIC": tmp_path / "d.csv"}
     inputs["SPEC"].write_text(json.dumps(json.load(open(SUITE))["specs"][0]))
     inputs["NUMERIC"].write_text("a,t\n" + "".join(f"{i},{2 * i}\n" for i in range(1, 11)))

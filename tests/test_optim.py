@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from signolearn import optim
-from signolearn.errors import NonFiniteGradientError, NonFiniteObjectiveError
+from signolearn.errors import NonFiniteGradientError, NonFiniteObjectiveError, OverflowLimitError
 from signolearn.optim import (
     AdamState,
     EarlyStopMonitor,
     adam_step,
     clip_gradient,
     lbfgs_minimize,
+    levenberg_marquardt,
     prox_l1,
 )
 
@@ -189,3 +190,74 @@ def test_lbfgs_line_search_failure_returns_best_seen():
     res = lbfgs_minimize(cusp, np.array([1.0, 1.0]))
     assert not res.converged
     assert res.loss <= np.sqrt(np.sqrt(2.0)) + 1e-12  # no worse than the start
+
+
+# --- Levenberg-Marquardt -----------------------------------------------------
+
+
+def test_lm_solves_linear_least_squares_in_three_iterations(monkeypatch):
+    # each damped step shrinks the error by about mu, which falls 1e-3, 1e-4, 1e-5
+    monkeypatch.setattr(optim, "LM_MAX_ITERS", 3)
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(30, 4))
+    b = rng.normal(size=30)
+    res = levenberg_marquardt(lambda x: (A @ x - b, A), np.zeros(4))
+    want, *_ = np.linalg.lstsq(A, b, rcond=None)
+    assert res.iterations <= 3
+    np.testing.assert_allclose(res.x, want, rtol=0, atol=1e-10)
+    assert res.sse == pytest.approx(float(np.sum((A @ want - b) ** 2)), rel=1e-12)
+
+
+def test_lm_rosenbrock_residuals():
+    def rosen(x):
+        r = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+        jac = np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+        return r, jac
+
+    res = levenberg_marquardt(rosen, np.array([-1.2, 1.0]))
+    assert res.converged
+    assert res.sse < 1e-20
+    np.testing.assert_allclose(res.x, [1.0, 1.0], rtol=0, atol=1e-10)
+
+
+def test_lm_zero_budget_returns_initial_point(monkeypatch):
+    monkeypatch.setattr(optim, "LM_MAX_ITERS", 0)
+    x0 = np.array([3.0, -1.0])
+    res = levenberg_marquardt(lambda x: (x - 1.0, np.eye(2)), x0)
+    assert np.array_equal(res.x, x0)
+    assert res.sse == 8.0
+    assert res.iterations == 0
+    assert not res.converged
+
+
+def test_lm_non_finite_start_rejected():
+    with pytest.raises(NonFiniteObjectiveError):
+        levenberg_marquardt(lambda x: (np.array([np.nan]), np.ones((1, 1))), np.zeros(1))
+
+    def overflows(x):
+        raise OverflowLimitError("term log-magnitude too large")
+
+    with pytest.raises(NonFiniteObjectiveError):
+        levenberg_marquardt(overflows, np.zeros(1))
+
+
+def test_lm_overflowing_trial_is_a_rejected_step():
+    # every point but the start overflows: each trial is rejected and mu
+    # climbs until the step is negligible; the start comes back untouched
+    x0 = np.array([0.5, 2.0])
+    trials = []
+
+    def fun(x):
+        if not np.array_equal(x, x0):
+            trials.append(x.copy())
+            raise OverflowLimitError("term log-magnitude too large")
+        return x - 1.0, np.eye(2)
+
+    res = levenberg_marquardt(fun, x0)
+    assert np.array_equal(res.x, x0)
+    assert res.sse == 1.25
+    assert res.iterations == 1
+    # every trial started from x0, with a step that shrinks as mu grows
+    steps = np.linalg.norm(np.array(trials) - x0, axis=1)
+    assert len(trials) > 10
+    assert np.all(np.diff(steps) < 0)

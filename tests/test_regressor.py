@@ -306,10 +306,39 @@ def test_k1_restarts_let_programming_errors_through(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug in the optimizer")
 
-    monkeypatch.setattr(regressor, "lbfgs_minimize", broken)
+    monkeypatch.setattr(regressor, "levenberg_marquardt", broken)
     X = np.random.default_rng(0).uniform(1.0, 2.0, size=(20, 1))
     with pytest.raises(TypeError):
         fit_sr(X, X[:, 0], SrConfig(num_terms=1), seed=0)
+
+
+def test_k1_starts_take_the_sign_of_the_targets_mean(monkeypatch):
+    # a one-term signomial cannot change sign without passing alpha = 0,
+    # where its exponent gradients vanish, so no start may have the wrong sign
+    starts = []
+    real = regressor._polish
+
+    def recording(alphas, betas, log_x, y):
+        starts.append((alphas.copy(), float(y.mean())))
+        return real(alphas, betas, log_x, y)
+
+    monkeypatch.setattr(regressor, "_polish", recording)
+    X = np.random.default_rng(0).uniform(1.0, 3.0, size=(40, 2))
+    for sign in (1.0, -1.0):
+        for seed in range(3):
+            fit_sr(X, sign * 2.0 * X[:, 0] * X[:, 1], SrConfig(num_terms=1), seed=seed)
+    assert len(starts) >= 24
+    for alphas, mean in starts:
+        assert np.sign(alphas[0]) == np.sign(mean)
+
+
+@pytest.mark.parametrize("name, seed", [("I.14.3", 179), ("I.14.4", 90)])
+def test_recovery_from_wrong_sign_random_starts(name, seed):
+    # every random start at these seeds has alpha of the wrong sign
+    entry = next(e for e in json.load(open(SUITE))["specs"] if e["name"] == name)
+    res = evaluate_recovery(TargetSpec.from_dict(entry), SrConfig(num_terms=1, seed_list=(seed,)))
+    assert res.seeds[0].recovered
+    assert res.seeds[0].r2 > 0.9999
 
 
 def test_monomial_recovery_across_random_seeds():
