@@ -231,8 +231,6 @@ def _train_regressor(args, data: data_io.Dataset) -> tuple[dict, dict, list, lis
         learning_rate=args.lr,
         adam_epochs_per_stage=args.epochs,
     ))
-    # refinement never penalizes harder than the structure stage
-    cfg.lambda_refine = min(cfg.lambda_refine, cfg.lambda_struct)
     t0 = time.perf_counter()
     fitted, stats = fit_sr(train.X, train.y, cfg, seed=args.seed)
     elapsed = time.perf_counter() - t0
@@ -251,7 +249,6 @@ def _train_regressor(args, data: data_io.Dataset) -> tuple[dict, dict, list, lis
         "testFraction": args.test_fraction,
         "k": cfg.num_terms,
         "l1": cfg.lambda_struct,
-        "lambdaRefine": cfg.lambda_refine,
         "lr": cfg.learning_rate,
         "epochs": cfg.adam_epochs_per_stage,
         "restarts": cfg.resolved_restarts(),
@@ -269,7 +266,6 @@ def _train_regressor(args, data: data_io.Dataset) -> tuple[dict, dict, list, lis
     }
     trace_rows = (
         [("stage-a", i, v) for i, v in enumerate(stats.stage_a_losses)]
-        + [("refine", i, v) for i, v in enumerate(stats.refined_losses)]
         + [("polish", i, v) for i, v in enumerate(stats.candidate_mses)]
     )
     printed = [f"y = {equations['plain']}", f"test mse: {test_metrics['mse']:.6g}"]

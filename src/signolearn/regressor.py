@@ -4,9 +4,9 @@ Fits z(x) = sum_k alpha_k * prod_j x_j^beta_kj to real targets by mean squared
 error plus an L1 penalty on the exponents. Single-term fits polish each of
 several random starts, with the coefficient on the sign of the targets' mean,
 by Levenberg-Marquardt; multi-term fits run a staged pipeline: several short
-Adam runs under strong L1 to discover structure, refinement of the leaders
-under weak L1, then pruning, exponent freezing, and an unpenalized
-Levenberg-Marquardt polish of the survivors' residuals.
+Adam runs under strong L1 to select structure, a further half-length run of
+every restart under weak L1 to estimate it, then pruning, exponent freezing,
+and an unpenalized Levenberg-Marquardt polish of the leaders' residuals.
 The restarts of each Adam stage run as one stacked loop over a leading
 restart axis (the kernel's C axis); a restart that diverges leaves it.
 Recovered expressions are snapped to canonical form and compared against the
@@ -52,6 +52,12 @@ from .signomial import (
 # domain crosses zero and only its positive part is usable
 POSITIVE_PART_FLOOR = 1e-3
 
+# a multi-term fit selects structure under lambda_struct, then runs half as
+# many epochs again under this weaker L1 (never above lambda_struct) before
+# the best POLISHED restarts are polished
+REFINE_L1 = 1e-3
+POLISHED = 4
+
 
 @dataclass
 class SrConfig:
@@ -59,7 +65,6 @@ class SrConfig:
 
     num_terms: int = 1
     lambda_struct: float = 1e-2
-    lambda_refine: float = 1e-3
     restarts: int | None = None
     adam_epochs_per_stage: int = 500
     learning_rate: float = 0.05
@@ -69,12 +74,8 @@ class SrConfig:
     def validate(self) -> None:
         if self.num_terms < 1:
             raise BadConfigError(f"num_terms must be >= 1, got {self.num_terms}")
-        if not (math.isfinite(self.lambda_struct)
-                and self.lambda_struct >= self.lambda_refine >= 0):
-            raise BadConfigError(
-                "need lambda_struct >= lambda_refine >= 0, got "
-                f"{self.lambda_struct} and {self.lambda_refine}"
-            )
+        if not (math.isfinite(self.lambda_struct) and self.lambda_struct >= 0):
+            raise BadConfigError(f"lambda_struct must be finite and >= 0, got {self.lambda_struct}")
         if self.restarts is not None and self.restarts < 1:
             raise BadConfigError(f"restarts must be >= 1, got {self.restarts}")
         if not self.seed_list:
@@ -164,7 +165,6 @@ class FitStats:
     num_terms: int
     restarts: int
     stage_a_losses: list[float] = field(default_factory=list)
-    refined_losses: list[float] = field(default_factory=list)
     candidate_mses: list[float] = field(default_factory=list)
     final_mse: float = math.inf
     stage_a_best_mse: float = math.inf
@@ -177,7 +177,6 @@ class FitStats:
             "K": self.num_terms,
             "restarts": self.restarts,
             "stageALosses": self.stage_a_losses,
-            "refinedLosses": self.refined_losses,
             "candidateMses": self.candidate_mses,
             "finalMse": self.final_mse,
             "stageABestMse": self.stage_a_best_mse,
@@ -432,11 +431,12 @@ def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
 
     K=1 polishes every random start by Levenberg-Marquardt on the raw
     residuals, after giving its coefficient the sign of the targets' mean,
-    and keeps the lowest loss; K>1 runs short strongly-penalized Adam on all
-    restarts in one stacked loop, refines the top three in a second one under
-    a weaker penalty, then prunes, freezes and polishes by
-    Levenberg-Marquardt. Candidates are always ranked by (loss, restart
-    index), so ties break deterministically.
+    and keeps the lowest loss. K>1 runs Adam on all restarts in one stacked
+    loop under lambda_struct, continues every surviving restart for half as
+    many epochs under L1 min(REFINE_L1, lambda_struct), then prunes, freezes
+    and polishes the best POLISHED of them by Levenberg-Marquardt. Candidates
+    are always ranked by (loss, restart index), so ties break
+    deterministically.
     """
     cfg.validate()
     check_seed(seed)
@@ -478,31 +478,25 @@ def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
         # the final polish happens on raw targets with the penalty off
         scale = float(np.std(y)) or 1.0
         y_scaled = y / scale
+        epochs, lr = cfg.adam_epochs_per_stage, cfg.learning_rate
         losses, alphas, betas = _adam_stage(
             np.array([a for a, _ in inits]), np.array([b for _, b in inits]),
-            log_x, y_scaled, cfg.lambda_struct, cfg.adam_epochs_per_stage,
-            cfg.learning_rate,
+            log_x, y_scaled, cfg.lambda_struct, epochs, lr,
         )
+        # the strong penalty selects each restart's structure; every restart
+        # that survived it goes on under the weak one to settle its values
+        live = np.flatnonzero(np.isfinite(losses))
+        if len(live):
+            losses[live], alphas[live], betas[live] = _adam_stage(
+                alphas[live], betas[live], log_x, y_scaled,
+                min(REFINE_L1, cfg.lambda_struct), epochs // 2, lr,
+            )
         stats.stage_a_losses = losses.tolist()
         ranked = sorted((loss, r) for r, loss in enumerate(stats.stage_a_losses)
                         if math.isfinite(loss))
         if not ranked:
             raise AllRestartsFailedError(f"all {restarts} restarts diverged (seed {seed})")
-        top = [r for _, r in ranked[:3]]
-
-        refined, alphas2, betas2 = _adam_stage(
-            alphas[top], betas[top], log_x, y_scaled, cfg.lambda_refine,
-            cfg.adam_epochs_per_stage, cfg.learning_rate,
-        )
-        stats.refined_losses = refined.tolist()
-        for rank, loss in enumerate(stats.refined_losses):
-            if math.isfinite(loss):
-                pool.append((loss, rank, alphas2[rank] * scale, betas2[rank]))
-        # the best stage-A candidate joins the pool unrefined, which both
-        # rescues the fit when refinement diverges and pins the guarantee
-        # that the final answer is at least as good as stage A polished
-        best_loss, best = ranked[0]
-        pool.append((best_loss, len(pool), alphas[best] * scale, betas[best]))
+        pool = [(loss, r, alphas[r] * scale, betas[r]) for loss, r in ranked[:POLISHED]]
 
     finals = []
     for order, (_, _, a, b) in enumerate(pool):
@@ -512,7 +506,7 @@ def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
     finals.sort(key=lambda c: (c[0], c[1]))
     mse, _, a_fin, b_fin, pruned, zeroed = finals[0]
     stats.final_mse = mse
-    stats.stage_a_best_mse = stats.candidate_mses[-1] if k > 1 else mse
+    stats.stage_a_best_mse = stats.candidate_mses[0] if k > 1 else mse
     stats.pruned_terms = pruned
     stats.zeroed_exponents = zeroed
     return Signomial.from_arrays(a_fin, b_fin), stats

@@ -193,6 +193,17 @@ def test_non_finite_hyperparameter_is_a_usage_error(tmp_path, capsys, argv):
     assert err.startswith("error: BadConfigError") and f"got {argv[-1]}" in err
 
 
+@pytest.mark.parametrize("l1", ["-1", "nan"])
+def test_bad_regression_l1_names_only_lambda_struct(tmp_path, capsys, l1):
+    numeric = tmp_path / "numeric.csv"
+    numeric.write_text("u,t\n1,2\n2,3\n3,5\n4,4\n5,7\n")
+    assert cli.main(["train", "--data", str(numeric), "--target", "t", "--task", "regress",
+                     "--l1", l1, "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: BadConfigError: lambda_struct must be finite and >= 0, "
+                   f"got {float(l1)}\n")
+
+
 @pytest.mark.parametrize("patience", ["0", "-3"])
 def test_patience_below_one_is_a_usage_error(tmp_path, capsys, patience):
     assert cli.main(["train", "--data", IRIS, "--target", "species", "--patience", patience,

@@ -50,7 +50,6 @@ CLASSIFY_KEYS = {
 SR_KEYS = {  # (command, key): `train --task regress` or `recover`
     "num_terms": ("train", "k"),
     "lambda_struct": ("train", "l1"),
-    "lambda_refine": ("train", "lambdaRefine"),
     "restarts": ("train", "restarts"),
     "adam_epochs_per_stage": ("train", "epochs"),
     "learning_rate": ("train", "lr"),

@@ -15,7 +15,7 @@ from signolearn.errors import (
     NonPositiveInputError,
     OverflowLimitError,
 )
-from signolearn import data_io, regressor
+from signolearn import cli, data_io, regressor
 from signolearn.regressor import (
     RegressorModel,
     SrConfig,
@@ -126,7 +126,7 @@ def test_config_validation():
     with pytest.raises(BadConfigError):
         SrConfig(num_terms=0).validate()
     with pytest.raises(BadConfigError):
-        SrConfig(lambda_struct=1e-4, lambda_refine=1e-3).validate()
+        SrConfig(lambda_struct=-1e-3).validate()
     with pytest.raises(BadConfigError):
         SrConfig(restarts=0).validate()
     with pytest.raises(BadConfigError):
@@ -203,16 +203,95 @@ def test_fit_multi_term_never_worse_than_stage_a():
         assert stats.final_mse <= stats.stage_a_best_mse + 1e-12
 
 
-def test_fit_recovers_two_term_expression():
-    spec = TargetSpec(
+def two_term_spec():
+    return TargetSpec(
         name="two-term",
         truth=Signomial([Term(3.0, (2.0, 0.0)), Term(5.0, (0.0, -1.0))]),
         ranges=((1.0, 5.0), (1.0, 5.0)),
         samples=(200, 1000),
         num_terms=2,
     )
-    res = evaluate_recovery(spec, SrConfig(num_terms=2))
+
+
+def test_fit_recovers_two_term_expression():
+    res = evaluate_recovery(two_term_spec(), SrConfig(num_terms=2))
     assert res.recovery_rate == 1.0
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_two_term_recovery_at_seed(seed):
+    res = evaluate_recovery(two_term_spec(), SrConfig(num_terms=2, seed_list=(seed,)))
+    assert res.recovery_rate == 1.0
+
+
+def test_structure_penalty_below_the_weak_one_fits(monkeypatch):
+    # the weak step's L1 is capped at lambda_struct, so any finite
+    # lambda_struct >= 0 is a valid config
+    penalties = []
+    real = regressor._adam_stage
+
+    def recording(alphas, betas, log_x, y, lam, epochs, lr):
+        penalties.append(lam)
+        return real(alphas, betas, log_x, y, lam, epochs, lr)
+
+    monkeypatch.setattr(regressor, "_adam_stage", recording)
+    cfg = SrConfig(num_terms=2, lambda_struct=1e-4)
+    cfg.validate()
+    data = generate_benchmark_data(two_term_spec(), 200, 0.01, 0)
+    s, stats = fit_sr(data.X, data.y, cfg, seed=0)
+    assert penalties == [1e-4, 1e-4]
+    assert math.isfinite(stats.final_mse) and s.num_terms >= 1
+
+
+def diverge_in_the_weak_step(monkeypatch, rows):
+    """Make the given rows of every second _adam_stage call diverge; returns
+    the number of restarts each call received."""
+    sizes = []
+    real = regressor._adam_stage
+
+    def stage(alphas, betas, log_x, y, lam, epochs, lr):
+        sizes.append(len(alphas))
+        losses, a, b = real(alphas, betas, log_x, y, lam, epochs, lr)
+        if len(sizes) % 2 == 0:
+            losses[rows], a[rows], b[rows] = math.inf, math.nan, math.nan
+        return losses, a, b
+
+    monkeypatch.setattr(regressor, "_adam_stage", stage)
+    return sizes
+
+
+def test_a_restart_diverging_in_the_weak_step_leaves_the_ranking(monkeypatch):
+    # three survivors: fewer than POLISHED, so only they are polished
+    sizes = diverge_in_the_weak_step(monkeypatch, [0, 2, 3, 5, 6])
+    polished = []
+    real = regressor._prune_freeze_polish
+
+    def recording(alphas, betas, log_x, y):
+        polished.append((alphas, betas))
+        return real(alphas, betas, log_x, y)
+
+    monkeypatch.setattr(regressor, "_prune_freeze_polish", recording)
+    data = generate_benchmark_data(two_term_spec(), 200, 0.01, 0)
+    _, stats = fit_sr(data.X, data.y, SrConfig(num_terms=2), seed=0)
+    assert sizes == [8, 8]
+    assert [math.isfinite(v) for v in stats.stage_a_losses] == [
+        False, True, False, False, True, False, False, True]
+    assert len(polished) == len(stats.candidate_mses) == 3
+    assert all(np.isfinite(a).all() and np.isfinite(b).all() for a, b in polished)
+    assert all(map(math.isfinite, stats.candidate_mses))
+
+
+def test_every_restart_diverging_in_the_weak_step_fails_typed(monkeypatch, tmp_path):
+    diverge_in_the_weak_step(monkeypatch, slice(None))
+    data = generate_benchmark_data(two_term_spec(), 200, 0.01, 0)
+    with pytest.raises(AllRestartsFailedError):
+        fit_sr(data.X, data.y, SrConfig(num_terms=2), seed=0)
+    rows = "".join(f"{a},{b},{t}\n" for (a, b), t in zip(data.X, data.y))
+    (tmp_path / "d.csv").write_text("x1,x2,t\n" + rows)
+    out = tmp_path / "m.json"
+    assert cli.main(["train", "--data", str(tmp_path / "d.csv"), "--target", "t",
+                     "--task", "regress", "--k", "2", "--out", str(out)]) == 4
+    assert not out.exists()
 
 
 def test_fit_is_deterministic():
@@ -226,7 +305,7 @@ def test_fit_is_deterministic():
 
 
 def test_all_restarts_failed_k1():
-    # seed chosen so that every L-BFGS start overflows at the initial point
+    # seed chosen so that every Levenberg-Marquardt start overflows at the initial point
     X = np.full((50, 4), 1e308)
     y = np.ones(50)
     with pytest.raises(AllRestartsFailedError):
@@ -284,7 +363,8 @@ def test_a_diverged_restart_leaves_the_others_untouched():
 
 
 def test_each_multi_term_stage_is_one_stacked_adam_loop(monkeypatch):
-    # one Adam step per epoch over all restarts: 8 in stage A, the top 3 after
+    # one Adam step per epoch over all 8 restarts: a full-length strong-L1
+    # stage, then a half-length weak-L1 one
     shapes = []
     real = regressor.adam_step
 
@@ -296,9 +376,9 @@ def test_each_multi_term_stage_is_one_stacked_adam_loop(monkeypatch):
     data = jin2_data()
     cfg = SrConfig(num_terms=3, adam_epochs_per_stage=60)
     _, stats = fit_sr(data.X, data.y, cfg, seed=42)
-    assert all(map(math.isfinite, stats.stage_a_losses + stats.refined_losses))
+    assert all(map(math.isfinite, stats.stage_a_losses))
     epochs = cfg.adam_epochs_per_stage
-    assert shapes == [(8, 9)] * epochs + [(3, 9)] * epochs
+    assert shapes == [(8, 9)] * epochs + [(8, 9)] * (epochs // 2)
 
 
 def test_k1_restarts_let_programming_errors_through(monkeypatch):
