@@ -2,15 +2,16 @@
 
 Fits z(x) = sum_k alpha_k * prod_j x_j^beta_kj to real targets by mean squared
 error plus an L1 penalty on the exponents. Single-term fits polish each of
-several random starts, with the coefficient on the sign of the targets' mean,
-by Levenberg-Marquardt; multi-term fits run a staged pipeline: several short
+several random starts; multi-term fits run a staged pipeline: several short
 Adam runs under strong L1 to select structure, a further half-length run of
 every restart under weak L1 to estimate it, then pruning, exponent freezing,
-and an unpenalized Levenberg-Marquardt polish of the leaders' residuals.
-The restarts of each Adam stage run as one stacked loop over a leading
-restart axis (the kernel's C axis); a restart that diverges leaves it.
-Recovered expressions are snapped to canonical form and compared against the
-generating equation up to algebraic equivalence.
+and an unpenalized polish of the leaders' residuals. The polish is
+Levenberg-Marquardt by variable projection: it searches only the nonzero
+exponents and solves the coefficients, on which z is linear, by least
+squares at every step. The restarts of each Adam stage run as one stacked
+loop over a leading restart axis (the kernel's C axis); a restart that
+diverges leaves it. Recovered expressions are snapped to canonical form and
+compared against the generating equation up to algebraic equivalence.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ from .signomial import (
     equivalent,
     evaluate_batch,
     forward,
-    jacobian,
-    log_coefficients,
     log_inputs,
 )
 
@@ -372,33 +371,41 @@ def _adam_stage(alphas, betas, log_x, y, lam, epochs, lr):
     return objectives, final[:, :k], final[:, k:].reshape(r, k, m)
 
 
-def _polish(alphas, betas, log_x, y):
-    """Levenberg-Marquardt on the surviving parameters with zeroed exponents frozen.
+def _polish(betas, log_x, y):
+    """Levenberg-Marquardt over the nonzero exponents by variable projection.
 
-    Returns the polished alphas and betas and their MSE. The residuals and
-    their Jacobian come from one kernel call per point; a point where a term
-    overflows is a rejected step, and a start where one does raises
-    NonFiniteObjectiveError.
+    z is linear in the coefficients, so at any exponents the best ones solve a
+    least-squares problem against the bare monomials Phi (N, K). LM searches
+    only the exponents, zeroed ones stay frozen, on the residual Phi alpha - y
+    with Kaufman's Jacobian: the columns of (I - Phi Phi^+) dPhi/dbeta, each
+    scaled by its term's alpha (Golub & Pereyra 1973; Kaufman 1975). Returns
+    the coefficients projected at the final exponents, the exponents and
+    their MSE. A point where a monomial overflows is a rejected step, and a
+    start where one does raises NonFiniteObjectiveError. lstsq keeps the
+    coefficients finite when Phi is rank-deficient, as when two terms share
+    an exponent vector.
     """
-    k, n = len(alphas), len(y)
-    free = np.flatnonzero(betas.ravel() != 0.0)
+    k, m = betas.shape
+    free = np.flatnonzero(betas.ravel())
+    term, feature = np.divmod(free, m)
+    # forward's sign alpha and ln|alpha| at unit coefficients: its terms are Phi
+    unit = (np.ones((1, k)), np.zeros((1, k)))
 
-    def unpack(theta):
-        b = np.zeros(betas.size)
-        b[free] = theta[k:]
-        return theta[:k], b.reshape(betas.shape)
+    def project(theta):
+        b = np.zeros(k * m)
+        b[free] = theta
+        b = b.reshape(k, m)
+        phi = forward(*unit, b[None], log_x)[1][:, 0]
+        d_phi = phi[:, term] * log_x[:, feature]
+        solved = np.linalg.lstsq(phi, np.column_stack([y, d_phi]), rcond=None)[0]
+        a = solved[:, 0]
+        return a, b, phi @ a - y, (d_phi - phi @ solved[:, 1:]) * a[term]
 
-    def residuals(theta):
-        a, b = unpack(theta)
-        sign, log_abs = log_coefficients(a)
-        mono_log, per_term = forward(sign[None], log_abs[None], b[None], log_x)
-        d_alpha, d_beta = jacobian(mono_log, per_term, log_x)
-        jac = np.concatenate([d_alpha[:, 0], d_beta[:, 0].reshape(n, -1)[:, free]], axis=1)
-        return per_term[:, 0].sum(axis=1) - y, jac
-
-    res = levenberg_marquardt(residuals, np.concatenate([alphas, betas.ravel()[free]]))
-    a, b = unpack(res.x)
-    return a, b, res.sse / n
+    theta = betas.ravel()[free]
+    if len(free):
+        theta = levenberg_marquardt(lambda t: project(t)[2:], theta).x
+    a, b, r, _ = project(theta)
+    return a, b, float(r @ r) / len(y)
 
 
 def _prune_freeze_polish(alphas, betas, log_x, y):
@@ -417,7 +424,7 @@ def _prune_freeze_polish(alphas, betas, log_x, y):
         a, b = a[keep], b[keep]
         if len(a) == 0:
             return a, b, float(y @ y) / len(y), pruned, zeroed
-        a, b, mse = _polish(a, b, log_x, y)
+        a, b, mse = _polish(b, log_x, y)
         small_beta = (b != 0.0) & (np.abs(b) < DEFAULT_EXPONENT_ZERO_THRESHOLD)
         small_alpha = np.abs(a) < DEFAULT_COEF_PRUNE_THRESHOLD
         if not small_beta.any() and not small_alpha.any():
@@ -429,13 +436,14 @@ def _prune_freeze_polish(alphas, betas, log_x, y):
 def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
     """Fit one signomial to (X, y) with the staged multi-start strategy.
 
-    K=1 polishes every random start by Levenberg-Marquardt on the raw
-    residuals, after giving its coefficient the sign of the targets' mean,
-    and keeps the lowest loss. K>1 runs Adam on all restarts in one stacked
-    loop under lambda_struct, continues every surviving restart for half as
-    many epochs under L1 min(REFINE_L1, lambda_struct), then prunes, freezes
-    and polishes the best POLISHED of them by Levenberg-Marquardt. Candidates
-    are always ranked by (loss, restart index), so ties break
+    K=1 polishes every random start's exponents on the raw residuals and
+    keeps the lowest loss; the start's coefficient is not used, since the
+    polish solves it by least squares at every step. K>1 runs Adam on all
+    restarts in one stacked loop under lambda_struct, continues every
+    surviving restart for half as many epochs under L1 min(REFINE_L1,
+    lambda_struct), then prunes, freezes and polishes the best POLISHED of
+    them. Both polish by variable-projection Levenberg-Marquardt (`_polish`).
+    Candidates are always ranked by (loss, restart index), so ties break
     deterministically.
     """
     cfg.validate()
@@ -455,13 +463,10 @@ def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
     pool: list[tuple[float, int, np.ndarray, np.ndarray]] = []
 
     if k == 1:
-        # a one-term signomial has the sign of its alpha everywhere, and its
-        # exponent gradients vanish where alpha crosses zero, so a start of
-        # the wrong sign is stuck; each start takes the sign of the targets'
-        # mean. Random inits have no zero exponent, so every parameter is free
-        for r, (a0, b0) in enumerate(inits):
+        # random inits have no zero exponent, so every exponent is free
+        for r, (_, b0) in enumerate(inits):
             try:
-                a, b, loss = _polish(np.copysign(a0, y.mean()), b0, log_x, y)
+                a, b, loss = _polish(b0, log_x, y)
             except SignolearnError:
                 stats.stage_a_losses.append(math.inf)
                 continue

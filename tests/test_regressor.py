@@ -16,6 +16,7 @@ from signolearn.errors import (
     OverflowLimitError,
 )
 from signolearn import cli, data_io, regressor
+from signolearn.optim import LmResult
 from signolearn.regressor import (
     RegressorModel,
     SrConfig,
@@ -32,6 +33,7 @@ from signolearn.signomial import (
     canonicalize,
     equivalent,
     evaluate,
+    forward,
     log_inputs,
 )
 
@@ -392,24 +394,100 @@ def test_k1_restarts_let_programming_errors_through(monkeypatch):
         fit_sr(X, X[:, 0], SrConfig(num_terms=1), seed=0)
 
 
-def test_k1_starts_take_the_sign_of_the_targets_mean(monkeypatch):
-    # a one-term signomial cannot change sign without passing alpha = 0,
-    # where its exponent gradients vanish, so no start may have the wrong sign
-    starts = []
-    real = regressor._polish
-
-    def recording(alphas, betas, log_x, y):
-        starts.append((alphas.copy(), float(y.mean())))
-        return real(alphas, betas, log_x, y)
-
-    monkeypatch.setattr(regressor, "_polish", recording)
+def test_k1_fits_targets_of_either_sign():
+    # a one-term signomial has the sign of its alpha everywhere; the polish
+    # projects alpha, so a random start of either sign fits either target
     X = np.random.default_rng(0).uniform(1.0, 3.0, size=(40, 2))
     for sign in (1.0, -1.0):
         for seed in range(3):
-            fit_sr(X, sign * 2.0 * X[:, 0] * X[:, 1], SrConfig(num_terms=1), seed=seed)
-    assert len(starts) >= 24
-    for alphas, mean in starts:
-        assert np.sign(alphas[0]) == np.sign(mean)
+            s, _ = fit_sr(X, sign * 2.0 * X[:, 0] * X[:, 1], SrConfig(num_terms=1), seed=seed)
+            assert s.alphas[0] == pytest.approx(sign * 2.0, rel=1e-6)
+            np.testing.assert_allclose(s.betas[0], [1.0, 1.0], atol=1e-6)
+
+
+def monomials(betas, log_x):
+    """The bare monomials Phi (N, K): the kernel's terms at unit coefficients."""
+    k = len(betas)
+    return forward(np.ones((1, k)), np.zeros((1, k)), betas[None], log_x)[1][:, 0]
+
+
+@pytest.mark.parametrize("start, truth", [
+    ([[2.0, 1.0], [2.0, 1.0]], [2.0, 1.0]),  # Phi's two columns are equal throughout
+    ([[1.9, 0.1], [1.9, 0.1]], [2.0, 0.0]),
+])
+def test_polish_with_duplicate_exponent_rows_is_finite(start, truth):
+    # two terms share an exponent vector, so Phi is rank-deficient; lstsq
+    # gives its minimum-norm coefficients, which split the true one evenly
+    # where a triangular solve would return a huge pair of opposite signs
+    X = np.random.default_rng(3).uniform(1.0, 5.0, size=(60, 2))
+    log_x = log_inputs(X)
+    y = 3.0 * np.prod(X ** np.array(truth), axis=1)
+    alphas, betas, mse = regressor._polish(np.array(start), log_x, y)
+    assert np.isfinite(alphas).all()
+    np.testing.assert_allclose(betas, [truth, truth], atol=1e-6)
+    expected = np.linalg.lstsq(monomials(betas, log_x), y, rcond=None)[0]
+    np.testing.assert_array_equal(alphas, expected)
+    np.testing.assert_allclose(alphas, [1.5, 1.5], rtol=1e-6)
+    assert mse < 1e-12
+
+
+def test_polish_with_every_exponent_frozen_is_one_solve(monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("levenberg_marquardt called with nothing to search")
+
+    monkeypatch.setattr(regressor, "levenberg_marquardt", unexpected)
+    rng = np.random.default_rng(4)
+    log_x = log_inputs(rng.uniform(1.0, 5.0, size=(30, 2)))
+    y = 4.2 + rng.standard_normal(30)
+    alphas, betas, mse = regressor._polish(np.zeros((1, 2)), log_x, y)
+    np.testing.assert_array_equal(betas, np.zeros((1, 2)))
+    assert alphas[0] == pytest.approx(y.mean(), rel=1e-12)
+    assert mse == pytest.approx(y.var(), rel=1e-12)
+
+
+@st.composite
+def generating_signomials(draw):
+    """Terms with distinct exponent rows on a half-integer grid, |alpha| in [0.5, 3]."""
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(-4, 4) for _ in range(m)])
+    rows = draw(st.lists(row, min_size=k, max_size=k, unique=True))
+    magnitudes = draw(st.lists(st.floats(0.5, 3.0), min_size=k, max_size=k))
+    signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=k, max_size=k))
+    return np.multiply(signs, magnitudes), np.array(rows, dtype=float) / 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(generating_signomials(), st.integers(0, 2**32 - 1))
+def test_projected_jacobian_matches_finite_differences(generator, seed):
+    # on noiseless data at the generating exponents the residual vanishes,
+    # where Kaufman's Jacobian is the projected residual's exact derivative
+    alphas, betas = generator
+    X = np.random.default_rng(seed).uniform(1.0, 3.0, size=(30, betas.shape[1]))
+    log_x = log_inputs(X)
+    y = monomials(betas, log_x) @ alphas
+    captured = []
+
+    def capture(fun, x0):
+        captured.append((fun, x0))
+        return LmResult(x0, math.nan, 0, converged=False)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regressor, "levenberg_marquardt", capture)
+        regressor._polish(betas, log_x, y)
+    if not captured:  # every exponent is zero: nothing to search
+        assert not betas.any()
+        return
+    (fun, theta), = captured
+    r, jac = fun(theta)
+    size = np.abs(y).max()
+    assert np.abs(r).max() <= 1e-9 * size
+    h = 1e-6
+    for i in range(len(theta)):
+        step = np.zeros_like(theta)
+        step[i] = h
+        fd = (fun(theta + step)[0] - fun(theta - step)[0]) / (2 * h)
+        np.testing.assert_allclose(jac[:, i], fd, rtol=0, atol=1e-6 * size)
 
 
 @pytest.mark.parametrize("name, seed", [("I.14.3", 179), ("I.14.4", 90)])
@@ -419,6 +497,13 @@ def test_recovery_from_wrong_sign_random_starts(name, seed):
     res = evaluate_recovery(TargetSpec.from_dict(entry), SrConfig(num_terms=1, seed_list=(seed,)))
     assert res.seeds[0].recovered
     assert res.seeds[0].r2 > 0.9999
+
+
+@pytest.mark.parametrize("seed", [24, 28, 96, 129, 189, 270])
+def test_jin2_recovery_at_seed(seed):
+    entry = next(e for e in json.load(open(SUITE))["specs"] if e["name"] == "Jin-2")
+    res = evaluate_recovery(TargetSpec.from_dict(entry), SrConfig(num_terms=3, seed_list=(seed,)))
+    assert res.seeds[0].recovered
 
 
 def test_monomial_recovery_across_random_seeds():

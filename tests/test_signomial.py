@@ -24,7 +24,6 @@ from signolearn.signomial import (
     evaluate,
     evaluate_batch,
     forward,
-    jacobian,
     log_coefficients,
     log_inputs,
     render,
@@ -256,46 +255,6 @@ def test_backward_guards_the_bare_monomial():
     with pytest.raises(OverflowLimitError) as exc:
         backward(np.ones((1, 1)), mono_log, per_term, log_x)
     assert exc.value.term_index == 0
-    with pytest.raises(OverflowLimitError) as exc:
-        jacobian(mono_log, per_term, log_x)
-    assert exc.value.term_index == 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(signomials(max_terms=3, exp_range=2.0), st.integers(0, 2**32 - 1))
-def test_jacobian_matches_finite_differences_and_backward(s, seed):
-    rng = np.random.default_rng(seed)
-    k, m, n = s.num_terms, s.m, 6
-    X = rng.uniform(1.0, 5.0, size=(n, m))
-    *params, log_x = kernel_args([s], X)
-    mono_log, per_term = forward(*params, log_x)
-    j_alpha, j_beta = jacobian(mono_log, per_term, log_x)
-    assert j_alpha.shape == (n, 1, k) and j_beta.shape == (n, 1, k, m)
-
-    # central differences of evaluate_batch; z is linear in alpha and smooth
-    # in beta, so rounding (about 1e-10 of the term sizes) dominates the error
-    jac = np.concatenate([j_alpha[:, 0], j_beta[:, 0].reshape(n, k * m)], axis=1)
-    theta = np.concatenate([s.alphas, s.betas.ravel()])
-    h = 1e-6
-    size = 1.0 + np.abs(per_term).sum(axis=2).max()
-    for i in range(len(theta)):
-        up, down = theta.copy(), theta.copy()
-        up[i] += h
-        down[i] -= h
-        z_up, _ = evaluate_batch(Signomial.from_arrays(up[:k], up[k:].reshape(k, m)), X)
-        z_down, _ = evaluate_batch(Signomial.from_arrays(down[:k], down[k:].reshape(k, m)), X)
-        np.testing.assert_allclose(jac[:, i], (z_up - z_down) / (2 * h), rtol=0, atol=1e-8 * size)
-
-    # contracted with dL/dz over the rows it is backward's gradient, to 1e-12
-    # of the summed magnitudes
-    dz = rng.standard_normal((n, 1))
-    d_alpha, d_beta = backward(dz, mono_log, per_term, log_x)
-    got_alpha = np.einsum("nc,nck->ck", dz, j_alpha)
-    got_beta = np.einsum("nc,nckj->ckj", dz, j_beta)
-    assert np.all(np.abs(got_alpha - d_alpha)
-                  <= 1e-12 * np.einsum("nc,nck->ck", np.abs(dz), j_alpha))
-    assert np.all(np.abs(got_beta - d_beta)
-                  <= 1e-12 * np.einsum("nc,nckj->ckj", np.abs(dz), np.abs(j_beta)))
 
 
 def test_gradient_single_term_example():
