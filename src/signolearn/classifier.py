@@ -22,6 +22,7 @@ from .errors import (
     DataFormatError,
     DimensionMismatchError,
     LabelOutOfRangeError,
+    NonFiniteGradientError,
     NonFiniteLossError,
     OverflowLimitError,
 )
@@ -278,30 +279,52 @@ def class_weights(y: np.ndarray, num_classes: int, multiplier: float) -> np.ndar
     return weights
 
 
-def _smooth_loss_and_param_grad(alphas, betas, log_x, y, weights, link):
-    """Weighted cross-entropy value and gradient w.r.t. alphas/betas."""
-    n = log_x.shape[0]
-    mono_log, per_term = forward(*log_coefficients(alphas), betas, log_x)
-    Z = per_term.sum(axis=2)
-    w = weights[y]
-    if link == "sigmoid":
-        z = Z[:, 0]
-        # stable log-sigmoid pieces: ln p = -softplus(-z), ln(1-p) = -softplus(z)
-        softplus = np.logaddexp(0.0, np.stack([-z, z]))
-        loss = float(np.sum(w * np.where(y == 1, softplus[0], softplus[1])) / n)
-        dz = (w * (_sigmoid(z) - y) / n)[:, None]
-    else:
-        with np.errstate(invalid="ignore"):
-            shifted = Z - Z.max(axis=1, keepdims=True)
-        log_norm = np.log(np.sum(np.exp(shifted), axis=1))
-        log_p = shifted - log_norm[:, None]
-        loss = float(-np.sum(w * log_p[np.arange(n), y]) / n)
-        p = np.exp(log_p)
-        dz = p.copy()
-        dz[np.arange(n), y] -= 1.0
-        dz *= (w / n)[:, None]
-    d_alpha, d_beta = backward(dz, mono_log, per_term, log_x)
-    return loss, d_alpha, d_beta
+def _smooth_loss(alphas, betas, log_x, y, weights, link):
+    """Weighted cross-entropy of T stacked models, the kernel's classifier head.
+
+    Takes alphas (T, C, K), betas (T, C, K, m), log-inputs (T, N, m) and
+    labels (T, N), or log-inputs (N, m) and labels (N,) shared by every
+    trial. Returns the losses (T,) and a function that runs the backward pass
+    and returns dL/dalpha (T, C, K) and dL/dbeta (T, C, K, m); a caller that
+    needs only the loss never runs it. Every operation stays within one
+    trial's slice, so a trial's values do not depend on the rest of the stack.
+    """
+    n = log_x.shape[-2]
+    # a zero coefficient has ln 0 = -inf and an infinite score gives inf - inf
+    # in the softmax shift; the kernel and a non-finite loss deal with both,
+    # so one errstate covers the call
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mono_log, per_term = forward(np.sign(alphas), np.log(np.abs(alphas)), betas, log_x)
+        Z = per_term.sum(axis=-1)  # (T, N, C)
+        w = weights[y]
+        if link == "sigmoid":
+            z = Z[..., 0]
+            # stable log-sigmoid pieces: ln p = -softplus(-z), ln(1-p) = -softplus(z)
+            softplus = np.logaddexp(0.0, np.stack([-z, z]))
+            loss = (w * np.where(y == 1, softplus[0], softplus[1])).sum(axis=-1) / n
+
+            def dz():
+                return (w * (_sigmoid(z) - y) / n)[..., None]
+        else:
+            shifted = Z - Z.max(axis=-1, keepdims=True)
+            log_norm = np.log(np.exp(shifted).sum(axis=-1))
+            log_p = shifted - log_norm[..., None]
+            # each trial's and row's own label: (T, 1) and (N,) broadcast with y
+            at_label = (np.arange(len(Z))[:, None], np.arange(n), y)
+            loss = -(w * log_p[at_label]).sum(axis=-1) / n
+
+            def dz():
+                # row-major, whatever layout the scores came in: backward's
+                # matrix products then run on contiguous rows
+                d = np.exp(log_p, order="C")
+                d[at_label] -= 1.0
+                d *= (w / n)[..., None]
+                return d
+
+    def grad():
+        return backward(dz(), mono_log, per_term, log_x)
+
+    return loss, grad
 
 
 def loss_and_grad(
@@ -315,7 +338,8 @@ def loss_and_grad(
 
     The gradient is a flat vector, alphas then betas, each raveled;
     the L1 term contributes to the reported loss but not to this gradient,
-    since training handles it with a proximal step.
+    since training handles it with a proximal step. It is the one-trial case
+    of the head training uses.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -326,13 +350,14 @@ def loss_and_grad(
     if weights is None:
         weights = np.ones(model.C)
     alphas, betas = model._alphas, model._betas
-    smooth, d_alpha, d_beta = _smooth_loss_and_param_grad(
-        alphas, betas, log_inputs(X, model.m), y, weights, model.link
+    smooth, grad = _smooth_loss(
+        alphas[None], betas[None], log_inputs(X, model.m)[None], y[None], weights, model.link
     )
-    loss = smooth + l1_penalty * float(np.sum(np.abs(betas)))
+    d_alpha, d_beta = grad()
+    loss = float(smooth[0]) + l1_penalty * float(np.sum(np.abs(betas)))
     if not math.isfinite(loss):
         raise NonFiniteLossError("loss is non-finite")
-    return loss, np.concatenate([d_alpha.ravel(), d_beta.ravel()])
+    return loss, np.concatenate([d_alpha[0].ravel(), d_beta[0].ravel()])
 
 
 # --- training -----------------------------------------------------------------
@@ -359,11 +384,36 @@ def fit(
 ) -> tuple[EcselModel, FitTrace]:
     """Train a signomial classifier with mini-batch Adam plus proximal L1.
 
-    Deterministic for a fixed cfg.seed: initialization and epoch shuffling
-    come from one counter-based stream. Early stopping watches the validation
-    loss each epoch and the returned model is the best snapshot.
+    The one-trial case of `fit_trials`: deterministic for a fixed cfg.seed,
+    the returned model is the best snapshot by validation loss, and a trial
+    that diverges raises its NonFiniteLossError or NonFiniteGradientError.
     """
-    cfg.validate()
+    (result,) = fit_trials(train, val, [cfg], feature_names, class_names, scaler)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def fit_trials(
+    train: data_io.Dataset,
+    val: data_io.Dataset,
+    cfgs: list[ClassifyConfig],
+    feature_names: list[str] | None = None,
+    class_names: list[str] | None = None,
+    scaler: data_io.Scaler | None = None,
+) -> list[tuple[EcselModel, FitTrace] | NonFiniteLossError | NonFiniteGradientError]:
+    """Train one classifier per config on the same data, the trials stacked.
+
+    Trials that share num_terms, batch_size, link and class_weight_multiplier
+    train together in one lockstep loop (`_train_stack`). Each draws its
+    initial values and epoch shuffles from its own counter-based stream
+    (cfg.seed), and no arithmetic crosses trials, so a trial's model is the
+    one it would get alone. Returns, in cfg order, (model, trace) for each
+    trial that trained, or the NonFiniteLossError or NonFiniteGradientError
+    that stopped it. Config and data faults raise before any training.
+    """
+    for cfg in cfgs:
+        cfg.validate()
     X, y = np.asarray(train.X, dtype=float), np.asarray(train.y, dtype=int)
     Xv, yv = np.asarray(val.X, dtype=float), np.asarray(val.y, dtype=int)
     if X.shape[0] == 0 or Xv.shape[0] == 0:
@@ -373,88 +423,173 @@ def fit(
     num_classes = int(max(y.max(), yv.max())) + 1
     if num_classes < 2:
         raise ClassTooSmallError("need at least two classes to train")
-    if cfg.link == "sigmoid" and num_classes != 2:
+    if num_classes != 2 and any(cfg.link == "sigmoid" for cfg in cfgs):
         raise BadConfigError(f"sigmoid link is binary-only, data has {num_classes} classes")
-
-    n, m = X.shape
-    c_rows = 1 if cfg.link == "sigmoid" else num_classes
-    k = cfg.num_terms
     log_x = log_inputs(X)
     log_xv = log_inputs(Xv)
-    weights = class_weights(y, num_classes, cfg.class_weight_multiplier)
 
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    alphas = 0.1 + 0.1 * rng.standard_normal((c_rows, k))
-    betas = 0.05 * rng.standard_normal((c_rows, k, m))
-    # one flat vector, alphas then betas: the order Adam's clip norm sums in
-    params = np.concatenate([alphas.ravel(), betas.ravel()])
-    n_alpha = alphas.size
-    beta_mask = np.arange(params.size) >= n_alpha
-    adam = AdamState.init(params.size)
-    monitor = EarlyStopMonitor(cfg.patience)
-    trace = FitTrace()
-
-    def unpack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return p[:n_alpha].reshape(c_rows, k), p[n_alpha:].reshape(c_rows, k, m)
-
-    def full_loss(p: np.ndarray, lx: np.ndarray, labels: np.ndarray) -> float:
-        a, b = unpack(p)
-        smooth, _, _ = _smooth_loss_and_param_grad(a, b, lx, labels, weights, cfg.link)
-        return smooth + cfg.l1_penalty * float(np.sum(np.abs(b)))
-
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        running, seen = 0.0, 0
-        try:
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                a, b = unpack(params)
-                smooth, d_alpha, d_beta = _smooth_loss_and_param_grad(
-                    a, b, log_x[idx], y[idx], weights, cfg.link
-                )
-                batch_loss = smooth + cfg.l1_penalty * float(np.sum(np.abs(b)))
-                if not math.isfinite(batch_loss):
-                    raise NonFiniteLossError(
-                        f"non-finite training loss at epoch {epoch}", epoch=epoch
-                    )
-                grad = np.concatenate([d_alpha.ravel(), d_beta.ravel()])
-                params = adam_step(adam, params, grad, cfg.learning_rate, GRAD_CLIP_NORM)
-                params = prox_l1(params, beta_mask, cfg.learning_rate, cfg.l1_penalty)
-                running += batch_loss * len(idx)
-                seen += len(idx)
-            val_loss = full_loss(params, log_xv, yv)
-        except OverflowLimitError as exc:
-            raise NonFiniteLossError(
-                f"training overflowed at epoch {epoch}: {exc}", epoch=epoch
-            ) from exc
-        if not math.isfinite(val_loss):
-            raise NonFiniteLossError(
-                f"non-finite validation loss at epoch {epoch}", epoch=epoch
+    groups: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        key = (cfg.num_terms, cfg.batch_size, cfg.link, cfg.class_weight_multiplier)
+        groups.setdefault(key, []).append(i)
+    results: list = [None] * len(cfgs)
+    for (_, _, link, multiplier), members in groups.items():
+        weights = class_weights(y, num_classes, multiplier)
+        c_rows = 1 if link == "sigmoid" else num_classes
+        stack = [cfgs[i] for i in members]
+        outcomes = _train_stack(stack, log_x, y, log_xv, yv, weights, c_rows)
+        for i, cfg, outcome in zip(members, stack, outcomes):
+            if isinstance(outcome, Exception):
+                results[i] = outcome
+                continue
+            alphas, betas, trace = outcome
+            model = EcselModel(
+                signomials=[Signomial.from_arrays(alphas[c], betas[c]) for c in range(c_rows)],
+                link=link,
+                feature_names=feature_names or list(train.feature_names),
+                class_names=class_names or (train.class_names if train.class_names else None),
+                scaler=scaler,
             )
-        trace.epochs.append(epoch)
-        trace.train_loss.append(running / seen)
-        trace.val_loss.append(val_loss)
-        if monitor.update(val_loss, params, epoch):
-            trace.stopped_early = True
-            break
+            if link == "sigmoid":
+                model.threshold = select_threshold(model, val, cfg.threshold_grid_step)
+            results[i] = (model, trace)
+    return results
 
-    best = monitor.best_params if monitor.best_params is not None else params
-    trace.best_epoch = monitor.best_epoch if monitor.best_epoch >= 0 else cfg.epochs - 1
-    alphas, betas = unpack(best)
-    signomials = [
-        Signomial.from_arrays(alphas[c], betas[c]) for c in range(c_rows)
-    ]
-    model = EcselModel(
-        signomials=signomials,
-        link=cfg.link,
-        feature_names=feature_names or list(train.feature_names),
-        class_names=class_names
-        or (train.class_names if train.class_names else None),
-        scaler=scaler,
-    )
-    if cfg.link == "sigmoid":
-        model.threshold = select_threshold(model, val, cfg.threshold_grid_step)
-    return model, trace
+
+def _train_stack(cfgs, log_x, y, log_xv, yv, weights, c_rows) -> list:
+    """Mini-batch proximal Adam for T trials of one K, batch size and link.
+
+    The trials' parameters form one (T, P) matrix, alphas then betas per row.
+    Each step gathers every live trial's next batch into (T, B, m), makes one
+    loss-and-gradient call, one Adam step with per-trial clipping and learning
+    rates and one per-trial L1 proximal step; each epoch ends with one
+    forward-only validation loss. A trial leaves the stack when its epochs or
+    its patience run out, or when it diverges. Returns per trial the best
+    snapshot's alphas (C, K) and betas (C, K, m) with its FitTrace, or the
+    error that stopped it.
+    """
+    n, m = log_x.shape
+    k, batch, link = cfgs[0].num_terms, cfgs[0].batch_size, cfgs[0].link
+    n_alpha = c_rows * k
+    rngs = [np.random.Generator(np.random.Philox(key=cfg.seed)) for cfg in cfgs]
+    # alphas then betas, drawn in that order from each trial's stream
+    params = np.array([
+        np.concatenate([(0.1 + 0.1 * rng.standard_normal((c_rows, k))).ravel(),
+                        (0.05 * rng.standard_normal((c_rows, k, m))).ravel()])
+        for rng in rngs
+    ])
+    beta_mask = np.arange(params.shape[1]) >= n_alpha  # the same slots in every row
+    # learning rates and penalties as columns: they broadcast along each row
+    lr = np.array([[cfg.learning_rate] for cfg in cfgs])
+    l1 = np.array([[cfg.l1_penalty] for cfg in cfgs])
+    adam = AdamState.init(params.shape)
+    monitors = [EarlyStopMonitor(cfg.patience) for cfg in cfgs]
+    traces = [FitTrace() for _ in cfgs]
+    errors: dict[int, Exception] = {}
+    live = np.arange(len(cfgs))
+
+    def objective(p, lam, lx, labels):
+        """Losses (smooth + L1) of the stacked rows p, and their gradient function."""
+        a = p[:, :n_alpha].reshape(len(p), c_rows, k)
+        b = p[:, n_alpha:].reshape(len(p), c_rows, k, m)
+        smooth, grad = _smooth_loss(a, b, lx, labels, weights, link)
+        return smooth + lam[:, 0] * np.abs(p[:, n_alpha:]).sum(axis=1), grad
+
+    def train_step(rows, start):
+        """One mini-batch step of the live trials picked by the slice rows, on
+        their next batch from epoch position start: their losses, new
+        parameters and Adam state."""
+        p, rate, lam = params[rows], lr[rows], l1[rows]
+        idx = orders[rows, start : start + batch]
+        loss, grad = objective(p, lam, log_x[idx], y[idx])
+        d_alpha, d_beta = grad()
+        if not np.isfinite(loss).all():
+            raise NonFiniteLossError(f"non-finite training loss at epoch {epoch}", epoch=epoch)
+        g = np.concatenate([d_alpha.reshape(len(p), -1), d_beta.reshape(len(p), -1)], axis=1)
+        state = AdamState(adam.m[rows], adam.v[rows], adam.t)
+        p = adam_step(state, p, g, rate, GRAD_CLIP_NORM)
+        return loss, prox_l1(p, beta_mask, rate, lam), state
+
+    def val_step(rows):
+        val = objective(params[rows], l1[rows], log_xv, yv)[0]
+        if not np.isfinite(val).all():
+            raise NonFiniteLossError(f"non-finite validation loss at epoch {epoch}", epoch=epoch)
+        return val
+
+    def keep(ok) -> None:
+        nonlocal live, params, lr, l1, orders, running
+        live, params, orders = live[ok], params[ok], orders[ok]
+        running = [r for r, kept in zip(running, ok.tolist()) if kept]
+        lr, l1 = lr[ok], l1[ok]
+        adam.m, adam.v = adam.m[ok], adam.v[ok]
+
+    def stacked(fn, *args):
+        """fn over the whole live stack, or None once no trial is left.
+
+        One trial that overflows or diverges fails the stacked call, so after
+        a failure each trial runs alone: those that fail leave with the error
+        a lone fit raises, and the rest run again.
+        """
+        try:
+            return fn(slice(None), *args)
+        except (OverflowLimitError, NonFiniteLossError, NonFiniteGradientError):
+            pass
+        ok = np.ones(len(live), dtype=bool)
+        for i in range(len(live)):
+            try:
+                fn(slice(i, i + 1), *args)
+                continue
+            except OverflowLimitError as exc:
+                err = NonFiniteLossError(
+                    f"training overflowed at epoch {epoch}: {exc}", epoch=epoch
+                )
+                err.__cause__ = exc
+            except (NonFiniteLossError, NonFiniteGradientError) as exc:
+                err = exc
+            errors[int(live[i])] = err
+            ok[i] = False
+        keep(ok)
+        return fn(slice(None), *args) if len(live) else None
+
+    for epoch in range(max(cfg.epochs for cfg in cfgs)):
+        orders = np.array([rngs[t].permutation(n) for t in live])
+        # per live trial, the sum of batch loss times batch size; Python
+        # floats, since for a few trials a list costs less than numpy calls
+        running = [0.0] * len(live)
+        for start in range(0, n, batch):
+            step = stacked(train_step, start)
+            if step is None:
+                break
+            loss, params, adam = step
+            size = min(batch, n - start)
+            running = [r + x * size for r, x in zip(running, loss.tolist())]
+        val = stacked(val_step) if len(live) else None
+        if val is None:
+            break
+        go_on = []
+        for i, (t, total, val_loss) in enumerate(zip(live.tolist(), running, val.tolist())):
+            trace = traces[t]
+            trace.epochs.append(epoch)
+            trace.train_loss.append(total / n)
+            trace.val_loss.append(val_loss)
+            trace.stopped_early = monitors[t].update(val_loss, params[i], epoch)
+            go_on.append(not trace.stopped_early and epoch + 1 < cfgs[t].epochs)
+        if not all(go_on):
+            keep(np.array(go_on))
+            if not len(live):
+                break
+
+    outcomes = []
+    for t, (trace, monitor) in enumerate(zip(traces, monitors)):
+        if t in errors:
+            outcomes.append(errors[t])
+            continue
+        trace.best_epoch = monitor.best_epoch
+        best = monitor.best_params
+        outcomes.append(
+            (best[:n_alpha].reshape(c_rows, k), best[n_alpha:].reshape(c_rows, k, m), trace)
+        )
+    return outcomes
 
 
 # --- threshold selection --------------------------------------------------------

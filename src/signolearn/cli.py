@@ -27,6 +27,7 @@ from .classifier import (
     EcselModel,
     compute_metrics,
     fit,
+    fit_trials,
     predict,
     predict_batch,
     predict_proba_batch,
@@ -618,13 +619,9 @@ def cmd_search(args) -> int:
     base = ClassifyConfig(**_given(link=args.link, threshold_grid_step=args.threshold_grid))
 
     rng = np.random.default_rng(args.seed)
-    trials = []
-    best = None  # (f1, trial_index, model)
-    t0 = time.perf_counter()
-    for t in range(args.trials):
-        params = _sample_trial(rng, space)
-        fit_seed = args.seed + t
-        cfg = dataclasses.replace(
+    sampled = [_sample_trial(rng, space) for _ in range(args.trials)]
+    cfgs = [
+        dataclasses.replace(
             base,
             num_terms=params["k"],
             l1_penalty=params["l1"],
@@ -632,25 +629,33 @@ def cmd_search(args) -> int:
             batch_size=params["batch"],
             epochs=params["epochs"],
             patience=params["patience"],
-            seed=fit_seed,
+            seed=args.seed + t,
         )
-        try:
-            model, trace = fit(
-                train, val, cfg,
-                feature_names=data.feature_names,
-                class_names=data.class_names,
-                scaler=scaler,
-            )
-        except _NUMERIC_ERRORS as exc:
+        for t, params in enumerate(sampled)
+    ]
+    trials = []
+    best = None  # (f1, trial_index, model)
+    t0 = time.perf_counter()
+    # trials sharing K, batch size and link train as one stack
+    results = fit_trials(
+        train, val, cfgs,
+        feature_names=data.feature_names,
+        class_names=data.class_names,
+        scaler=scaler,
+    )
+    for t, (params, cfg, result) in enumerate(zip(sampled, cfgs, results)):
+        logged = {**params, "fitSeed": cfg.seed}
+        if isinstance(result, _NUMERIC_ERRORS):
             trials.append({
-                "trial": t, "params": {**params, "fitSeed": fit_seed},
-                "status": "diverged", "message": " ".join(str(exc).split()),
+                "trial": t, "params": logged,
+                "status": "diverged", "message": " ".join(str(result).split()),
             })
             continue
+        model, trace = result
         val_f1 = compute_metrics(val.y, predict_batch(model, val.X), model.C).f1
         trials.append({
             "trial": t,
-            "params": {**params, "fitSeed": fit_seed},
+            "params": logged,
             "status": "ok",
             "valF1": val_f1,
             "bestEpoch": trace.best_epoch,

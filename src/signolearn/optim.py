@@ -1,7 +1,7 @@
 """Optimizers used by the trainers.
 
-Everything here is deterministic given its inputs: Adam with global-norm
-gradient clipping, an L1 proximal step applied to exponent slots only, an
+Everything here is deterministic given its inputs: Adam with per-row
+gradient-norm clipping, an L1 proximal step applied to exponent slots only, an
 early-stopping monitor that snapshots the best parameters seen, and a
 Levenberg-Marquardt least-squares solver with Marquardt's diagonal damping,
 which polishes signomial regression fits. The package no longer calls its
@@ -42,28 +42,35 @@ class AdamState:
 
 
 def clip_gradient(grad: np.ndarray, max_norm: float | None) -> np.ndarray:
-    """Scale grad down so its L2 norm is at most max_norm."""
+    """Scale each row of grad (its last axis) down so its L2 norm is at most
+    max_norm > 0. Rows are clipped independently: a large row does not scale
+    a small one, and a row within the norm is multiplied by exactly 1.
+    """
     if max_norm is None:
         return grad
-    norm = float(np.linalg.norm(grad))
-    if norm > max_norm and norm > 0.0:
-        return grad * (max_norm / norm)
-    return grad
+    # a stacked dot product per row: for one row it is bit for bit the
+    # grad @ grad that np.linalg.norm takes
+    norm = np.sqrt(grad[..., None, :] @ grad[..., :, None])[..., 0]
+    return grad * (max_norm / np.maximum(norm, max_norm))
 
 
 def adam_step(
     state: AdamState,
     params: np.ndarray,
     grad: np.ndarray,
-    learning_rate: float,
+    learning_rate,
     clip_norm: float | None = None,
 ) -> np.ndarray:
     """One Adam update, after clipping grad to L2 norm clip_norm if given.
 
-    Mutates state, returns the new parameter vector.
+    params and grad are one vector (P,) or R stacked rows (R, P); rows are
+    clipped one by one, and learning_rate is a number or broadcasts against
+    params, as one rate per row (R, 1) does. No arithmetic crosses rows, so
+    a row's update is the one it would get on its own. Mutates state,
+    returns the new parameters.
     """
     grad = np.asarray(grad, dtype=float)
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise NonFiniteGradientError(
             f"non-finite gradient at adam step {state.t + 1}"
         )
@@ -76,17 +83,16 @@ def adam_step(
     return params - learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
 
 
-def prox_l1(
-    params: np.ndarray, mask: np.ndarray, step_size: float, lam: float
-) -> np.ndarray:
-    """Soft-threshold the masked slots by step_size * lam; others pass through."""
-    out = np.asarray(params, dtype=float).copy()
-    if lam <= 0.0 or step_size <= 0.0:
-        return out
-    thresh = step_size * lam
-    sel = out[mask]
-    out[mask] = np.sign(sel) * np.maximum(np.abs(sel) - thresh, 0.0)
-    return out
+def prox_l1(params: np.ndarray, mask: np.ndarray, step_size, lam) -> np.ndarray:
+    """Soft-threshold the masked slots by step_size * lam; others pass through.
+
+    params is one vector (P,) or stacked rows (R, P), and the mask (P,)
+    selects the same slots in every row. step_size and lam are >= 0, numbers
+    or one per row (R, 1); a zero product leaves the slots as they are.
+    """
+    params = np.asarray(params, dtype=float)
+    shrunk = np.sign(params) * np.maximum(np.abs(params) - np.multiply(step_size, lam), 0.0)
+    return np.where(mask, shrunk, params)
 
 
 # --- early stopping ----------------------------------------------------------

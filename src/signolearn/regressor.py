@@ -342,8 +342,7 @@ def _adam_stage(alphas, betas, log_x, y, lam, epochs, lr):
     r, k, m = betas.shape
     # one (R, K + K*m) matrix; the alpha and beta blocks are views of it
     params = np.concatenate([alphas, betas.reshape(r, k * m)], axis=1)
-    mask = np.zeros(params.shape, dtype=bool)
-    mask[:, k:] = True
+    beta_mask = np.arange(k + k * m) >= k  # the same slots in every row
     state = AdamState.init(params.shape)
     live = np.arange(r)
 
@@ -355,11 +354,11 @@ def _adam_stage(alphas, betas, log_x, y, lam, epochs, lr):
         grad = np.concatenate([d_alpha, d_beta.reshape(len(live), k * m)], axis=1)
         ok = np.isfinite(losses) & np.isfinite(grad).all(axis=1)
         if not ok.all():
-            live, params, grad, mask = live[ok], params[ok], grad[ok], mask[ok]
+            live, params, grad = live[ok], params[ok], grad[ok]
             state.m, state.v = state.m[ok], state.v[ok]
             if not len(live):
                 break
-        params = prox_l1(adam_step(state, params, grad, lr), mask, lr, lam)
+        params = prox_l1(adam_step(state, params, grad, lr), beta_mask, lr, lam)
 
     objectives = np.full(r, math.inf)
     final = np.full((r, k + k * m), np.nan)

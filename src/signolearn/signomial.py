@@ -227,12 +227,25 @@ def log_coefficients(alphas) -> tuple[np.ndarray, np.ndarray]:
         return np.sign(alphas), np.log(np.abs(alphas))
 
 
+# the kernel works on (C, K, N) blocks and returns (N, C, K) views of them,
+# with or without a leading trial axis; the permutations are looked up, not
+# built, since forward runs dozens of times per explained row
+_ROWS_FIRST = {3: (2, 0, 1), 4: (0, 3, 1, 2)}
+_ROWS_LAST = {3: (1, 2, 0), 4: (0, 2, 3, 1)}
+
+
 def _check_log_magnitude(log_mag: np.ndarray, what: str) -> None:
-    """Raise OverflowLimitError if any entry of a (C, K, N) array is too large."""
+    """Raise OverflowLimitError if any entry of a (..., C, K, N) array is too large.
+
+    The message names the score, term and row of the largest entry; a leading
+    trial axis is not named, since a trial's own message comes from evaluating
+    it alone.
+    """
     if log_mag.size and log_mag.max() > LOG_MAGNITUDE_LIMIT:
-        c, k, n = map(int, np.unravel_index(np.argmax(log_mag), log_mag.shape))
+        at = np.unravel_index(np.argmax(log_mag), log_mag.shape)
+        c, k, n = map(int, at[-3:])
         raise OverflowLimitError(
-            f"{what} log-magnitude {log_mag[c, k, n]:.1f} of term {k} (score {c}, "
+            f"{what} log-magnitude {log_mag[at]:.1f} of term {k} (score {c}, "
             f"row {n}) exceeds {LOG_MAGNITUDE_LIMIT:.0f}",
             term_index=k,
         )
@@ -247,14 +260,22 @@ def forward(sign_alpha, log_abs_alpha, betas, log_x) -> tuple[np.ndarray, np.nda
     log-magnitude exceeds LOG_MAGNITUDE_LIMIT raises OverflowLimitError.
     The work runs with rows last, where numpy is fastest for the small C and K
     of a signomial; the results are (N, C, K) views of that layout.
+
+    Every argument may carry a leading trial axis T, as (T, C, K),
+    (T, C, K, m) and (T, N, m), and the results are then (T, N, C, K); ln x
+    of shape (N, m) is shared by every trial. Each trial is computed on its
+    own slice, so its values do not depend on which trials share the stack.
     """
-    c, k, m = betas.shape
-    n = len(log_x)
-    mono_log = (betas.reshape(c * k, m) @ log_x.T).reshape(c, k, n)
-    log_mag = mono_log + log_abs_alpha[:, :, None]
+    lead = betas.shape[:-3]
+    c, k, m = betas.shape[-3:]
+    n = log_x.shape[-2]
+    mono_log = betas.reshape(lead + (c * k, m)) @ log_x.swapaxes(-1, -2)
+    mono_log = mono_log.reshape(lead + (c, k, n))
+    log_mag = mono_log + log_abs_alpha[..., None]
     _check_log_magnitude(log_mag, "term")
-    per_term = sign_alpha[:, :, None] * np.exp(log_mag)
-    return mono_log.transpose(2, 0, 1), per_term.transpose(2, 0, 1)
+    per_term = sign_alpha[..., None] * np.exp(log_mag)
+    rows_first = _ROWS_FIRST[mono_log.ndim]
+    return mono_log.transpose(rows_first), per_term.transpose(rows_first)
 
 
 def backward(dz, mono_log, per_term, log_x) -> tuple[np.ndarray, np.ndarray]:
@@ -263,15 +284,18 @@ def backward(dz, mono_log, per_term, log_x) -> tuple[np.ndarray, np.ndarray]:
     Returns dL/dalpha (C, K) and dL/dbeta (C, K, m). dz/dalpha_ck is the bare
     monomial exp(beta_ck . ln x), computed without dividing by alpha so it
     stays defined at alpha = 0 and guarded against overflow like the terms;
-    dz/dbeta_ckj = per_term_ck * ln x_j.
+    dz/dbeta_ckj = per_term_ck * ln x_j. With forward's leading trial axis,
+    dz is (T, N, C) and the gradients are (T, C, K) and (T, C, K, m).
     """
-    n, c, k = per_term.shape
-    mono_log = mono_log.transpose(1, 2, 0)
+    lead = per_term.shape[:-3]
+    n, c, k = per_term.shape[-3:]
+    rows_last = _ROWS_LAST[per_term.ndim]
+    mono_log = mono_log.transpose(rows_last)
     _check_log_magnitude(mono_log, "monomial")
-    dz = dz.T[:, None, :]  # (C, 1, N)
-    d_alpha = (np.exp(mono_log) @ dz.transpose(0, 2, 1))[:, :, 0]
-    weighted = dz * per_term.transpose(1, 2, 0)  # (C, K, N)
-    d_beta = (weighted.reshape(c * k, n) @ log_x).reshape(c, k, -1)
+    dz = dz.swapaxes(-1, -2)[..., None, :]  # (..., C, 1, N)
+    d_alpha = (np.exp(mono_log) @ dz.swapaxes(-1, -2))[..., 0]
+    weighted = dz * per_term.transpose(rows_last)  # (..., C, K, N)
+    d_beta = (weighted.reshape(lead + (c * k, n)) @ log_x).reshape(lead + (c, k, -1))
     return d_alpha, d_beta
 
 

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signolearn import data_io
+from signolearn import classifier, data_io
 from signolearn.classifier import (
     ClassifyConfig,
     EcselModel,
@@ -11,6 +13,7 @@ from signolearn.classifier import (
     class_weights,
     compute_metrics,
     fit,
+    fit_trials,
     loss_and_grad,
     predict,
     predict_batch,
@@ -29,6 +32,7 @@ from signolearn.errors import (
     NonPositiveInputError,
     OverflowLimitError,
 )
+from signolearn.optim import adam_step
 from signolearn.signomial import Signomial, Term
 
 
@@ -425,6 +429,56 @@ def test_fit_diverges_loudly_with_insane_learning_rate():
         fit(train, val, cfg)
     assert exc_info.value.epoch is not None
     assert isinstance(exc_info.value.__cause__, OverflowLimitError)
+
+
+def test_fit_trials_trains_each_trial_as_it_would_alone(monkeypatch):
+    # a 4-trial stack: trial 1 diverges as in the test above, trial 2 stops
+    # early after steps whose gradients are clipped, trials 0 and 3 run all
+    # their (different) epochs
+    train, val = make_sets(seed=2)
+    cfgs = [
+        ClassifyConfig(num_terms=2, epochs=30, learning_rate=1e-2, seed=1, patience=30),
+        ClassifyConfig(num_terms=2, epochs=30, learning_rate=1e3, seed=0),
+        ClassifyConfig(num_terms=2, epochs=30, learning_rate=1.0, seed=3, patience=2),
+        ClassifyConfig(num_terms=2, epochs=20, learning_rate=3e-3, l1_penalty=1e-2,
+                       seed=4, patience=30),
+    ]
+    rows = []
+
+    def recording(state, params, *args, **kwargs):
+        rows.append(len(params))
+        return adam_step(state, params, *args, **kwargs)
+
+    monkeypatch.setattr(classifier, "adam_step", recording)
+    results = fit_trials(train, val, cfgs)
+    stepped = list(rows)
+
+    with pytest.raises(NonFiniteLossError) as lone:
+        fit(train, val, cfgs[1])
+    failed = results[1]
+    assert type(failed) is NonFiniteLossError
+    assert str(failed) == str(lone.value)
+    assert failed.epoch == lone.value.epoch is not None
+    assert type(failed.__cause__) is OverflowLimitError
+    assert str(failed.__cause__) == str(lone.value.__cause__)
+
+    early = results[2][1]
+    assert early.stopped_early and len(early.epochs) < 30
+    # when trial 1 overflows, the stacked step fails and each trial steps
+    # alone once: the three sound ones reach Adam and stay
+    cut = stepped.index(3)
+    assert set(stepped[: cut - 3]) == {4} and stepped[cut - 3 : cut] == [1, 1, 1]
+    committed = stepped[: cut - 3] + stepped[cut:]
+    # 4 batches an epoch; a trial leaves the stack when it stops or fails,
+    # so the stack steps each survivor once per batch of its own epochs
+    survivors = 4 * (30 + len(early.epochs) + 20)
+    assert committed == sorted(committed, reverse=True) and committed[-1] == 1
+    assert 0 <= sum(committed) - survivors < 4 * (failed.epoch + 1)
+
+    for i in (0, 2, 3):
+        model, trace = fit(train, val, cfgs[i])
+        assert json.dumps(results[i][0].to_dict()) == json.dumps(model.to_dict())
+        assert results[i][1] == trace
 
 
 # --- threshold grid ---------------------------------------------------------------

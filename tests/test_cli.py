@@ -12,6 +12,7 @@ from signolearn.classifier import (
     EcselModel,
     compute_metrics,
     fit,
+    fit_trials,
     predict_batch,
 )
 from signolearn.errors import BadConfigError, CorruptModelError
@@ -680,38 +681,51 @@ def test_benchmark_empty_suite(tmp_path):
 # --- search ------------------------------------------------------------------------
 
 
-def test_search_logs_trials_and_replays_best(tmp_path):
+def test_search_logs_trials_and_replays_best(tmp_path, monkeypatch):
+    # the default space at seed 1 draws mixed K, batch sizes, epochs and
+    # patience, with two pairs of trials that share K and batch size
     data = write_blobs_csv(tmp_path / "blobs.csv", n_per=40)
     out = str(tmp_path / "best.json")
+    trained = []
+
+    def recording(*args, **kwargs):
+        results = fit_trials(*args, **kwargs)
+        trained.extend(results)
+        return results
+
+    monkeypatch.setattr(cli, "fit_trials", recording)
     assert cli.main(["search", "--data", data, "--target", "cls",
-                     "--trials", "3", "--seed", "1", "--out", out]) == 0
+                     "--trials", "6", "--seed", "1", "--out", out]) == 0
     log = json.load(open(tmp_path / "best.search.json"))
-    assert len(log["trials"]) == 3
+    assert len(log["trials"]) == len(trained) == 6
     best = log["trials"][log["bestTrial"]]
     assert best["valF1"] == log["bestValF1"]
+    shapes = {(t["params"]["k"], t["params"]["batch"]) for t in log["trials"]}
+    assert len(shapes) < 6 and len({t["params"]["k"] for t in log["trials"]}) > 1
 
-    # replay: rebuilding the logged configuration reproduces the val F1 exactly
+    # replay: a lone fit with each logged configuration reproduces that
+    # trial's model, val F1 and best epoch exactly
     full = data_io.load_csv(data, "cls")
-    train, test, val = data_io.split(
+    train, val, _, scaler = data_io.split_and_scale(
         full, data_io.SplitSpec(test_fraction=0.2, val_fraction=0.2, seed=1)
     )
-    scaler = data_io.Scaler().fit(train.X)
-    p = best["params"]
-    cfg = ClassifyConfig(
-        num_terms=p["k"], l1_penalty=p["l1"], learning_rate=p["lr"],
-        batch_size=p["batch"], epochs=p["epochs"], patience=p["patience"],
-        seed=p["fitSeed"],
-    )
-    model, _ = fit(
-        data_io.Dataset(scaler.transform(train.X), train.y,
-                        train.feature_names, train.class_names),
-        data_io.Dataset(scaler.transform(val.X), val.y,
-                        val.feature_names, val.class_names),
-        cfg,
-    )
-    f1 = compute_metrics(val.y, predict_batch(model, scaler.transform(val.X)),
-                         model.C).f1
-    assert f1 == log["bestValF1"]
+    for entry, (stacked_model, _) in zip(log["trials"], trained):
+        assert entry["status"] == "ok"
+        p = entry["params"]
+        cfg = ClassifyConfig(
+            num_terms=p["k"], l1_penalty=p["l1"], learning_rate=p["lr"],
+            batch_size=p["batch"], epochs=p["epochs"], patience=p["patience"],
+            seed=p["fitSeed"],
+        )
+        model, trace = fit(train, val, cfg, feature_names=full.feature_names,
+                           class_names=full.class_names, scaler=scaler)
+        assert json.dumps(stacked_model.to_dict()) == json.dumps(model.to_dict())
+        f1 = compute_metrics(val.y, predict_batch(model, val.X), model.C).f1
+        assert f1 == entry["valF1"]
+        assert trace.best_epoch == entry["bestEpoch"]
+        if entry is best:
+            saved = EcselModel.load(out).to_dict()
+            assert json.dumps(saved) == json.dumps(model.to_dict())
 
 
 def test_search_single_trial(tmp_path):

@@ -71,6 +71,63 @@ def test_adam_clip_equivalent_to_prescaled_gradient():
     assert np.allclose(out1, out2, rtol=0, atol=0)
 
 
+def _row_grads(rng, step, rows, width):
+    # row 0 is large enough to be clipped on every step, the rest mostly not
+    g = rng.standard_normal((rows, width)) * 0.2
+    g[0] *= 100.0 * (1 + step)
+    return g
+
+
+def test_stacked_adam_equals_row_by_row_bit_for_bit():
+    rng = np.random.default_rng(0)
+    rows, width = 4, 7
+    lrs = np.array([[1e-3], [3e-2], [0.5], [1e-4]])  # one rate per row
+    stacked = rng.standard_normal((rows, width))
+    alone = [row.copy() for row in stacked]
+    s_all = AdamState.init(stacked.shape)
+    s_one = [AdamState.init(width) for _ in range(rows)]
+    for step in range(20):
+        g = _row_grads(rng, step, rows, width)
+        stacked = adam_step(s_all, stacked, g, lrs, clip_norm=1.0)
+        for r in range(rows):
+            alone[r] = adam_step(s_one[r], alone[r], g[r], lrs[r, 0], clip_norm=1.0)
+    assert np.array_equal(stacked, np.array(alone))
+    assert stacked.tobytes() == np.array(alone).tobytes()
+
+
+def test_clip_large_row_does_not_scale_small_row():
+    g = np.array([[30.0, 40.0], [0.3, 0.4]])
+    clipped = clip_gradient(g, 1.0)
+    assert np.allclose(clipped[0], [0.6, 0.8], rtol=1e-15, atol=0)
+    assert np.array_equal(clipped[1], g[1])
+    # the Adam step of the small row is the one it takes alone
+    s2, s1 = AdamState.init(g.shape), AdamState.init(2)
+    out = adam_step(s2, np.zeros((2, 2)), g, 0.1, clip_norm=1.0)
+    assert np.array_equal(out[1], adam_step(s1, np.zeros(2), g[1], 0.1, clip_norm=1.0))
+
+
+def _reference_adam(m, v, t, params, grad, lr):
+    """The unclipped, single-rate Adam update written out (Kingma & Ba 2015)."""
+    m = optim.BETA1 * m + (1 - optim.BETA1) * grad
+    v = optim.BETA2 * v + (1 - optim.BETA2) * grad**2
+    m_hat = m / (1 - optim.BETA1**t)
+    v_hat = v / (1 - optim.BETA2**t)
+    return m, v, params - lr * m_hat / (np.sqrt(v_hat) + optim.EPS)
+
+
+def test_scalar_rate_unclipped_adam_keeps_its_bits():
+    # the regressor's call: many rows, one learning rate, no clipping
+    rng = np.random.default_rng(1)
+    params = rng.standard_normal((8, 12))
+    ref, m, v = params.copy(), np.zeros_like(params), np.zeros_like(params)
+    state = AdamState.init(params.shape)
+    for t in range(1, 31):
+        g = rng.standard_normal(params.shape) * 10.0 ** rng.integers(-3, 3)
+        params = adam_step(state, params, g, 0.03)
+        m, v, ref = _reference_adam(m, v, t, ref, g, 0.03)
+        assert params.tobytes() == ref.tobytes()
+
+
 # --- proximal L1 -------------------------------------------------------------
 
 
@@ -100,6 +157,32 @@ def test_prox_preserves_sign_and_contracts(params, thresh):
     moved = mask & (out != 0)
     assert np.all(np.sign(out[moved]) == np.sign(params[moved]))
     assert np.array_equal(out[~mask], params[~mask])
+
+
+def test_prox_per_row_step_sizes_match_per_row_calls():
+    rng = np.random.default_rng(2)
+    params = rng.standard_normal((5, 6))
+    mask = np.array([False, False, True, True, True, True])
+    steps = np.array([[0.1], [0.0], [0.5], [1e-3], [2.0]])  # one per row
+    lams = np.array([[1.0], [3.0], [0.0], [0.5], [0.2]])
+    out = prox_l1(params, mask, steps, lams)
+    for r in range(5):
+        alone = prox_l1(params[r], mask, steps[r, 0], lams[r, 0])
+        assert out[r].tobytes() == alone.tobytes()
+    # rows with a zero step or a zero penalty pass through unchanged
+    assert np.array_equal(out[1:3], params[1:3])
+
+
+def test_prox_scalar_step_keeps_its_bits():
+    # the regressor's call: one step size and penalty for a stack of rows
+    rng = np.random.default_rng(3)
+    params = rng.standard_normal((6, 9))
+    mask = np.arange(9) >= 3
+    out = prox_l1(params, mask, 0.3, 0.7)
+    ref = params.copy()
+    sel = ref[:, mask]
+    ref[:, mask] = np.sign(sel) * np.maximum(np.abs(sel) - 0.3 * 0.7, 0.0)
+    assert out.tobytes() == ref.tobytes()
 
 
 # --- early stopping ----------------------------------------------------------

@@ -246,6 +246,37 @@ def test_backward_sums_rows_and_weights_scores():
         assert d_beta[c] == pytest.approx(sum(dz[i, c] * r[1] for i, r in enumerate(rows)))
 
 
+@pytest.mark.parametrize("shared_inputs", [False, True])
+def test_trial_axis_gives_each_trial_its_lone_bits(shared_inputs):
+    # T stacked models of C scores and K terms, each on its own inputs or on
+    # one shared (N, m) set: every trial equals the same call without the
+    # trial axis, bit for bit, for the values and both gradients
+    rng = np.random.default_rng(5)
+    t, c, k, m, n = 4, 3, 2, 3, 9
+    alphas = rng.normal(0.2, 0.5, size=(t, c, k))
+    betas = rng.uniform(-1.5, 1.5, size=(t, c, k, m))
+    log_x = np.log(rng.uniform(1.0, 10.0, size=(n, m) if shared_inputs else (t, n, m)))
+    dz = rng.standard_normal((t, n, c))
+    mono_log, per_term = forward(*log_coefficients(alphas), betas, log_x)
+    d_alpha, d_beta = backward(dz, mono_log, per_term, log_x)
+    assert per_term.shape == (t, n, c, k) and d_beta.shape == (t, c, k, m)
+    for i in range(t):
+        lx = log_x if shared_inputs else log_x[i]
+        lone = forward(*log_coefficients(alphas[i]), betas[i], lx)
+        lone_grads = backward(dz[i], *lone, lx)
+        for got, want in zip((mono_log[i], per_term[i], d_alpha[i], d_beta[i]),
+                             (*lone, *lone_grads)):
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_overflow_in_a_stack_names_the_score_term_and_row():
+    betas = np.zeros((2, 1, 1, 1))
+    betas[1, 0, 0, 0] = 400.0
+    with pytest.raises(OverflowLimitError, match=r"of term 0 \(score 0, row 1\)"):
+        forward(np.ones((2, 1, 1)), np.zeros((2, 1, 1)), betas,
+                np.log(np.array([[1.0], [10.0]])))
+
+
 def test_backward_guards_the_bare_monomial():
     # a zero coefficient keeps the term at 0, but its monomial 10^400 overflows
     s = Signomial([(0.0, (400.0,))])
