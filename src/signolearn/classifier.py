@@ -118,9 +118,10 @@ class EcselModel:
         self.feature_names = feature_names or [f"x{j + 1}" for j in range(self.m)]
         self.class_names = class_names or [str(c) for c in range(self.C)]
         self.scaler = scaler
-        if len(self.feature_names) != self.m:
+        # a CSV column is read for each name, so no two may be the same
+        if len(self.feature_names) != self.m or len(set(self.feature_names)) < self.m:
             raise DimensionMismatchError(
-                f"{len(self.feature_names)} feature names for {self.m} features"
+                f"feature names {self.feature_names!r} are not {self.m} distinct names"
             )
         if len(self.class_names) != self.C:
             raise DimensionMismatchError(
@@ -345,6 +346,8 @@ def loss_and_grad(
     y = np.asarray(y, dtype=int)
     if X.shape[0] == 0:
         raise DataFormatError("empty batch")
+    if y.shape != (X.shape[0],):
+        raise DimensionMismatchError(f"{y.size} labels for {X.shape[0]} rows")
     if y.min(initial=0) < 0 or y.max(initial=0) >= model.C:
         raise LabelOutOfRangeError(f"labels must lie in [0, {model.C})")
     if weights is None:
@@ -408,9 +411,12 @@ def fit_trials(
     train together in one lockstep loop (`_train_stack`). Each draws its
     initial values and epoch shuffles from its own counter-based stream
     (cfg.seed), and no arithmetic crosses trials, so a trial's model is the
-    one it would get alone. Returns, in cfg order, (model, trace) for each
-    trial that trained, or the NonFiniteLossError or NonFiniteGradientError
-    that stopped it. Config and data faults raise before any training.
+    one it would get alone, and a trial that diverges leaves the stack with
+    the error it would raise alone. Returns, in cfg order, (model, trace) for
+    each trial that trained, or the NonFiniteLossError or
+    NonFiniteGradientError that stopped it. Config and data faults, such as
+    a label count that differs from the row count or a negative label, raise
+    before any training.
     """
     for cfg in cfgs:
         cfg.validate()
@@ -418,6 +424,11 @@ def fit_trials(
     Xv, yv = np.asarray(val.X, dtype=float), np.asarray(val.y, dtype=int)
     if X.shape[0] == 0 or Xv.shape[0] == 0:
         raise DataFormatError("training and validation sets must be non-empty")
+    for labels, rows in ((y, X), (yv, Xv)):
+        if labels.shape != (len(rows),):
+            raise DimensionMismatchError(f"{labels.size} labels for {len(rows)} rows")
+        if labels.min() < 0:
+            raise LabelOutOfRangeError(f"label {labels.min()} is negative")
     if X.shape[1] != Xv.shape[1]:
         raise DimensionMismatchError("train and validation feature counts differ")
     num_classes = int(max(y.max(), yv.max())) + 1
@@ -464,9 +475,9 @@ def _train_stack(cfgs, log_x, y, log_xv, yv, weights, c_rows) -> list:
     loss-and-gradient call, one Adam step with per-trial clipping and learning
     rates and one per-trial L1 proximal step; each epoch ends with one
     forward-only validation loss. A trial leaves the stack when its epochs or
-    its patience run out, or when it diverges. Returns per trial the best
-    snapshot's alphas (C, K) and betas (C, K, m) with its FitTrace, or the
-    error that stopped it.
+    its patience run out, or when it diverges (the error of a failed call
+    names it). Returns per trial the best snapshot's alphas (C, K) and betas
+    (C, K, m) with its FitTrace, or the error that stopped it.
     """
     n, m = log_x.shape
     k, batch, link = cfgs[0].num_terms, cfgs[0].batch_size, cfgs[0].link
@@ -488,33 +499,33 @@ def _train_stack(cfgs, log_x, y, log_xv, yv, weights, c_rows) -> list:
     errors: dict[int, Exception] = {}
     live = np.arange(len(cfgs))
 
-    def objective(p, lam, lx, labels):
-        """Losses (smooth + L1) of the stacked rows p, and their gradient function."""
-        a = p[:, :n_alpha].reshape(len(p), c_rows, k)
-        b = p[:, n_alpha:].reshape(len(p), c_rows, k, m)
+    def objective(lx, labels):
+        """Losses (smooth + L1) of the live trials, and their gradient function."""
+        a = params[:, :n_alpha].reshape(len(params), c_rows, k)
+        b = params[:, n_alpha:].reshape(len(params), c_rows, k, m)
         smooth, grad = _smooth_loss(a, b, lx, labels, weights, link)
-        return smooth + lam[:, 0] * np.abs(p[:, n_alpha:]).sum(axis=1), grad
+        return smooth + l1[:, 0] * np.abs(params[:, n_alpha:]).sum(axis=1), grad
 
-    def train_step(rows, start):
-        """One mini-batch step of the live trials picked by the slice rows, on
-        their next batch from epoch position start: their losses, new
-        parameters and Adam state."""
-        p, rate, lam = params[rows], lr[rows], l1[rows]
-        idx = orders[rows, start : start + batch]
-        loss, grad = objective(p, lam, log_x[idx], y[idx])
-        d_alpha, d_beta = grad()
+    def finite(loss, which):
+        """loss, or a NonFiniteLossError naming its first non-finite trial."""
         if not np.isfinite(loss).all():
-            raise NonFiniteLossError(f"non-finite training loss at epoch {epoch}", epoch=epoch)
-        g = np.concatenate([d_alpha.reshape(len(p), -1), d_beta.reshape(len(p), -1)], axis=1)
-        state = AdamState(adam.m[rows], adam.v[rows], adam.t)
-        p = adam_step(state, p, g, rate, GRAD_CLIP_NORM)
-        return loss, prox_l1(p, beta_mask, rate, lam), state
+            raise NonFiniteLossError(
+                f"non-finite {which} loss at epoch {epoch}", epoch=epoch,
+                stack_index=int(np.flatnonzero(~np.isfinite(loss))[0]),
+            )
+        return loss
 
-    def val_step(rows):
-        val = objective(params[rows], l1[rows], log_xv, yv)[0]
-        if not np.isfinite(val).all():
-            raise NonFiniteLossError(f"non-finite validation loss at epoch {epoch}", epoch=epoch)
-        return val
+    def train_step(start):
+        """One mini-batch step of the live trials on their next batch from
+        epoch position start: their losses and new parameters. A failed step
+        changes nothing, since adam_step raises before it changes its state."""
+        idx = orders[:, start : start + batch]
+        loss, grad = objective(log_x[idx], y[idx])
+        d_alpha, d_beta = grad()
+        finite(loss, "training")
+        g = np.concatenate([d_alpha.reshape(len(loss), -1), d_beta.reshape(len(loss), -1)], axis=1)
+        p = adam_step(adam, params, g, lr, GRAD_CLIP_NORM)
+        return loss, prox_l1(p, beta_mask, lr, l1)
 
     def keep(ok) -> None:
         nonlocal live, params, lr, l1, orders, running
@@ -526,30 +537,23 @@ def _train_stack(cfgs, log_x, y, log_xv, yv, weights, c_rows) -> list:
     def stacked(fn, *args):
         """fn over the whole live stack, or None once no trial is left.
 
-        One trial that overflows or diverges fails the stacked call, so after
-        a failure each trial runs alone: those that fail leave with the error
-        a lone fit raises, and the rest run again.
+        A failed call names its trial (stack_index), which leaves with the
+        error it raises alone, since stages run in a lone fit's order on each
+        trial's own slice; the rest run again as one stack.
         """
-        try:
-            return fn(slice(None), *args)
-        except (OverflowLimitError, NonFiniteLossError, NonFiniteGradientError):
-            pass
-        ok = np.ones(len(live), dtype=bool)
-        for i in range(len(live)):
+        while len(live):
             try:
-                fn(slice(i, i + 1), *args)
-                continue
-            except OverflowLimitError as exc:
-                err = NonFiniteLossError(
-                    f"training overflowed at epoch {epoch}: {exc}", epoch=epoch
-                )
-                err.__cause__ = exc
-            except (NonFiniteLossError, NonFiniteGradientError) as exc:
+                return fn(*args)
+            except (OverflowLimitError, NonFiniteLossError, NonFiniteGradientError) as exc:
                 err = exc
-            errors[int(live[i])] = err
-            ok[i] = False
-        keep(ok)
-        return fn(slice(None), *args) if len(live) else None
+                if isinstance(exc, OverflowLimitError):
+                    err = NonFiniteLossError(
+                        f"training overflowed at epoch {epoch}: {exc}", epoch=epoch
+                    )
+                    err.__cause__ = exc
+                errors[int(live[exc.stack_index])] = err
+                keep(np.arange(len(live)) != exc.stack_index)
+        return None
 
     for epoch in range(max(cfg.epochs for cfg in cfgs)):
         orders = np.array([rngs[t].permutation(n) for t in live])
@@ -560,10 +564,10 @@ def _train_stack(cfgs, log_x, y, log_xv, yv, weights, c_rows) -> list:
             step = stacked(train_step, start)
             if step is None:
                 break
-            loss, params, adam = step
+            loss, params = step
             size = min(batch, n - start)
             running = [r + x * size for r, x in zip(running, loss.tolist())]
-        val = stacked(val_step) if len(live) else None
+        val = stacked(lambda: finite(objective(log_xv, yv)[0], "validation"))
         if val is None:
             break
         go_on = []

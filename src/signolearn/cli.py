@@ -38,10 +38,7 @@ from .errors import (
     CorruptModelError,
     DataFormatError,
     NameCountMismatchError,
-    NonFiniteGradientError,
-    NonFiniteLossError,
-    NonFiniteObjectiveError,
-    OverflowLimitError,
+    NumericalError,
     SameClassError,
     SignolearnError,
 )
@@ -57,13 +54,6 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 _USAGE_ERRORS = (BadConfigError, SameClassError, NameCountMismatchError)
-_NUMERIC_ERRORS = (
-    NonFiniteLossError,
-    NonFiniteObjectiveError,
-    NonFiniteGradientError,
-    OverflowLimitError,
-    AllRestartsFailedError,
-)
 
 MODEL_KINDS = {"classifier": EcselModel.from_dict, "regressor": RegressorModel.from_dict}
 
@@ -76,7 +66,7 @@ def _error_line(exc: BaseException) -> str:
 def _exit_code_for(exc: BaseException) -> int:
     if isinstance(exc, _USAGE_ERRORS):
         return EXIT_USAGE
-    if isinstance(exc, _NUMERIC_ERRORS):
+    if isinstance(exc, NumericalError):
         return EXIT_NUMERIC
     return EXIT_DATA
 
@@ -645,7 +635,7 @@ def cmd_search(args) -> int:
     )
     for t, (params, cfg, result) in enumerate(zip(sampled, cfgs, results)):
         logged = {**params, "fitSeed": cfg.seed}
-        if isinstance(result, _NUMERIC_ERRORS):
+        if isinstance(result, NumericalError):
             trials.append({
                 "trial": t, "params": logged,
                 "status": "diverged", "message": " ".join(str(result).split()),

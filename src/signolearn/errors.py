@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration/usage problems exit 2,
-data problems exit 3, numerical failures exit 4.
+data problems exit 3, numerical failures (NumericalError) exit 4.
 """
 
 from __future__ import annotations
@@ -45,37 +45,46 @@ class DimensionMismatchError(SignolearnError):
     """Array shapes disagree (term widths, input length, class count)."""
 
 
-# --- numerical errors --------------------------------------------------------
-
 class NonPositiveInputError(SignolearnError):
     """An input coordinate is zero, negative, or non-finite."""
 
 
-class OverflowLimitError(SignolearnError):
+# --- numerical errors --------------------------------------------------------
+
+class NumericalError(SignolearnError):
+    """A numerical failure (exit 4). stack_index names the row of a stack
+    (a restart, a trial) that failed, or is None outside a stack."""
+
+    def __init__(self, message: str, stack_index: int | None = None):
+        super().__init__(message)
+        self.stack_index = stack_index
+
+
+class OverflowLimitError(NumericalError):
     """A term's log-magnitude exceeded the safe exponentiation limit."""
 
-    def __init__(self, message: str, term_index: int | None = None):
-        super().__init__(message)
+    def __init__(self, message: str, term_index: int | None = None, stack_index: int | None = None):
+        super().__init__(message, stack_index)
         self.term_index = term_index
 
 
-class NonFiniteObjectiveError(SignolearnError):
+class NonFiniteObjectiveError(NumericalError):
     """The objective evaluated to NaN or infinity."""
 
 
-class NonFiniteGradientError(SignolearnError):
+class NonFiniteGradientError(NumericalError):
     """A gradient contained NaN or infinity."""
 
 
-class NonFiniteLossError(SignolearnError):
+class NonFiniteLossError(NumericalError):
     """Training hit a non-finite loss; carries the epoch where it happened."""
 
-    def __init__(self, message: str, epoch: int | None = None):
-        super().__init__(message)
+    def __init__(self, message: str, epoch: int | None = None, stack_index: int | None = None):
+        super().__init__(message, stack_index)
         self.epoch = epoch
 
 
-class AllRestartsFailedError(SignolearnError):
+class AllRestartsFailedError(NumericalError):
     """Every optimizer restart diverged or produced a non-finite objective."""
 
 

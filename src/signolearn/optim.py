@@ -66,13 +66,16 @@ def adam_step(
     params and grad are one vector (P,) or R stacked rows (R, P); rows are
     clipped one by one, and learning_rate is a number or broadcasts against
     params, as one rate per row (R, 1) does. No arithmetic crosses rows, so
-    a row's update is the one it would get on its own. Mutates state,
-    returns the new parameters.
+    a row's update is the one it would get on its own. A non-finite gradient
+    raises NonFiniteGradientError, naming the first such row of a stack in
+    stack_index, before state changes. Mutates state, returns the new
+    parameters.
     """
     grad = np.asarray(grad, dtype=float)
     if not np.isfinite(grad).all():
         raise NonFiniteGradientError(
-            f"non-finite gradient at adam step {state.t + 1}"
+            f"non-finite gradient at adam step {state.t + 1}",
+            stack_index=int(np.argwhere(~np.isfinite(grad))[0, 0]) if grad.ndim > 1 else None,
         )
     grad = clip_gradient(grad, clip_norm)
     state.t += 1

@@ -203,6 +203,12 @@ class RegressorModel:
     signomial: Signomial
     feature_names: list[str]
 
+    def __post_init__(self):
+        # CSV columns are matched to these names, so they must be distinct strings
+        names, m = self.feature_names, self.signomial.m
+        if len(names) != m or not all(isinstance(n, str) for n in names) or len(set(names)) < m:
+            raise DimensionMismatchError(f"feature names {names!r} are not {m} distinct strings")
+
     def to_dict(self) -> dict:
         return {
             "kind": "regressor",
@@ -215,12 +221,9 @@ class RegressorModel:
         try:
             s = Signomial.from_dict(data["signomial"])
             names = data.get("featureNames") or [f"x{j + 1}" for j in range(s.m)]
-            # CSV columns are matched to these names, so they must be strings
-            if len(names) != s.m or not all(isinstance(n, str) for n in names):
-                raise DimensionMismatchError(f"feature names {names!r} for {s.m} features")
+            return cls(s, list(names))
         except (KeyError, TypeError, DimensionMismatchError) as exc:
             raise CorruptModelError(f"invalid regressor payload: {exc}") from exc
-        return cls(s, list(names))
 
     def save(self, path: str) -> None:
         save_model(self.to_dict(), path)
@@ -285,7 +288,8 @@ def _sr_smooth(alphas, betas, log_x, y):
     Takes alphas (C, K) and betas (C, K, m); returns the losses (C,),
     dL/dalpha (C, K) and dL/dbeta (C, K, m). A signomial with an overflowing
     term gets an infinite loss and an undefined (NaN) gradient, so Adam drops
-    that restart as diverged.
+    that restart as diverged; the kernel names it, and the others are
+    evaluated again as one stack without it.
     """
     n = log_x.shape[0]
     # terms below the limit can still square or sum past float range, which
@@ -298,14 +302,11 @@ def _sr_smooth(alphas, betas, log_x, y):
             mono_log, per_term = forward(sign, log_abs, betas, log_x)
             resid = y - per_term.sum(axis=2).T  # (C, N)
             d_alpha, d_beta = backward((-2.0 / n) * resid.T, mono_log, per_term, log_x)
-        except OverflowLimitError:
-            if len(alphas) == 1:
-                return (np.full(1, math.inf), np.full_like(alphas, np.nan),
-                        np.full_like(betas, np.nan))
-            # the kernel raises for the whole stack: evaluate each signomial
-            # alone to find the ones that overflow
-            rows = [_sr_smooth(a[None], b[None], log_x, y) for a, b in zip(alphas, betas)]
-            return tuple(np.concatenate(parts) for parts in zip(*rows))
+        except OverflowLimitError as exc:
+            i = exc.stack_index
+            rest = _sr_smooth(np.delete(alphas, i, 0), np.delete(betas, i, 0), log_x, y)
+            return tuple(np.insert(part, i, fill, axis=0)
+                         for part, fill in zip(rest, (math.inf, np.nan, np.nan)))
         # a stacked dot product: for C = 1 it is bit for bit resid @ resid
         return (resid[:, None, :] @ resid[:, :, None])[:, 0, 0] / n, d_alpha, d_beta
 

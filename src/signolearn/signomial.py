@@ -237,9 +237,10 @@ _ROWS_LAST = {3: (1, 2, 0), 4: (0, 2, 3, 1)}
 def _check_log_magnitude(log_mag: np.ndarray, what: str) -> None:
     """Raise OverflowLimitError if any entry of a (..., C, K, N) array is too large.
 
-    The message names the score, term and row of the largest entry; a leading
-    trial axis is not named, since a trial's own message comes from evaluating
-    it alone.
+    The message names the score, term and row of the largest entry, and
+    stack_index its index on the leading axis: the trial of a (T, C, K, N)
+    stack, the score of a (C, K, N) one. That entry is also the largest of
+    its trial's own slice, so the message is the one the trial raises alone.
     """
     if log_mag.size and log_mag.max() > LOG_MAGNITUDE_LIMIT:
         at = np.unravel_index(np.argmax(log_mag), log_mag.shape)
@@ -248,6 +249,7 @@ def _check_log_magnitude(log_mag: np.ndarray, what: str) -> None:
             f"{what} log-magnitude {log_mag[at]:.1f} of term {k} (score {c}, "
             f"row {n}) exceeds {LOG_MAGNITUDE_LIMIT:.0f}",
             term_index=k,
+            stack_index=int(at[0]),
         )
 
 
@@ -295,8 +297,8 @@ def backward(dz, mono_log, per_term, log_x) -> tuple[np.ndarray, np.ndarray]:
     dz = dz.swapaxes(-1, -2)[..., None, :]  # (..., C, 1, N)
     d_alpha = (np.exp(mono_log) @ dz.swapaxes(-1, -2))[..., 0]
     weighted = dz * per_term.transpose(rows_last)  # (..., C, K, N)
-    d_beta = (weighted.reshape(lead + (c * k, n)) @ log_x).reshape(lead + (c, k, -1))
-    return d_alpha, d_beta
+    d_beta = weighted.reshape(lead + (c * k, n)) @ log_x  # (..., C*K, m)
+    return d_alpha, d_beta.reshape(lead + (c, k, log_x.shape[-1]))
 
 
 def evaluate(s: Signomial, x) -> ScoreBreakdown:

@@ -249,6 +249,11 @@ def test_loss_rejects_empty_batch_and_bad_labels():
         loss_and_grad(model, np.empty((0, 3)), [], l1_penalty=0.0)
     with pytest.raises(LabelOutOfRangeError):
         loss_and_grad(model, [[1.0, 1.0, 1.0]], [5], l1_penalty=0.0)
+    # a label count that differs from the row count, either way round
+    with pytest.raises(DimensionMismatchError):
+        loss_and_grad(model, [[1.0, 1.0, 1.0]] * 2, [1], l1_penalty=0.0)
+    with pytest.raises(DimensionMismatchError):
+        loss_and_grad(model, [[1.0, 1.0, 1.0]], [0, 1], l1_penalty=0.0)
 
 
 # --- class weights ---------------------------------------------------------------
@@ -315,6 +320,9 @@ def test_model_shape_validation():
     z2 = Signomial([Term(1.0, (0.5, 0.5))])
     with pytest.raises(DimensionMismatchError):
         EcselModel([z, z2])
+    # a model that could not be loaded again is refused when built
+    with pytest.raises(DimensionMismatchError):
+        EcselModel([z2, z2], feature_names=["a", "a"])
 
 
 # --- training ---------------------------------------------------------------------
@@ -464,21 +472,88 @@ def test_fit_trials_trains_each_trial_as_it_would_alone(monkeypatch):
 
     early = results[2][1]
     assert early.stopped_early and len(early.epochs) < 30
-    # when trial 1 overflows, the stacked step fails and each trial steps
-    # alone once: the three sound ones reach Adam and stay
+    # when trial 1 overflows, the stacked step names it and the three sound
+    # trials run the step again as one stack: no trial ever steps alone
+    # while others are live, and the stack goes from 4 rows straight to 3
     cut = stepped.index(3)
-    assert set(stepped[: cut - 3]) == {4} and stepped[cut - 3 : cut] == [1, 1, 1]
-    committed = stepped[: cut - 3] + stepped[cut:]
+    assert set(stepped[:cut]) == {4}
     # 4 batches an epoch; a trial leaves the stack when it stops or fails,
     # so the stack steps each survivor once per batch of its own epochs
     survivors = 4 * (30 + len(early.epochs) + 20)
-    assert committed == sorted(committed, reverse=True) and committed[-1] == 1
-    assert 0 <= sum(committed) - survivors < 4 * (failed.epoch + 1)
+    assert stepped == sorted(stepped, reverse=True) and stepped[-1] == 1
+    assert 0 <= sum(stepped) - survivors < 4 * (failed.epoch + 1)
 
     for i in (0, 2, 3):
         model, trace = fit(train, val, cfgs[i])
         assert json.dumps(results[i][0].to_dict()) == json.dumps(model.to_dict())
         assert results[i][1] == trace
+
+
+def test_a_stack_drops_each_overflowing_trial_it_names():
+    # three of five trials overflow at epoch 0; each failure names its
+    # trial, which leaves, and the rest run the step again as one stack
+    train, val = make_sets(seed=2)
+    cfgs = [
+        ClassifyConfig(num_terms=2, epochs=30, learning_rate=lr, seed=seed)
+        for lr, seed in ((1e3, 0), (1e-2, 1), (1e3, 5), (3e2, 7), (1e-3, 2))
+    ]
+    results = fit_trials(train, val, cfgs)
+    failed = [i for i, r in enumerate(results) if isinstance(r, Exception)]
+    assert failed == [0, 2, 3]
+    for i, cfg in enumerate(cfgs):
+        if i in failed:
+            with pytest.raises(NonFiniteLossError) as lone:
+                fit(train, val, cfg)
+            got, want = results[i], lone.value
+            assert type(got) is type(want) and str(got) == str(want)
+            assert got.epoch == want.epoch == 0
+            assert type(got.__cause__) is type(want.__cause__) is OverflowLimitError
+            assert str(got.__cause__) == str(want.__cause__)
+        else:
+            model, trace = fit(train, val, cfg)
+            assert json.dumps(results[i][0].to_dict()) == json.dumps(model.to_dict())
+            assert results[i][1] == trace
+
+
+def test_a_non_finite_loss_names_its_trial_and_the_step_changes_nothing(monkeypatch):
+    # trial 1's loss turns NaN on the third training step of a 3-trial
+    # stack: that trial leaves, and the other two take the step again as if
+    # it had never failed, so they still equal their lone fits
+    train, val = make_sets(seed=2)
+    cfgs = [ClassifyConfig(num_terms=2, epochs=3, learning_rate=1e-2, seed=s) for s in range(3)]
+    real, calls = classifier._smooth_loss, []
+
+    def poisoned(*args):
+        loss, grad = real(*args)
+        calls.append(len(loss))
+        if len(calls) == 3:
+            loss = np.where(np.arange(len(loss)) == 1, np.nan, loss)
+        return loss, grad
+
+    monkeypatch.setattr(classifier, "_smooth_loss", poisoned)
+    results = fit_trials(train, val, cfgs)
+    monkeypatch.undo()
+    assert calls[:4] == [3, 3, 3, 2]
+    assert type(results[1]) is NonFiniteLossError and results[1].epoch == 0
+    assert str(results[1]) == "non-finite training loss at epoch 0"
+    for i in (0, 2):
+        model, trace = fit(train, val, cfgs[i])
+        assert json.dumps(results[i][0].to_dict()) == json.dumps(model.to_dict())
+        assert results[i][1] == trace
+
+
+def test_fit_trials_checks_labels_before_training():
+    train, val = make_sets(seed=0)
+    cfg = ClassifyConfig(epochs=1)
+    short = data_io.Dataset(train.X, train.y[:-1], train.feature_names)
+    with pytest.raises(DimensionMismatchError):
+        fit_trials(short, val, [cfg])
+    with pytest.raises(DimensionMismatchError):
+        fit_trials(train, data_io.Dataset(val.X, val.y[:, None], val.feature_names), [cfg])
+    negative = val.y.copy()
+    negative[3] = -1
+    with pytest.raises(LabelOutOfRangeError):
+        fit_trials(train, data_io.Dataset(val.X, negative, val.feature_names), [cfg])
 
 
 # --- threshold grid ---------------------------------------------------------------

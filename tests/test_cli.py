@@ -377,12 +377,16 @@ def scaled_model_file(tmp_path):
     lambda p: p["signomials"][0]["terms"][0].update(alpha=math.nan),
     lambda p: p["signomials"][1]["terms"][0]["beta"].__setitem__(0, math.inf),
     lambda p: p.update(featureNames=[["a"], ["b"]]),
+    # the CSV has columns a and b; a duplicate name would read a twice
+    lambda p: p.update(featureNames=["a", "a"]),
+    lambda p: p.update(kind="regressor", signomial=p["signomials"][0], featureNames=["a", "a"]),
     lambda p: p.update(kind="regressor"),  # a regressor payload has no "signomial" then
     lambda p: p.update(kind="forest"),
     lambda p: p.update(kind=["classifier"]),
 ], ids=["scaler-with-steps", "scaler-other-range", "no-step-params", "unknown-step",
         "bad-bound", "infinite-bound", "nan-alpha", "infinite-beta",
-        "feature-names-not-strings", "regressor-without-signomial", "unknown-kind",
+        "feature-names-not-strings", "duplicate-feature-names",
+        "regressor-duplicate-feature-names", "regressor-without-signomial", "unknown-kind",
         "kind-not-a-string"])
 def test_malformed_model_file_is_corrupt(tmp_path, capsys, edit):
     path, data = scaled_model_file(tmp_path)

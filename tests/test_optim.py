@@ -37,8 +37,18 @@ def test_adam_zero_gradient_is_fixed_point():
 
 def test_adam_rejects_non_finite_gradient():
     state = AdamState.init(2)
-    with pytest.raises(NonFiniteGradientError):
+    with pytest.raises(NonFiniteGradientError) as exc:
         adam_step(state, np.zeros(2), np.array([1.0, np.nan]), 1e-3)
+    assert exc.value.stack_index is None
+    # on stacked rows it names the first bad row, before the state changes
+    state = AdamState.init((4, 3))
+    grad = np.ones((4, 3))
+    grad[2, 1] = np.inf
+    grad[3, 0] = np.nan
+    with pytest.raises(NonFiniteGradientError) as exc:
+        adam_step(state, np.zeros((4, 3)), grad, 1e-3)
+    assert exc.value.stack_index == 2
+    assert state.t == 0 and not state.m.any() and not state.v.any()
 
 
 def test_adam_is_deterministic():

@@ -364,6 +364,21 @@ def test_a_diverged_restart_leaves_the_others_untouched():
         np.testing.assert_allclose(got[others], want, rtol=1e-12, atol=0)
 
 
+def test_overflowing_restarts_leave_the_stack_they_are_named_in():
+    log_x, y, alphas, betas = jin2_stage_inputs()
+    bad = betas.copy()
+    bad[3] = -1e3
+    bad[6] = 1e3
+    losses, d_alpha, d_beta = regressor._sr_smooth(alphas, bad, log_x, y)
+    for r in (3, 6):
+        assert losses[r] == math.inf
+        assert np.isnan(d_alpha[r]).all() and np.isnan(d_beta[r]).all()
+    others = [0, 1, 2, 4, 5, 7]
+    alone = regressor._sr_smooth(alphas[others], betas[others], log_x, y)
+    for got, want in zip((losses, d_alpha, d_beta), alone):
+        np.testing.assert_allclose(got[others], want, rtol=1e-12, atol=0)
+
+
 def test_each_multi_term_stage_is_one_stacked_adam_loop(monkeypatch):
     # one Adam step per epoch over all 8 restarts: a full-length strong-L1
     # stage, then a half-length weak-L1 one

@@ -272,9 +272,10 @@ def test_trial_axis_gives_each_trial_its_lone_bits(shared_inputs):
 def test_overflow_in_a_stack_names_the_score_term_and_row():
     betas = np.zeros((2, 1, 1, 1))
     betas[1, 0, 0, 0] = 400.0
-    with pytest.raises(OverflowLimitError, match=r"of term 0 \(score 0, row 1\)"):
+    with pytest.raises(OverflowLimitError, match=r"of term 0 \(score 0, row 1\)") as exc:
         forward(np.ones((2, 1, 1)), np.zeros((2, 1, 1)), betas,
                 np.log(np.array([[1.0], [10.0]])))
+    assert exc.value.stack_index == 1
 
 
 def test_backward_guards_the_bare_monomial():
