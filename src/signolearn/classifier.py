@@ -136,14 +136,35 @@ class EcselModel:
         # the signomials are fixed from here on, so the kernel constants are too
         self._alphas, self._betas = _stack_params(self.signomials)
         self._kernel = (*log_coefficients(self._alphas), self._betas)
+        # (row bytes, per-term values) of the last good input; one tuple, set
+        # in one statement, so threads sharing the model need no lock
+        self._last_terms: tuple[bytes, np.ndarray] | None = None
 
     @property
     def num_terms(self) -> int:
         return max(s.num_terms for s in self.signomials)
 
+    def _terms_at(self, x) -> np.ndarray:
+        """Read-only per-term values (C, K) at one input.
+
+        The values for the last input are kept, keyed on its float64 bytes, so
+        reading one row many times runs the kernel once. An input that raises
+        is never kept, so it raises again on every call.
+        """
+        row = single_input(x, self.m)
+        key = row.tobytes()
+        last = self._last_terms
+        if last is not None and last[0] == key:
+            return last[1]
+        _, per_term = forward(*self._kernel, log_inputs(row, self.m))
+        values = per_term[0]
+        values.setflags(write=False)
+        self._last_terms = (key, values)
+        return values
+
     def scores(self, x) -> np.ndarray:
-        """Score vector (C,) at one input, from the same kernel as scores_batch."""
-        return self.scores_batch(single_input(x, self.m))[0]
+        """Score vector (C,) at one input: the sum of its per-term values."""
+        return self._terms_at(x).sum(axis=1)
 
     def scores_batch(self, X) -> np.ndarray:
         """Score matrix (N, C) over a batch of inputs."""

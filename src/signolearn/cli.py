@@ -371,12 +371,26 @@ def cmd_explain(args) -> int:
             f"--class {class_idx} out of range for {len(model.signomials)} model scores"
         )
 
+    # a term index asks for exact-log mode and a probability target for
+    # gradient mode; build_report refuses either in the other mode
     mode = args.mode
     if mode is None:
-        k = model.signomials[class_idx].num_terms
-        mode = "exact-log" if (k == 1 or args.term is not None) else "gradient"
+        if args.term is not None:
+            mode = "exact-log"
+        elif args.gradient_target == "probability":
+            mode = "gradient"
+        else:
+            k = model.signomials[class_idx].num_terms
+            mode = "exact-log" if k == 1 else "gradient"
+    baseline_row = args.baseline_row
+    if args.baseline != "sample" and baseline_row is not None:
+        raise BadConfigError(
+            f"--baseline-row needs --baseline sample, not --baseline {args.baseline}"
+        )
+    if args.baseline == "sample" and baseline_row is None:
+        baseline_row = 0
     baseline = default_baseline(
-        data_io.Dataset(Xs, None, model.feature_names), args.baseline, row=args.baseline_row
+        data_io.Dataset(Xs, None, model.feature_names), args.baseline, row=baseline_row or 0
     )
 
     report = build_report(
@@ -423,7 +437,7 @@ def cmd_explain(args) -> int:
         "mode": mode,
         "term": args.term,
         "baseline": args.baseline,
-        "baselineRow": args.baseline_row,
+        "baselineRow": baseline_row,
         "gradientTarget": args.gradient_target,
         "counterfactual": args.counterfactual,
         "scenarios": args.scenarios,
@@ -737,7 +751,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--term", type=int, default=None)
     p.add_argument("--baseline", choices=["geometric-mean", "all-ones", "sample"],
                    default="geometric-mean")
-    p.add_argument("--baseline-row", type=int, default=0)
+    p.add_argument("--baseline-row", type=int, default=None,
+                   help="row used by --baseline sample (default: 0)")
     p.add_argument("--gradient-target", choices=["score", "probability"],
                    default="score")
     p.add_argument("--counterfactual", default=None, metavar="FEATURE=Q")

@@ -6,9 +6,12 @@ feature scaling, first-order sensitivity, score-margin and probability
 sensitivities, and additive attributions in log-space (exact per term,
 first-order for whole scores). Pure functions over an immutable model.
 
-Each function is one forward pass of the model's stacked kernel, over every
-class, plus closed-form algebra on the per-term values; as in model.scores,
-an overflowing term in any class raises OverflowLimitError.
+Each function is closed-form algebra on the per-term values of every
+class. A one-row read takes them from the model, which keeps the values for
+the last input it evaluated, so a report and a counterfactual curve on one
+row share one kernel pass; a read over several rows (an attribution against
+a baseline, a scenario table) runs one forward pass over those rows. As in
+model.scores, an overflowing term in any class raises OverflowLimitError.
 """
 
 from __future__ import annotations
@@ -71,17 +74,28 @@ class AttributionReport:
     target: str | None = None  # "score" or "probability" (gradient mode)
 
 
+def _log_gradients(model: EcselModel, per_term: np.ndarray) -> np.ndarray:
+    """G_c = sum_k z_ck * beta_ck, (..., C, m), from per-term values (..., C, K)."""
+    return (per_term[..., None, :] @ model._betas)[..., 0, :]
+
+
+def _row_values(model: EcselModel, x):
+    """The scores (C,) and log-gradients (C, m) at one input, from the
+    per-term values the model keeps for its last input."""
+    per_term = model._terms_at(x)
+    return per_term.sum(axis=1), _log_gradients(model, per_term)
+
+
 def _kernel_values(model: EcselModel, *inputs):
     """One forward pass of the model's stacked kernel over the given inputs.
 
     Returns, with one leading row per input, the per-term values z_ck
-    (N, C, K), the scores (N, C) and the log-gradients G_c = sum_k z_ck *
-    beta_ck (N, C, m); a class with fewer than K terms has zero padding terms.
+    (N, C, K), the scores (N, C) and the log-gradients (N, C, m); a class
+    with fewer than K terms has zero padding terms.
     """
     X = np.concatenate([single_input(x, model.m) for x in inputs])
     _, per_term = forward(*model._kernel, log_inputs(X, model.m))
-    log_gradients = (per_term[:, :, None, :] @ model._betas)[:, :, 0, :]
-    return per_term, per_term.sum(axis=2), log_gradients
+    return per_term, per_term.sum(axis=2), _log_gradients(model, per_term)
 
 
 def _check_index(idx: int, count: int, what: str, of: str) -> None:
@@ -105,8 +119,8 @@ def elasticity(model: EcselModel, class_idx: int, x) -> ElasticityVector:
     positive.
     """
     _check_index(class_idx, len(model.signomials), "class", "scores")
-    _, z, g = _kernel_values(model, x)
-    z, g = float(z[0, class_idx]), g[0, class_idx]
+    z, g = _row_values(model, x)
+    z, g = float(z[class_idx]), g[class_idx]
     return ElasticityVector(score=z, log_gradient=g, elasticity=g / z if z > 0 else None)
 
 
@@ -115,16 +129,18 @@ def counterfactual_scale(
 ) -> float:
     """Exact class score after scaling one feature by a factor q.
 
-    Equal (to float precision) to evaluating the model at the literally
-    scaled input, but computed directly from the per-term values.
+    sum_k q^beta_kj * z_k(x): equal (to float precision) to evaluating the
+    model at the literally scaled input, but computed in O(K) from the
+    per-term values at x, which the model keeps for its last input, so a
+    curve over many q on one row runs the kernel once.
     """
     if not q > 0 or not math.isfinite(q):
         raise NonPositiveInputError(f"scale factor must be positive, got {q!r}")
     _check_index(class_idx, len(model.signomials), "class", "scores")
     _check_index(feature_idx, model.m, "feature", "features")
-    per_term, _, _ = _kernel_values(model, x)
+    per_term = model._terms_at(x)
     scale = np.power(q, model._betas[class_idx, :, feature_idx])
-    return float(scale @ per_term[0, class_idx])
+    return float(scale @ per_term[class_idx])
 
 
 def sensitivity_first_order(
@@ -146,12 +162,12 @@ def margin_sensitivity(
         raise BadConfigError("margins need a model with per-class scores")
     _check_index(class_idx, len(model.signomials), "class", "scores")
     _check_index(other_idx, len(model.signomials), "class", "scores")
-    _, z, g = _kernel_values(model, x)
+    z, g = _row_values(model, x)
     return MarginSensitivity(
         class_idx=class_idx,
         other_idx=other_idx,
-        margin=float(z[0, class_idx] - z[0, other_idx]),
-        per_feature=g[0, class_idx] - g[0, other_idx],
+        margin=float(z[class_idx] - z[other_idx]),
+        per_feature=g[class_idx] - g[other_idx],
     )
 
 
@@ -163,8 +179,8 @@ def probability_sensitivity(model: EcselModel, class_idx: int, x) -> np.ndarray:
     zero per feature.
     """
     _check_index(class_idx, model.C, "class", "classes")
-    _, z, g = _kernel_values(model, x)
-    return _probability_gradient(model, _probabilities(model, z)[0], g[0], class_idx)
+    z, g = _row_values(model, x)
+    return _probability_gradient(model, _probabilities(model, z[None, :])[0], g, class_idx)
 
 
 def attribute_exact_log(
@@ -303,19 +319,30 @@ def build_report(
 
     Bundles the chosen attribution with elasticities, log-gradients and all
     pairwise margins for the class, keyed by feature name and sorted by
-    contribution magnitude.
+    contribution magnitude. A term index belongs to exact-log mode and a
+    probability target to gradient mode; either in the other mode raises
+    BadConfigError rather than being ignored.
     """
     names = model.feature_names
     x = np.asarray(x, dtype=float)
     if mode == "exact-log":
+        if target != "score":
+            raise BadConfigError(
+                f"exact-log mode attributes a score, not target {target!r}; "
+                "use gradient mode"
+            )
         rep = attribute_exact_log(model, class_idx, x, baseline, term_idx)
     elif mode == "gradient":
+        if term_idx is not None:
+            raise BadConfigError(
+                f"term {term_idx} needs exact-log mode; gradient mode attributes "
+                "the whole score"
+            )
         rep = attribute_gradient(model, class_idx, x, baseline, target)
     else:
         raise BadConfigError(f"mode must be exact-log or gradient, got {mode!r}")
     _check_index(class_idx, len(model.signomials), "class", "scores")
-    _, z, g = _kernel_values(model, x)
-    z, g = z[0], g[0]
+    z, g = _row_values(model, x)
     margins = [
         {
             "against": other,

@@ -540,6 +540,47 @@ def test_explain_sigmoid_model_explains_its_single_score(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: BadConfigError")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--mode", "gradient", "--term", "0"],
+    ["--mode", "exact-log", "--term", "0", "--gradient-target", "probability"],
+    ["--term", "0", "--gradient-target", "probability"],
+    ["--baseline-row", "5"],
+    ["--baseline", "all-ones", "--baseline-row", "0"],
+])
+def test_explain_refuses_a_flag_it_would_ignore(tmp_path, capsys, flags):
+    ones = make_ones_csv(tmp_path)
+    assert cli.main(["explain", "--model", TOY, "--data", ones, *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: BadConfigError")
+
+
+def test_explain_probability_target_chooses_gradient_mode(tmp_path):
+    model = EcselModel([Signomial([(1.0, (2.0,))])], link="sigmoid")
+    path = str(tmp_path / "sig.json")
+    model.save(path)
+    data = tmp_path / "x.csv"
+    data.write_text("x1\n3.0\n")
+    out = str(tmp_path / "e.json")
+    argv = ["explain", "--model", path, "--data", str(data), "--out", out]
+    # one term: exact-log unless the probability target asks for gradient mode
+    assert cli.main(argv) == 0
+    assert json.load(open(out))["mode"] == "exact-log"
+    assert cli.main([*argv, "--gradient-target", "probability"]) == 0
+    report = json.load(open(out))
+    assert report["mode"] == report["resolvedConfig"]["mode"] == "gradient"
+    assert report["resolvedConfig"]["gradientTarget"] == "probability"
+
+
+def test_explain_records_the_baseline_row_it_used(tmp_path):
+    ones = make_ones_csv(tmp_path)
+    out = str(tmp_path / "r.json")
+    argv = ["explain", "--model", TOY, "--data", ones, "--out", out]
+    for flags, row in [([], None), (["--baseline", "sample"], 0),
+                       (["--baseline", "sample", "--baseline-row", "0"], 0)]:
+        assert cli.main([*argv, *flags]) == 0
+        assert json.load(open(out))["resolvedConfig"]["baselineRow"] == row
+    assert cli.main([*argv, "--baseline", "sample", "--baseline-row", "1"]) == 2
+
+
 def test_explain_row_out_of_range(tmp_path):
     ones = make_ones_csv(tmp_path)
     assert cli.main(["explain", "--model", TOY, "--data", ones,

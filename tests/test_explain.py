@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +13,9 @@ from signolearn.classifier import EcselModel, predict_proba
 from signolearn.errors import (
     BadConfigError,
     DataFormatError,
+    DimensionMismatchError,
     NonPositiveInputError,
+    OverflowLimitError,
     SameClassError,
     SignolearnError,
     ZeroComponentScoreError,
@@ -595,6 +600,16 @@ def test_build_report_gradient_mode_and_sigmoid():
         build_report(model, [1.5], 0, "shapley", [1.0])
 
 
+def test_build_report_refuses_options_its_mode_ignores():
+    model, x, b = two_class_demo(), np.full(3, 2.0), np.ones(3)
+    with pytest.raises(BadConfigError, match="exact-log"):
+        build_report(model, x, 0, "gradient", b, term_idx=0)
+    with pytest.raises(BadConfigError, match="gradient mode"):
+        build_report(model, x, 0, "exact-log", b, term_idx=0, target="probability")
+    build_report(model, x, 0, "exact-log", b, term_idx=0, target="score")
+    build_report(model, x, 0, "gradient", b, target="probability")
+
+
 def test_build_report_undefined_elasticities():
     model = EcselModel(
         [
@@ -678,10 +693,23 @@ def outcome(fn):
         return type(exc)
 
 
-@settings(max_examples=200, deadline=None)
-@given(models_and_inputs())
-def test_explanations_agree_with_the_kernel_or_raise_alike(case):
-    model, x, c, pc = case
+def bits(obj):
+    """obj with every float and array replaced by its bytes, so that == on
+    two results compares them bit for bit."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return type(obj), bits(vars(obj))
+    if isinstance(obj, dict):
+        return tuple((k, bits(v)) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return tuple(bits(v) for v in obj)
+    if isinstance(obj, np.ndarray):
+        return obj.shape, obj.dtype.str, obj.tobytes()
+    if isinstance(obj, float):
+        return np.float64(obj).tobytes()
+    return obj
+
+
+def explanation_calls(model, x, c, pc):
     ones = np.ones(model.m)
     calls = {
         "elasticity": lambda: elasticity(model, c, x),
@@ -696,11 +724,24 @@ def test_explanations_agree_with_the_kernel_or_raise_alike(case):
     }
     if model.link == "softmax":
         calls["margin"] = lambda: margin_sensitivity(model, c, (c + 1) % model.C, x)
+    return calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(models_and_inputs())
+def test_explanations_agree_with_the_kernel_or_raise_alike(case):
+    model, x, c, pc = case
+    ones = np.ones(model.m)
+    calls = explanation_calls(model, x, c, pc)
     scores = outcome(lambda: model.scores(x))
+    # every call after scores reads x warm; each equals, bit for bit, the
+    # same call on a model that has read nothing yet, or raises alike
+    warm = {name: outcome(fn) for name, fn in calls.items()}
+    for name, result in warm.items():
+        cold = EcselModel(list(model.signomials), link=model.link)
+        assert bits(result) == bits(outcome(explanation_calls(cold, x, c, pc)[name])), name
     if isinstance(scores, type):
-        assert {name: outcome(fn) for name, fn in calls.items()} == dict.fromkeys(
-            calls, scores
-        )
+        assert warm == dict.fromkeys(calls, scores)
         return
     assert elasticity(model, c, x).score == pytest.approx(scores[c], rel=1e-12, abs=0.0)
     for entry in build_report(model, x, c, "gradient", ones)["margins"]:
@@ -723,23 +764,118 @@ def test_each_explanation_runs_the_kernel_once_per_input(monkeypatch):
     for module in (signomial, classifier, explain):
         monkeypatch.setattr(module, "forward", counting, raising=False)
     rng = np.random.default_rng(5)
-    model = random_model(rng, C=3, K=2, m=3)
     x, b = rng.uniform(0.5, 3.0, 3), rng.uniform(0.5, 3.0, 3)
+
+    def fresh():
+        # the model keeps the per-term values of the last input it read, so
+        # each case gets a model of its own and starts cold
+        return random_model(np.random.default_rng(6), C=3, K=2, m=3)
+
     cases = [
-        (1, lambda: elasticity(model, 1, x)),
-        (1, lambda: counterfactual_scale(model, 1, x, 0, 2.0)),
-        (1, lambda: sensitivity_first_order(model, 1, x, 2, 0.01)),
-        (1, lambda: margin_sensitivity(model, 0, 2, x)),
-        (1, lambda: probability_sensitivity(model, 2, x)),
-        (2, lambda: attribute_exact_log(model, 0, x, b, term_idx=1)),
-        (2, lambda: attribute_gradient(model, 0, x, b)),
-        (2, lambda: attribute_gradient(model, 0, x, b, target="probability")),
-        (2, lambda: compare_scenarios(model, [("x", x), ("b", b)])),
-        (2, lambda: build_report(model, x, 1, "gradient", b)),
-        (2, lambda: build_report(model, x, 1, "gradient", b, target="probability")),
-        (2, lambda: build_report(model, x, 1, "exact-log", b, term_idx=0)),
+        (1, lambda model: elasticity(model, 1, x)),
+        (1, lambda model: counterfactual_scale(model, 1, x, 0, 2.0)),
+        (1, lambda model: sensitivity_first_order(model, 1, x, 2, 0.01)),
+        (1, lambda model: margin_sensitivity(model, 0, 2, x)),
+        (1, lambda model: probability_sensitivity(model, 2, x)),
+        (2, lambda model: attribute_exact_log(model, 0, x, b, term_idx=1)),
+        (2, lambda model: attribute_gradient(model, 0, x, b)),
+        (2, lambda model: attribute_gradient(model, 0, x, b, target="probability")),
+        (2, lambda model: compare_scenarios(model, [("x", x), ("b", b)])),
+        (2, lambda model: build_report(model, x, 1, "gradient", b)),
+        (2, lambda model: build_report(model, x, 1, "gradient", b, target="probability")),
+        (2, lambda model: build_report(model, x, 1, "exact-log", b, term_idx=0)),
     ]
     for limit, fn in cases:
+        model = fresh()
         calls.clear()
-        fn()
+        fn(model)
         assert 1 <= len(calls) <= limit
+
+    # a one-row read of the row the model read last runs no kernel at all
+    model = fresh()
+    elasticity(model, 1, x)
+    calls.clear()
+    for _, fn in cases[:5]:
+        fn(model)
+    assert calls == []
+
+    # what an explained row costs: predict, a report against a baseline and
+    # the 41-point curve read x once alone and once beside the baseline
+    model = fresh()
+    calls.clear()
+    c = classifier.predict(model, x)
+    build_report(model, x, c, "gradient", b)
+    for q in np.geomspace(0.1, 10.0, 41):
+        counterfactual_scale(model, c, x, 0, float(q))
+    assert 1 <= len(calls) <= 2
+
+
+def test_the_model_keeps_only_the_last_good_row():
+    def cold(fn):
+        return bits(fn(two_class_demo()))
+
+    model = two_class_demo()
+    good = np.array([1.5, 0.7, 2.0])
+    want = cold(lambda m: elasticity(m, 1, good))
+    assert bits(elasticity(model, 1, good)) == want
+
+    # a raising row is never kept: it raises every time, and the good row
+    # still reads as on a fresh model afterwards
+    bad_rows = [
+        (np.array([1.0, math.nan, 1.0]), NonPositiveInputError),
+        (np.array([1.0, 0.0, 1.0]), NonPositiveInputError),
+        (np.ones(4), DimensionMismatchError),
+        (np.array([1e300, 1.0, 1.0]), OverflowLimitError),  # 1.6 * ln 1e300 > 700
+    ]
+    for row, error in bad_rows:
+        for _ in range(2):
+            with pytest.raises(error):
+                elasticity(model, 1, row)
+            with pytest.raises(error):
+                counterfactual_scale(model, 1, row, 0, 2.0)
+        assert bits(elasticity(model, 1, good)) == want
+
+    # the key is the row's value, not the caller's array
+    x = good.copy()
+    before = model.scores(x)
+    x[0] = 3.0
+    assert bits(model.scores(x)) == cold(lambda m: m.scores(x))
+    assert not np.array_equal(model.scores(x), before)
+
+    with pytest.raises(ValueError):
+        model._terms_at(x)[0, 0] = 1.0
+
+    # threads explaining different rows on one model read their own rows
+    rows = np.random.default_rng(8).uniform(0.5, 3.0, (4, 3))
+    grid = np.geomspace(0.1, 10.0, 41)
+
+    def explain_row(m, x):
+        return bits((
+            build_report(m, x, 0, "gradient", np.ones(3)),
+            [counterfactual_scale(m, 0, x, 1, float(q)) for q in grid],
+        ))
+
+    wants = [explain_row(two_class_demo(), x) for x in rows]
+    shared, passes = two_class_demo(), 300
+    got = [[] for _ in rows]
+    start = threading.Barrier(len(rows), timeout=30)
+
+    def serve(i):
+        start.wait()
+        for _ in range(passes):
+            got[i].append(explain_row(shared, rows[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=serve, args=(i,)) for i in range(len(rows))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    # a memo that kept its key and values in two attributes failed this in
+    # five of six runs, since a thread switch may fall between the two
+    assert got == [[want] * passes for want in wants]
