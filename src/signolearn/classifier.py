@@ -31,7 +31,6 @@ from .signomial import (
     Signomial,
     backward,
     forward,
-    log_coefficients,
     log_inputs,
     single_input,
 )
@@ -133,9 +132,7 @@ class EcselModel:
                 raise DimensionMismatchError(
                     f"scaler bounds have shapes {sorted(shapes)} for {self.m} features"
                 )
-        # the signomials are fixed from here on, so the kernel constants are too
         self._alphas, self._betas = _stack_params(self.signomials)
-        self._kernel = (*log_coefficients(self._alphas), self._betas)
         # (row bytes, per-term values) of the last good input; one tuple, set
         # in one statement, so threads sharing the model need no lock
         self._last_terms: tuple[bytes, np.ndarray] | None = None
@@ -156,7 +153,7 @@ class EcselModel:
         last = self._last_terms
         if last is not None and last[0] == key:
             return last[1]
-        _, per_term = forward(*self._kernel, log_inputs(row, self.m))
+        _, per_term = forward(self._alphas, self._betas, log_inputs(row, self.m))
         values = per_term[0]
         values.setflags(write=False)
         self._last_terms = (key, values)
@@ -168,7 +165,7 @@ class EcselModel:
 
     def scores_batch(self, X) -> np.ndarray:
         """Score matrix (N, C) over a batch of inputs."""
-        _, per_term = forward(*self._kernel, log_inputs(X, self.m))
+        _, per_term = forward(self._alphas, self._betas, log_inputs(X, self.m))
         return per_term.sum(axis=2)
 
     def to_dict(self) -> dict:
@@ -310,38 +307,37 @@ def _smooth_loss(alphas, betas, log_x, y, weights, link):
     and returns dL/dalpha (T, C, K) and dL/dbeta (T, C, K, m); a caller that
     needs only the loss never runs it. Every operation stays within one
     trial's slice, so a trial's values do not depend on the rest of the stack.
+    The coefficients go to forward as they are, zeros included; it caps every
+    term at e^LOG_MAGNITUDE_LIMIT, so each score is finite and the softmax
+    shift cannot meet inf - inf.
     """
     n = log_x.shape[-2]
-    # a zero coefficient has ln 0 = -inf and an infinite score gives inf - inf
-    # in the softmax shift; the kernel and a non-finite loss deal with both,
-    # so one errstate covers the call
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mono_log, per_term = forward(np.sign(alphas), np.log(np.abs(alphas)), betas, log_x)
-        Z = per_term.sum(axis=-1)  # (T, N, C)
-        w = weights[y]
-        if link == "sigmoid":
-            z = Z[..., 0]
-            # stable log-sigmoid pieces: ln p = -softplus(-z), ln(1-p) = -softplus(z)
-            softplus = np.logaddexp(0.0, np.stack([-z, z]))
-            loss = (w * np.where(y == 1, softplus[0], softplus[1])).sum(axis=-1) / n
+    mono_log, per_term = forward(alphas, betas, log_x)
+    Z = per_term.sum(axis=-1)  # (T, N, C)
+    w = weights[y]
+    if link == "sigmoid":
+        z = Z[..., 0]
+        # stable log-sigmoid pieces: ln p = -softplus(-z), ln(1-p) = -softplus(z)
+        softplus = np.logaddexp(0.0, np.stack([-z, z]))
+        loss = (w * np.where(y == 1, softplus[0], softplus[1])).sum(axis=-1) / n
 
-            def dz():
-                return (w * (_sigmoid(z) - y) / n)[..., None]
-        else:
-            shifted = Z - Z.max(axis=-1, keepdims=True)
-            log_norm = np.log(np.exp(shifted).sum(axis=-1))
-            log_p = shifted - log_norm[..., None]
-            # each trial's and row's own label: (T, 1) and (N,) broadcast with y
-            at_label = (np.arange(len(Z))[:, None], np.arange(n), y)
-            loss = -(w * log_p[at_label]).sum(axis=-1) / n
+        def dz():
+            return (w * (_sigmoid(z) - y) / n)[..., None]
+    else:
+        shifted = Z - Z.max(axis=-1, keepdims=True)
+        log_norm = np.log(np.exp(shifted).sum(axis=-1))
+        log_p = shifted - log_norm[..., None]
+        # each trial's and row's own label: (T, 1) and (N,) broadcast with y
+        at_label = (np.arange(len(Z))[:, None], np.arange(n), y)
+        loss = -(w * log_p[at_label]).sum(axis=-1) / n
 
-            def dz():
-                # row-major, whatever layout the scores came in: backward's
-                # matrix products then run on contiguous rows
-                d = np.exp(log_p, order="C")
-                d[at_label] -= 1.0
-                d *= (w / n)[..., None]
-                return d
+        def dz():
+            # row-major, whatever layout the scores came in: backward's
+            # matrix products then run on contiguous rows
+            d = np.exp(log_p, order="C")
+            d[at_label] -= 1.0
+            d *= (w / n)[..., None]
+            return d
 
     def grad():
         return backward(dz(), mono_log, per_term, log_x)

@@ -140,8 +140,21 @@ def _load_model(path: str) -> EcselModel | RegressorModel:
 # --- train ------------------------------------------------------------------------
 
 
+# train flags only a classifier reads, by argparse dest; --task regress refuses them
+_CLASSIFIER_FLAGS = {
+    "batch": "--batch",
+    "patience": "--patience",
+    "class_weight": "--class-weight",
+    "link": "--link",
+    "threshold_grid": "--threshold-grid",
+    "val_fraction": "--val-fraction",
+}
+DEFAULT_VAL_FRACTION = 0.2
+
+
 def _train_classifier(args, data: data_io.Dataset) -> tuple[dict, dict, list, float]:
-    spec = data_io.SplitSpec(args.test_fraction, args.val_fraction, args.seed)
+    val_fraction = DEFAULT_VAL_FRACTION if args.val_fraction is None else args.val_fraction
+    spec = data_io.SplitSpec(args.test_fraction, val_fraction, args.seed)
     train, val, test, scaler = data_io.split_and_scale(data, spec)
     cfg = ClassifyConfig(seed=args.seed, **_given(
         num_terms=args.k,
@@ -176,7 +189,7 @@ def _train_classifier(args, data: data_io.Dataset) -> tuple[dict, dict, list, fl
         "data": args.data,
         "target": args.target,
         "testFraction": args.test_fraction,
-        "valFraction": args.val_fraction,
+        "valFraction": val_fraction,
         "scalerRange": [scaler.lo, scaler.hi],
         "k": cfg.num_terms,
         "l1": cfg.l1_penalty,
@@ -264,6 +277,10 @@ def _train_regressor(args, data: data_io.Dataset) -> tuple[dict, dict, list, lis
 
 
 def cmd_train(args) -> int:
+    if args.task == "regress":
+        for dest, flag in _CLASSIFIER_FLAGS.items():
+            if getattr(args, dest) is not None:
+                raise BadConfigError(f"{flag} applies only to --task classify")
     data = data_io.load_csv(args.data, args.target, task=args.task)
     if args.task == "classify":
         payload, timing, trace_rows, printed = _train_classifier(args, data)
@@ -728,7 +745,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--link", choices=["softmax", "sigmoid"], default=None)
     p.add_argument("--threshold-grid", type=float, default=None)
     p.add_argument("--test-fraction", type=float, default=0.2)
-    p.add_argument("--val-fraction", type=float, default=0.2)
+    p.add_argument("--val-fraction", type=float, default=None,
+                   help=f"classifiers only (default: {DEFAULT_VAL_FRACTION})")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -785,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--link", choices=["softmax", "sigmoid"], default=None)
     p.add_argument("--threshold-grid", type=float, default=None)
     p.add_argument("--test-fraction", type=float, default=0.2)
-    p.add_argument("--val-fraction", type=float, default=0.2)
+    p.add_argument("--val-fraction", type=float, default=DEFAULT_VAL_FRACTION)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_search)
 

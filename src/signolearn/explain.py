@@ -28,6 +28,7 @@ from .errors import (
     DataFormatError,
     MixedSignError,
     NonPositiveInputError,
+    OverflowLimitError,
     SameClassError,
     ZeroComponentScoreError,
 )
@@ -94,7 +95,7 @@ def _kernel_values(model: EcselModel, *inputs):
     with fewer than K terms has zero padding terms.
     """
     X = np.concatenate([single_input(x, model.m) for x in inputs])
-    _, per_term = forward(*model._kernel, log_inputs(X, model.m))
+    _, per_term = forward(model._alphas, model._betas, log_inputs(X, model.m))
     return per_term, per_term.sum(axis=2), _log_gradients(model, per_term)
 
 
@@ -133,6 +134,11 @@ def counterfactual_scale(
     model at the literally scaled input, but computed in O(K) from the
     per-term values at x, which the model keeps for its last input, so a
     curve over many q on one row runs the kernel once.
+
+    A result that is not finite raises OverflowLimitError, as evaluating an
+    overflowing term does. The shortcut scales in linear space, so it also
+    raises where the scaled input still scores finitely but q**beta alone
+    overflows, as with 1e-300 * x^1100 at q = 2.
     """
     if not q > 0 or not math.isfinite(q):
         raise NonPositiveInputError(f"scale factor must be positive, got {q!r}")
@@ -140,7 +146,12 @@ def counterfactual_scale(
     _check_index(feature_idx, model.m, "feature", "features")
     per_term = model._terms_at(x)
     scale = np.power(q, model._betas[class_idx, :, feature_idx])
-    return float(scale @ per_term[class_idx])
+    score = float(scale @ per_term[class_idx])
+    if not math.isfinite(score):
+        raise OverflowLimitError(
+            f"counterfactual score of class {class_idx} at q={q!r} is {score!r}"
+        )
+    return score
 
 
 def sensitivity_first_order(

@@ -289,17 +289,15 @@ def _sr_smooth(alphas, betas, log_x, y):
     dL/dalpha (C, K) and dL/dbeta (C, K, m). A signomial with an overflowing
     term gets an infinite loss and an undefined (NaN) gradient, so Adam drops
     that restart as diverged; the kernel names it, and the others are
-    evaluated again as one stack without it.
+    evaluated again as one stack without it. A zero coefficient needs no
+    care here: forward makes its term exactly 0.
     """
     n = log_x.shape[0]
     # terms below the limit can still square or sum past float range, which
-    # is also an infinite loss. The coefficient logs (ln 0 = -inf for a zero
-    # alpha) are taken here, not by log_coefficients, so each call enters one
-    # errstate
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sign, log_abs = np.sign(alphas), np.log(np.abs(alphas))
+    # is also an infinite loss
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            mono_log, per_term = forward(sign, log_abs, betas, log_x)
+            mono_log, per_term = forward(alphas, betas, log_x)
             resid = y - per_term.sum(axis=2).T  # (C, N)
             d_alpha, d_beta = backward((-2.0 / n) * resid.T, mono_log, per_term, log_x)
         except OverflowLimitError as exc:
@@ -388,14 +386,14 @@ def _polish(betas, log_x, y):
     k, m = betas.shape
     free = np.flatnonzero(betas.ravel())
     term, feature = np.divmod(free, m)
-    # forward's sign alpha and ln|alpha| at unit coefficients: its terms are Phi
-    unit = (np.ones((1, k)), np.zeros((1, k)))
+    # at unit coefficients forward's terms are the bare monomials Phi
+    ones = np.ones((1, k))
 
     def project(theta):
         b = np.zeros(k * m)
         b[free] = theta
         b = b.reshape(k, m)
-        phi = forward(*unit, b[None], log_x)[1][:, 0]
+        phi = forward(ones, b[None], log_x)[1][:, 0]
         d_phi = phi[:, term] * log_x[:, feature]
         solved = np.linalg.lstsq(phi, np.column_stack([y, d_phi]), rcond=None)[0]
         a = solved[:, 0]

@@ -22,7 +22,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -118,13 +117,6 @@ class Signomial:
             else np.zeros((0, m))
         )
 
-    @cached_property
-    def _kernel(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """forward's parameters for this signomial as the C = 1 case, made on
-        first use: loading a suite builds many that are never evaluated."""
-        sign, log_abs = log_coefficients(self._alphas)
-        return sign[None], log_abs[None], self._betas[None]
-
     @property
     def m(self) -> int:
         return self._m
@@ -167,7 +159,10 @@ class Signomial:
     @classmethod
     def from_dict(cls, data: dict) -> "Signomial":
         try:
-            m = int(data["m"])
+            m = data["m"]
+            # a JSON integer: 2.5 or "2" must not decode as 2
+            if isinstance(m, bool) or not isinstance(m, int):
+                raise TypeError(f"m must be an integer, got {m!r}")
             terms = [Term(t["alpha"], tuple(t["beta"])) for t in data["terms"]]
             # checked on decode, not in __init__, which the fitting code calls often
             if not all(math.isfinite(v) for t in terms for v in (t.alpha, *t.beta)):
@@ -220,16 +215,9 @@ def single_input(x, m: int) -> np.ndarray:
     return arr[None, :]
 
 
-def log_coefficients(alphas) -> tuple[np.ndarray, np.ndarray]:
-    """(sign alpha, ln|alpha|) elementwise; a zero coefficient gets ln 0 = -inf."""
-    alphas = np.asarray(alphas, dtype=float)
-    with np.errstate(divide="ignore"):
-        return np.sign(alphas), np.log(np.abs(alphas))
-
-
 # the kernel works on (C, K, N) blocks and returns (N, C, K) views of them,
 # with or without a leading trial axis; the permutations are looked up, not
-# built, since forward runs dozens of times per explained row
+# built, since forward runs on every training step and explained row
 _ROWS_FIRST = {3: (2, 0, 1), 4: (0, 3, 1, 2)}
 _ROWS_LAST = {3: (1, 2, 0), 4: (0, 2, 3, 1)}
 
@@ -253,13 +241,15 @@ def _check_log_magnitude(log_mag: np.ndarray, what: str) -> None:
         )
 
 
-def forward(sign_alpha, log_abs_alpha, betas, log_x) -> tuple[np.ndarray, np.ndarray]:
+def forward(alphas, betas, log_x) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate C stacked signomials of K terms each at N log-inputs.
 
-    Takes sign alpha and ln|alpha| of shape (C, K), betas (C, K, m) and ln x
-    (N, m). Returns the monomial logs beta . ln x and the per-term values
+    Takes alphas (C, K), betas (C, K, m) and ln x (N, m). Returns the
+    monomial logs beta . ln x and the per-term values
     sign(alpha) * exp(ln|alpha| + beta . ln x), both (N, C, K); a term whose
-    log-magnitude exceeds LOG_MAGNITUDE_LIMIT raises OverflowLimitError.
+    log-magnitude exceeds LOG_MAGNITUDE_LIMIT raises OverflowLimitError. A
+    zero coefficient has ln 0 = -inf, so its term is exactly 0 and never
+    overflows; that is also how a class with fewer terms is padded.
     The work runs with rows last, where numpy is fastest for the small C and K
     of a signomial; the results are (N, C, K) views of that layout.
 
@@ -268,6 +258,8 @@ def forward(sign_alpha, log_abs_alpha, betas, log_x) -> tuple[np.ndarray, np.nda
     of shape (N, m) is shared by every trial. Each trial is computed on its
     own slice, so its values do not depend on which trials share the stack.
     """
+    with np.errstate(divide="ignore"):
+        sign_alpha, log_abs_alpha = np.sign(alphas), np.log(np.abs(alphas))
     lead = betas.shape[:-3]
     c, k, m = betas.shape[-3:]
     n = log_x.shape[-2]
@@ -309,7 +301,7 @@ def evaluate(s: Signomial, x) -> ScoreBreakdown:
 
 def evaluate_batch(s: Signomial, X) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate s at every row of X. Returns (totals (N,), per-term (N, K))."""
-    _, per_term = forward(*s._kernel, log_inputs(X, s.m))
+    _, per_term = forward(s._alphas[None], s._betas[None], log_inputs(X, s.m))
     per_term = per_term[:, 0, :]
     return per_term.sum(axis=1), per_term
 

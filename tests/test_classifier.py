@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,27 @@ def test_gradient_matches_finite_differences():
             fd[i] = (loss_at(up) - loss_at(dn)) / (2 * h)
         denom = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(grad - fd) / denom < 1e-5
+
+
+@pytest.mark.parametrize("link", ["softmax", "sigmoid"])
+def test_loss_at_a_zero_coefficient_warns_about_nothing(link):
+    # the zero term adds exactly 0 to its score, so the loss is that of the
+    # model without it, bit for bit, and the term's exponents get no gradient;
+    # under softmax the one-term second class is zero-padded as well
+    kept = [Term(1.2, (0.5, -1.0)), Term(-0.4, (1.0, 0.3))]
+    zero = Term(0.0, (2.0, 1.0))
+    other = [Signomial([Term(0.8, (-0.5, 0.5))])] if link == "softmax" else []
+    with_zero = EcselModel([Signomial([kept[0], zero, kept[1]]), *other], link=link)
+    without = EcselModel([Signomial(kept), *other], link=link)
+    rng = np.random.default_rng(8)
+    X = rng.uniform(0.5, 4.0, size=(12, 2))
+    y = rng.integers(0, 2, size=12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, grad = loss_and_grad(with_zero, X, y, l1_penalty=0.0)
+        assert loss == loss_and_grad(without, X, y, l1_penalty=0.0)[0]
+    d_beta = grad[with_zero._alphas.size:].reshape(with_zero._betas.shape)
+    assert not d_beta[0, 1].any() and np.isfinite(grad).all()
 
 
 def test_loss_rejects_empty_batch_and_bad_labels():

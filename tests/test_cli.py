@@ -175,6 +175,24 @@ def test_out_of_range_split_fraction_is_a_usage_error(tmp_path, capsys, argv):
     assert err.startswith("error: BadConfigError") and f"got {float(argv[-1])}" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--batch", "7"],
+    ["--patience", "3"],
+    ["--link", "sigmoid"],
+    ["--class-weight", "9"],
+    ["--val-fraction", "0.9"],
+    ["--threshold-grid", "0.1"],
+], ids=" ".join)
+def test_train_regress_refuses_a_classifier_flag(tmp_path, capsys, flags):
+    numeric = tmp_path / "numeric.csv"
+    numeric.write_text("u,t\n1,2\n2,3\n3,5\n4,4\n5,7\n")
+    assert cli.main(["train", "--data", str(numeric), "--target", "t", "--task", "regress",
+                     *flags, "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadConfigError") and flags[0] in err
+    assert [p.name for p in tmp_path.iterdir()] == ["numeric.csv"]
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--lr", "nan"],
     ["train", "--lr", "inf"],
@@ -376,6 +394,8 @@ def scaled_model_file(tmp_path):
     lambda p: p["scaler"]["maxs"].__setitem__(1, math.inf),
     lambda p: p["signomials"][0]["terms"][0].update(alpha=math.nan),
     lambda p: p["signomials"][1]["terms"][0]["beta"].__setitem__(0, math.inf),
+    lambda p: p["signomials"][0].update(m=2.5),
+    lambda p: p["signomials"][1].update(m="2"),
     lambda p: p.update(featureNames=[["a"], ["b"]]),
     # the CSV has columns a and b; a duplicate name would read a twice
     lambda p: p.update(featureNames=["a", "a"]),
@@ -384,7 +404,7 @@ def scaled_model_file(tmp_path):
     lambda p: p.update(kind="forest"),
     lambda p: p.update(kind=["classifier"]),
 ], ids=["scaler-with-steps", "scaler-other-range", "no-step-params", "unknown-step",
-        "bad-bound", "infinite-bound", "nan-alpha", "infinite-beta",
+        "bad-bound", "infinite-bound", "nan-alpha", "infinite-beta", "fractional-m", "string-m",
         "feature-names-not-strings", "duplicate-feature-names",
         "regressor-duplicate-feature-names", "regressor-without-signomial", "unknown-kind",
         "kind-not-a-string"])

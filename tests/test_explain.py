@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,29 @@ def test_elasticity_matches_log_log_fd():
             assert ev.elasticity[j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
+def test_zero_padded_classes_score_like_their_own_signomials():
+    # classes of 3, 1 and 2 terms stack with zero-coefficient padding, one of
+    # them a literal 0.0 term: no warning, and every score and margin is the
+    # per-class evaluate bit for bit
+    sigs = [Signomial([Term(1.5, (0.5, -1.0, 0.3)), Term(0.0, (2.0, 0.0, 1.0)),
+                       Term(-0.7, (1.0, 1.0, -2.0))]),
+            Signomial([Term(0.4, (-1.0, 0.25, 0.5))]),
+            Signomial([Term(2.0, (0.0, 1.0, 1.0)), Term(-0.3, (1.5, -0.5, 0.0))])]
+    model = EcselModel(sigs)
+    X = np.random.default_rng(10).uniform(0.5, 4.0, size=(6, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = model.scores_batch(X)
+        for x, row in zip(X, batch):
+            totals = [evaluate(s, x).total for s in sigs]
+            assert row.tolist() == model.scores(x).tolist() == totals
+            for c in range(len(sigs)):
+                report = build_report(model, x, c, "gradient", np.ones(3))
+                assert [e["margin"] for e in report["margins"]] == [
+                    totals[c] - totals[o] for o in range(len(sigs)) if o != c
+                ]
+
+
 # --- counterfactual scaling -----------------------------------------------------
 
 
@@ -211,6 +235,26 @@ def test_counterfactual_rejects_bad_scale():
 def test_counterfactual_bad_feature_index():
     with pytest.raises(BadConfigError):
         counterfactual_scale(poly_model(), 0, [1.0, 1.0], 2, 2.0)
+
+
+@pytest.mark.parametrize("terms, scaled_score", [
+    # 2^1100 alone overflows, though 1e-300 * 2^1100 = 1.358e31 scores
+    # finitely (to the log domain's precision at ln 2^1100 = 762)
+    ([Term(1e-300, (1100.0,))], pytest.approx(1.3582985265193575e31, rel=1e-8)),
+    # inf - inf: evaluating the scaled input names the overflowing term
+    ([Term(1.0, (1100.0,)), Term(-1.0, (1100.0,))], OverflowLimitError),
+])
+def test_counterfactual_raises_instead_of_a_non_finite_score(terms, scaled_score):
+    model = EcselModel([Signomial(terms)], link="sigmoid")
+    if scaled_score is OverflowLimitError:
+        with pytest.raises(OverflowLimitError):
+            model.scores([2.0])
+    else:
+        assert model.scores([2.0])[0] == scaled_score
+    # the shortcut's q**beta and sum overflow before the check sees them
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowLimitError):
+        counterfactual_scale(model, 0, [1.0], 0, 2.0)
+    assert counterfactual_scale(model, 0, [1.0], 0, 1.0) == model.scores([1.0])[0]
 
 
 # --- first-order sensitivity ----------------------------------------------------

@@ -5,10 +5,14 @@ source off the numpy 2 additions that numpy 1.24 lacks."""
 import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 NUMPY_2_ONLY = re.compile(
     r"\.mT\b|\bvecdot\b|\bmatvec\b|\bvecmat\b|np\.concat\(|np\.permute_dims\b|np\.astype\("
+    r"|np\.asarray\(.*\bcopy=|np\.unstack\b|np\.cumulative_(sum|prod)\b"
+    r"|np\.linalg\.matrix_transpose\b|np\.isdtype\b|np\.bitwise_count\b"
 )
 
 
@@ -21,3 +25,20 @@ def test_source_keeps_to_the_numpy_1_24_api():
         if NUMPY_2_ONLY.search(line)
     ]
     assert not hits, hits
+
+
+@pytest.mark.parametrize("line, flagged", [
+    ("y = np.asarray(x, dtype=float, copy=False)", True),
+    ("parts = np.unstack(a)", True),
+    ("c = np.cumulative_sum(a, axis=0)", True),
+    ("c = np.cumulative_prod(a)", True),
+    ("t = np.linalg.matrix_transpose(a)", True),
+    ("if np.isdtype(a.dtype, 'real floating'):", True),
+    ("n = np.bitwise_count(a)", True),
+    # numpy 1.24 has copy= on np.array, and np.asarray without it
+    ("x = np.array(x0, dtype=float, copy=True)", False),
+    ("y = np.asarray(x, dtype=float)", False),
+    ("c = np.cumsum(a)", False),
+])
+def test_the_guard_flags_numpy_2_only_calls(line, flagged):
+    assert bool(NUMPY_2_ONLY.search(line)) is flagged

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -420,10 +421,25 @@ def test_k1_fits_targets_of_either_sign():
             np.testing.assert_allclose(s.betas[0], [1.0, 1.0], atol=1e-6)
 
 
+def test_sr_loss_at_a_zero_coefficient_warns_about_nothing():
+    # the zero term adds exactly 0 to the fit, so the loss is that of the
+    # signomial without it, bit for bit, and its exponents get no gradient
+    kept = [Term(1.5, (0.5, -1.0, 0.3)), Term(-0.7, (1.0, 1.0, -2.0))]
+    rng = np.random.default_rng(9)
+    X = rng.uniform(0.5, 4.0, size=(20, 3))
+    y = rng.normal(size=20)
+    with_zero = Signomial([kept[0], Term(0.0, (2.0, 0.0, 1.0)), kept[1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, grad = sr_loss_and_grad(with_zero, X, y)
+        assert loss == sr_loss_and_grad(Signomial(kept), X, y)[0]
+    assert not grad[3:].reshape(3, 3)[1].any() and np.isfinite(grad).all()
+
+
 def monomials(betas, log_x):
     """The bare monomials Phi (N, K): the kernel's terms at unit coefficients."""
     k = len(betas)
-    return forward(np.ones((1, k)), np.zeros((1, k)), betas[None], log_x)[1][:, 0]
+    return forward(np.ones((1, k)), betas[None], log_x)[1][:, 0]
 
 
 @pytest.mark.parametrize("start, truth", [

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from signolearn.signomial import (
     evaluate,
     evaluate_batch,
     forward,
-    log_coefficients,
     log_inputs,
     render,
     snap_exponent,
@@ -62,7 +62,7 @@ def kernel_args(signomials, X):
     """Stacked kernel arguments for equal-length signomials at inputs X."""
     alphas = np.array([s.alphas for s in signomials])
     betas = np.array([s.betas for s in signomials])
-    return (*log_coefficients(alphas), betas, log_inputs(X))
+    return alphas, betas, log_inputs(X)
 
 
 def gradient(s, x):
@@ -99,6 +99,13 @@ def test_dict_round_trip():
 def test_from_dict_rejects_non_finite_parameters(alpha, beta):
     payload = {"m": 2, "terms": [{"alpha": alpha, "beta": beta}]}
     with pytest.raises(DimensionMismatchError, match="finite"):
+        Signomial.from_dict(payload)
+
+
+@pytest.mark.parametrize("m", [2.5, "2", 2.0, True, None])
+def test_from_dict_needs_an_integer_feature_count(m):
+    payload = {"m": m, "terms": [{"alpha": 1.0, "beta": [1.0, -2.0]}]}
+    with pytest.raises(DimensionMismatchError, match="m must be an integer"):
         Signomial.from_dict(payload)
 
 
@@ -257,12 +264,12 @@ def test_trial_axis_gives_each_trial_its_lone_bits(shared_inputs):
     betas = rng.uniform(-1.5, 1.5, size=(t, c, k, m))
     log_x = np.log(rng.uniform(1.0, 10.0, size=(n, m) if shared_inputs else (t, n, m)))
     dz = rng.standard_normal((t, n, c))
-    mono_log, per_term = forward(*log_coefficients(alphas), betas, log_x)
+    mono_log, per_term = forward(alphas, betas, log_x)
     d_alpha, d_beta = backward(dz, mono_log, per_term, log_x)
     assert per_term.shape == (t, n, c, k) and d_beta.shape == (t, c, k, m)
     for i in range(t):
         lx = log_x if shared_inputs else log_x[i]
-        lone = forward(*log_coefficients(alphas[i]), betas[i], lx)
+        lone = forward(alphas[i], betas[i], lx)
         lone_grads = backward(dz[i], *lone, lx)
         for got, want in zip((mono_log[i], per_term[i], d_alpha[i], d_beta[i]),
                              (*lone, *lone_grads)):
@@ -273,9 +280,28 @@ def test_overflow_in_a_stack_names_the_score_term_and_row():
     betas = np.zeros((2, 1, 1, 1))
     betas[1, 0, 0, 0] = 400.0
     with pytest.raises(OverflowLimitError, match=r"of term 0 \(score 0, row 1\)") as exc:
-        forward(np.ones((2, 1, 1)), np.zeros((2, 1, 1)), betas,
-                np.log(np.array([[1.0], [10.0]])))
+        forward(np.ones((2, 1, 1)), betas, np.log(np.array([[1.0], [10.0]])))
     assert exc.value.stack_index == 1
+
+
+@pytest.mark.parametrize("trials", [None, 2], ids=["C,K", "T,C,K"])
+def test_forward_makes_a_zero_coefficient_term_exactly_zero(trials):
+    # forward takes ln|alpha| itself: a zero alpha's ln 0 = -inf warns about
+    # nothing, and its term is 0 even where its monomial 4^1000 would overflow
+    sigs = [Signomial([(1.5, (0.5, -1.0)), (0.0, (2.0, 1.0))]),
+            Signomial([(0.0, (1000.0, 0.0)), (-0.7, (1.0, 1.0))])]
+    X = np.random.default_rng(7).uniform(0.5, 4.0, size=(5, 2))
+    alphas, betas, log_x = kernel_args(sigs, X)
+    if trials:
+        alphas, betas = np.stack([alphas] * trials), np.stack([betas] * trials)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, per_term = forward(alphas, betas, log_x)
+        expected = [evaluate_batch(s, X)[1] for s in sigs]
+    for stack in per_term if trials else [per_term]:
+        for c in range(len(sigs)):
+            assert stack[:, c].tobytes() == expected[c].tobytes()
+    assert not expected[0][:, 1].any() and not expected[1][:, 0].any()
 
 
 def test_backward_guards_the_bare_monomial():
