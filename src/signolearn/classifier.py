@@ -26,7 +26,7 @@ from .errors import (
     NonFiniteLossError,
     OverflowLimitError,
 )
-from .optim import AdamState, EarlyStopMonitor, adam_step, prox_l1
+from .optim import AdamStack, EarlyStopMonitor
 from .signomial import (
     Signomial,
     backward,
@@ -188,15 +188,12 @@ class EcselModel:
             scaler = (
                 None if data.get("scaler") is None else data_io.Scaler.from_dict(data["scaler"])
             )
-            # CSV columns are matched to these names, so they must be strings
-            if not all(isinstance(n, str) for n in data.get("featureNames") or ()):
-                raise TypeError(f"feature names must be strings, got {data['featureNames']!r}")
             return cls(
                 signomials=signomials,
                 link=data["link"],
                 threshold=data.get("threshold", 0.5),
-                feature_names=data.get("featureNames"),
-                class_names=data.get("classNames"),
+                feature_names=data_io.name_list(data, "featureNames"),
+                class_names=data_io.name_list(data, "classNames"),
                 scaler=scaler,
             )
         except (KeyError, TypeError, ValueError, BadConfigError, DataFormatError,
@@ -487,41 +484,28 @@ def fit_trials(
 def _train_stack(cfgs, log_x, y, log_xv, yv, weights, c_rows) -> list:
     """Mini-batch proximal Adam for T trials of one K, batch size and link.
 
-    The trials' parameters form one (T, P) matrix, alphas then betas per row.
-    Each step gathers every live trial's next batch into (T, B, m), makes one
-    loss-and-gradient call, one Adam step with per-trial clipping and learning
-    rates and one per-trial L1 proximal step; each epoch ends with one
-    forward-only validation loss. A trial leaves the stack when its epochs or
-    its patience run out, or when it diverges (the error of a failed call
-    names it). Returns per trial the best snapshot's alphas (C, K) and betas
+    The trials are the rows of one AdamStack. Each step makes one
+    loss-and-gradient call on every live trial's next batch (T, B, m) and one
+    stack step; each epoch ends with one forward-only validation loss. A
+    trial leaves the stack when its epochs or patience run out, or when it
+    diverges. Returns per trial the best snapshot's alphas (C, K) and betas
     (C, K, m) with its FitTrace, or the error that stopped it.
     """
     n, m = log_x.shape
     k, batch, link = cfgs[0].num_terms, cfgs[0].batch_size, cfgs[0].link
-    n_alpha = c_rows * k
     rngs = [np.random.Generator(np.random.Philox(key=cfg.seed)) for cfg in cfgs]
     # alphas then betas, drawn in that order from each trial's stream
-    params = np.array([
-        np.concatenate([(0.1 + 0.1 * rng.standard_normal((c_rows, k))).ravel(),
-                        (0.05 * rng.standard_normal((c_rows, k, m))).ravel()])
-        for rng in rngs
-    ])
-    beta_mask = np.arange(params.shape[1]) >= n_alpha  # the same slots in every row
-    # learning rates and penalties as columns: they broadcast along each row
-    lr = np.array([[cfg.learning_rate] for cfg in cfgs])
-    l1 = np.array([[cfg.l1_penalty] for cfg in cfgs])
-    adam = AdamState.init(params.shape)
+    draws = [(0.1 + 0.1 * rng.standard_normal((c_rows, k)),
+              0.05 * rng.standard_normal((c_rows, k, m))) for rng in rngs]
+    stack = AdamStack(*map(np.array, zip(*draws)), [cfg.learning_rate for cfg in cfgs],
+                      [cfg.l1_penalty for cfg in cfgs], GRAD_CLIP_NORM)
     monitors = [EarlyStopMonitor(cfg.patience) for cfg in cfgs]
     traces = [FitTrace() for _ in cfgs]
-    errors: dict[int, Exception] = {}
-    live = np.arange(len(cfgs))
 
     def objective(lx, labels):
         """Losses (smooth + L1) of the live trials, and their gradient function."""
-        a = params[:, :n_alpha].reshape(len(params), c_rows, k)
-        b = params[:, n_alpha:].reshape(len(params), c_rows, k, m)
-        smooth, grad = _smooth_loss(a, b, lx, labels, weights, link)
-        return smooth + l1[:, 0] * np.abs(params[:, n_alpha:]).sum(axis=1), grad
+        smooth, grad = _smooth_loss(*stack.split(stack.params), lx, labels, weights, link)
+        return smooth + stack.penalty(), grad
 
     def finite(loss, which):
         """loss, or a NonFiniteLossError naming its first non-finite trial."""
@@ -532,84 +516,57 @@ def _train_stack(cfgs, log_x, y, log_xv, yv, weights, c_rows) -> list:
             )
         return loss
 
+    def at_epoch(fn, *args):
+        """fn(*args), where an overflow is this epoch's NonFiniteLossError."""
+        try:
+            return fn(*args)
+        except OverflowLimitError as exc:
+            raise NonFiniteLossError(f"training overflowed at epoch {epoch}: {exc}",
+                                     epoch=epoch, stack_index=exc.stack_index) from exc
+
     def train_step(start):
-        """One mini-batch step of the live trials on their next batch from
-        epoch position start: their losses and new parameters. A failed step
-        changes nothing, since adam_step raises before it changes its state."""
-        idx = orders[:, start : start + batch]
+        """One step of the live trials on their batch at start; their losses."""
+        idx = orders[stack.live, start : start + batch]
         loss, grad = objective(log_x[idx], y[idx])
         d_alpha, d_beta = grad()
         finite(loss, "training")
-        g = np.concatenate([d_alpha.reshape(len(loss), -1), d_beta.reshape(len(loss), -1)], axis=1)
-        p = adam_step(adam, params, g, lr, GRAD_CLIP_NORM)
-        return loss, prox_l1(p, beta_mask, lr, l1)
-
-    def keep(ok) -> None:
-        nonlocal live, params, lr, l1, orders, running
-        live, params, orders = live[ok], params[ok], orders[ok]
-        running = [r for r, kept in zip(running, ok.tolist()) if kept]
-        lr, l1 = lr[ok], l1[ok]
-        adam.m, adam.v = adam.m[ok], adam.v[ok]
-
-    def stacked(fn, *args):
-        """fn over the whole live stack, or None once no trial is left.
-
-        A failed call names its trial (stack_index), which leaves with the
-        error it raises alone, since stages run in a lone fit's order on each
-        trial's own slice; the rest run again as one stack.
-        """
-        while len(live):
-            try:
-                return fn(*args)
-            except (OverflowLimitError, NonFiniteLossError, NonFiniteGradientError) as exc:
-                err = exc
-                if isinstance(exc, OverflowLimitError):
-                    err = NonFiniteLossError(
-                        f"training overflowed at epoch {epoch}: {exc}", epoch=epoch
-                    )
-                    err.__cause__ = exc
-                errors[int(live[exc.stack_index])] = err
-                keep(np.arange(len(live)) != exc.stack_index)
-        return None
+        stack.step(d_alpha, d_beta)
+        return loss
 
     for epoch in range(max(cfg.epochs for cfg in cfgs)):
-        orders = np.array([rngs[t].permutation(n) for t in live])
-        # per live trial, the sum of batch loss times batch size; Python
-        # floats, since for a few trials a list costs less than numpy calls
-        running = [0.0] * len(live)
+        orders = np.zeros((len(cfgs), n), dtype=int)  # by index in cfgs
+        for t in stack.live:
+            orders[t] = rngs[t].permutation(n)
+        # per trial, the sum of batch loss times size; for a few trials a list is cheapest
+        running = [0.0] * len(cfgs)
         for start in range(0, n, batch):
-            step = stacked(train_step, start)
-            if step is None:
+            loss = stack.run(at_epoch, train_step, start)
+            if loss is None:
                 break
-            loss, params = step
             size = min(batch, n - start)
-            running = [r + x * size for r, x in zip(running, loss.tolist())]
-        val = stacked(lambda: finite(objective(log_xv, yv)[0], "validation"))
+            for t, x in zip(stack.live.tolist(), loss.tolist()):
+                running[t] += x * size
+        val = stack.run(at_epoch, lambda: finite(objective(log_xv, yv)[0], "validation"))
         if val is None:
             break
         go_on = []
-        for i, (t, total, val_loss) in enumerate(zip(live.tolist(), running, val.tolist())):
+        for i, (t, val_loss) in enumerate(zip(stack.live.tolist(), val.tolist())):
             trace = traces[t]
             trace.epochs.append(epoch)
-            trace.train_loss.append(total / n)
+            trace.train_loss.append(running[t] / n)
             trace.val_loss.append(val_loss)
-            trace.stopped_early = monitors[t].update(val_loss, params[i], epoch)
+            trace.stopped_early = monitors[t].update(val_loss, stack.params[i], epoch)
             go_on.append(not trace.stopped_early and epoch + 1 < cfgs[t].epochs)
         if not all(go_on):
-            keep(np.array(go_on))
-            if not len(live):
-                break
+            stack.keep(np.array(go_on))
 
     outcomes = []
     for t, (trace, monitor) in enumerate(zip(traces, monitors)):
-        if t in errors:
-            outcomes.append(errors[t])
+        if t in stack.errors:
+            outcomes.append(stack.errors[t])
             continue
         trace.best_epoch = monitor.best_epoch
-        best = monitor.best_params
-        outcomes.append(
-            (best[:n_alpha].reshape(c_rows, k), best[n_alpha:].reshape(c_rows, k, m), trace)
-        )
+        outcomes.append((*stack.split(monitor.best_params), trace))
     return outcomes
 
 

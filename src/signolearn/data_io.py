@@ -315,6 +315,20 @@ def save_model(payload: dict, path: str) -> None:
     write_json_atomic(body, path)
 
 
+def name_list(payload: dict, key: str) -> list[str] | None:
+    """payload[key] when it is a JSON list of strings, or None when absent.
+
+    CSV columns and labels are matched to these names; a string would
+    otherwise read as one name per character. Anything else is a TypeError.
+    """
+    names = payload.get(key)
+    if names is not None and not (
+        isinstance(names, list) and all(isinstance(n, str) for n in names)
+    ):
+        raise TypeError(f"{key} must be a list of strings, got {names!r}")
+    return names
+
+
 def load_model(path: str) -> dict:
     """Read a versioned model payload, validating schema version."""
     try:

@@ -1,7 +1,8 @@
 """Optimizers used by the trainers.
 
 Everything here is deterministic given its inputs: Adam with per-row
-gradient-norm clipping, an L1 proximal step applied to exponent slots only, an
+gradient-norm clipping, an L1 proximal step applied to exponent slots only,
+`AdamStack`, which runs both on stacked rows and drops a row that diverges, an
 early-stopping monitor that snapshots the best parameters seen, and a
 Levenberg-Marquardt least-squares solver with Marquardt's diagonal damping,
 which polishes signomial regression fits. The package no longer calls its
@@ -17,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteGradientError, NonFiniteObjectiveError, OverflowLimitError
+from .errors import (NonFiniteGradientError, NonFiniteObjectiveError, NumericalError,
+                     OverflowLimitError)
 
 
 # --- Adam --------------------------------------------------------------------
@@ -96,6 +98,64 @@ def prox_l1(params: np.ndarray, mask: np.ndarray, step_size, lam) -> np.ndarray:
     params = np.asarray(params, dtype=float)
     shrunk = np.sign(params) * np.maximum(np.abs(params) - np.multiply(step_size, lam), 0.0)
     return np.where(mask, shrunk, params)
+
+
+class AdamStack:
+    """Proximal Adam on R signomials side by side. Each row of params holds
+    one's alphas, then its betas (mask, the slots the L1 step shrinks), with
+    its own learning rate, L1 strength and Adam moments; no arithmetic
+    crosses rows. live holds the original indices of the rows in the stack,
+    and errors the error of each row that left it, by original index."""
+
+    def __init__(self, alphas, betas, lr, l1, clip_norm: float | None = None):
+        r = len(alphas)
+        self._shapes = alphas.shape[1:], betas.shape[1:]
+        self._n_alpha = alphas[0].size
+        self.params = np.concatenate([alphas.reshape(r, -1), betas.reshape(r, -1)], axis=1)
+        self.mask = np.arange(self.params.shape[1]) >= self._n_alpha
+        self.lr = np.broadcast_to(np.reshape(lr, (-1, 1)), (r, 1)).astype(float)
+        self.l1 = np.broadcast_to(np.reshape(l1, (-1, 1)), (r, 1)).astype(float)
+        self.clip_norm = clip_norm
+        self.adam = AdamState.init(self.params.shape)
+        self.live = np.arange(r)
+        self.errors: dict[int, NumericalError] = {}
+
+    def split(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The alphas and betas of parameter rows (..., P), in their own shapes."""
+        lead, n = params.shape[:-1], self._n_alpha
+        return (params[..., :n].reshape(lead + self._shapes[0]),
+                params[..., n:].reshape(lead + self._shapes[1]))
+
+    def penalty(self) -> np.ndarray:
+        """Each live row's L1 term: its strength times the sum of |beta|."""
+        return self.l1[:, 0] * np.abs(self.params[:, self._n_alpha :]).sum(axis=1)
+
+    def step(self, d_alpha: np.ndarray, d_beta: np.ndarray) -> None:
+        """One Adam and L1 proximal step; a non-finite gradient changes nothing."""
+        grad = np.concatenate([d.reshape(len(self.live), -1) for d in (d_alpha, d_beta)], axis=1)
+        params = adam_step(self.adam, self.params, grad, self.lr, self.clip_norm)
+        self.params = prox_l1(params, self.mask, self.lr, self.l1)
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep the live rows where the boolean array rows is true."""
+        self.live, self.params = self.live[rows], self.params[rows]
+        self.lr, self.l1 = self.lr[rows], self.l1[rows]
+        self.adam.m, self.adam.v = self.adam.m[rows], self.adam.v[rows]
+
+    def run(self, fn, *args):
+        """fn(*args) over the live rows, or None once no row is left. A
+        NumericalError naming a row (stack_index) removes that row, and fn,
+        which must change nothing before it raises, runs again on the rest.
+        """
+        while len(self.live):
+            try:
+                return fn(*args)
+            except NumericalError as exc:
+                if exc.stack_index is None:
+                    raise
+                self.errors[int(self.live[exc.stack_index])] = exc
+                self.keep(np.arange(len(self.live)) != exc.stack_index)
+        return None
 
 
 # --- early stopping ----------------------------------------------------------

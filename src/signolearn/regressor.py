@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_io import Dataset, check_seed, save_model
+from .data_io import Dataset, check_seed, name_list, save_model
 from .errors import (
     AllRestartsFailedError,
     BadConfigError,
@@ -30,10 +30,9 @@ from .errors import (
     DataFormatError,
     DimensionMismatchError,
     NonFiniteLossError,
-    OverflowLimitError,
     SignolearnError,
 )
-from .optim import AdamState, adam_step, levenberg_marquardt, prox_l1
+from .optim import AdamStack, levenberg_marquardt
 from .signomial import (
     DEFAULT_COEF_PRUNE_THRESHOLD,
     DEFAULT_EXPONENT_ZERO_THRESHOLD,
@@ -220,7 +219,7 @@ class RegressorModel:
     def from_dict(cls, data: dict) -> "RegressorModel":
         try:
             s = Signomial.from_dict(data["signomial"])
-            names = data.get("featureNames") or [f"x{j + 1}" for j in range(s.m)]
+            names = name_list(data, "featureNames") or [f"x{j + 1}" for j in range(s.m)]
             return cls(s, list(names))
         except (KeyError, TypeError, DimensionMismatchError) as exc:
             raise CorruptModelError(f"invalid regressor payload: {exc}") from exc
@@ -286,27 +285,24 @@ def _sr_smooth(alphas, betas, log_x, y):
     """MSE and its gradient for C stacked signomials: the kernel's MSE head.
 
     Takes alphas (C, K) and betas (C, K, m); returns the losses (C,),
-    dL/dalpha (C, K) and dL/dbeta (C, K, m). A signomial with an overflowing
-    term gets an infinite loss and an undefined (NaN) gradient, so Adam drops
-    that restart as diverged; the kernel names it, and the others are
-    evaluated again as one stack without it. A zero coefficient needs no
-    care here: forward makes its term exactly 0.
+    dL/dalpha (C, K) and dL/dbeta (C, K, m). An overflowing term raises the
+    kernel's OverflowLimitError, and a loss past float range raises
+    NonFiniteLossError; either names its signomial in stack_index. A zero
+    coefficient needs no care here: forward makes its term exactly 0.
     """
     n = log_x.shape[0]
     # terms below the limit can still square or sum past float range, which
     # is also an infinite loss
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            mono_log, per_term = forward(alphas, betas, log_x)
-            resid = y - per_term.sum(axis=2).T  # (C, N)
-            d_alpha, d_beta = backward((-2.0 / n) * resid.T, mono_log, per_term, log_x)
-        except OverflowLimitError as exc:
-            i = exc.stack_index
-            rest = _sr_smooth(np.delete(alphas, i, 0), np.delete(betas, i, 0), log_x, y)
-            return tuple(np.insert(part, i, fill, axis=0)
-                         for part, fill in zip(rest, (math.inf, np.nan, np.nan)))
+        mono_log, per_term = forward(alphas, betas, log_x)
+        resid = y - per_term.sum(axis=2).T  # (C, N)
+        d_alpha, d_beta = backward((-2.0 / n) * resid.T, mono_log, per_term, log_x)
         # a stacked dot product: for C = 1 it is bit for bit resid @ resid
-        return (resid[:, None, :] @ resid[:, :, None])[:, 0, 0] / n, d_alpha, d_beta
+        losses = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0] / n
+    bad = np.flatnonzero(~np.isfinite(losses))
+    if len(bad):
+        raise NonFiniteLossError("regression loss is non-finite", stack_index=int(bad[0]))
+    return losses, d_alpha, d_beta
 
 
 def sr_loss_and_grad(s: Signomial, X, y, l1_penalty: float = 0.0):
@@ -314,7 +310,8 @@ def sr_loss_and_grad(s: Signomial, X, y, l1_penalty: float = 0.0):
 
     The gradient comes back flat, coefficients first then exponents row by
     row; the L1 term is reported in the loss but handled by a proximal step
-    during training, so it does not contribute to the gradient.
+    during training, so it does not contribute to the gradient. An
+    overflowing term raises OverflowLimitError, as score_fit does.
     """
     X, y = _checked_inputs(X, y)
     alphas, betas = s.alphas, s.betas
@@ -331,42 +328,25 @@ def sr_loss_and_grad(s: Signomial, X, y, l1_penalty: float = 0.0):
 def _adam_stage(alphas, betas, log_x, y, lam, epochs, lr):
     """Full-batch proximal Adam on R restarts at once: alphas (R, K), betas (R, K, m).
 
-    Each epoch makes one stacked kernel call, one Adam step and one L1
-    proximal step over every live restart; the restarts share no state, so
-    each follows the path it would follow alone. A restart whose loss or
-    gradient turns non-finite leaves the batch from that epoch on. Returns the
-    objectives (MSE + lam * L1) (R,), inf for a diverged restart, and the
-    final alphas and betas, NaN for a diverged restart.
+    Each epoch is one stacked kernel call and one AdamStack step; a restart
+    whose loss or gradient turns non-finite leaves the stack. Returns the
+    objectives (MSE + lam * L1) (R,) and the final alphas and betas, inf
+    and NaN for a diverged restart.
     """
-    r, k, m = betas.shape
-    # one (R, K + K*m) matrix; the alpha and beta blocks are views of it
-    params = np.concatenate([alphas, betas.reshape(r, k * m)], axis=1)
-    beta_mask = np.arange(k + k * m) >= k  # the same slots in every row
-    state = AdamState.init(params.shape)
-    live = np.arange(r)
+    stack = AdamStack(alphas, betas, lr, lam)
 
-    def smooth(p):
-        return _sr_smooth(p[:, :k], p[:, k:].reshape(len(p), k, m), log_x, y)
+    def smooth():
+        return _sr_smooth(*stack.split(stack.params), log_x, y)
 
     for _ in range(epochs):
-        losses, d_alpha, d_beta = smooth(params)
-        grad = np.concatenate([d_alpha, d_beta.reshape(len(live), k * m)], axis=1)
-        ok = np.isfinite(losses) & np.isfinite(grad).all(axis=1)
-        if not ok.all():
-            live, params, grad = live[ok], params[ok], grad[ok]
-            state.m, state.v = state.m[ok], state.v[ok]
-            if not len(live):
-                break
-        params = prox_l1(adam_step(state, params, grad, lr), beta_mask, lr, lam)
-
-    objectives = np.full(r, math.inf)
-    final = np.full((r, k + k * m), np.nan)
-    if len(live):
-        losses, _, _ = smooth(params)
-        ok = np.isfinite(losses)
-        objectives[live[ok]] = losses[ok] + lam * np.abs(params[ok, k:]).sum(axis=1)
-        final[live[ok]] = params[ok]
-    return objectives, final[:, :k], final[:, k:].reshape(r, k, m)
+        stack.run(lambda: stack.step(*smooth()[1:]))
+    objectives = np.full(len(alphas), math.inf)
+    final = np.full((len(alphas), stack.params.shape[1]), np.nan)
+    losses = stack.run(smooth)
+    if losses is not None:
+        objectives[stack.live] = losses[0] + stack.penalty()
+        final[stack.live] = stack.params
+    return (objectives, *stack.split(final))
 
 
 def _polish(betas, log_x, y):

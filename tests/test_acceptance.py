@@ -12,6 +12,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from signolearn.signomial import Signomial, Term, evaluate
 
 ASSETS = os.path.join(os.path.dirname(cli.__file__), "assets")
 IRIS = os.path.join(ASSETS, "iris.csv")
-SUITE = json.load(open(os.path.join(ASSETS, "feynman_subset.json")))
+SUITE = json.loads(Path(os.path.join(ASSETS, "feynman_subset.json")).read_text())
 
 
 def get_spec(name: str) -> TargetSpec:
@@ -113,7 +114,7 @@ def _search_accuracy(data_path, target, tmp_path, tag):
     ])
     elapsed = time.perf_counter() - t0
     assert code == 0
-    log = json.load(open(tmp_path / f"{tag}.search.json"))
+    log = json.loads((tmp_path / f"{tag}.search.json").read_text())
     return log["testMetrics"]["accuracy"], elapsed
 
 

@@ -1,12 +1,13 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signolearn import classifier, data_io
+from signolearn import classifier, data_io, optim
 from signolearn.classifier import (
     ClassifyConfig,
     EcselModel,
@@ -479,7 +480,7 @@ def test_fit_trials_trains_each_trial_as_it_would_alone(monkeypatch):
         rows.append(len(params))
         return adam_step(state, params, *args, **kwargs)
 
-    monkeypatch.setattr(classifier, "adam_step", recording)
+    monkeypatch.setattr(optim, "adam_step", recording)
     results = fit_trials(train, val, cfgs)
     stepped = list(rows)
 
@@ -751,7 +752,7 @@ def test_save_load_save_is_byte_identical(tmp_path_factory, model):
     first, second = str(directory / "a.json"), str(directory / "b.json")
     model.save(first)
     EcselModel.load(first).save(second)
-    assert open(first, "rb").read() == open(second, "rb").read()
+    assert Path(first).read_bytes() == Path(second).read_bytes()
 
 
 def test_softmax_serialization_omits_threshold():

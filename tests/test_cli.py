@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +42,7 @@ def write_blobs_csv(path, n_per=30, seed=0):
 
 
 def single_spec_file(tmp_path, name="I.12.1"):
-    suite = json.load(open(SUITE))
+    suite = json.loads(Path(SUITE).read_text())
     spec = next(s for s in suite["specs"] if s["name"] == name)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -73,7 +75,7 @@ def test_train_writes_all_artifacts(tmp_path, capsys):
         "--seed", "3", "--epochs", "60", "--out", out,
     ])
     assert code == 0
-    metrics = json.load(open(tmp_path / "model.metrics.json"))
+    metrics = json.loads((tmp_path / "model.metrics.json").read_text())
     assert metrics["version"] == 1
     assert metrics["metrics"]["accuracy"] >= 0.9
     # defaults are filled into the emitted config
@@ -83,7 +85,7 @@ def test_train_writes_all_artifacts(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["epoch", "trainLoss", "valLoss"]
     assert len(rows) > 1
-    assert json.load(open(tmp_path / "model.timing.json"))["fitSeconds"] > 0
+    assert json.loads((tmp_path / "model.timing.json").read_text())["fitSeconds"] > 0
     assert "z(x) =" in capsys.readouterr().out
 
 
@@ -115,7 +117,7 @@ def test_train_huge_l1_zeroes_every_exponent(tmp_path):
         "train", "--data", data, "--target", "cls", "--l1", "10",
         "--seed", "0", "--epochs", "40", "--out", out,
     ]) == 0
-    payload = json.load(open(out))
+    payload = json.loads(Path(out).read_text())
     for sig in payload["signomials"]:
         for term in sig["terms"]:
             assert all(b == 0.0 for b in term["beta"])
@@ -135,7 +137,7 @@ def test_train_regress_task(tmp_path):
         "train", "--data", str(path), "--target", "t", "--task", "regress",
         "--k", "1", "--seed", "2", "--out", out,
     ]) == 0
-    metrics = json.load(open(tmp_path / "sr.metrics.json"))
+    metrics = json.loads((tmp_path / "sr.metrics.json").read_text())
     assert metrics["metrics"]["r2"] > 0.999
     with open(tmp_path / "sr.trace.csv") as fh:
         assert next(csv.reader(fh)) == ["stage", "index", "loss"]
@@ -152,7 +154,7 @@ def test_train_reads_a_csv_with_a_byte_order_mark(tmp_path):
     out = str(tmp_path / "m.json")
     assert cli.main(["train", "--data", str(path), "--target", "species", "--k", "1",
                      "--epochs", "20", "--out", out]) == 0
-    assert json.load(open(out))["featureNames"] == rows[0][:-1]
+    assert json.loads(Path(out).read_text())["featureNames"] == rows[0][:-1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -272,7 +274,7 @@ def test_predict_reports_metrics(tmp_path):
     pred_out = str(tmp_path / "p.json")
     assert cli.main(["predict", "--model", out, "--data", data,
                      "--target", "cls", "--out", pred_out]) == 0
-    payload = json.load(open(pred_out))
+    payload = json.loads(Path(pred_out).read_text())
     assert len(payload["predictions"]) == 60
     assert payload["metrics"]["accuracy"] >= 0.9
     assert set(payload["predictedNames"]) <= {"neg", "pos"}
@@ -294,7 +296,7 @@ def test_predict_remaps_shuffled_label_encoding(tmp_path):
     p1 = str(tmp_path / "p1.json")
     cli.main(["predict", "--model", out, "--data", str(flipped),
               "--target", "cls", "--out", p1])
-    assert json.load(open(p1))["metrics"]["accuracy"] >= 0.9
+    assert json.loads(Path(p1).read_text())["metrics"]["accuracy"] >= 0.9
 
 
 def test_predict_without_target_column(tmp_path):
@@ -311,7 +313,7 @@ def test_predict_without_target_column(tmp_path):
     p = str(tmp_path / "p.json")
     assert cli.main(["predict", "--model", out, "--data", str(bare),
                      "--out", p]) == 0
-    payload = json.load(open(p))
+    payload = json.loads(Path(p).read_text())
     assert "metrics" not in payload
     assert len(payload["predictions"]) == 60
 
@@ -326,12 +328,12 @@ def test_predict_no_target_flag_skips_label_column(tmp_path):
     p = str(tmp_path / "p.json")
     assert cli.main(["predict", "--model", out, "--data", data,
                      "--out", p]) == 0
-    payload = json.load(open(p))
+    payload = json.loads(Path(p).read_text())
     assert "metrics" not in payload
     with_target = str(tmp_path / "pt.json")
     cli.main(["predict", "--model", out, "--data", data,
               "--target", "cls", "--out", with_target])
-    assert payload["predictions"] == json.load(open(with_target))["predictions"]
+    assert payload["predictions"] == json.loads(Path(with_target).read_text())["predictions"]
 
 
 def test_predict_skips_blank_lines_with_and_without_target(tmp_path):
@@ -348,7 +350,7 @@ def test_predict_skips_blank_lines_with_and_without_target(tmp_path):
         p = str(tmp_path / f"p{len(extra)}.json")
         assert cli.main(["predict", "--model", out, "--data", str(gappy),
                          "--out", p, *extra]) == 0
-        predictions.append(json.load(open(p))["predictions"])
+        predictions.append(json.loads(Path(p).read_text())["predictions"])
     assert len(predictions[0]) == 60
     assert predictions[0] == predictions[1]
 
@@ -358,7 +360,7 @@ def test_model_with_mis_sized_scaler_is_corrupt(tmp_path, capsys):
     out = str(tmp_path / "m.json")
     cli.main(["train", "--data", data, "--target", "cls", "--k", "1",
               "--seed", "3", "--epochs", "60", "--out", out])
-    payload = json.load(open(out))
+    payload = json.loads(Path(out).read_text())
     payload["scaler"]["mins"] = payload["scaler"]["mins"][:1]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
@@ -397,6 +399,11 @@ def scaled_model_file(tmp_path):
     lambda p: p["signomials"][0].update(m=2.5),
     lambda p: p["signomials"][1].update(m="2"),
     lambda p: p.update(featureNames=[["a"], ["b"]]),
+    # a string would read as one name per character
+    lambda p: p.update(featureNames="ab"),
+    lambda p: p.update(kind="regressor", signomial=p["signomials"][0], featureNames="ab"),
+    lambda p: p.update(classNames="np"),
+    lambda p: p.update(classNames=[0, 1]),
     # the CSV has columns a and b; a duplicate name would read a twice
     lambda p: p.update(featureNames=["a", "a"]),
     lambda p: p.update(kind="regressor", signomial=p["signomials"][0], featureNames=["a", "a"]),
@@ -405,13 +412,14 @@ def scaled_model_file(tmp_path):
     lambda p: p.update(kind=["classifier"]),
 ], ids=["scaler-with-steps", "scaler-other-range", "no-step-params", "unknown-step",
         "bad-bound", "infinite-bound", "nan-alpha", "infinite-beta", "fractional-m", "string-m",
-        "feature-names-not-strings", "duplicate-feature-names",
+        "feature-names-not-strings", "string-feature-names", "regressor-string-feature-names",
+        "string-class-names", "class-names-not-strings", "duplicate-feature-names",
         "regressor-duplicate-feature-names", "regressor-without-signomial", "unknown-kind",
         "kind-not-a-string"])
 def test_malformed_model_file_is_corrupt(tmp_path, capsys, edit):
     path, data = scaled_model_file(tmp_path)
     assert cli.main(["predict", "--model", path, "--data", data]) == 0
-    payload = json.load(open(path))
+    payload = json.loads(Path(path).read_text())
     edit(payload)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
@@ -431,7 +439,7 @@ def test_predict_regressor_on_constant_target_reports_mse_only(tmp_path):
     out = str(tmp_path / "p.json")
     assert cli.main(["predict", "--model", model, "--data", str(data),
                      "--target", "t", "--out", out]) == 0
-    payload = json.load(open(out))
+    payload = json.loads(Path(out).read_text())
     assert payload["predictions"] == pytest.approx([1.0, 5.0])
     assert payload["metrics"] == {"mse": pytest.approx(4.0), "nmse": None, "r2": None}
 
@@ -448,7 +456,7 @@ def test_predict_metrics_map_labels_by_name_on_a_subset_of_classes(tmp_path, cap
     p = str(tmp_path / "p.json")
     assert cli.main(["predict", "--model", out, "--data", str(subset),
                      "--target", "species", "--out", p]) == 0
-    payload = json.load(open(p))
+    payload = json.loads(Path(p).read_text())
     truth = model.class_names.index("virginica")
     expected = float(np.mean(np.array(payload["predictions"]) == truth))
     assert expected > 0.5
@@ -511,7 +519,7 @@ def test_explain_counterfactual_matches_oracle(tmp_path):
         "--term", "0", "--counterfactual", "x1=2.0", "--out", out,
     ])
     assert code == 0
-    report = json.load(open(out))
+    report = json.loads(Path(out).read_text())
     cf = report["counterfactual"]
     assert cf["newScore"] == pytest.approx(2.6220031931145575, rel=1e-12)
     assert cf["feature"] == "x1"
@@ -535,7 +543,7 @@ def test_explain_defaults_to_gradient_for_multiterm(tmp_path, capsys):
     ones = make_ones_csv(tmp_path)
     out = str(tmp_path / "r.json")
     assert cli.main(["explain", "--model", TOY, "--data", ones, "--out", out]) == 0
-    report = json.load(open(out))
+    report = json.loads(Path(out).read_text())
     assert report["mode"] == "gradient"
     # predicted class at all-ones is 0 (scores 1.4 vs 1.2)
     assert report["class"] == 0
@@ -551,7 +559,7 @@ def test_explain_sigmoid_model_explains_its_single_score(tmp_path, capsys):
     out = str(tmp_path / "e.json")
     # x1 = 3 scores 9, so the row is predicted positive (class 1)
     assert cli.main(["explain", "--model", path, "--data", str(data), "--out", out]) == 0
-    report = json.load(open(out))
+    report = json.loads(Path(out).read_text())
     assert report["class"] == report["resolvedConfig"]["class"] == 0
     assert report["logGradients"]["x1"]["value"] == pytest.approx(18.0)  # 2 * 3**2
     for bad in ("1", "-1"):
@@ -583,9 +591,9 @@ def test_explain_probability_target_chooses_gradient_mode(tmp_path):
     argv = ["explain", "--model", path, "--data", str(data), "--out", out]
     # one term: exact-log unless the probability target asks for gradient mode
     assert cli.main(argv) == 0
-    assert json.load(open(out))["mode"] == "exact-log"
+    assert json.loads(Path(out).read_text())["mode"] == "exact-log"
     assert cli.main([*argv, "--gradient-target", "probability"]) == 0
-    report = json.load(open(out))
+    report = json.loads(Path(out).read_text())
     assert report["mode"] == report["resolvedConfig"]["mode"] == "gradient"
     assert report["resolvedConfig"]["gradientTarget"] == "probability"
 
@@ -597,7 +605,7 @@ def test_explain_records_the_baseline_row_it_used(tmp_path):
     for flags, row in [([], None), (["--baseline", "sample"], 0),
                        (["--baseline", "sample", "--baseline-row", "0"], 0)]:
         assert cli.main([*argv, *flags]) == 0
-        assert json.load(open(out))["resolvedConfig"]["baselineRow"] == row
+        assert json.loads(Path(out).read_text())["resolvedConfig"]["baselineRow"] == row
     assert cli.main([*argv, "--baseline", "sample", "--baseline-row", "1"]) == 2
 
 
@@ -621,6 +629,36 @@ def test_explain_counterfactual_scale_must_be_positive(tmp_path, capsys, scale):
     assert capsys.readouterr().err.startswith("error: BadConfigError")
 
 
+def test_explain_counterfactual_curve_marks_overflowing_points_null(tmp_path, capsys):
+    # 1.0 * x1^400 at x1 = 1: q^400 passes float range for q above about
+    # 5.9, so the 5 grid points from 10^0.8 = 6.31 up have no score
+    model = EcselModel([Signomial([(1.0, (400.0,))])], link="sigmoid")
+    path = str(tmp_path / "steep.json")
+    model.save(path)
+    data = tmp_path / "x.csv"
+    data.write_text("x1\n1.0\n")
+    out = tmp_path / "e.json"
+    argv = ["explain", "--model", path, "--data", str(data)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([*argv, "--counterfactual", "x1=1.1", "--out", str(out)]) == 0
+    assert not caught and capsys.readouterr().err == ""
+
+    def no_constants(name):
+        raise ValueError(f"{name} is not JSON")
+
+    curve = json.loads(out.read_text(), parse_constant=no_constants)["counterfactual"]["curve"]
+    nulls = [point["q"] for point in curve if point["score"] is None]
+    assert len(nulls) == 5 and min(nulls) == pytest.approx(10 ** 0.8)
+    assert all(point["score"] is not None for point in curve if point["q"] < 6.3)
+    # the requested q itself must score
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([*argv, "--counterfactual", "x1=7"]) == 4
+    err = capsys.readouterr().err
+    assert not caught and err.startswith("error: OverflowLimitError") and err.count("\n") == 1
+
+
 def test_explain_scenarios(tmp_path):
     ones = make_ones_csv(tmp_path)
     scen = tmp_path / "scen.json"
@@ -633,7 +671,7 @@ def test_explain_scenarios(tmp_path):
     out = str(tmp_path / "r.json")
     assert cli.main(["explain", "--model", TOY, "--data", ones,
                      "--scenarios", str(scen), "--out", out]) == 0
-    rows = json.load(open(out))["scenarios"]
+    rows = json.loads(Path(out).read_text())["scenarios"]
     assert [r["name"] for r in rows] == ["base", "double-x1"]
     assert rows[0]["scores"] == pytest.approx([1.4, 1.2])
     assert rows[0]["predicted"] == 0
@@ -669,11 +707,11 @@ def test_recover_single_term_spec(tmp_path, capsys):
     out = str(tmp_path / "rec.json")
     assert cli.main(["recover", "--spec", spec, "--seeds", "42..43",
                      "--out", out]) == 0
-    payload = json.load(open(out))
+    payload = json.loads(Path(out).read_text())
     assert payload["recoveryRate"] == 1.0
     assert [s["seed"] for s in payload["seeds"]] == [42, 43]
     assert "wallTimeSeconds" not in payload["seeds"][0]
-    timing = json.load(open(tmp_path / "rec.timing.json"))
+    timing = json.loads((tmp_path / "rec.timing.json").read_text())
     assert set(timing["seedSeconds"]) == {"42", "43"}
     assert "recovery rate: 1.00" in capsys.readouterr().out
 
@@ -693,7 +731,7 @@ def test_recover_noiseless_nmse_vanishes(tmp_path):
     out = str(tmp_path / "rec.json")
     assert cli.main(["recover", "--spec", spec, "--seeds", "42",
                      "--noise", "0", "--out", out]) == 0
-    seed_row = json.load(open(out))["seeds"][0]
+    seed_row = json.loads(Path(out).read_text())["seeds"][0]
     assert seed_row["equivalent"]
     assert seed_row["nmse"] == pytest.approx(0.0, abs=1e-12)
 
@@ -704,7 +742,7 @@ def test_recover_missing_spec_file(tmp_path, capsys):
 
 
 def test_benchmark_isolates_bad_specs(tmp_path):
-    suite = json.load(open(SUITE))
+    suite = json.loads(Path(SUITE).read_text())
     good = next(s for s in suite["specs"] if s["name"] == "Livermore-13")
     mini = {"version": 1, "specs": [
         good,
@@ -761,7 +799,7 @@ def test_search_logs_trials_and_replays_best(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "fit_trials", recording)
     assert cli.main(["search", "--data", data, "--target", "cls",
                      "--trials", "6", "--seed", "1", "--out", out]) == 0
-    log = json.load(open(tmp_path / "best.search.json"))
+    log = json.loads((tmp_path / "best.search.json").read_text())
     assert len(log["trials"]) == len(trained) == 6
     best = log["trials"][log["bestTrial"]]
     assert best["valF1"] == log["bestValF1"]
@@ -798,7 +836,7 @@ def test_search_single_trial(tmp_path):
     out = str(tmp_path / "best.json")
     assert cli.main(["search", "--data", data, "--target", "cls",
                      "--trials", "1", "--seed", "5", "--out", out]) == 0
-    log = json.load(open(tmp_path / "best.search.json"))
+    log = json.loads((tmp_path / "best.search.json").read_text())
     assert log["bestTrial"] == 0 and len(log["trials"]) == 1
 
 
@@ -809,7 +847,7 @@ def test_search_same_seed_same_trial_sequence(tmp_path):
         out = str(tmp_path / f"{tag}.json")
         cli.main(["search", "--data", data, "--target", "cls",
                   "--trials", "4", "--seed", "9", "--out", out])
-        log = json.load(open(tmp_path / f"{tag}.search.json"))
+        log = json.loads((tmp_path / f"{tag}.search.json").read_text())
         return [t["params"] for t in log["trials"]]
 
     assert params("a") == params("b")

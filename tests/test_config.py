@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ SR_KEYS = {  # (command, key): `train --task regress` or `recover`
 def test_every_config_field_is_in_a_resolved_config(tmp_path):
     regress = tmp_path / "r.csv"
     regress.write_text("u,t\n1,2\n2,4.1\n3,5.9\n4,8.2\n5,9.9\n6,12.1\n")
-    spec = next(s for s in json.load(open(SUITE))["specs"] if s["name"] == "I.12.1")
+    spec = next(s for s in json.loads(Path(SUITE).read_text())["specs"] if s["name"] == "I.12.1")
     (tmp_path / "spec.json").write_text(json.dumps(spec))
     runs = {
         "classify": ["train", "--data", IRIS, "--target", "species", "--epochs", "2",
@@ -74,9 +75,9 @@ def test_every_config_field_is_in_a_resolved_config(tmp_path):
     for argv in runs.values():
         assert cli.main(argv) == 0
     resolved = {
-        "classify": json.load(open(tmp_path / "c.metrics.json"))["resolvedConfig"],
-        "train": json.load(open(tmp_path / "r.metrics.json"))["resolvedConfig"],
-        "recover": json.load(open(tmp_path / "rec.json"))["resolvedConfig"],
+        "classify": json.loads((tmp_path / "c.metrics.json").read_text())["resolvedConfig"],
+        "train": json.loads((tmp_path / "r.metrics.json").read_text())["resolvedConfig"],
+        "recover": json.loads((tmp_path / "rec.json").read_text())["resolvedConfig"],
     }
 
     classify_fields = [f.name for f in dataclasses.fields(ClassifyConfig)]
@@ -148,7 +149,7 @@ def test_seed_flags_of_2_to_the_128_or_more_exit_2(tmp_path, capsys, argv):
 
 def assert_seed_flags_exit_2(tmp_path, capsys, argv):
     inputs = {"SPEC": tmp_path / "spec.json", "NUMERIC": tmp_path / "d.csv"}
-    inputs["SPEC"].write_text(json.dumps(json.load(open(SUITE))["specs"][0]))
+    inputs["SPEC"].write_text(json.dumps(json.loads(Path(SUITE).read_text())["specs"][0]))
     inputs["NUMERIC"].write_text("a,t\n" + "".join(f"{i},{2 * i}\n" for i in range(1, 11)))
     argv = [str(inputs.get(a, a)) for a in argv]
     if argv[0] in ("train", "search"):

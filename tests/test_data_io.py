@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,7 +337,7 @@ def test_model_writes_are_byte_stable(tmp_path):
     payload = {"b": 2.5, "a": [1.0, -0.125]}
     save_model(payload, p1)
     save_model(payload, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_load_model_rejects_wrong_version(tmp_path):
@@ -353,7 +354,7 @@ def test_load_model_rejects_wrong_version(tmp_path):
 def test_load_model_rejects_truncated_file(tmp_path):
     path = str(tmp_path / "model.json")
     save_model({"kind": "classifier"}, path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[: len(blob) // 2])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[: len(blob) // 2])
     with pytest.raises(CorruptModelError):
         load_model(path)

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from signolearn import optim
 from signolearn.errors import NonFiniteGradientError, NonFiniteObjectiveError, OverflowLimitError
 from signolearn.optim import (
+    AdamStack,
     AdamState,
     EarlyStopMonitor,
     adam_step,
@@ -193,6 +194,104 @@ def test_prox_scalar_step_keeps_its_bits():
     sel = ref[:, mask]
     ref[:, mask] = np.sign(sel) * np.maximum(np.abs(sel) - 0.3 * 0.7, 0.0)
     assert out.tobytes() == ref.tobytes()
+
+
+# --- stacked proximal Adam -----------------------------------------------------
+
+
+def _stack_inputs(rng, rows):
+    """alphas (R, 2, 3), betas (R, 2, 3, 4), and one rate and penalty per row."""
+    alphas = rng.standard_normal((rows, 2, 3))
+    betas = rng.standard_normal((rows, 2, 3, 4))
+    return alphas, betas, [1e-3, 3e-2, 0.5, 1e-4][:rows], [1e-2, 0.0, 0.3, 2.0][:rows]
+
+
+def test_adam_stack_steps_each_row_as_a_one_row_stack_bit_for_bit():
+    rng = np.random.default_rng(4)
+    alphas, betas, lrs, l1s = _stack_inputs(rng, 4)
+    stack = AdamStack(alphas, betas, lrs, l1s, clip_norm=1.0)
+    alone = [AdamStack(alphas[r : r + 1], betas[r : r + 1], lrs[r], l1s[r], clip_norm=1.0)
+             for r in range(4)]
+    for step in range(20):
+        # row 0's gradients are clipped on every step, the rest mostly not
+        g = _row_grads(rng, step, 4, 6 + 24)
+        stack.step(g[:, :6], g[:, 6:])
+        for r, one in enumerate(alone):
+            one.step(g[r : r + 1, :6], g[r : r + 1, 6:])
+    assert stack.params.tobytes() == np.concatenate([one.params for one in alone]).tobytes()
+    assert stack.penalty().tobytes() == np.concatenate([one.penalty() for one in alone]).tobytes()
+    a, b = stack.split(stack.params)
+    assert a.shape == (4, 2, 3) and b.shape == (4, 2, 3, 4)
+    assert np.array_equal(b, stack.params[:, 6:].reshape(4, 2, 3, 4))
+    # the exponents are shrunk, the coefficients are not
+    assert np.array_equal(stack.mask, np.arange(30) >= 6)
+
+
+def test_adam_stack_run_drops_the_row_an_error_names():
+    rng = np.random.default_rng(5)
+    alphas, betas, lrs, l1s = _stack_inputs(rng, 4)
+    stack = AdamStack(alphas, betas, lrs, l1s)
+    stack.step(np.ones((4, 2, 3)), np.ones((4, 2, 3, 4)))
+    moments = stack.adam.m.copy(), stack.adam.v.copy()
+    seen = []
+
+    def fn(tag):
+        # the stack's row 2 (original row 2) fails, then its new row 1
+        # (original row 1); the other two rows run
+        seen.append(stack.live.tolist())
+        if len(seen) < 3:
+            raise NonFiniteGradientError("bad row", stack_index=(2, 1)[len(seen) - 1])
+        return tag
+
+    assert stack.run(fn, "done") == "done"
+    assert seen == [[0, 1, 2, 3], [0, 1, 3], [0, 3]]
+    # each error as raised, under the row's original index
+    assert sorted(stack.errors) == [1, 2]
+    assert all(type(e) is NonFiniteGradientError for e in stack.errors.values())
+    assert stack.errors[2].stack_index == 2 and stack.errors[1].stack_index == 1
+    assert stack.live.tolist() == [0, 3]
+    assert np.array_equal(stack.adam.m, moments[0][[0, 3]])
+    assert np.array_equal(stack.adam.v, moments[1][[0, 3]])
+    assert stack.lr[:, 0].tolist() == [lrs[0], lrs[3]]
+    assert stack.l1[:, 0].tolist() == [l1s[0], l1s[3]]
+    assert stack.split(stack.params)[0].shape == (2, 2, 3)
+
+    def first_row_overflows():
+        raise OverflowLimitError("term overflows", stack_index=0)
+
+    # once every row has left, run calls nothing and returns None
+    assert stack.run(first_row_overflows) is None
+    assert sorted(stack.errors) == [0, 1, 2, 3]
+    assert type(stack.errors[0]) is type(stack.errors[3]) is OverflowLimitError
+    assert stack.run(fn, "again") is None and len(seen) == 3
+
+
+@pytest.mark.parametrize("error", [
+    NonFiniteObjectiveError("outside a stack"),
+    ValueError("not a numerical error"),
+])
+def test_adam_stack_run_lets_other_errors_through(error):
+    rng = np.random.default_rng(6)
+    stack = AdamStack(*_stack_inputs(rng, 3))
+
+    def fn():
+        raise error
+
+    with pytest.raises(type(error)):
+        stack.run(fn)
+    assert stack.live.tolist() == [0, 1, 2] and not stack.errors
+
+
+def test_adam_stack_step_rejects_a_non_finite_gradient_unchanged():
+    rng = np.random.default_rng(7)
+    stack = AdamStack(*_stack_inputs(rng, 3))
+    before = stack.params.copy()
+    d_beta = np.ones((3, 2, 3, 4))
+    d_beta[1, 0, 2, 3] = np.nan
+    with pytest.raises(NonFiniteGradientError) as exc:
+        stack.step(np.ones((3, 2, 3)), d_beta)
+    assert exc.value.stack_index == 1
+    assert np.array_equal(stack.params, before) and stack.adam.t == 0
 
 
 # --- early stopping ----------------------------------------------------------

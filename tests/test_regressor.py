@@ -2,6 +2,7 @@ import json
 import math
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from signolearn.errors import (
     NonPositiveInputError,
     OverflowLimitError,
 )
-from signolearn import cli, data_io, regressor
+from signolearn import cli, data_io, optim, regressor
 from signolearn.optim import LmResult
 from signolearn.regressor import (
     RegressorModel,
@@ -120,6 +121,18 @@ def test_loss_input_validation():
         sr_loss_and_grad(s, [[1.0, 2.0]], [1.0])
     with pytest.raises(DataFormatError):
         sr_loss_and_grad(s, [[1.0]], [np.nan])
+
+
+def test_loss_and_score_raise_the_same_overflow():
+    # 800 ln 10 is far past the kernel's log-magnitude limit
+    s = Signomial([Term(1.0, (800.0,))])
+    errors = []
+    for call in (sr_loss_and_grad, score_fit):
+        with pytest.raises(OverflowLimitError) as exc:
+            call(s, [[10.0]], [1.0])
+        errors.append(exc.value)
+    assert str(errors[0]) == str(errors[1])
+    assert errors[0].term_index == errors[1].term_index == 0
 
 
 # --- config -----------------------------------------------------------------------
@@ -324,7 +337,7 @@ def test_all_restarts_failed_k3():
 
 
 def jin2_data():
-    spec = next(s for s in json.load(open(SUITE))["specs"] if s["name"] == "Jin-2")
+    spec = next(s for s in json.loads(Path(SUITE).read_text())["specs"] if s["name"] == "Jin-2")
     return generate_benchmark_data(TargetSpec.from_dict(spec), 400, 0.01, 42)
 
 
@@ -356,7 +369,9 @@ def test_a_diverged_restart_leaves_the_others_untouched():
     log_x, y, alphas, betas = jin2_stage_inputs()
     bad = betas.copy()
     bad[3] = -1e3  # small inputs push beta . ln x far past the overflow limit
-    assert regressor._sr_smooth(alphas[3:4], bad[3:4], log_x, y)[0][0] == math.inf
+    with pytest.raises(OverflowLimitError) as exc:
+        regressor._sr_smooth(alphas, bad, log_x, y)
+    assert exc.value.stack_index == 3
     losses, a, b = run_stage(alphas, bad, log_x, y)
     assert losses[3] == math.inf and np.isnan(a[3]).all() and np.isnan(b[3]).all()
     others = [0, 1, 2, 4, 5, 6, 7]
@@ -370,13 +385,13 @@ def test_overflowing_restarts_leave_the_stack_they_are_named_in():
     bad = betas.copy()
     bad[3] = -1e3
     bad[6] = 1e3
-    losses, d_alpha, d_beta = regressor._sr_smooth(alphas, bad, log_x, y)
+    losses, a, b = run_stage(alphas, bad, log_x, y)
     for r in (3, 6):
         assert losses[r] == math.inf
-        assert np.isnan(d_alpha[r]).all() and np.isnan(d_beta[r]).all()
+        assert np.isnan(a[r]).all() and np.isnan(b[r]).all()
     others = [0, 1, 2, 4, 5, 7]
-    alone = regressor._sr_smooth(alphas[others], betas[others], log_x, y)
-    for got, want in zip((losses, d_alpha, d_beta), alone):
+    alone = run_stage(alphas[others], betas[others], log_x, y)
+    for got, want in zip((losses, a, b), alone):
         np.testing.assert_allclose(got[others], want, rtol=1e-12, atol=0)
 
 
@@ -384,13 +399,13 @@ def test_each_multi_term_stage_is_one_stacked_adam_loop(monkeypatch):
     # one Adam step per epoch over all 8 restarts: a full-length strong-L1
     # stage, then a half-length weak-L1 one
     shapes = []
-    real = regressor.adam_step
+    real = optim.adam_step
 
-    def counting(state, params, grad, cfg):
+    def counting(state, params, *args):
         shapes.append(params.shape)
-        return real(state, params, grad, cfg)
+        return real(state, params, *args)
 
-    monkeypatch.setattr(regressor, "adam_step", counting)
+    monkeypatch.setattr(optim, "adam_step", counting)
     data = jin2_data()
     cfg = SrConfig(num_terms=3, adam_epochs_per_stage=60)
     _, stats = fit_sr(data.X, data.y, cfg, seed=42)
@@ -524,7 +539,7 @@ def test_projected_jacobian_matches_finite_differences(generator, seed):
 @pytest.mark.parametrize("name, seed", [("I.14.3", 179), ("I.14.4", 90)])
 def test_recovery_from_wrong_sign_random_starts(name, seed):
     # every random start at these seeds has alpha of the wrong sign
-    entry = next(e for e in json.load(open(SUITE))["specs"] if e["name"] == name)
+    entry = next(e for e in json.loads(Path(SUITE).read_text())["specs"] if e["name"] == name)
     res = evaluate_recovery(TargetSpec.from_dict(entry), SrConfig(num_terms=1, seed_list=(seed,)))
     assert res.seeds[0].recovered
     assert res.seeds[0].r2 > 0.9999
@@ -532,7 +547,7 @@ def test_recovery_from_wrong_sign_random_starts(name, seed):
 
 @pytest.mark.parametrize("seed", [24, 28, 96, 129, 189, 270])
 def test_jin2_recovery_at_seed(seed):
-    entry = next(e for e in json.load(open(SUITE))["specs"] if e["name"] == "Jin-2")
+    entry = next(e for e in json.loads(Path(SUITE).read_text())["specs"] if e["name"] == "Jin-2")
     res = evaluate_recovery(TargetSpec.from_dict(entry), SrConfig(num_terms=3, seed_list=(seed,)))
     assert res.seeds[0].recovered
 
@@ -778,4 +793,4 @@ def test_regressor_save_load_save_is_byte_identical(tmp_path_factory, model):
     first, second = str(directory / "a.json"), str(directory / "b.json")
     model.save(first)
     RegressorModel.from_dict(data_io.load_model(first)).save(second)
-    assert open(first, "rb").read() == open(second, "rb").read()
+    assert Path(first).read_bytes() == Path(second).read_bytes()
