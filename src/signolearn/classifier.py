@@ -10,6 +10,7 @@ proximal soft-threshold step; early stopping restores the best snapshot.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
 )
 from .optim import AdamStack, EarlyStopMonitor
 from .signomial import (
+    LOG_MAGNITUDE_LIMIT,
     Signomial,
     backward,
     forward,
@@ -114,8 +116,12 @@ class EcselModel:
         self.threshold = float(threshold)
         self.m = signomials[0].m
         self.C = 2 if link == "sigmoid" else len(signomials)
-        self.feature_names = feature_names or [f"x{j + 1}" for j in range(self.m)]
-        self.class_names = class_names or [str(c) for c in range(self.C)]
+        # None means the default names; an empty list is a wrong count
+        if feature_names is None:
+            feature_names = [f"x{j + 1}" for j in range(self.m)]
+        if class_names is None:
+            class_names = [str(c) for c in range(self.C)]
+        self.feature_names, self.class_names = feature_names, class_names
         self.scaler = scaler
         # a CSV column is read for each name, so no two may be the same
         if len(self.feature_names) != self.m or len(set(self.feature_names)) < self.m:
@@ -133,6 +139,15 @@ class EcselModel:
                     f"scaler bounds have shapes {sorted(shapes)} for {self.m} features"
                 )
         self._alphas, self._betas = _stack_params(self.signomials)
+        # the largest |ln q| for which scaling one feature by q keeps every
+        # term (each below e^LOG_MAGNITUDE_LIMIT, then times at most
+        # q^max|beta|) and their sum inside float range, less one unit of
+        # margin for rounding: explain.counterfactual_scale needs no errstate
+        # below it
+        headroom = (math.log(sys.float_info.max) - LOG_MAGNITUDE_LIMIT - 1.0
+                    - math.log(max(self._betas.shape[1], 1)))
+        beta_max = float(np.abs(self._betas).max(initial=0.0))
+        self._quiet_log_q = headroom / beta_max if beta_max else math.copysign(math.inf, headroom)
         # (row bytes, per-term values) of the last good input; one tuple, set
         # in one statement, so threads sharing the model need no lock
         self._last_terms: tuple[bytes, np.ndarray] | None = None

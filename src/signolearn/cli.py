@@ -417,22 +417,19 @@ def cmd_explain(args) -> int:
     )
     if args.counterfactual is not None:
         j, q = _parse_counterfactual(args.counterfactual, model.feature_names)
-        # q ** beta may pass float range, which counterfactual_scale reports
-        # as an OverflowLimitError, so numpy's own warning is not wanted
-        with np.errstate(over="ignore", invalid="ignore"):
-            per_class = [
-                counterfactual_scale(model, c, x, j, q)
-                for c in range(len(model.signomials))
-            ]
-            # a curve point past float range has a null score; the curve
-            # itself goes on
-            curve = []
-            for qq in np.geomspace(0.1, 10.0, 41).tolist():
-                try:
-                    score = counterfactual_scale(model, class_idx, x, j, qq)
-                except OverflowLimitError:
-                    score = None
-                curve.append({"q": qq, "score": score})
+        per_class = [
+            counterfactual_scale(model, c, x, j, q)
+            for c in range(len(model.signomials))
+        ]
+        # a curve point past float range has a null score; the curve itself
+        # goes on
+        curve = []
+        for qq in np.geomspace(0.1, 10.0, 41).tolist():
+            try:
+                score = counterfactual_scale(model, class_idx, x, j, qq)
+            except OverflowLimitError:
+                score = None
+            curve.append({"q": qq, "score": score})
         report["counterfactual"] = {
             "feature": model.feature_names[j],
             "q": q,

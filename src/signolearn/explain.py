@@ -144,9 +144,17 @@ def counterfactual_scale(
         raise NonPositiveInputError(f"scale factor must be positive, got {q!r}")
     _check_index(class_idx, len(model.signomials), "class", "scores")
     _check_index(feature_idx, model.m, "feature", "features")
-    per_term = model._terms_at(x)
-    scale = np.power(q, model._betas[class_idx, :, feature_idx])
-    score = float(scale @ per_term[class_idx])
+    per_term = model._terms_at(x)[class_idx]
+    betas = model._betas[class_idx, :, feature_idx]
+    # numpy would warn before the OverflowLimitError below when q**beta
+    # (at most e^(|ln q| max|beta|)) or the sum leaves float range; only a q
+    # that can get there pays for the errstate, which costs as much as the
+    # rest of this call
+    if abs(math.log(q)) < model._quiet_log_q:
+        score = float(np.power(q, betas) @ per_term)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            score = float(np.power(q, betas) @ per_term)
     if not math.isfinite(score):
         raise OverflowLimitError(
             f"counterfactual score of class {class_idx} at q={q!r} is {score!r}"

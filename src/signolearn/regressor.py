@@ -1,17 +1,19 @@
 """Symbolic regression with a single signomial.
 
 Fits z(x) = sum_k alpha_k * prod_j x_j^beta_kj to real targets by mean squared
-error plus an L1 penalty on the exponents. Single-term fits polish each of
-several random starts; multi-term fits run a staged pipeline: several short
-Adam runs under strong L1 to select structure, a further half-length run of
-every restart under weak L1 to estimate it, then pruning, exponent freezing,
-and an unpenalized polish of the leaders' residuals. The polish is
-Levenberg-Marquardt by variable projection: it searches only the nonzero
-exponents and solves the coefficients, on which z is linear, by least
-squares at every step. The restarts of each Adam stage run as one stacked
-loop over a leading restart axis (the kernel's C axis); a restart that
-diverges leaves it. Recovered expressions are snapped to canonical form and
-compared against the generating equation up to algebraic equivalence.
+error plus an L1 penalty on the exponents. A single-term fit is a monomial,
+whose ln|z| is affine in ln x, so by default it polishes one start, the
+least-squares fit of ln|y| on [1, ln x]. Multi-term fits run a staged
+pipeline: several short Adam runs under strong L1 to select structure, a
+further half-length run of every restart under weak L1 to estimate it, then
+pruning, exponent freezing, and an unpenalized polish of the leaders'
+residuals. The polish is Levenberg-Marquardt by variable projection: it
+searches only the nonzero exponents and solves the coefficients, on which z
+is linear, by least squares at every step. The restarts of each Adam stage
+run as one stacked loop over a leading restart axis (the kernel's C axis); a
+restart that diverges leaves it. Recovered expressions are snapped to
+canonical form and compared against the generating equation up to algebraic
+equivalence.
 """
 
 from __future__ import annotations
@@ -89,9 +91,11 @@ class SrConfig:
             raise BadConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
     def resolved_restarts(self) -> int:
+        """restarts, or by default 1 for K=1 (the log-space start is exact for
+        a noiseless monomial) and 8 for K>1."""
         if self.restarts is not None:
             return self.restarts
-        return 4 if self.num_terms == 1 else 8
+        return 1 if self.num_terms == 1 else 8
 
 
 @dataclass(frozen=True)
@@ -219,7 +223,10 @@ class RegressorModel:
     def from_dict(cls, data: dict) -> "RegressorModel":
         try:
             s = Signomial.from_dict(data["signomial"])
-            names = name_list(data, "featureNames") or [f"x{j + 1}" for j in range(s.m)]
+            # only an absent key means the default names; [] is corrupt
+            names = name_list(data, "featureNames")
+            if names is None:
+                names = [f"x{j + 1}" for j in range(s.m)]
             return cls(s, list(names))
         except (KeyError, TypeError, DimensionMismatchError) as exc:
             raise CorruptModelError(f"invalid regressor payload: {exc}") from exc
@@ -386,6 +393,23 @@ def _polish(betas, log_x, y):
     return a, b, float(r @ r) / len(y)
 
 
+def _log_start(log_x, y):
+    """Exponents (1, m) of the least-squares fit of ln|y| on [1, ln x].
+
+    ln|alpha * prod_j x_j^beta_j| = ln|alpha| + beta . ln x, so for a
+    noiseless monomial this is the truth (Boyd et al., "A tutorial on
+    geometric programming", 2007). Rows with y = 0 have no logarithm and are
+    left out; with none left the start is beta = 0. The intercept and the
+    sign are not kept: the polish solves the coefficient.
+    """
+    rows = y != 0
+    if not rows.any():
+        return np.zeros((1, log_x.shape[1]))
+    design = np.column_stack([np.ones(int(rows.sum())), log_x[rows]])
+    solved = np.linalg.lstsq(design, np.log(np.abs(y[rows])), rcond=None)[0]
+    return solved[None, 1:]
+
+
 def _prune_freeze_polish(alphas, betas, log_x, y):
     """Alternate pruning and polishing until the sparsity pattern is stable.
 
@@ -414,15 +438,16 @@ def _prune_freeze_polish(alphas, betas, log_x, y):
 def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
     """Fit one signomial to (X, y) with the staged multi-start strategy.
 
-    K=1 polishes every random start's exponents on the raw residuals and
-    keeps the lowest loss; the start's coefficient is not used, since the
-    polish solves it by least squares at every step. K>1 runs Adam on all
-    restarts in one stacked loop under lambda_struct, continues every
-    surviving restart for half as many epochs under L1 min(REFINE_L1,
-    lambda_struct), then prunes, freezes and polishes the best POLISHED of
-    them. Both polish by variable-projection Levenberg-Marquardt (`_polish`).
-    Candidates are always ranked by (loss, restart index), so ties break
-    deterministically.
+    K=1 polishes the exponents of each start on the raw residuals and keeps
+    the lowest loss: start 0 is the log-space least-squares monomial
+    (`_log_start`), any further ones (cfg.restarts > 1) the seeded random
+    draws. A start's coefficient is not used, since the polish solves it by
+    least squares at every step. K>1 runs Adam on all restarts in one
+    stacked loop under lambda_struct, continues every surviving restart for
+    half as many epochs under L1 min(REFINE_L1, lambda_struct), then prunes,
+    freezes and polishes the best POLISHED of them. Both polish by
+    variable-projection Levenberg-Marquardt (`_polish`). Candidates are
+    always ranked by (loss, restart index), so ties break deterministically.
     """
     cfg.validate()
     check_seed(seed)
@@ -441,8 +466,10 @@ def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
     pool: list[tuple[float, int, np.ndarray, np.ndarray]] = []
 
     if k == 1:
-        # random inits have no zero exponent, so every exponent is free
-        for r, (_, b0) in enumerate(inits):
+        # the polish freezes an exponent that starts at exactly zero, as the
+        # log start of an all-zero y does; the random draws never do
+        starts = [_log_start(log_x, y)] + [b for _, b in inits[1:]]
+        for r, b0 in enumerate(starts):
             try:
                 a, b, loss = _polish(b0, log_x, y)
             except SignolearnError:

@@ -769,3 +769,17 @@ def test_load_rejects_wrong_kind(tmp_path):
 def test_from_dict_rejects_garbage():
     with pytest.raises(CorruptModelError):
         EcselModel.from_dict({"kind": "classifier", "link": "softmax"})
+
+
+@pytest.mark.parametrize("key", ["featureNames", "classNames"])
+def test_an_empty_name_list_is_corrupt_and_only_an_absent_one_defaults(key):
+    model = EcselModel([Signomial([(1.0, (1.0, -1.0))]), Signomial([(1.0, (-1.0, 1.0))])],
+                       feature_names=["a", "b"], class_names=["neg", "pos"])
+    payload = model.to_dict()
+    payload[key] = []
+    with pytest.raises(CorruptModelError):
+        EcselModel.from_dict(payload)
+    del payload[key]
+    back = EcselModel.from_dict(payload)
+    assert (back.feature_names, back.class_names) == (
+        (["x1", "x2"], ["neg", "pos"]) if key == "featureNames" else (["a", "b"], ["0", "1"]))

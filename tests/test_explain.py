@@ -251,10 +251,28 @@ def test_counterfactual_raises_instead_of_a_non_finite_score(terms, scaled_score
             model.scores([2.0])
     else:
         assert model.scores([2.0])[0] == scaled_score
-    # the shortcut's q**beta and sum overflow before the check sees them
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowLimitError):
+    # the shortcut's q**beta and sum overflow before the check sees them,
+    # and the caller gets the typed error with no numpy warning
+    with warnings.catch_warnings(), pytest.raises(OverflowLimitError):
+        warnings.simplefilter("error")
         counterfactual_scale(model, 0, [1.0], 0, 2.0)
     assert counterfactual_scale(model, 0, [1.0], 0, 1.0) == model.scores([1.0])[0]
+
+
+@pytest.mark.parametrize("log_q", [-0.05, 0.05, 0.1, 0.11])
+def test_counterfactual_near_float_range_warns_about_nothing(log_q):
+    # a term of e^699 scaled by q^100: finite up to ln q = 0.1078, past which
+    # it raises; 0.05 skips the errstate, 0.1 and 0.11 need it
+    model = EcselModel([Signomial([(1.0, (100.0,))])], link="sigmoid")
+    x, q = [math.exp(6.99)], math.exp(log_q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if log_q > 0.1078:
+            with pytest.raises(OverflowLimitError):
+                counterfactual_scale(model, 0, x, 0, q)
+        else:
+            got = counterfactual_scale(model, 0, x, 0, q)
+            assert got == pytest.approx(math.exp(699.0 + 100 * log_q), rel=1e-9)
 
 
 # --- first-order sensitivity ----------------------------------------------------

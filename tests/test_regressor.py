@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from signolearn.errors import (
     AllRestartsFailedError,
     BadConfigError,
+    CorruptModelError,
     DataFormatError,
     DimensionMismatchError,
+    NonFiniteObjectiveError,
     NonPositiveInputError,
     OverflowLimitError,
 )
@@ -158,7 +160,8 @@ def test_config_validation():
 
 
 def test_default_restarts_depend_on_term_count():
-    assert SrConfig(num_terms=1).resolved_restarts() == 4
+    # K=1 needs one start: the log-space fit is exact for a noiseless monomial
+    assert SrConfig(num_terms=1).resolved_restarts() == 1
     assert SrConfig(num_terms=3).resolved_restarts() == 8
     assert SrConfig(num_terms=3, restarts=2).resolved_restarts() == 2
 
@@ -320,12 +323,19 @@ def test_fit_is_deterministic():
     assert st1.to_dict() == st2.to_dict()
 
 
-def test_all_restarts_failed_k1():
-    # seed chosen so that every Levenberg-Marquardt start overflows at the initial point
-    X = np.full((50, 4), 1e308)
-    y = np.ones(50)
+def test_all_restarts_failed_k1(monkeypatch):
+    # the log start and three random ones: every polish fails, so the fit does
+    starts = []
+
+    def failing(fun, x0, *args, **kwargs):
+        starts.append(x0)
+        raise NonFiniteObjectiveError("residuals are non-finite at the initial point")
+
+    monkeypatch.setattr(regressor, "levenberg_marquardt", failing)
+    X = np.random.default_rng(0).uniform(1.0, 2.0, size=(20, 2))
     with pytest.raises(AllRestartsFailedError):
-        fit_sr(X, y, SrConfig(num_terms=1), seed=57)
+        fit_sr(X, X[:, 0] * X[:, 1], SrConfig(num_terms=1, restarts=4), seed=0)
+    assert len(starts) == 4
 
 
 def test_all_restarts_failed_k3():
@@ -427,13 +437,72 @@ def test_k1_restarts_let_programming_errors_through(monkeypatch):
 
 def test_k1_fits_targets_of_either_sign():
     # a one-term signomial has the sign of its alpha everywhere; the polish
-    # projects alpha, so a random start of either sign fits either target
+    # projects alpha, so the log start and random starts of either sign fit
+    # either target
     X = np.random.default_rng(0).uniform(1.0, 3.0, size=(40, 2))
     for sign in (1.0, -1.0):
         for seed in range(3):
-            s, _ = fit_sr(X, sign * 2.0 * X[:, 0] * X[:, 1], SrConfig(num_terms=1), seed=seed)
+            cfg = SrConfig(num_terms=1, restarts=3)
+            s, _ = fit_sr(X, sign * 2.0 * X[:, 0] * X[:, 1], cfg, seed=seed)
             assert s.alphas[0] == pytest.approx(sign * 2.0, rel=1e-6)
             np.testing.assert_allclose(s.betas[0], [1.0, 1.0], atol=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [0.01, -3.5])
+def test_log_start_of_a_noiseless_monomial_is_the_truth(alpha):
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0.1, 10.0, size=(60, 3))
+    beta = np.array([2.5, -1.25, 0.5])
+    log_x = log_inputs(X)
+    start = regressor._log_start(log_x, alpha * np.exp(log_x @ beta))
+    assert start.shape == (1, 3)
+    np.testing.assert_allclose(start[0], beta, rtol=0, atol=1e-10)
+
+
+def test_log_start_skips_zero_targets():
+    rng = np.random.default_rng(6)
+    X = rng.uniform(1.0, 5.0, size=(40, 2))
+    y = 2.0 * X[:, 0] ** 1.5 / X[:, 1]
+    y[::3] = 0.0  # no logarithm, so these rows are left out
+    start = regressor._log_start(log_inputs(X), y)
+    np.testing.assert_allclose(start[0], [1.5, -1.0], rtol=0, atol=1e-10)
+
+
+def test_all_zero_targets_start_from_zero_exponents():
+    X = np.random.default_rng(7).uniform(1.0, 2.0, size=(20, 2))
+    y = np.zeros(20)
+    start = regressor._log_start(log_inputs(X), y)
+    assert start.shape == (1, 2) and not start.any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s, stats = fit_sr(X, y, SrConfig(num_terms=1), seed=0)
+    # the only term's coefficient solves to 0, so it is pruned
+    assert s.num_terms == 0 and stats.final_mse == 0.0
+
+
+def test_k1_start_0_is_the_log_start_and_the_rest_are_random(monkeypatch):
+    data = generate_benchmark_data(monomial_spec(exponents=(1.5, -0.5)), 200, 0.01, 3)
+    starts = []
+    real = regressor._polish
+
+    def recording(betas, log_x, y):
+        starts.append(np.array(betas))
+        return real(betas, log_x, y)
+
+    monkeypatch.setattr(regressor, "_polish", recording)
+    cfg = SrConfig(num_terms=1, restarts=3)
+    s1, st1 = fit_sr(data.X, data.y, cfg, seed=9)
+    # three starts, then the winner's prune/freeze polish
+    assert len(st1.stage_a_losses) == 3
+    np.testing.assert_array_equal(starts[0], regressor._log_start(log_inputs(data.X), data.y))
+    # starts 1 and 2 are the seed's random draws, as without the log start
+    rng = np.random.Generator(np.random.Philox(key=9))
+    draws = [(rng.standard_normal(1), rng.standard_normal((1, 2))) for _ in range(3)]
+    for got, (_, want) in zip(starts[1:3], draws[1:]):
+        np.testing.assert_array_equal(got, want)
+    s2, st2 = fit_sr(data.X, data.y, cfg, seed=9)
+    assert s1.to_dict() == s2.to_dict()
+    assert st1.to_dict() == st2.to_dict()
 
 
 def test_sr_loss_at_a_zero_coefficient_warns_about_nothing():
@@ -538,9 +607,11 @@ def test_projected_jacobian_matches_finite_differences(generator, seed):
 
 @pytest.mark.parametrize("name, seed", [("I.14.3", 179), ("I.14.4", 90)])
 def test_recovery_from_wrong_sign_random_starts(name, seed):
-    # every random start at these seeds has alpha of the wrong sign
+    # every random start at these seeds has alpha of the wrong sign; beside
+    # the log start, restarts=4 polishes three of them
     entry = next(e for e in json.loads(Path(SUITE).read_text())["specs"] if e["name"] == name)
-    res = evaluate_recovery(TargetSpec.from_dict(entry), SrConfig(num_terms=1, seed_list=(seed,)))
+    cfg = SrConfig(num_terms=1, restarts=4, seed_list=(seed,))
+    res = evaluate_recovery(TargetSpec.from_dict(entry), cfg)
     assert res.seeds[0].recovered
     assert res.seeds[0].r2 > 0.9999
 
@@ -784,6 +855,15 @@ def _regressor_models(draw):
         return RegressorModel(s, [f"f{j}" for j in range(m)])
     # a payload without names decodes with x1..xm
     return RegressorModel.from_dict({"kind": "regressor", "signomial": s.to_dict()})
+
+
+def test_an_empty_feature_name_list_is_corrupt_and_only_an_absent_one_defaults():
+    payload = RegressorModel(Signomial([(2.0, (1.0, -1.0))]), ["a", "b"]).to_dict()
+    payload["featureNames"] = []
+    with pytest.raises(CorruptModelError):
+        RegressorModel.from_dict(payload)
+    del payload["featureNames"]
+    assert RegressorModel.from_dict(payload).feature_names == ["x1", "x2"]
 
 
 @settings(max_examples=60, deadline=None)
