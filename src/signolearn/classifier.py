@@ -27,7 +27,7 @@ from .errors import (
     NonFiniteLossError,
     OverflowLimitError,
 )
-from .optim import AdamStack, EarlyStopMonitor
+from .optim import AdamStack, EarlyStopMonitor, finite_rows
 from .signomial import (
     LOG_MAGNITUDE_LIMIT,
     Signomial,
@@ -522,15 +522,6 @@ def _train_stack(cfgs, log_x, y, log_xv, yv, weights, c_rows) -> list:
         smooth, grad = _smooth_loss(*stack.split(stack.params), lx, labels, weights, link)
         return smooth + stack.penalty(), grad
 
-    def finite(loss, which):
-        """loss, or a NonFiniteLossError naming its first non-finite trial."""
-        if not np.isfinite(loss).all():
-            raise NonFiniteLossError(
-                f"non-finite {which} loss at epoch {epoch}", epoch=epoch,
-                stack_index=int(np.flatnonzero(~np.isfinite(loss))[0]),
-            )
-        return loss
-
     def at_epoch(fn, *args):
         """fn(*args), where an overflow is this epoch's NonFiniteLossError."""
         try:
@@ -544,7 +535,7 @@ def _train_stack(cfgs, log_x, y, log_xv, yv, weights, c_rows) -> list:
         idx = orders[stack.live, start : start + batch]
         loss, grad = objective(log_x[idx], y[idx])
         d_alpha, d_beta = grad()
-        finite(loss, "training")
+        finite_rows(loss, f"non-finite training loss at epoch {epoch}", epoch)
         stack.step(d_alpha, d_beta)
         return loss
 
@@ -561,7 +552,8 @@ def _train_stack(cfgs, log_x, y, log_xv, yv, weights, c_rows) -> list:
             size = min(batch, n - start)
             for t, x in zip(stack.live.tolist(), loss.tolist()):
                 running[t] += x * size
-        val = stack.run(at_epoch, lambda: finite(objective(log_xv, yv)[0], "validation"))
+        val = stack.run(at_epoch, lambda: finite_rows(
+            objective(log_xv, yv)[0], f"non-finite validation loss at epoch {epoch}", epoch))
         if val is None:
             break
         go_on = []

@@ -109,15 +109,6 @@ def _write_timing(seconds_by_label: dict, out: str | None) -> None:
         data_io.write_json_atomic(dict(seconds_by_label), _sibling(out, "timing.json"))
 
 
-def _read_json(path: str):
-    """Parse a JSON input file; malformed JSON is a DataFormatError naming it."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
-
-
 def _transform(scaler: data_io.Scaler | None, X: np.ndarray) -> np.ndarray:
     return X if scaler is None else scaler.transform(X)
 
@@ -438,7 +429,7 @@ def cmd_explain(args) -> int:
             "curve": curve,
         }
     if args.scenarios is not None:
-        raw = _read_json(args.scenarios)
+        raw = data_io.read_json(args.scenarios)
         named = []
         try:
             for entry in raw["scenarios"] if isinstance(raw, dict) else raw:
@@ -497,7 +488,7 @@ def _recovery_table(result) -> list[str]:
 
 
 def cmd_recover(args) -> int:
-    spec = TargetSpec.from_dict(_read_json(args.spec))
+    spec = TargetSpec.from_dict(data_io.read_json(args.spec))
     seeds = parse_seeds(args.seeds)
     cfg = _recovery_config(spec.num_terms, seeds, args.noise, args.restarts)
     result = evaluate_recovery(spec, cfg)
@@ -526,7 +517,7 @@ def cmd_recover(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    raw = _read_json(args.suite)
+    raw = data_io.read_json(args.suite)
     entries = raw.get("specs") if isinstance(raw, dict) else raw
     if not isinstance(entries, list) or not entries:
         raise DataFormatError(
@@ -595,7 +586,7 @@ def _load_space(path: str | None) -> dict:
     space = {k: list(v) for k, v in DEFAULT_SEARCH_SPACE.items()}
     if path is None:
         return space
-    user = _read_json(path)
+    user = data_io.read_json(path)
     if not isinstance(user, dict):
         raise BadConfigError(f"{path}: search space must be a JSON object")
     for key, value in user.items():

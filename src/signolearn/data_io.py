@@ -24,6 +24,7 @@ from .errors import (
     CorruptModelError,
     DataFormatError,
     SchemaVersionError,
+    SignolearnError,
 )
 
 MODEL_SCHEMA_VERSION = 1
@@ -329,13 +330,21 @@ def name_list(payload: dict, key: str) -> list[str] | None:
     return names
 
 
+def read_json(path: str, error: type[SignolearnError] = DataFormatError):
+    """Parse a JSON input file; malformed JSON raises error naming the file.
+
+    utf-8-sig drops a leading byte-order mark, as load_csv does.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise error(f"{path}: not valid JSON ({exc})") from exc
+
+
 def load_model(path: str) -> dict:
     """Read a versioned model payload, validating schema version."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorruptModelError(f"{path}: not valid JSON ({exc})") from exc
+    data = read_json(path, CorruptModelError)
     if not isinstance(data, dict) or "version" not in data:
         raise CorruptModelError(f"{path}: missing schema version")
     if data["version"] != MODEL_SCHEMA_VERSION:

@@ -2,7 +2,8 @@
 
 Everything here is deterministic given its inputs: Adam with per-row
 gradient-norm clipping, an L1 proximal step applied to exponent slots only,
-`AdamStack`, which runs both on stacked rows and drops a row that diverges, an
+`AdamStack`, which runs both on stacked rows and drops a row that diverges,
+`finite_rows`, the one check that names a stack's first non-finite loss, an
 early-stopping monitor that snapshots the best parameters seen, and a
 Levenberg-Marquardt least-squares solver with Marquardt's diagonal damping,
 which polishes signomial regression fits. The package no longer calls its
@@ -18,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (NonFiniteGradientError, NonFiniteObjectiveError, NumericalError,
-                     OverflowLimitError)
+from .errors import (NonFiniteGradientError, NonFiniteLossError, NonFiniteObjectiveError,
+                     NumericalError, OverflowLimitError)
 
 
 # --- Adam --------------------------------------------------------------------
@@ -100,11 +101,21 @@ def prox_l1(params: np.ndarray, mask: np.ndarray, step_size, lam) -> np.ndarray:
     return np.where(mask, shrunk, params)
 
 
+def finite_rows(losses: np.ndarray, message: str, epoch: int | None = None) -> np.ndarray:
+    """losses, one per stacked row, or a NonFiniteLossError with message that
+    names the first non-finite row in stack_index, so AdamStack.run drops it."""
+    bad = np.flatnonzero(~np.isfinite(losses))
+    if len(bad):
+        raise NonFiniteLossError(message, epoch=epoch, stack_index=int(bad[0]))
+    return losses
+
+
 class AdamStack:
     """Proximal Adam on R signomials side by side. Each row of params holds
     one's alphas, then its betas (mask, the slots the L1 step shrinks), with
     its own learning rate, L1 strength and Adam moments; no arithmetic
-    crosses rows. live holds the original indices of the rows in the stack,
+    crosses rows. A trainer that solves its coefficients instead passes
+    zero-width alphas (R, 0), and its rows hold only the betas. live holds the original indices of the rows in the stack,
     and errors the error of each row that left it, by original index."""
 
     def __init__(self, alphas, betas, lr, l1, clip_norm: float | None = None):

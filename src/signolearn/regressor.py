@@ -3,17 +3,16 @@
 Fits z(x) = sum_k alpha_k * prod_j x_j^beta_kj to real targets by mean squared
 error plus an L1 penalty on the exponents. A single-term fit is a monomial,
 whose ln|z| is affine in ln x, so by default it polishes one start, the
-least-squares fit of ln|y| on [1, ln x]. Multi-term fits run a staged
-pipeline: several short Adam runs under strong L1 to select structure, a
-further half-length run of every restart under weak L1 to estimate it, then
+least-squares fit of ln|y| on [1, ln x]. Multi-term fits run several short
+proximal-Adam runs over the exponents under L1 to select structure, then
 pruning, exponent freezing, and an unpenalized polish of the leaders'
-residuals. The polish is Levenberg-Marquardt by variable projection: it
-searches only the nonzero exponents and solves the coefficients, on which z
-is linear, by least squares at every step. The restarts of each Adam stage
-run as one stacked loop over a leading restart axis (the kernel's C axis); a
-restart that diverges leaves it. Recovered expressions are snapped to
-canonical form and compared against the generating equation up to algebraic
-equivalence.
+residuals. Both steps work by variable projection: z is linear in the
+coefficients, so they search only the exponents and solve the coefficients
+by least squares at every step. The Adam restarts run as one stacked loop
+over a leading restart axis (the kernel's C axis); a restart that diverges
+leaves it. The polish is Levenberg-Marquardt over the nonzero exponents.
+Recovered expressions are snapped to canonical form and compared against the
+generating equation up to algebraic equivalence.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .errors import (
     NonFiniteLossError,
     SignolearnError,
 )
-from .optim import AdamStack, levenberg_marquardt
+from .optim import AdamStack, finite_rows, levenberg_marquardt
 from .signomial import (
     DEFAULT_COEF_PRUNE_THRESHOLD,
     DEFAULT_EXPONENT_ZERO_THRESHOLD,
@@ -52,10 +51,8 @@ from .signomial import (
 # domain crosses zero and only its positive part is usable
 POSITIVE_PART_FLOOR = 1e-3
 
-# a multi-term fit selects structure under lambda_struct, then runs half as
-# many epochs again under this weaker L1 (never above lambda_struct) before
-# the best POLISHED restarts are polished
-REFINE_L1 = 1e-3
+# a multi-term fit polishes the POLISHED restarts with the lowest objective
+# after its Adam stage
 POLISHED = 4
 
 
@@ -66,7 +63,7 @@ class SrConfig:
     num_terms: int = 1
     lambda_struct: float = 1e-2
     restarts: int | None = None
-    adam_epochs_per_stage: int = 500
+    adam_epochs_per_stage: int = 125
     learning_rate: float = 0.05
     seed_list: tuple[int, ...] = (42, 43, 44, 45, 46)
     noise_sigma: float = 0.01
@@ -288,28 +285,35 @@ def _checked_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _sr_smooth(alphas, betas, log_x, y):
+def _mse_head(mono_log, per_term, log_x, y):
     """MSE and its gradient for C stacked signomials: the kernel's MSE head.
 
-    Takes alphas (C, K) and betas (C, K, m); returns the losses (C,),
-    dL/dalpha (C, K) and dL/dbeta (C, K, m). An overflowing term raises the
-    kernel's OverflowLimitError, and a loss past float range raises
-    NonFiniteLossError; either names its signomial in stack_index. A zero
-    coefficient needs no care here: forward makes its term exactly 0.
+    Takes forward's monomial logs and per-term values (N, C, K) at ln x
+    (N, m); returns the losses (C,), dL/dalpha (C, K) and dL/dbeta
+    (C, K, m). A loss past float range raises NonFiniteLossError naming its
+    signomial in stack_index; an overflowing monomial, the kernel's
+    OverflowLimitError.
     """
     n = log_x.shape[0]
     # terms below the limit can still square or sum past float range, which
     # is also an infinite loss
     with np.errstate(over="ignore", invalid="ignore"):
-        mono_log, per_term = forward(alphas, betas, log_x)
         resid = y - per_term.sum(axis=2).T  # (C, N)
         d_alpha, d_beta = backward((-2.0 / n) * resid.T, mono_log, per_term, log_x)
         # a stacked dot product: for C = 1 it is bit for bit resid @ resid
         losses = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0] / n
-    bad = np.flatnonzero(~np.isfinite(losses))
-    if len(bad):
-        raise NonFiniteLossError("regression loss is non-finite", stack_index=int(bad[0]))
-    return losses, d_alpha, d_beta
+    return finite_rows(losses, "regression loss is non-finite"), d_alpha, d_beta
+
+
+def _solve_coefficients(phi, rhs):
+    """Least-squares coefficients (C, K, ...) of each stacked row's bare
+    monomials phi (N, C, K) against rhs (N, ...), shared by every row.
+
+    lstsq's minimum-norm solution stays finite when a row's phi is
+    rank-deficient, as when two of its terms share an exponent vector.
+    """
+    return np.stack([np.linalg.lstsq(phi[:, c], rhs, rcond=None)[0]
+                     for c in range(phi.shape[1])])
 
 
 def sr_loss_and_grad(s: Signomial, X, y, l1_penalty: float = 0.0):
@@ -322,7 +326,8 @@ def sr_loss_and_grad(s: Signomial, X, y, l1_penalty: float = 0.0):
     """
     X, y = _checked_inputs(X, y)
     alphas, betas = s.alphas, s.betas
-    loss, d_alpha, d_beta = _sr_smooth(alphas[None], betas[None], log_inputs(X, s.m), y)
+    log_x = log_inputs(X, s.m)
+    loss, d_alpha, d_beta = _mse_head(*forward(alphas[None], betas[None], log_x), log_x, y)
     total = float(loss[0]) + l1_penalty * float(np.sum(np.abs(betas)))
     if not math.isfinite(total):
         raise NonFiniteLossError("regression loss is non-finite")
@@ -332,28 +337,41 @@ def sr_loss_and_grad(s: Signomial, X, y, l1_penalty: float = 0.0):
 # --- staged fitting ---------------------------------------------------------------
 
 
-def _adam_stage(alphas, betas, log_x, y, lam, epochs, lr):
-    """Full-batch proximal Adam on R restarts at once: alphas (R, K), betas (R, K, m).
+def _adam_stage(betas, log_x, y, lam, epochs, lr):
+    """Full-batch proximal Adam over the exponents of R restarts at once,
+    betas (R, K, m), by variable projection.
 
-    Each epoch is one stacked kernel call and one AdamStack step; a restart
-    whose loss or gradient turns non-finite leaves the stack. Returns the
-    objectives (MSE + lam * L1) (R,) and the final alphas and betas, inf
-    and NaN for a diverged restart.
+    Each epoch makes one stacked kernel call at unit coefficients, which gives
+    every restart's bare monomials Phi, solves each restart's coefficients on
+    its Phi by least squares, and takes one AdamStack step on the exponents
+    with the MSE gradient at those coefficients. At the solved coefficients
+    that is the gradient of the projected loss (Golub & Pereyra 1973; Newman
+    et al., "Train Like a (Var)Pro", 2021). A restart whose loss or gradient
+    turns non-finite leaves the stack. Returns the objectives
+    (MSE + lam * L1) (R,), the coefficients solved at the final exponents
+    (R, K) and those exponents, inf and NaN for a diverged restart.
     """
-    stack = AdamStack(alphas, betas, lr, lam)
+    r, k, _ = betas.shape
+    # the rows carry no coefficients: every epoch solves them afresh
+    stack = AdamStack(np.zeros((r, 0)), betas, lr, lam)
 
-    def smooth():
-        return _sr_smooth(*stack.split(stack.params), log_x, y)
+    def projected():
+        b = stack.split(stack.params)[1]
+        mono_log, phi = forward(np.ones(b.shape[:2]), b, log_x)
+        a = _solve_coefficients(phi, y)
+        losses, _, d_beta = _mse_head(mono_log, phi * a, log_x, y)
+        return losses, a, d_beta
 
     for _ in range(epochs):
-        stack.run(lambda: stack.step(*smooth()[1:]))
-    objectives = np.full(len(alphas), math.inf)
-    final = np.full((len(alphas), stack.params.shape[1]), np.nan)
-    losses = stack.run(smooth)
-    if losses is not None:
-        objectives[stack.live] = losses[0] + stack.penalty()
-        final[stack.live] = stack.params
-    return (objectives, *stack.split(final))
+        stack.run(lambda: stack.step(np.zeros((len(stack.live), 0)), projected()[2]))
+    objectives, alphas = np.full(r, math.inf), np.full((r, k), np.nan)
+    final = np.full(betas.shape, np.nan)
+    last = stack.run(projected)
+    if last is not None:
+        objectives[stack.live] = last[0] + stack.penalty()
+        alphas[stack.live] = last[1]
+        final[stack.live] = stack.split(stack.params)[1]
+    return objectives, alphas, final
 
 
 def _polish(betas, log_x, y):
@@ -366,9 +384,8 @@ def _polish(betas, log_x, y):
     scaled by its term's alpha (Golub & Pereyra 1973; Kaufman 1975). Returns
     the coefficients projected at the final exponents, the exponents and
     their MSE. A point where a monomial overflows is a rejected step, and a
-    start where one does raises NonFiniteObjectiveError. lstsq keeps the
-    coefficients finite when Phi is rank-deficient, as when two terms share
-    an exponent vector.
+    start where one does raises NonFiniteObjectiveError. The coefficients
+    stay finite when Phi is rank-deficient (`_solve_coefficients`).
     """
     k, m = betas.shape
     free = np.flatnonzero(betas.ravel())
@@ -380,10 +397,10 @@ def _polish(betas, log_x, y):
         b = np.zeros(k * m)
         b[free] = theta
         b = b.reshape(k, m)
-        phi = forward(ones, b[None], log_x)[1][:, 0]
-        d_phi = phi[:, term] * log_x[:, feature]
-        solved = np.linalg.lstsq(phi, np.column_stack([y, d_phi]), rcond=None)[0]
-        a = solved[:, 0]
+        phi = forward(ones, b[None], log_x)[1]
+        d_phi = phi[:, 0, term] * log_x[:, feature]
+        solved = _solve_coefficients(phi, np.column_stack([y, d_phi]))[0]
+        phi, a = phi[:, 0], solved[:, 0]
         return a, b, phi @ a - y, (d_phi - phi @ solved[:, 1:]) * a[term]
 
     theta = betas.ravel()[free]
@@ -442,11 +459,11 @@ def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
     the lowest loss: start 0 is the log-space least-squares monomial
     (`_log_start`), any further ones (cfg.restarts > 1) the seeded random
     draws. A start's coefficient is not used, since the polish solves it by
-    least squares at every step. K>1 runs Adam on all restarts in one
-    stacked loop under lambda_struct, continues every surviving restart for
-    half as many epochs under L1 min(REFINE_L1, lambda_struct), then prunes,
-    freezes and polishes the best POLISHED of them. Both polish by
-    variable-projection Levenberg-Marquardt (`_polish`). Candidates are
+    least squares at every step. K>1 runs one stage of proximal Adam over
+    the exponents of all restarts in one stacked loop under lambda_struct,
+    solving the coefficients by least squares every epoch (`_adam_stage`),
+    then prunes, freezes and polishes the best POLISHED of them. Both polish
+    by variable-projection Levenberg-Marquardt (`_polish`). Candidates are
     always ranked by (loss, restart index), so ties break deterministically.
     """
     cfg.validate()
@@ -456,6 +473,9 @@ def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
     log_x = log_inputs(X)
     restarts = cfg.resolved_restarts()
     rng = np.random.Generator(np.random.Philox(key=seed))
+    # no fit uses the coefficient draws, since both kinds solve their
+    # coefficients; they stay in the stream so that each seed keeps the
+    # exponent starts it drew before the Adam stage stopped training them
     inits = [
         (rng.standard_normal(k), rng.standard_normal((k, m)))
         for _ in range(restarts)
@@ -483,24 +503,14 @@ def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
         pool.sort(key=lambda c: (c[0], c[1]))
         pool = pool[:1]
     else:
-        # the Adam stages run against variance-scaled targets so the L1
+        # the Adam stage runs against variance-scaled targets so the L1
         # strength means the same thing whatever the raw target magnitude;
         # the final polish happens on raw targets with the penalty off
         scale = float(np.std(y)) or 1.0
-        y_scaled = y / scale
-        epochs, lr = cfg.adam_epochs_per_stage, cfg.learning_rate
         losses, alphas, betas = _adam_stage(
-            np.array([a for a, _ in inits]), np.array([b for _, b in inits]),
-            log_x, y_scaled, cfg.lambda_struct, epochs, lr,
+            np.array([b for _, b in inits]), log_x, y / scale, cfg.lambda_struct,
+            cfg.adam_epochs_per_stage, cfg.learning_rate,
         )
-        # the strong penalty selects each restart's structure; every restart
-        # that survived it goes on under the weak one to settle its values
-        live = np.flatnonzero(np.isfinite(losses))
-        if len(live):
-            losses[live], alphas[live], betas[live] = _adam_stage(
-                alphas[live], betas[live], log_x, y_scaled,
-                min(REFINE_L1, cfg.lambda_struct), epochs // 2, lr,
-            )
         stats.stage_a_losses = losses.tolist()
         ranked = sorted((loss, r) for r, loss in enumerate(stats.stage_a_losses)
                         if math.isfinite(loss))

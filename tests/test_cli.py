@@ -736,6 +736,19 @@ def test_recover_noiseless_nmse_vanishes(tmp_path):
     assert seed_row["nmse"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_recover_reads_a_spec_with_a_byte_order_mark(tmp_path):
+    # the JSON inputs drop a BOM as the CSV reader does; without it this was
+    # a DataFormatError, "Unexpected UTF-8 BOM"
+    spec = Path(single_spec_file(tmp_path))
+    plain = json.loads(spec.read_text())
+    spec.write_text(json.dumps(plain), encoding="utf-8-sig")
+    assert spec.read_bytes().startswith(b"\xef\xbb\xbf{")
+    out = tmp_path / "rec.json"
+    assert cli.main(["recover", "--spec", str(spec), "--seeds", "42", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["spec"] == plain["name"] and payload["recoveryRate"] == 1.0
+
+
 def test_recover_missing_spec_file(tmp_path, capsys):
     assert cli.main(["recover", "--spec", str(tmp_path / "nope.json")]) == 3
     assert capsys.readouterr().err.startswith("error: ")

@@ -358,3 +358,12 @@ def test_load_model_rejects_truncated_file(tmp_path):
     Path(path).write_bytes(blob[: len(blob) // 2])
     with pytest.raises(CorruptModelError):
         load_model(path)
+
+
+def test_load_model_reads_a_file_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "model.json"
+    payload = {"kind": "classifier", "terms": [1.0, -0.125]}
+    save_model(payload, str(path))
+    plain = load_model(str(path))
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_model(str(path)) == plain == {"version": 1, **payload}
