@@ -8,9 +8,10 @@ proximal-Adam runs over the exponents under L1 to select structure, then
 pruning, exponent freezing, and an unpenalized polish of the leaders'
 residuals. Both steps work by variable projection: z is linear in the
 coefficients, so they search only the exponents and solve the coefficients
-by least squares at every step. The Adam restarts run as one stacked loop
-over a leading restart axis (the kernel's C axis); a restart that diverges
-leaves it. The polish is Levenberg-Marquardt over the nonzero exponents.
+by least squares at every step, in one batched SVD over all stacked rows
+(`_solve_coefficients`). The Adam restarts run as one stacked loop over a
+leading restart axis (the kernel's C axis); a restart that diverges leaves
+it. The polish is Levenberg-Marquardt over the nonzero exponents.
 Recovered expressions are snapped to canonical form and compared against the
 generating equation up to algebraic equivalence.
 """
@@ -309,11 +310,20 @@ def _solve_coefficients(phi, rhs):
     """Least-squares coefficients (C, K, ...) of each stacked row's bare
     monomials phi (N, C, K) against rhs (N, ...), shared by every row.
 
-    lstsq's minimum-norm solution stays finite when a row's phi is
-    rank-deficient, as when two of its terms share an exponent vector.
+    One batched SVD over the (C, N, K) stack gives every row's
+    minimum-norm solution V diag(1/s) U^T rhs. Singular values at or below
+    eps * max(N, K) * s_max are dropped, lstsq's rcond=None cut-off, so a
+    rank-deficient phi (two terms sharing an exponent vector, a column that
+    underflows to 0, an all-zero phi) still gives finite coefficients. The
+    rows share no arithmetic: each row's result is the one it gets alone.
     """
-    return np.stack([np.linalg.lstsq(phi[:, c], rhs, rcond=None)[0]
-                     for c in range(phi.shape[1])])
+    n, _, k = phi.shape
+    u, s, vt = np.linalg.svd(phi.transpose(1, 0, 2), full_matrices=False)
+    kept = s > np.finfo(float).eps * max(n, k) * s[:, :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+    ut_rhs = u.transpose(0, 2, 1) @ rhs.reshape(n, -1)
+    solved = vt.transpose(0, 2, 1) @ (inv[:, :, None] * ut_rhs)
+    return solved.reshape(solved.shape[:2] + rhs.shape[1:])
 
 
 def sr_loss_and_grad(s: Signomial, X, y, l1_penalty: float = 0.0):
@@ -342,14 +352,15 @@ def _adam_stage(betas, log_x, y, lam, epochs, lr):
     betas (R, K, m), by variable projection.
 
     Each epoch makes one stacked kernel call at unit coefficients, which gives
-    every restart's bare monomials Phi, solves each restart's coefficients on
-    its Phi by least squares, and takes one AdamStack step on the exponents
-    with the MSE gradient at those coefficients. At the solved coefficients
-    that is the gradient of the projected loss (Golub & Pereyra 1973; Newman
-    et al., "Train Like a (Var)Pro", 2021). A restart whose loss or gradient
-    turns non-finite leaves the stack. Returns the objectives
-    (MSE + lam * L1) (R,), the coefficients solved at the final exponents
-    (R, K) and those exponents, inf and NaN for a diverged restart.
+    every restart's bare monomials Phi, solves all restarts' coefficients on
+    their Phi in one stacked least-squares solve (`_solve_coefficients`,
+    minimum-norm where a Phi is rank-deficient), and takes one AdamStack step
+    on the exponents with the MSE gradient at those coefficients. At the
+    solved coefficients that is the gradient of the projected loss (Golub &
+    Pereyra 1973; Newman et al., "Train Like a (Var)Pro", 2021). A restart
+    whose loss or gradient turns non-finite leaves the stack. Returns the
+    objectives (MSE + lam * L1) (R,), the coefficients solved at the final
+    exponents (R, K) and those exponents, inf and NaN for a diverged restart.
     """
     r, k, _ = betas.shape
     # the rows carry no coefficients: every epoch solves them afresh
@@ -384,8 +395,10 @@ def _polish(betas, log_x, y):
     scaled by its term's alpha (Golub & Pereyra 1973; Kaufman 1975). Returns
     the coefficients projected at the final exponents, the exponents and
     their MSE. A point where a monomial overflows is a rejected step, and a
-    start where one does raises NonFiniteObjectiveError. The coefficients
-    stay finite when Phi is rank-deficient (`_solve_coefficients`).
+    start where one does raises NonFiniteObjectiveError. Each step's
+    coefficients and projection come from one C = 1 `_solve_coefficients`
+    call, whose minimum-norm solution stays finite when Phi is
+    rank-deficient.
     """
     k, m = betas.shape
     free = np.flatnonzero(betas.ravel())
@@ -416,15 +429,16 @@ def _log_start(log_x, y):
     ln|alpha * prod_j x_j^beta_j| = ln|alpha| + beta . ln x, so for a
     noiseless monomial this is the truth (Boyd et al., "A tutorial on
     geometric programming", 2007). Rows with y = 0 have no logarithm and are
-    left out; with none left the start is beta = 0. The intercept and the
+    left out; with none left the start is beta = 0. The design matrix is
+    solved as a C = 1 stack by `_solve_coefficients`. The intercept and the
     sign are not kept: the polish solves the coefficient.
     """
     rows = y != 0
     if not rows.any():
         return np.zeros((1, log_x.shape[1]))
     design = np.column_stack([np.ones(int(rows.sum())), log_x[rows]])
-    solved = np.linalg.lstsq(design, np.log(np.abs(y[rows])), rcond=None)[0]
-    return solved[None, 1:]
+    solved = _solve_coefficients(design[:, None], np.log(np.abs(y[rows])))
+    return solved[:, 1:]
 
 
 def _prune_freeze_polish(alphas, betas, log_x, y):
