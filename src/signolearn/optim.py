@@ -115,8 +115,9 @@ class AdamStack:
     one's alphas, then its betas (mask, the slots the L1 step shrinks), with
     its own learning rate, L1 strength and Adam moments; no arithmetic
     crosses rows. A trainer that solves its coefficients instead passes
-    zero-width alphas (R, 0), and its rows hold only the betas. live holds the original indices of the rows in the stack,
-    and errors the error of each row that left it, by original index."""
+    zero-width alphas (R, 0), and its rows hold only the betas. live holds
+    the original indices of the rows in the stack, and errors the error of
+    each row that left it, by original index."""
 
     def __init__(self, alphas, betas, lr, l1, clip_norm: float | None = None):
         r = len(alphas)

@@ -9,7 +9,10 @@ pruning, exponent freezing, and an unpenalized polish of the leaders'
 residuals. Both steps work by variable projection: z is linear in the
 coefficients, so they search only the exponents and solve the coefficients
 by least squares at every step, in one batched SVD over all stacked rows
-(`_solve_coefficients`). The Adam restarts run as one stacked loop over a
+(`_solve_coefficients`). Both get the bare monomials from the kernel's
+coefficient-free entry `signomial.monomials`; the Adam stage takes its loss
+and exponent gradient from an MSE head linear in the coefficients
+(`_mse_head`). The Adam restarts run as one stacked loop over a
 leading restart axis (the kernel's C axis); a restart that diverges leaves
 it. The polish is Levenberg-Marquardt over the nonzero exponents.
 Recovered expressions are snapped to canonical form and compared against the
@@ -40,12 +43,11 @@ from .signomial import (
     DEFAULT_EXPONENT_ZERO_THRESHOLD,
     CanonicalForm,
     Signomial,
-    backward,
     canonicalize,
     equivalent,
     evaluate_batch,
-    forward,
     log_inputs,
+    monomials,
 )
 
 # fraction of a range's upper end used as the sampling floor when a benchmark
@@ -286,21 +288,27 @@ def _checked_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _mse_head(mono_log, per_term, log_x, y):
-    """MSE and its gradient for C stacked signomials: the kernel's MSE head.
+def _mse_head(phi, alphas, log_x, y):
+    """MSE and its gradient for C stacked signomials, linear in the coefficients.
 
-    Takes forward's monomial logs and per-term values (N, C, K) at ln x
-    (N, m); returns the losses (C,), dL/dalpha (C, K) and dL/dbeta
-    (C, K, m). A loss past float range raises NonFiniteLossError naming its
-    signomial in stack_index; an overflowing monomial, the kernel's
-    OverflowLimitError.
+    Takes the bare monomials phi (N, C, K) of `monomials` at ln x (N, m) and
+    the coefficients alphas (C, K); returns the losses (C,), dL/dalpha
+    (C, K) and dL/dbeta (C, K, m). With dz = dL/dz, the residual y - Phi alpha
+    is one stacked matrix-vector product, dL/dalpha is Phi^T dz, with no exp
+    and no second overflow check, and dL/dbeta is alpha * ((dz Phi) @ ln x).
+    A loss past float range raises NonFiniteLossError naming its signomial
+    in stack_index.
     """
-    n = log_x.shape[0]
-    # terms below the limit can still square or sum past float range, which
-    # is also an infinite loss
+    n, c, k = phi.shape
+    phi = phi.transpose(1, 2, 0)  # (C, K, N), the layout monomials computes in
+    # monomials below the limit can still multiply, square or sum past float
+    # range, which is also an infinite loss
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = y - per_term.sum(axis=2).T  # (C, N)
-        d_alpha, d_beta = backward((-2.0 / n) * resid.T, mono_log, per_term, log_x)
+        resid = y - (alphas[:, None, :] @ phi)[:, 0]  # (C, N)
+        dz = (-2.0 / n) * resid
+        d_alpha = (phi @ dz[:, :, None])[..., 0]
+        weighted = (dz[:, None, :] * phi).reshape(c * k, n)
+        d_beta = alphas[..., None] * (weighted @ log_x).reshape(c, k, -1)
         # a stacked dot product: for C = 1 it is bit for bit resid @ resid
         losses = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0] / n
     return finite_rows(losses, "regression loss is non-finite"), d_alpha, d_beta
@@ -335,9 +343,12 @@ def sr_loss_and_grad(s: Signomial, X, y, l1_penalty: float = 0.0):
     overflowing term raises OverflowLimitError, as score_fit does.
     """
     X, y = _checked_inputs(X, y)
+    # the head sees only the bare monomials, so the terms are evaluated once
+    # as score_fit evaluates them, to raise score_fit's error for an overflow
+    evaluate_batch(s, X)
     alphas, betas = s.alphas, s.betas
     log_x = log_inputs(X, s.m)
-    loss, d_alpha, d_beta = _mse_head(*forward(alphas[None], betas[None], log_x), log_x, y)
+    loss, d_alpha, d_beta = _mse_head(monomials(betas[None], log_x), alphas[None], log_x, y)
     total = float(loss[0]) + l1_penalty * float(np.sum(np.abs(betas)))
     if not math.isfinite(total):
         raise NonFiniteLossError("regression loss is non-finite")
@@ -351,11 +362,12 @@ def _adam_stage(betas, log_x, y, lam, epochs, lr):
     """Full-batch proximal Adam over the exponents of R restarts at once,
     betas (R, K, m), by variable projection.
 
-    Each epoch makes one stacked kernel call at unit coefficients, which gives
-    every restart's bare monomials Phi, solves all restarts' coefficients on
-    their Phi in one stacked least-squares solve (`_solve_coefficients`,
+    Each epoch makes one stacked `monomials` call, which gives every
+    restart's bare monomials Phi, solves all restarts' coefficients on their
+    Phi in one stacked least-squares solve (`_solve_coefficients`,
     minimum-norm where a Phi is rank-deficient), and takes one AdamStack step
-    on the exponents with the MSE gradient at those coefficients. At the
+    on the exponents with the linear MSE head's gradient at those
+    coefficients, whose dL/dalpha the stage does not use. At the
     solved coefficients that is the gradient of the projected loss (Golub &
     Pereyra 1973; Newman et al., "Train Like a (Var)Pro", 2021). A restart
     whose loss or gradient turns non-finite leaves the stack. Returns the
@@ -368,9 +380,9 @@ def _adam_stage(betas, log_x, y, lam, epochs, lr):
 
     def projected():
         b = stack.split(stack.params)[1]
-        mono_log, phi = forward(np.ones(b.shape[:2]), b, log_x)
+        phi = monomials(b, log_x)
         a = _solve_coefficients(phi, y)
-        losses, _, d_beta = _mse_head(mono_log, phi * a, log_x, y)
+        losses, _, d_beta = _mse_head(phi, a, log_x, y)
         return losses, a, d_beta
 
     for _ in range(epochs):
@@ -395,22 +407,20 @@ def _polish(betas, log_x, y):
     scaled by its term's alpha (Golub & Pereyra 1973; Kaufman 1975). Returns
     the coefficients projected at the final exponents, the exponents and
     their MSE. A point where a monomial overflows is a rejected step, and a
-    start where one does raises NonFiniteObjectiveError. Each step's
-    coefficients and projection come from one C = 1 `_solve_coefficients`
-    call, whose minimum-norm solution stays finite when Phi is
-    rank-deficient.
+    start where one does raises NonFiniteObjectiveError. Each point's Phi
+    comes from one `monomials` call, and its coefficients and projection
+    from one C = 1 `_solve_coefficients` call, whose minimum-norm solution
+    stays finite when Phi is rank-deficient.
     """
     k, m = betas.shape
     free = np.flatnonzero(betas.ravel())
     term, feature = np.divmod(free, m)
-    # at unit coefficients forward's terms are the bare monomials Phi
-    ones = np.ones((1, k))
 
     def project(theta):
         b = np.zeros(k * m)
         b[free] = theta
         b = b.reshape(k, m)
-        phi = forward(ones, b[None], log_x)[1]
+        phi = monomials(b[None], log_x)
         d_phi = phi[:, 0, term] * log_x[:, feature]
         solved = _solve_coefficients(phi, np.column_stack([y, d_phi]))[0]
         phi, a = phi[:, 0], solved[:, 0]

@@ -12,8 +12,11 @@ silently producing inf.
 
 One kernel does this for the whole package: `log_inputs` checks and logs the
 inputs, `forward` evaluates C stacked signomials at once and `backward` gives
-their parameter gradient. `evaluate`, the classifier and the regressor are
-thin heads over it.
+their parameter gradient, which only the classifier's training uses;
+`monomials` gives the bare monomials exp(beta . ln x) of such a stack, for
+the regressor's fits, which solve their coefficients. `evaluate`, the
+classifier and the explanations are thin heads over `forward`. Both entries
+share one beta . ln x matmul.
 """
 
 from __future__ import annotations
@@ -241,6 +244,15 @@ def _check_log_magnitude(log_mag: np.ndarray, what: str) -> None:
         )
 
 
+def _mono_log(betas, log_x) -> np.ndarray:
+    """The monomial logs beta . ln x, rows last: (..., C, K, N), one matmul."""
+    lead = betas.shape[:-3]
+    c, k, m = betas.shape[-3:]
+    n = log_x.shape[-2]
+    mono_log = betas.reshape(lead + (c * k, m)) @ log_x.swapaxes(-1, -2)
+    return mono_log.reshape(lead + (c, k, n))
+
+
 def forward(alphas, betas, log_x) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate C stacked signomials of K terms each at N log-inputs.
 
@@ -260,11 +272,7 @@ def forward(alphas, betas, log_x) -> tuple[np.ndarray, np.ndarray]:
     """
     with np.errstate(divide="ignore"):
         sign_alpha, log_abs_alpha = np.sign(alphas), np.log(np.abs(alphas))
-    lead = betas.shape[:-3]
-    c, k, m = betas.shape[-3:]
-    n = log_x.shape[-2]
-    mono_log = betas.reshape(lead + (c * k, m)) @ log_x.swapaxes(-1, -2)
-    mono_log = mono_log.reshape(lead + (c, k, n))
+    mono_log = _mono_log(betas, log_x)
     log_mag = mono_log + log_abs_alpha[..., None]
     _check_log_magnitude(log_mag, "term")
     # in place, so a call allocates one (..., C, K, N) buffer, not three:
@@ -274,6 +282,22 @@ def forward(alphas, betas, log_x) -> tuple[np.ndarray, np.ndarray]:
     per_term *= sign_alpha[..., None]
     rows_first = _ROWS_FIRST[mono_log.ndim]
     return mono_log.transpose(rows_first), per_term.transpose(rows_first)
+
+
+def monomials(betas, log_x) -> np.ndarray:
+    """The bare monomials exp(beta . ln x) of C stacked signomials: forward's
+    per-term values at unit coefficients, without the coefficients.
+
+    Takes betas (C, K, m) and ln x (N, m), each with or without forward's
+    leading trial axis T, and returns an (N, C, K) or (T, N, C, K) view, bit
+    for bit forward(np.ones(...), betas, log_x)[1]. A monomial whose log
+    exceeds LOG_MAGNITUDE_LIMIT raises OverflowLimitError, labelled as
+    backward's monomial check is.
+    """
+    mono = _mono_log(betas, log_x)
+    _check_log_magnitude(mono, "monomial")
+    np.exp(mono, out=mono)
+    return mono.transpose(_ROWS_FIRST[mono.ndim])
 
 
 def backward(dz, mono_log, per_term, log_x) -> tuple[np.ndarray, np.ndarray]:

@@ -15,12 +15,13 @@ from signolearn.errors import (
     CorruptModelError,
     DataFormatError,
     DimensionMismatchError,
+    NonFiniteLossError,
     NonFiniteObjectiveError,
     NonPositiveInputError,
     OverflowLimitError,
     SignolearnError,
 )
-from signolearn import cli, data_io, optim, regressor
+from signolearn import cli, data_io, optim, regressor, signomial
 from signolearn.optim import LmResult
 from signolearn.regressor import (
     RegressorModel,
@@ -35,6 +36,7 @@ from signolearn.regressor import (
 from signolearn.signomial import (
     Signomial,
     Term,
+    backward,
     canonicalize,
     equivalent,
     evaluate,
@@ -380,7 +382,7 @@ def test_a_diverged_restart_leaves_the_others_untouched():
     bad = betas.copy()
     bad[3] = -1e3  # small inputs push beta . ln x far past the overflow limit
     with pytest.raises(OverflowLimitError) as exc:
-        forward(np.ones((8, 3)), bad, log_x)
+        signomial.monomials(bad, log_x)
     assert exc.value.stack_index == 3
     losses, a, b = run_stage(bad, log_x, y)
     assert losses[3] == math.inf and np.isnan(a[3]).all() and np.isnan(b[3]).all()
@@ -420,6 +422,51 @@ def test_stage_coefficients_are_the_least_squares_ones_at_its_exponents():
         assert_rows_close(a[r][None], np.linalg.lstsq(phi, y, rcond=None)[0][None])
         mse = float(np.mean((phi @ a[r] - y) ** 2))
         assert losses[r] == pytest.approx(mse + 1e-2 * np.abs(b[r]).sum(), rel=1e-12)
+
+
+def forward_backward_mse_head(alphas, betas, log_x, y):
+    """The MSE head as written on forward's per-term values and backward:
+    losses (C,), dL/dalpha (C, K) and dL/dbeta (C, K, m)."""
+    mono_log, per_term = forward(alphas, betas, log_x)
+    n = len(y)
+    resid = y - per_term.sum(axis=2).T
+    d_alpha, d_beta = backward((-2.0 / n) * resid.T, mono_log, per_term, log_x)
+    return (resid * resid).sum(axis=1) / n, d_alpha, d_beta
+
+
+def head_inputs():
+    """A Jin-2 stack of 8 signomials at random coefficients: signomial 2 has
+    a zero coefficient, and two terms of signomial 5 share an exponent row."""
+    log_x, y, betas = jin2_stage_inputs()
+    alphas = np.random.default_rng(7).standard_normal((8, 3))
+    alphas[2, 1] = 0.0
+    betas[5, 1] = betas[5, 0]
+    return alphas, betas, log_x, y
+
+
+def test_linear_mse_head_matches_the_forward_backward_formula():
+    alphas, betas, log_x, y = head_inputs()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = regressor._mse_head(signomial.monomials(betas, log_x), alphas, log_x, y)
+    want = forward_backward_mse_head(alphas, betas, log_x, y)
+    for g, w in zip(got, want):
+        assert_rows_close(g, w)
+    # the zero coefficient's term gets no exponent gradient, in either
+    assert not got[2][2, 1].any() and not want[2][2, 1].any()
+
+
+def test_linear_mse_head_names_the_restart_whose_loss_overflows():
+    # signomial 4's monomials are in range, but its residual squares past
+    # float range; the formula on forward and backward reaches inf there too
+    alphas, betas, log_x, y = head_inputs()
+    alphas[4] = 1e200
+    with pytest.raises(NonFiniteLossError) as exc:
+        regressor._mse_head(signomial.monomials(betas, log_x), alphas, log_x, y)
+    assert exc.value.stack_index == 4
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = forward_backward_mse_head(alphas, betas, log_x, y)[0]
+    assert np.isinf(losses[4]) and np.isfinite(np.delete(losses, 4)).all()
 
 
 @st.composite
@@ -580,9 +627,8 @@ def test_sr_loss_at_a_zero_coefficient_warns_about_nothing():
 
 
 def monomials(betas, log_x):
-    """The bare monomials Phi (N, K): the kernel's terms at unit coefficients."""
-    k = len(betas)
-    return forward(np.ones((1, k)), betas[None], log_x)[1][:, 0]
+    """The bare monomials Phi (N, K) of one signomial's exponents (K, m)."""
+    return signomial.monomials(betas[None], log_x)[:, 0]
 
 
 @pytest.mark.parametrize("start, truth", [

@@ -26,6 +26,7 @@ from signolearn.signomial import (
     evaluate_batch,
     forward,
     log_inputs,
+    monomials,
     render,
     snap_exponent,
 )
@@ -210,7 +211,7 @@ def test_batch_matches_scalar_eval():
         assert per_term[i] == pytest.approx(out.per_term, rel=1e-12)
 
 
-# --- kernel: forward and backward -----------------------------------------------
+# --- kernel: forward, backward and monomials ---------------------------------
 
 
 def test_log_inputs_checks_shape_and_positivity():
@@ -313,6 +314,42 @@ def test_backward_guards_the_bare_monomial():
     with pytest.raises(OverflowLimitError) as exc:
         backward(np.ones((1, 1)), mono_log, per_term, log_x)
     assert exc.value.term_index == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 20),
+       st.sampled_from((None, 1, 3)), st.booleans(), st.integers(0, 2**32 - 1))
+def test_monomials_are_forward_at_unit_coefficients_bit_for_bit(c, k, m, n, trials,
+                                                               shared_inputs, seed):
+    # exp(l + ln 1) * sign(1) = exp(l), so the coefficient-free entry gives
+    # the same bits, with or without a trial axis, on shared or own inputs
+    rng = np.random.default_rng(seed)
+    lead = () if trials is None else (trials,)
+    betas = rng.uniform(-3.0, 3.0, size=lead + (c, k, m))
+    x_shape = (n, m) if shared_inputs else lead + (n, m)
+    log_x = np.log(rng.uniform(0.1, 10.0, size=x_shape))
+    got = monomials(betas, log_x)
+    want = forward(np.ones(lead + (c, k)), betas, log_x)[1]
+    assert got.shape == want.shape == lead + (n, c, k)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("trials", [None, 2], ids=["C,K", "T,C,K"])
+def test_an_overflowing_monomial_is_named_as_forward_names_its_term(trials):
+    # score 2's term 1 is 10^400, in the last trial when there are trials
+    betas = np.zeros((3, 2, 1))
+    betas[2, 1, 0] = 400.0
+    if trials:
+        betas = np.stack([np.zeros_like(betas), betas])
+    ones = np.ones(betas.shape[:-1])
+    log_x = np.log(np.array([[1.0], [10.0]]))
+    named = r"^monomial log-magnitude .* of term 1 \(score 2, row 1\)"
+    with pytest.raises(OverflowLimitError, match=named) as got:
+        monomials(betas, log_x)
+    with pytest.raises(OverflowLimitError, match=r"^term log-magnitude") as want:
+        forward(ones, betas, log_x)
+    assert got.value.stack_index == want.value.stack_index == (1 if trials else 2)
+    assert got.value.term_index == want.value.term_index == 1
 
 
 def test_gradient_single_term_example():
