@@ -34,6 +34,7 @@ from .signomial import (
     backward,
     forward,
     log_inputs,
+    monomials,
     single_input,
 )
 
@@ -168,8 +169,7 @@ class EcselModel:
         last = self._last_terms
         if last is not None and last[0] == key:
             return last[1]
-        _, per_term = forward(self._alphas, self._betas, log_inputs(row, self.m))
-        values = per_term[0]
+        values = forward(self._alphas, self._betas, log_inputs(row, self.m))[0]
         values.setflags(write=False)
         self._last_terms = (key, values)
         return values
@@ -180,8 +180,7 @@ class EcselModel:
 
     def scores_batch(self, X) -> np.ndarray:
         """Score matrix (N, C) over a batch of inputs."""
-        _, per_term = forward(self._alphas, self._betas, log_inputs(X, self.m))
-        return per_term.sum(axis=2)
+        return forward(self._alphas, self._betas, log_inputs(X, self.m)).sum(axis=2)
 
     def to_dict(self) -> dict:
         payload = {
@@ -315,44 +314,47 @@ def _smooth_loss(alphas, betas, log_x, y, weights, link):
 
     Takes alphas (T, C, K), betas (T, C, K, m), log-inputs (T, N, m) and
     labels (T, N), or log-inputs (N, m) and labels (N,) shared by every
-    trial. Returns the losses (T,) and a function that runs the backward pass
-    and returns dL/dalpha (T, C, K) and dL/dbeta (T, C, K, m); a caller that
-    needs only the loss never runs it. Every operation stays within one
-    trial's slice, so a trial's values do not depend on the rest of the stack.
-    The coefficients go to forward as they are, zeros included; it caps every
-    term at e^LOG_MAGNITUDE_LIMIT, so each score is finite and the softmax
-    shift cannot meet inf - inf.
+    trial. Returns the losses (T,) and a function that returns dL/dalpha
+    (T, C, K) and dL/dbeta (T, C, K, m) from `backward`; a caller that needs
+    only the loss never runs it. The scores are Phi alpha over the bare
+    monomials of `monomials`, whose limit raises OverflowLimitError; a score
+    past float range below it gives a non-finite loss, with no numpy warning.
+    Every operation stays within one trial's slice, so a trial's values do
+    not depend on the rest of the stack.
     """
     n = log_x.shape[-2]
-    mono_log, per_term = forward(alphas, betas, log_x)
-    Z = per_term.sum(axis=-1)  # (T, N, C)
+    phi = monomials(betas, log_x)  # (T, N, C, K)
     w = weights[y]
-    if link == "sigmoid":
-        z = Z[..., 0]
-        # stable log-sigmoid pieces: ln p = -softplus(-z), ln(1-p) = -softplus(z)
-        softplus = np.logaddexp(0.0, np.stack([-z, z]))
-        loss = (w * np.where(y == 1, softplus[0], softplus[1])).sum(axis=-1) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (T, C, 1, K) @ (T, C, K, N): Z is a (T, N, C) view of a (T, C, N) block
+        Z = (alphas[..., None, :] @ phi.swapaxes(-3, -1).swapaxes(-3, -2))[..., 0, :]
+        Z = Z.swapaxes(-1, -2)
+        if link == "sigmoid":
+            z = Z[..., 0]
+            # stable log-sigmoid pieces: ln p = -softplus(-z), ln(1-p) = -softplus(z)
+            softplus = np.logaddexp(0.0, np.stack([-z, z]))
+            loss = (w * np.where(y == 1, softplus[0], softplus[1])).sum(axis=-1) / n
 
-        def dz():
-            return (w * (_sigmoid(z) - y) / n)[..., None]
-    else:
-        shifted = Z - Z.max(axis=-1, keepdims=True)
-        log_norm = np.log(np.exp(shifted).sum(axis=-1))
-        log_p = shifted - log_norm[..., None]
-        # each trial's and row's own label: (T, 1) and (N,) broadcast with y
-        at_label = (np.arange(len(Z))[:, None], np.arange(n), y)
-        loss = -(w * log_p[at_label]).sum(axis=-1) / n
+            def dz():
+                return (w * (_sigmoid(z) - y) / n)[..., None]
+        else:
+            shifted = Z - Z.max(axis=-1, keepdims=True)
+            log_norm = np.log(np.exp(shifted).sum(axis=-1))
+            log_p = shifted - log_norm[..., None]
+            # each trial's and row's own label: (T, 1) and (N,) broadcast with y
+            at_label = (np.arange(len(Z))[:, None], np.arange(n), y)
+            loss = -(w * log_p[at_label]).sum(axis=-1) / n
 
-        def dz():
-            # row-major, whatever layout the scores came in: backward's
-            # matrix products then run on contiguous rows
-            d = np.exp(log_p, order="C")
-            d[at_label] -= 1.0
-            d *= (w / n)[..., None]
-            return d
+            def dz():
+                # in the scores' (T, C, N) layout, contiguous for backward
+                d = np.exp(log_p)
+                d[at_label] -= 1.0
+                d *= (w / n)[..., None]
+                return d
 
     def grad():
-        return backward(dz(), mono_log, per_term, log_x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return backward(dz(), phi, alphas, log_x)
 
     return loss, grad
 
@@ -385,10 +387,10 @@ def loss_and_grad(
     smooth, grad = _smooth_loss(
         alphas[None], betas[None], log_inputs(X, model.m)[None], y[None], weights, model.link
     )
-    d_alpha, d_beta = grad()
     loss = float(smooth[0]) + l1_penalty * float(np.sum(np.abs(betas)))
     if not math.isfinite(loss):
         raise NonFiniteLossError("loss is non-finite")
+    d_alpha, d_beta = grad()
     return loss, np.concatenate([d_alpha[0].ravel(), d_beta[0].ravel()])
 
 
@@ -534,9 +536,8 @@ def _train_stack(cfgs, log_x, y, log_xv, yv, weights, c_rows) -> list:
         """One step of the live trials on their batch at start; their losses."""
         idx = orders[stack.live, start : start + batch]
         loss, grad = objective(log_x[idx], y[idx])
-        d_alpha, d_beta = grad()
         finite_rows(loss, f"non-finite training loss at epoch {epoch}", epoch)
-        stack.step(d_alpha, d_beta)
+        stack.step(*grad())
         return loss
 
     for epoch in range(max(cfg.epochs for cfg in cfgs)):

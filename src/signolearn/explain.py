@@ -95,7 +95,7 @@ def _kernel_values(model: EcselModel, *inputs):
     with fewer than K terms has zero padding terms.
     """
     X = np.concatenate([single_input(x, model.m) for x in inputs])
-    _, per_term = forward(model._alphas, model._betas, log_inputs(X, model.m))
+    per_term = forward(model._alphas, model._betas, log_inputs(X, model.m))
     return per_term, per_term.sum(axis=2), _log_gradients(model, per_term)
 
 

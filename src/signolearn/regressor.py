@@ -3,20 +3,21 @@
 Fits z(x) = sum_k alpha_k * prod_j x_j^beta_kj to real targets by mean squared
 error plus an L1 penalty on the exponents. A single-term fit is a monomial,
 whose ln|z| is affine in ln x, so by default it polishes one start, the
-least-squares fit of ln|y| on [1, ln x]. Multi-term fits run several short
-proximal-Adam runs over the exponents under L1 to select structure, then
-pruning, exponent freezing, and an unpenalized polish of the leaders'
-residuals. Both steps work by variable projection: z is linear in the
-coefficients, so they search only the exponents and solve the coefficients
-by least squares at every step, in one batched SVD over all stacked rows
-(`_solve_coefficients`). Both get the bare monomials from the kernel's
-coefficient-free entry `signomial.monomials`; the Adam stage takes its loss
-and exponent gradient from an MSE head linear in the coefficients
-(`_mse_head`). The Adam restarts run as one stacked loop over a
-leading restart axis (the kernel's C axis); a restart that diverges leaves
-it. The polish is Levenberg-Marquardt over the nonzero exponents.
-Recovered expressions are snapped to canonical form and compared against the
-generating equation up to algebraic equivalence.
+least-squares fit of ln|y| on [1, ln x], once: unless that leaves a term to
+prune or an exponent to freeze, its polish is the fit. Multi-term fits run
+several short proximal-Adam runs over the exponents under L1 to select
+structure, then pruning, exponent freezing, and an unpenalized polish of the
+leaders' residuals. Both steps work by variable projection: z is linear in the
+coefficients, so they search only the exponents and solve the coefficients by
+least squares at every step, in one batched SVD over all stacked rows
+(`_solve_coefficients`), and both get the bare monomials from the kernel's
+coefficient-free entry `signomial.monomials`. The Adam stage takes its loss
+from an MSE head linear in the coefficients (`_mse_head`), and its gradient
+from `signomial.backward`, as the classifier does. Its restarts run as one
+stacked loop over a leading restart axis (the kernel's C axis); a restart that
+diverges leaves it. The polish is Levenberg-Marquardt over the nonzero
+exponents. Recovered expressions are snapped to canonical form and compared
+against the generating equation up to algebraic equivalence.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .signomial import (
     DEFAULT_EXPONENT_ZERO_THRESHOLD,
     CanonicalForm,
     Signomial,
+    backward,
     canonicalize,
     equivalent,
     evaluate_batch,
@@ -293,22 +295,17 @@ def _mse_head(phi, alphas, log_x, y):
 
     Takes the bare monomials phi (N, C, K) of `monomials` at ln x (N, m) and
     the coefficients alphas (C, K); returns the losses (C,), dL/dalpha
-    (C, K) and dL/dbeta (C, K, m). With dz = dL/dz, the residual y - Phi alpha
-    is one stacked matrix-vector product, dL/dalpha is Phi^T dz, with no exp
-    and no second overflow check, and dL/dbeta is alpha * ((dz Phi) @ ln x).
-    A loss past float range raises NonFiniteLossError naming its signomial
-    in stack_index.
+    (C, K) and dL/dbeta (C, K, m). The residual y - Phi alpha is one stacked
+    matrix-vector product, and the gradient is `signomial.backward` at
+    dz = dL/dz, the one the classifier's head also uses. A loss past float
+    range raises NonFiniteLossError naming its signomial in stack_index.
     """
-    n, c, k = phi.shape
-    phi = phi.transpose(1, 2, 0)  # (C, K, N), the layout monomials computes in
+    n = len(y)
     # monomials below the limit can still multiply, square or sum past float
     # range, which is also an infinite loss
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = y - (alphas[:, None, :] @ phi)[:, 0]  # (C, N)
-        dz = (-2.0 / n) * resid
-        d_alpha = (phi @ dz[:, :, None])[..., 0]
-        weighted = (dz[:, None, :] * phi).reshape(c * k, n)
-        d_beta = alphas[..., None] * (weighted @ log_x).reshape(c, k, -1)
+        resid = y - (alphas[:, None, :] @ phi.transpose(1, 2, 0))[:, 0]  # (C, N)
+        d_alpha, d_beta = backward(((-2.0 / n) * resid).T, phi, alphas, log_x)
         # a stacked dot product: for C = 1 it is bit for bit resid @ resid
         losses = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0] / n
     return finite_rows(losses, "regression loss is non-finite"), d_alpha, d_beta
@@ -451,16 +448,21 @@ def _log_start(log_x, y):
     return solved[:, 1:]
 
 
-def _prune_freeze_polish(alphas, betas, log_x, y):
+def _prune_freeze_polish(alphas, betas, log_x, y, mse):
     """Alternate pruning and polishing until the sparsity pattern is stable.
 
     Returns (alphas, betas, mse, pruned_terms, zeroed_exponents); terms with
     tiny coefficients are dropped, tiny exponents are pinned at exactly zero,
     and each change triggers a fresh unpenalized polish of the survivors.
+    mse is the MSE of a candidate the caller has polished, or None; one with
+    nothing to prune or freeze comes back without a second polish.
     """
     a, b = np.array(alphas, dtype=float), np.array(betas, dtype=float)
     pruned = zeroed = 0
-    b[np.abs(b) < DEFAULT_EXPONENT_ZERO_THRESHOLD] = 0.0
+    small = np.abs(b) < DEFAULT_EXPONENT_ZERO_THRESHOLD
+    if mse is not None and not b[small].any() and (np.abs(a) >= DEFAULT_COEF_PRUNE_THRESHOLD).all():
+        return a, b, mse, pruned, zeroed
+    b[small] = 0.0
     while True:
         keep = np.abs(a) >= DEFAULT_COEF_PRUNE_THRESHOLD
         pruned += int(np.sum(~keep))
@@ -483,7 +485,8 @@ def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
     the lowest loss: start 0 is the log-space least-squares monomial
     (`_log_start`), any further ones (cfg.restarts > 1) the seeded random
     draws. A start's coefficient is not used, since the polish solves it by
-    least squares at every step. K>1 runs one stage of proximal Adam over
+    least squares at every step; the winner is polished again only to prune
+    a term or freeze an exponent. K>1 runs one stage of proximal Adam over
     the exponents of all restarts in one stacked loop under lambda_struct,
     solving the coefficients by least squares every epoch (`_adam_stage`),
     then prunes, freezes and polishes the best POLISHED of them. Both polish
@@ -543,8 +546,10 @@ def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
         pool = [(loss, r, alphas[r] * scale, betas[r]) for loss, r in ranked[:POLISHED]]
 
     finals = []
-    for order, (_, _, a, b) in enumerate(pool):
-        a2, b2, mse, pruned, zeroed = _prune_freeze_polish(a, b, log_x, y)
+    for order, (loss, _, a, b) in enumerate(pool):
+        # a K=1 candidate comes polished, its loss the MSE of that polish
+        a2, b2, mse, pruned, zeroed = _prune_freeze_polish(
+            a, b, log_x, y, loss if k == 1 else None)
         stats.candidate_mses.append(mse)
         finals.append((mse, order, a2, b2, pruned, zeroed))
     finals.sort(key=lambda c: (c[0], c[1]))

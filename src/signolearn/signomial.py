@@ -11,12 +11,12 @@ log-magnitude exceeds LOG_MAGNITUDE_LIMIT raises OverflowLimitError instead of
 silently producing inf.
 
 One kernel does this for the whole package: `log_inputs` checks and logs the
-inputs, `forward` evaluates C stacked signomials at once and `backward` gives
-their parameter gradient, which only the classifier's training uses;
-`monomials` gives the bare monomials exp(beta . ln x) of such a stack, for
-the regressor's fits, which solve their coefficients. `evaluate`, the
-classifier and the explanations are thin heads over `forward`. Both entries
-share one beta . ln x matmul.
+inputs, `forward` evaluates C stacked signomials at once; `monomials` gives
+the bare monomials exp(beta . ln x) of such a stack, and `backward` the
+parameter gradient of its scores Phi alpha, linear in the coefficients.
+Evaluation, prediction and the explanations are thin heads over `forward`;
+both trainers, the classifier's and the regressor's, train on `monomials`
+and `backward`. Both entries share one beta . ln x matmul.
 """
 
 from __future__ import annotations
@@ -219,10 +219,9 @@ def single_input(x, m: int) -> np.ndarray:
 
 
 # the kernel works on (C, K, N) blocks and returns (N, C, K) views of them,
-# with or without a leading trial axis; the permutations are looked up, not
-# built, since forward runs on every training step and explained row
+# with or without a leading trial axis; the permutation is looked up, not
+# built, since the kernel runs on every training step and explained row
 _ROWS_FIRST = {3: (2, 0, 1), 4: (0, 3, 1, 2)}
-_ROWS_LAST = {3: (1, 2, 0), 4: (0, 2, 3, 1)}
 
 
 def _check_log_magnitude(log_mag: np.ndarray, what: str) -> None:
@@ -253,35 +252,31 @@ def _mono_log(betas, log_x) -> np.ndarray:
     return mono_log.reshape(lead + (c, k, n))
 
 
-def forward(alphas, betas, log_x) -> tuple[np.ndarray, np.ndarray]:
+def forward(alphas, betas, log_x) -> np.ndarray:
     """Evaluate C stacked signomials of K terms each at N log-inputs.
 
-    Takes alphas (C, K), betas (C, K, m) and ln x (N, m). Returns the
-    monomial logs beta . ln x and the per-term values
-    sign(alpha) * exp(ln|alpha| + beta . ln x), both (N, C, K); a term whose
-    log-magnitude exceeds LOG_MAGNITUDE_LIMIT raises OverflowLimitError. A
-    zero coefficient has ln 0 = -inf, so its term is exactly 0 and never
-    overflows; that is also how a class with fewer terms is padded.
-    The work runs with rows last, where numpy is fastest for the small C and K
-    of a signomial; the results are (N, C, K) views of that layout.
+    Takes alphas (C, K), betas (C, K, m) and ln x (N, m), and returns the
+    per-term values sign(alpha) * exp(ln|alpha| + beta . ln x) (N, C, K); a
+    term whose log-magnitude exceeds LOG_MAGNITUDE_LIMIT raises
+    OverflowLimitError. A zero coefficient has ln 0 = -inf, so its term is
+    exactly 0 and never overflows; that is also how a class with fewer terms
+    is padded. The work runs with rows last, where numpy is fastest for a
+    signomial's small C and K, and the result is an (N, C, K) view.
 
     Every argument may carry a leading trial axis T, as (T, C, K),
-    (T, C, K, m) and (T, N, m), and the results are then (T, N, C, K); ln x
+    (T, C, K, m) and (T, N, m), and the result is then (T, N, C, K); ln x
     of shape (N, m) is shared by every trial. Each trial is computed on its
     own slice, so its values do not depend on which trials share the stack.
     """
     with np.errstate(divide="ignore"):
         sign_alpha, log_abs_alpha = np.sign(alphas), np.log(np.abs(alphas))
-    mono_log = _mono_log(betas, log_x)
-    log_mag = mono_log + log_abs_alpha[..., None]
+    log_mag = _mono_log(betas, log_x)
+    log_mag += log_abs_alpha[..., None]
     _check_log_magnitude(log_mag, "term")
-    # in place, so a call allocates one (..., C, K, N) buffer, not three:
-    # the stacked training loops call this every epoch, and their speed
-    # varied by up to a fifth with where the extra temporaries were placed
+    # in place, so a call allocates one (..., C, K, N) buffer, not three
     per_term = np.exp(log_mag, out=log_mag)
     per_term *= sign_alpha[..., None]
-    rows_first = _ROWS_FIRST[mono_log.ndim]
-    return mono_log.transpose(rows_first), per_term.transpose(rows_first)
+    return per_term.transpose(_ROWS_FIRST[per_term.ndim])
 
 
 def monomials(betas, log_x) -> np.ndarray:
@@ -290,9 +285,9 @@ def monomials(betas, log_x) -> np.ndarray:
 
     Takes betas (C, K, m) and ln x (N, m), each with or without forward's
     leading trial axis T, and returns an (N, C, K) or (T, N, C, K) view, bit
-    for bit forward(np.ones(...), betas, log_x)[1]. A monomial whose log
-    exceeds LOG_MAGNITUDE_LIMIT raises OverflowLimitError, labelled as
-    backward's monomial check is.
+    for bit forward(np.ones(...), betas, log_x). A monomial whose log
+    exceeds LOG_MAGNITUDE_LIMIT raises OverflowLimitError, labelled
+    "monomial" where forward says "term".
     """
     mono = _mono_log(betas, log_x)
     _check_log_magnitude(mono, "monomial")
@@ -300,25 +295,24 @@ def monomials(betas, log_x) -> np.ndarray:
     return mono.transpose(_ROWS_FIRST[mono.ndim])
 
 
-def backward(dz, mono_log, per_term, log_x) -> tuple[np.ndarray, np.ndarray]:
-    """Parameter gradient of the stacked kernel from dL/dz of shape (N, C).
+def backward(dz, phi, alphas, log_x) -> tuple[np.ndarray, np.ndarray]:
+    """Parameter gradient of the scores z = Phi alpha from dL/dz (N, C).
 
-    Returns dL/dalpha (C, K) and dL/dbeta (C, K, m). dz/dalpha_ck is the bare
-    monomial exp(beta_ck . ln x), computed without dividing by alpha so it
-    stays defined at alpha = 0 and guarded against overflow like the terms;
-    dz/dbeta_ckj = per_term_ck * ln x_j. With forward's leading trial axis,
-    dz is (T, N, C) and the gradients are (T, C, K) and (T, C, K, m).
+    Takes the bare monomials phi (N, C, K) of `monomials` at ln x (N, m) and
+    the coefficients alphas (C, K); returns dL/dalpha = Phi^T dz (C, K) and
+    dL/dbeta = alpha * ((dz Phi) @ ln x) (C, K, m), with no exp and no
+    overflow check. With forward's leading trial axis, dz is (T, N, C), phi
+    (T, N, C, K), alphas (T, C, K) and ln x (T, N, m) or shared (N, m); each
+    trial's gradients come from its own slice.
     """
-    lead = per_term.shape[:-3]
-    n, c, k = per_term.shape[-3:]
-    rows_last = _ROWS_LAST[per_term.ndim]
-    mono_log = mono_log.transpose(rows_last)
-    _check_log_magnitude(mono_log, "monomial")
-    dz = dz.swapaxes(-1, -2)[..., None, :]  # (..., C, 1, N)
-    d_alpha = (np.exp(mono_log) @ dz.swapaxes(-1, -2))[..., 0]
-    weighted = dz * per_term.transpose(rows_last)  # (..., C, K, N)
-    d_beta = weighted.reshape(lead + (c * k, n)) @ log_x  # (..., C*K, m)
-    return d_alpha, d_beta.reshape(lead + (c, k, log_x.shape[-1]))
+    lead = phi.shape[:-3]
+    n, c, k = phi.shape[-3:]
+    phi = phi.swapaxes(-3, -1).swapaxes(-3, -2)  # (..., C, K, N), monomials' layout
+    dz = dz.swapaxes(-1, -2)  # (..., C, N)
+    d_alpha = (phi @ dz[..., None])[..., 0]
+    weighted = (dz[..., None, :] * phi).reshape(lead + (c * k, n))
+    d_beta = alphas[..., None] * (weighted @ log_x).reshape(lead + (c, k, -1))
+    return d_alpha, d_beta
 
 
 def evaluate(s: Signomial, x) -> ScoreBreakdown:
@@ -329,8 +323,7 @@ def evaluate(s: Signomial, x) -> ScoreBreakdown:
 
 def evaluate_batch(s: Signomial, X) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate s at every row of X. Returns (totals (N,), per-term (N, K))."""
-    _, per_term = forward(s._alphas[None], s._betas[None], log_inputs(X, s.m))
-    per_term = per_term[:, 0, :]
+    per_term = forward(s._alphas[None], s._betas[None], log_inputs(X, s.m))[:, 0, :]
     return per_term.sum(axis=1), per_term
 
 

@@ -565,6 +565,44 @@ def test_a_non_finite_loss_names_its_trial_and_the_step_changes_nothing(monkeypa
         assert results[i][1] == trace
 
 
+def test_a_score_past_float_range_is_a_non_finite_loss_without_a_warning():
+    # 10^300 * 10^300 overflows the score, while the monomial's log,
+    # 300 ln 10 = 690.8, stays under the limit
+    model = EcselModel([Signomial([Term(1e300, (300.0,))]), Signomial([Term(1.0, (1.0,))])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteLossError):
+            loss_and_grad(model, [[10.0]], [0], l1_penalty=0.0)
+
+
+def test_a_trial_whose_score_overflows_leaves_with_the_error_it_raises_alone():
+    # inputs e^(+-0.007): trial 1's first step of about 1e5 moves its
+    # exponents to |beta ln x| of about 700, just under the monomial limit,
+    # and its coefficient to about 1e5, which takes the score past float
+    # range; the other two trials train as they would alone
+    rng = np.random.default_rng(0)
+    X = np.exp(0.00699 * np.where(rng.random((40, 1)) < 0.5, -1.0, 1.0))
+    y = np.arange(40) % 2
+    train, val = (data_io.Dataset(X=X[rows], y=y[rows], feature_names=["a"],
+                                  class_names=["n", "p"]) for rows in (slice(30), slice(30, None)))
+    cfgs = [ClassifyConfig(num_terms=1, epochs=5, learning_rate=lr, l1_penalty=0.0,
+                           batch_size=10, seed=seed)
+            for lr, seed in ((1e-2, 0), (1e5, 1), (1e-2, 2))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = fit_trials(train, val, cfgs)
+        with pytest.raises(NonFiniteLossError) as lone:
+            fit(train, val, cfgs[1])
+    failed = results[1]
+    assert type(failed) is NonFiniteLossError and failed.__cause__ is None
+    assert str(failed) == str(lone.value) == "non-finite training loss at epoch 0"
+    assert failed.epoch == lone.value.epoch == 0 and lone.value.__cause__ is None
+    for i in (0, 2):
+        model, trace = fit(train, val, cfgs[i])
+        assert json.dumps(results[i][0].to_dict()) == json.dumps(model.to_dict())
+        assert results[i][1] == trace
+
+
 def test_fit_trials_checks_labels_before_training():
     train, val = make_sets(seed=0)
     cfg = ClassifyConfig(epochs=1)

@@ -36,7 +36,6 @@ from signolearn.regressor import (
 from signolearn.signomial import (
     Signomial,
     Term,
-    backward,
     canonicalize,
     equivalent,
     evaluate,
@@ -270,9 +269,9 @@ def test_a_restart_diverging_in_the_stage_leaves_the_ranking(monkeypatch):
     polished = []
     real = regressor._prune_freeze_polish
 
-    def recording(alphas, betas, log_x, y):
+    def recording(alphas, betas, log_x, y, mse):
         polished.append((alphas, betas))
-        return real(alphas, betas, log_x, y)
+        return real(alphas, betas, log_x, y, mse)
 
     monkeypatch.setattr(regressor, "_prune_freeze_polish", recording)
     data = generate_benchmark_data(two_term_spec(), 200, 0.01, 0)
@@ -425,12 +424,17 @@ def test_stage_coefficients_are_the_least_squares_ones_at_its_exponents():
 
 
 def forward_backward_mse_head(alphas, betas, log_x, y):
-    """The MSE head as written on forward's per-term values and backward:
-    losses (C,), dL/dalpha (C, K) and dL/dbeta (C, K, m)."""
-    mono_log, per_term = forward(alphas, betas, log_x)
+    """The MSE head written out on forward's per-term values: losses (C,),
+    dL/dalpha (C, K) and dL/dbeta (C, K, m). With dz = dL/dz, dz/dalpha is
+    the bare monomial, forward at unit coefficients, and dz/dbeta_j is the
+    term's value times ln x_j."""
+    per_term = forward(alphas, betas, log_x)
+    phi = forward(np.ones_like(alphas), betas, log_x)
     n = len(y)
     resid = y - per_term.sum(axis=2).T
-    d_alpha, d_beta = backward((-2.0 / n) * resid.T, mono_log, per_term, log_x)
+    dz = (-2.0 / n) * resid.T  # (N, C)
+    d_alpha = np.einsum("nc,nck->ck", dz, phi)
+    d_beta = np.einsum("nc,nck,nj->ckj", dz, per_term, log_x)
     return (resid * resid).sum(axis=1) / n, d_alpha, d_beta
 
 
@@ -554,6 +558,29 @@ def test_k1_fits_targets_of_either_sign():
             np.testing.assert_allclose(s.betas[0], [1.0, 1.0], atol=1e-6)
 
 
+@pytest.mark.parametrize("exponents, polishes", [((1.5, -0.5), 1), ((1.5, 0.002), 2)])
+def test_a_k1_winner_is_polished_again_only_to_freeze_or_prune(monkeypatch, exponents,
+                                                               polishes):
+    # noiseless, the log start is the truth and its polish is the fit; an
+    # exponent of 0.002 is frozen at 0, which takes a second polish
+    calls = []
+    real = regressor._polish
+
+    def counting(betas, log_x, y):
+        calls.append(np.array(betas))
+        return real(betas, log_x, y)
+
+    monkeypatch.setattr(regressor, "_polish", counting)
+    data = generate_benchmark_data(monomial_spec(exponents=exponents), 200, 0.0, 3)
+    s, stats = fit_sr(data.X, data.y, SrConfig(num_terms=1), seed=0)
+    assert len(calls) == polishes
+    if polishes == 1:
+        np.testing.assert_allclose(s.betas[0], exponents, rtol=0, atol=1e-8)
+        assert stats.final_mse == stats.stage_a_losses[0]
+    else:
+        assert s.betas[0, 1] == 0.0 and s.betas[0, 0] == pytest.approx(1.5, abs=1e-3)
+
+
 @pytest.mark.parametrize("alpha", [0.01, -3.5])
 def test_log_start_of_a_noiseless_monomial_is_the_truth(alpha):
     rng = np.random.default_rng(5)
@@ -598,8 +625,9 @@ def test_k1_start_0_is_the_log_start_and_the_rest_are_random(monkeypatch):
     monkeypatch.setattr(regressor, "_polish", recording)
     cfg = SrConfig(num_terms=1, restarts=3)
     s1, st1 = fit_sr(data.X, data.y, cfg, seed=9)
-    # three starts, then the winner's prune/freeze polish
-    assert len(st1.stage_a_losses) == 3
+    # three starts; the winner has nothing to prune or freeze, so it is
+    # not polished again
+    assert len(st1.stage_a_losses) == len(starts) == 3
     np.testing.assert_array_equal(starts[0], regressor._log_start(log_inputs(data.X), data.y))
     # starts 1 and 2 are the seed's random draws, as without the log start
     rng = np.random.Generator(np.random.Philox(key=9))

@@ -68,8 +68,8 @@ def kernel_args(signomials, X):
 
 def gradient(s, x):
     """dz/dalpha (K,) and dz/dbeta (K, m) at one input, through the kernel."""
-    *params, log_x = kernel_args([s], [x])
-    d_alpha, d_beta = backward(np.ones((1, 1)), *forward(*params, log_x), log_x)
+    alphas, betas, log_x = kernel_args([s], [x])
+    d_alpha, d_beta = backward(np.ones((1, 1)), monomials(betas, log_x), alphas, log_x)
     return d_alpha[0], d_beta[0]
 
 
@@ -232,12 +232,11 @@ def test_forward_stacks_scores_like_separate_evaluations():
         Signomial([(0.0, (1.0, 1.0)), (2.0, (-0.5, 0.25))]),
     ]
     X = rng.uniform(1.0, 10.0, size=(6, 2))
-    mono_log, per_term = forward(*kernel_args(sigs, X))
-    assert per_term.shape == mono_log.shape == (6, 2, 2)
+    per_term = forward(*kernel_args(sigs, X))
+    assert per_term.shape == (6, 2, 2)
     for c, s in enumerate(sigs):
         _, expected = evaluate_batch(s, X)
         assert np.allclose(per_term[:, c, :], expected, rtol=1e-14, atol=0.0)
-    assert np.allclose(mono_log, np.einsum("ij,ckj->ick", np.log(X), [s.betas for s in sigs]))
 
 
 def test_backward_sums_rows_and_weights_scores():
@@ -246,35 +245,89 @@ def test_backward_sums_rows_and_weights_scores():
             Signomial([(0.4, (-1.0, 0.0)), (0.9, (0.0, 2.0))])]
     X = rng.uniform(1.0, 5.0, size=(5, 2))
     dz = rng.standard_normal((5, 2))
-    *params, log_x = kernel_args(sigs, X)
-    d_alpha, d_beta = backward(dz, *forward(*params, log_x), log_x)
+    alphas, betas, log_x = kernel_args(sigs, X)
+    d_alpha, d_beta = backward(dz, monomials(betas, log_x), alphas, log_x)
     for c, s in enumerate(sigs):
         rows = [gradient(s, x) for x in X]
         assert d_alpha[c] == pytest.approx(sum(dz[i, c] * r[0] for i, r in enumerate(rows)))
         assert d_beta[c] == pytest.approx(sum(dz[i, c] * r[1] for i, r in enumerate(rows)))
 
 
+def kernel_outputs(alphas, betas, log_x, dz):
+    """forward's per-term values, the bare monomials and backward's gradient."""
+    phi = monomials(betas, log_x)
+    return (forward(alphas, betas, log_x), phi, *backward(dz, phi, alphas, log_x))
+
+
 @pytest.mark.parametrize("shared_inputs", [False, True])
 def test_trial_axis_gives_each_trial_its_lone_bits(shared_inputs):
     # T stacked models of C scores and K terms, each on its own inputs or on
     # one shared (N, m) set: every trial equals the same call without the
-    # trial axis, bit for bit, for the values and both gradients
+    # trial axis, bit for bit, for the values, the monomials and both gradients
     rng = np.random.default_rng(5)
     t, c, k, m, n = 4, 3, 2, 3, 9
     alphas = rng.normal(0.2, 0.5, size=(t, c, k))
     betas = rng.uniform(-1.5, 1.5, size=(t, c, k, m))
     log_x = np.log(rng.uniform(1.0, 10.0, size=(n, m) if shared_inputs else (t, n, m)))
     dz = rng.standard_normal((t, n, c))
-    mono_log, per_term = forward(alphas, betas, log_x)
-    d_alpha, d_beta = backward(dz, mono_log, per_term, log_x)
-    assert per_term.shape == (t, n, c, k) and d_beta.shape == (t, c, k, m)
+    stacked = kernel_outputs(alphas, betas, log_x, dz)
+    assert stacked[0].shape == (t, n, c, k) and stacked[3].shape == (t, c, k, m)
     for i in range(t):
         lx = log_x if shared_inputs else log_x[i]
-        lone = forward(alphas[i], betas[i], lx)
-        lone_grads = backward(dz[i], *lone, lx)
-        for got, want in zip((mono_log[i], per_term[i], d_alpha[i], d_beta[i]),
-                             (*lone, *lone_grads)):
-            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        for got, want in zip(stacked, kernel_outputs(alphas[i], betas[i], lx, dz[i])):
+            assert got[i].tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 20), st.integers(0, 2**32 - 1))
+def test_backward_gives_each_trial_of_a_stack_its_lone_bits(t, c, k, m, n, seed):
+    # a (T, C, K) stack on per-trial log-inputs (T, N, m), zero coefficients
+    # included: each trial's dL/dalpha and dL/dbeta are its lone call's bits
+    rng = np.random.default_rng(seed)
+    alphas = rng.normal(0.0, 1.0, size=(t, c, k)) * (rng.random((t, c, k)) > 0.2)
+    betas = rng.uniform(-3.0, 3.0, size=(t, c, k, m))
+    log_x = np.log(rng.uniform(0.1, 10.0, size=(t, n, m)))
+    dz = rng.standard_normal((t, n, c))
+    d_alpha, d_beta = backward(dz, monomials(betas, log_x), alphas, log_x)
+    assert d_alpha.shape == (t, c, k) and d_beta.shape == (t, c, k, m)
+    for i in range(t):
+        lone = backward(dz[i], monomials(betas[i], log_x[i]), alphas[i], log_x[i])
+        assert d_alpha[i].tobytes() == np.ascontiguousarray(lone[0]).tobytes()
+        assert d_beta[i].tobytes() == np.ascontiguousarray(lone[1]).tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_backward_matches_finite_differences_of_weighted_scores(t, c, k, m, n, seed):
+    # L = sum over trials, rows and scores of dz * z, with z = Phi alpha;
+    # oracle: central differences of L on the direct-power evaluation
+    rng = np.random.default_rng(seed)
+    alphas = rng.normal(0.0, 1.0, size=(t, c, k))
+    betas = rng.uniform(-2.0, 2.0, size=(t, c, k, m))
+    x = rng.uniform(0.5, 3.0, size=(t, n, m))
+    dz = rng.standard_normal((t, n, c))
+    log_x = np.log(x)
+    d_alpha, d_beta = backward(dz, monomials(betas, log_x), alphas, log_x)
+
+    def weighted(a, b):
+        # z[t, n, c] = sum_k a[t, c, k] * prod_j x[t, n, j] ** b[t, c, k, j]
+        powers = np.prod(x[:, :, None, None, :] ** b[:, None], axis=-1)
+        return float(np.sum(dz * np.einsum("tnck,tck->tnc", powers, a)))
+
+    def moved(which, at, h):
+        params = [alphas.copy(), betas.copy()]
+        params[which][at] += h
+        return weighted(*params)
+
+    for which, analytic in enumerate((d_alpha, d_beta)):
+        fd = np.zeros_like(analytic)
+        for at in np.ndindex(fd.shape):
+            h = 1e-6 * max(1.0, abs((alphas, betas)[which][at]))
+            fd[at] = (moved(which, at, h) - moved(which, at, -h)) / (2 * h)
+        scale = max(np.abs(analytic).max(), np.abs(fd).max(), 1e-8)
+        assert np.abs(analytic - fd).max() / scale < 1e-6
 
 
 def test_overflow_in_a_stack_names_the_score_term_and_row():
@@ -297,23 +350,12 @@ def test_forward_makes_a_zero_coefficient_term_exactly_zero(trials):
         alphas, betas = np.stack([alphas] * trials), np.stack([betas] * trials)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, per_term = forward(alphas, betas, log_x)
+        per_term = forward(alphas, betas, log_x)
         expected = [evaluate_batch(s, X)[1] for s in sigs]
     for stack in per_term if trials else [per_term]:
         for c in range(len(sigs)):
             assert stack[:, c].tobytes() == expected[c].tobytes()
     assert not expected[0][:, 1].any() and not expected[1][:, 0].any()
-
-
-def test_backward_guards_the_bare_monomial():
-    # a zero coefficient keeps the term at 0, but its monomial 10^400 overflows
-    s = Signomial([(0.0, (400.0,))])
-    *params, log_x = kernel_args([s], [[10.0]])
-    mono_log, per_term = forward(*params, log_x)
-    assert per_term[0, 0, 0] == 0.0
-    with pytest.raises(OverflowLimitError) as exc:
-        backward(np.ones((1, 1)), mono_log, per_term, log_x)
-    assert exc.value.term_index == 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -329,7 +371,7 @@ def test_monomials_are_forward_at_unit_coefficients_bit_for_bit(c, k, m, n, tria
     x_shape = (n, m) if shared_inputs else lead + (n, m)
     log_x = np.log(rng.uniform(0.1, 10.0, size=x_shape))
     got = monomials(betas, log_x)
-    want = forward(np.ones(lead + (c, k)), betas, log_x)[1]
+    want = forward(np.ones(lead + (c, k)), betas, log_x)
     assert got.shape == want.shape == lead + (n, c, k)
     assert got.tobytes() == want.tobytes()
 
