@@ -1,10 +1,12 @@
 """Signomial classifiers: per-class scores, softmax/sigmoid link, training.
 
-Each class carries one signomial score function. Probabilities come from a
-max-shifted softmax over class scores, or a sigmoid over a single score for
-binary models. Training minimizes class-weighted cross-entropy plus an L1
-penalty on the exponents, using mini-batch Adam with gradient clipping and a
-proximal soft-threshold step; early stopping restores the best snapshot.
+Each class carries one signomial score function. A binary sigmoid model's
+one score is class 1's and class 0 scores exactly 0; the softmax of [0, z]
+is the logistic sigmoid of z, so one max-shifted softmax gives both links'
+probabilities, training loss and probability sensitivities. Training
+minimizes class-weighted cross-entropy plus an L1 penalty on the exponents,
+using mini-batch Adam with gradient clipping and a proximal soft-threshold
+step; early stopping restores the best snapshot.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from .signomial import (
 # global L2 norm each mini-batch gradient is clipped to before its Adam step
 GRAD_CLIP_NORM = 1.0
 
+LINKS = ("softmax", "sigmoid")
+
 
 @dataclass
 class ClassifyConfig:
@@ -76,8 +80,8 @@ class ClassifyConfig:
             raise BadConfigError(
                 f"class_weight_multiplier must be finite, got {self.class_weight_multiplier}"
             )
-        if self.link not in ("softmax", "sigmoid"):
-            raise BadConfigError(f"link must be softmax or sigmoid, got {self.link!r}")
+        if self.link not in LINKS:
+            raise BadConfigError(f"link must be {' or '.join(LINKS)}, got {self.link!r}")
         if not 0 < self.threshold_grid_step < 0.5:
             raise BadConfigError(
                 f"threshold_grid_step must be in (0, 0.5), got {self.threshold_grid_step}"
@@ -88,7 +92,8 @@ class EcselModel:
     """A trained signomial classifier.
 
     Softmax models hold one signomial per class; sigmoid models hold a single
-    score signomial for the positive class and a decision threshold.
+    score signomial for the positive class, beside class 0's score of exactly
+    zero, and a decision threshold.
     """
 
     def __init__(
@@ -100,8 +105,8 @@ class EcselModel:
         class_names: list[str] | None = None,
         scaler: data_io.Scaler | None = None,
     ):
-        if link not in ("softmax", "sigmoid"):
-            raise BadConfigError(f"link must be softmax or sigmoid, got {link!r}")
+        if link not in LINKS:
+            raise BadConfigError(f"link must be {' or '.join(LINKS)}, got {link!r}")
         if link == "sigmoid":
             if len(signomials) != 1:
                 raise BadConfigError("sigmoid link needs exactly one score signomial")
@@ -228,26 +233,30 @@ class EcselModel:
 # --- probability plumbing ------------------------------------------------------
 
 
-def _softmax_rows(Z: np.ndarray) -> np.ndarray:
-    shifted = Z - Z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _class_scores(link: str, Z: np.ndarray) -> np.ndarray:
+    """Every class's scores (..., N, C) from a model's scores Z (..., N, C): a
+    sigmoid model's one score is class 1's, beside an exact 0 for class 0."""
+    if link != "sigmoid":
+        return Z
+    # a view of a (..., C, N) block, the training scores' layout
+    padded = np.zeros(Z.shape[:-2] + (2, Z.shape[-2])).swapaxes(-1, -2)
+    padded[..., 1:] = Z
+    return padded
 
 
 def _probabilities(model: EcselModel, Z: np.ndarray) -> np.ndarray:
+    """Class probabilities (N, C) from model scores (N, C): a max-shifted softmax."""
+    Z = _class_scores(model.link, Z)
+    e = np.exp(Z - Z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _decide(model: EcselModel, P: np.ndarray) -> np.ndarray:
+    """Class indices from probabilities (..., C): p1 at or above the
+    threshold for sigmoid, the first argmax (lowest index on ties) otherwise."""
     if model.link == "sigmoid":
-        p1 = _sigmoid(Z[:, 0])
-        return np.column_stack([1.0 - p1, p1])
-    return _softmax_rows(Z)
+        return (P[..., 1] >= model.threshold).astype(int)
+    return np.argmax(P, axis=-1)
 
 
 def predict_proba(model: EcselModel, x) -> np.ndarray:
@@ -261,17 +270,11 @@ def predict_proba_batch(model: EcselModel, X) -> np.ndarray:
 
 def predict(model: EcselModel, x) -> int:
     """Predicted class index; softmax ties break to the lowest index."""
-    p = predict_proba(model, x)
-    if model.link == "sigmoid":
-        return int(p[1] >= model.threshold)
-    return int(np.argmax(p))
+    return int(_decide(model, predict_proba(model, x)))
 
 
 def predict_batch(model: EcselModel, X) -> np.ndarray:
-    p = predict_proba_batch(model, X)
-    if model.link == "sigmoid":
-        return (p[:, 1] >= model.threshold).astype(int)
-    return np.argmax(p, axis=1)
+    return _decide(model, predict_proba_batch(model, X))
 
 
 # --- loss/grad core -----------------------------------------------------------
@@ -316,11 +319,12 @@ def _smooth_loss(alphas, betas, log_x, y, weights, link):
     labels (T, N), or log-inputs (N, m) and labels (N,) shared by every
     trial. Returns the losses (T,) and a function that returns dL/dalpha
     (T, C, K) and dL/dbeta (T, C, K, m) from `backward`; a caller that needs
-    only the loss never runs it. The scores are Phi alpha over the bare
-    monomials of `monomials`, whose limit raises OverflowLimitError; a score
-    past float range below it gives a non-finite loss, with no numpy warning.
-    Every operation stays within one trial's slice, so a trial's values do
-    not depend on the rest of the stack.
+    only the loss never runs it. Both links take one max-shifted log-softmax
+    of `_class_scores`, so a sigmoid model (C = 1) trains on [0, z]. The
+    scores are Phi alpha over the bare monomials of `monomials`, whose limit
+    raises OverflowLimitError; a score past float range below it gives a
+    non-finite loss, with no numpy warning. Every operation stays within one
+    trial's slice, so a trial's values do not depend on the rest of the stack.
     """
     n = log_x.shape[-2]
     phi = monomials(betas, log_x)  # (T, N, C, K)
@@ -328,33 +332,22 @@ def _smooth_loss(alphas, betas, log_x, y, weights, link):
     with np.errstate(over="ignore", invalid="ignore"):
         # (T, C, 1, K) @ (T, C, K, N): Z is a (T, N, C) view of a (T, C, N) block
         Z = (alphas[..., None, :] @ phi.swapaxes(-3, -1).swapaxes(-3, -2))[..., 0, :]
-        Z = Z.swapaxes(-1, -2)
-        if link == "sigmoid":
-            z = Z[..., 0]
-            # stable log-sigmoid pieces: ln p = -softplus(-z), ln(1-p) = -softplus(z)
-            softplus = np.logaddexp(0.0, np.stack([-z, z]))
-            loss = (w * np.where(y == 1, softplus[0], softplus[1])).sum(axis=-1) / n
-
-            def dz():
-                return (w * (_sigmoid(z) - y) / n)[..., None]
-        else:
-            shifted = Z - Z.max(axis=-1, keepdims=True)
-            log_norm = np.log(np.exp(shifted).sum(axis=-1))
-            log_p = shifted - log_norm[..., None]
-            # each trial's and row's own label: (T, 1) and (N,) broadcast with y
-            at_label = (np.arange(len(Z))[:, None], np.arange(n), y)
-            loss = -(w * log_p[at_label]).sum(axis=-1) / n
-
-            def dz():
-                # in the scores' (T, C, N) layout, contiguous for backward
-                d = np.exp(log_p)
-                d[at_label] -= 1.0
-                d *= (w / n)[..., None]
-                return d
+        Z = _class_scores(link, Z.swapaxes(-1, -2))
+        shifted = Z - Z.max(axis=-1, keepdims=True)
+        log_norm = np.log(np.exp(shifted).sum(axis=-1))
+        log_p = shifted - log_norm[..., None]
+        # each trial's and row's own label: (T, 1) and (N,) broadcast with y
+        at_label = (np.arange(len(Z))[:, None], np.arange(n), y)
+        loss = -(w * log_p[at_label]).sum(axis=-1) / n
 
     def grad():
         with np.errstate(over="ignore", invalid="ignore"):
-            return backward(dz(), phi, alphas, log_x)
+            # dL/dz in the scores' (T, C, N) layout, contiguous for backward
+            d = np.exp(log_p)
+            d[at_label] -= 1.0
+            d *= (w / n)[..., None]
+            # a sigmoid model's class 0 scores a constant 0, with no parameters
+            return backward(d[..., -alphas.shape[-2]:], phi, alphas, log_x)
 
     return loss, grad
 
@@ -371,7 +364,8 @@ def loss_and_grad(
     The gradient is a flat vector, alphas then betas, each raveled;
     the L1 term contributes to the reported loss but not to this gradient,
     since training handles it with a proximal step. It is the one-trial case
-    of the head training uses.
+    of the head training uses, so a sigmoid model's smooth part is the
+    class-weighted mean softplus loss, with dL/dz = w (sigmoid(z) - y) / N.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import data_io
 from .classifier import (
+    LINKS,
     ClassifyConfig,
     EcselModel,
     compute_metrics,
@@ -739,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patience", type=int, default=None)
     p.add_argument("--class-weight", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--link", choices=["softmax", "sigmoid"], default=None)
+    p.add_argument("--link", choices=LINKS, default=None)
     p.add_argument("--threshold-grid", type=float, default=None)
     p.add_argument("--test-fraction", type=float, default=0.2)
     p.add_argument("--val-fraction", type=float, default=None,
@@ -797,7 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--space", default=None, help="JSON overriding the search space")
-    p.add_argument("--link", choices=["softmax", "sigmoid"], default=None)
+    p.add_argument("--link", choices=LINKS, default=None)
     p.add_argument("--threshold-grid", type=float, default=None)
     p.add_argument("--test-fraction", type=float, default=0.2)
     p.add_argument("--val-fraction", type=float, default=DEFAULT_VAL_FRACTION)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import EcselModel, _probabilities
+from .classifier import EcselModel, _class_scores, _decide, _probabilities
 from .data_io import Dataset
 from .errors import (
     BadConfigError,
@@ -105,11 +105,11 @@ def _check_index(idx: int, count: int, what: str, of: str) -> None:
 
 
 def _probability_gradient(model: EcselModel, p, log_gradients, class_idx: int):
-    """d p_c / d ln x from the probabilities (C,) and score log-gradients."""
-    if model.link == "sigmoid":
-        grad = p[1] * p[0] * log_gradients[0]
-        return grad if class_idx == 1 else -grad
-    return p[class_idx] * (log_gradients[class_idx] - p @ log_gradients)
+    """d p_c / d ln x = p_c (G_c - sum_r p_r G_r) from the probabilities (C,)
+    and the score log-gradients, with a zero row of G for a sigmoid model's
+    class 0, whose score is the constant 0."""
+    g = _class_scores(model.link, log_gradients.T).T
+    return p[class_idx] * (g[class_idx] - p @ g)
 
 
 def elasticity(model: EcselModel, class_idx: int, x) -> ElasticityVector:
@@ -193,9 +193,9 @@ def margin_sensitivity(
 def probability_sensitivity(model: EcselModel, class_idx: int, x) -> np.ndarray:
     """Derivative of one class probability w.r.t. each log-feature.
 
-    Softmax: p_c * (G_c - sum_r p_r G_r). Sigmoid: p(1-p) * G applied to the
-    single score, negated for class 0. Across classes these vectors sum to
-    zero per feature.
+    p_c * (G_c - sum_r p_r G_r), where a sigmoid model's class 0 scores the
+    constant 0 (G_0 = 0), so that class 0 gets -p_0 p_1 G and class 1
+    p_1 (G - p_1 G). Across classes these vectors sum to zero per feature.
     """
     _check_index(class_idx, model.C, "class", "classes")
     z, g = _row_values(model, x)
@@ -392,8 +392,9 @@ def compare_scenarios(model: EcselModel, scenarios: list[tuple[str, np.ndarray]]
         raise DataFormatError("no scenarios given")
     xs = [np.asarray(x, dtype=float) for _, x in scenarios]
     _, scores, _ = _kernel_values(model, *xs)
+    probs = _probabilities(model, scores)
     rows = []
-    for (name, _), x, z, p in zip(scenarios, xs, scores, _probabilities(model, scores)):
+    for (name, _), x, z, p, c in zip(scenarios, xs, scores, probs, _decide(model, probs)):
         entry = {
             "name": name,
             "input": {fn: float(v) for fn, v in zip(model.feature_names, x)},
@@ -402,8 +403,6 @@ def compare_scenarios(model: EcselModel, scenarios: list[tuple[str, np.ndarray]]
         }
         if model.link == "sigmoid":
             entry["threshold"] = model.threshold
-            entry["predicted"] = int(p[1] >= model.threshold)
-        else:
-            entry["predicted"] = int(np.argmax(p))
+        entry["predicted"] = int(c)
         rows.append(entry)
     return {"scenarios": rows}

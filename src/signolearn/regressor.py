@@ -458,9 +458,9 @@ def _prune_freeze_polish(alphas, betas, log_x, y, mse):
     nothing to prune or freeze comes back without a second polish.
     """
     a, b = np.array(alphas, dtype=float), np.array(betas, dtype=float)
-    pruned = zeroed = 0
     small = np.abs(b) < DEFAULT_EXPONENT_ZERO_THRESHOLD
-    if mse is not None and not b[small].any() and (np.abs(a) >= DEFAULT_COEF_PRUNE_THRESHOLD).all():
+    pruned, zeroed = 0, int(np.count_nonzero(b[small]))
+    if mse is not None and not zeroed and (np.abs(a) >= DEFAULT_COEF_PRUNE_THRESHOLD).all():
         return a, b, mse, pruned, zeroed
     b[small] = 0.0
     while True:

@@ -245,6 +245,46 @@ def test_gradient_matches_finite_differences():
         assert np.linalg.norm(grad - fd) / denom < 1e-5
 
 
+@st.composite
+def sigmoid_batches(draw):
+    """A one-term sigmoid model alpha * prod_j x_j^beta_j over x in [1, 10]^m
+    with |alpha| <= 7 and |beta_j| <= 1, so |z| <= 700, plus labels and
+    positive class weights."""
+    finite = dict(allow_nan=False, allow_infinity=False)
+    m = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 6))
+    alpha = draw(st.floats(-7.0, 7.0, **finite))
+    beta = [draw(st.floats(-1.0, 1.0, **finite)) for _ in range(m)]
+    X = np.array([[draw(st.floats(1.0, 10.0)) for _ in range(m)] for _ in range(n)])
+    y = np.array([draw(st.integers(0, 1)) for _ in range(n)])
+    weights = np.array([draw(st.floats(0.1, 5.0)) for _ in range(2)])
+    return EcselModel([Signomial([Term(alpha, tuple(beta))])], link="sigmoid"), X, y, weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(sigmoid_batches())
+def test_sigmoid_loss_and_grad_are_the_weighted_softplus_and_its_gradient(case):
+    model, X, y, weights = case
+    loss, grad = loss_and_grad(model, X, y, l1_penalty=0.0, weights=weights)
+    alpha, beta = model._alphas[0, 0], model._betas[0, 0]
+    phi = np.exp(np.log(X) @ beta)
+    z = alpha * phi
+    w = weights[y] / len(y)
+    # -ln p1 = softplus(-z) and -ln p0 = softplus(z); sigma(z) - y is
+    # -sigma(-z) at y = 1
+    softplus = np.logaddexp(0.0, np.where(y == 1, -z, z))
+    sigma = np.where(y == 1, -1.0, 1.0) / (1.0 + np.exp(np.where(y == 1, z, -z)))
+    dz = w * sigma
+    expected = np.concatenate([[dz @ phi], alpha * ((dz * phi) @ np.log(X))])
+    # a row's p - y and ln p carry an absolute rounding error of a few ulps
+    # of 1 and of |z|, which swamps the tiny values of a confidently right
+    # row; so each check is rel 1e-12 above a floor of 1e-15 of those scales
+    loss_floor = 1e-15 * float(w @ np.maximum(1.0, np.abs(z)))
+    assert loss == pytest.approx(float(w @ softplus), rel=1e-12, abs=loss_floor)
+    grad_floor = 1e-15 * np.concatenate([[w @ phi], abs(alpha) * ((w * phi) @ np.log(X))])
+    assert np.all(np.abs(grad - expected) <= 1e-12 * np.abs(expected) + grad_floor)
+
+
 @pytest.mark.parametrize("link", ["softmax", "sigmoid"])
 def test_loss_at_a_zero_coefficient_warns_about_nothing(link):
     # the zero term adds exactly 0 to its score, so the loss is that of the

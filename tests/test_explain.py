@@ -378,6 +378,21 @@ def test_probability_sensitivity_sigmoid():
         probability_sensitivity(model, 2, [1.0])
 
 
+@pytest.mark.parametrize("z", [30.0, 37.0, 40.0])
+def test_sigmoid_class_0_keeps_its_digits_at_large_scores(z):
+    # score z x^2 at x = 1, so G = 2z; p0 = e^-z / (1 + e^-z) is far below
+    # the spacing of floats near 1, where 1 - p1 reads 0 from z = 37 on
+    model = EcselModel([Signomial([Term(z, (2.0,))])], link="sigmoid")
+    score = float(model.scores([1.0])[0])
+    p0 = math.exp(-score) / (1.0 + math.exp(-score))
+    p1 = 1.0 / (1.0 + math.exp(-score))
+    p = predict_proba(model, [1.0])
+    assert p[0] == pytest.approx(p0, rel=1e-12, abs=0.0)
+    assert p[1] == pytest.approx(p1, rel=1e-12, abs=0.0)
+    sensitivity = probability_sensitivity(model, 0, [1.0])
+    assert sensitivity == pytest.approx([-p0 * p1 * 2.0 * score], rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("link", ["softmax", "sigmoid"])
 def test_probability_sensitivity_matches_fd(link):
     rng = np.random.default_rng(23)
@@ -813,6 +828,22 @@ def test_explanations_agree_with_the_kernel_or_raise_alike(case):
     change = predict_proba(model, x)[pc] - predict_proba(model, ones)[pc]
     total = float(rep.phi.sum())
     assert total + rep.residual == pytest.approx(change, rel=0.0, abs=1e-12 * (1 + abs(total)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(models_and_inputs())
+def test_every_decision_path_picks_the_same_class(case):
+    # predict, a one-row predict_batch and compare_scenarios share one
+    # decision rule: the threshold for sigmoid, the first argmax for softmax
+    model, x, _, _ = case
+    single = outcome(lambda: classifier.predict(model, x))
+    batch = outcome(lambda: classifier.predict_batch(model, x[None, :]))
+    scenario = outcome(lambda: compare_scenarios(model, [("x", x)]))
+    if isinstance(single, type):
+        assert batch is single and scenario is single
+        return
+    assert batch.tolist() == [single]
+    assert scenario["scenarios"][0]["predicted"] == single
 
 
 def test_each_explanation_runs_the_kernel_once_per_input(monkeypatch):

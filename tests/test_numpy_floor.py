@@ -29,6 +29,17 @@ def test_source_keeps_to_the_numpy_1_24_api():
     assert not hits, hits
 
 
+def test_no_source_or_test_line_is_longer_than_100_characters():
+    long = [
+        f"{path.parent.name}/{path.name}:{i}: {len(line)} characters"
+        for folder in (ROOT / "src" / "signolearn", ROOT / "tests")
+        for path in sorted(folder.glob("*.py"))
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert not long, long
+
+
 @pytest.mark.parametrize("line, flagged", [
     ("y = np.asarray(x, dtype=float, copy=False)", True),
     ("parts = np.unstack(a)", True),

@@ -574,6 +574,8 @@ def test_a_k1_winner_is_polished_again_only_to_freeze_or_prune(monkeypatch, expo
     data = generate_benchmark_data(monomial_spec(exponents=exponents), 200, 0.0, 3)
     s, stats = fit_sr(data.X, data.y, SrConfig(num_terms=1), seed=0)
     assert len(calls) == polishes
+    # each polish after the first is for the one frozen exponent
+    assert stats.zeroed_exponents == polishes - 1
     if polishes == 1:
         np.testing.assert_allclose(s.betas[0], exponents, rtol=0, atol=1e-8)
         assert stats.final_mse == stats.stage_a_losses[0]
