@@ -12,7 +12,6 @@ step; early stopping restores the best snapshot.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,6 @@ from .errors import (
 )
 from .optim import AdamStack, EarlyStopMonitor, finite_rows
 from .signomial import (
-    LOG_MAGNITUDE_LIMIT,
     Signomial,
     backward,
     forward,
@@ -145,15 +143,9 @@ class EcselModel:
                     f"scaler bounds have shapes {sorted(shapes)} for {self.m} features"
                 )
         self._alphas, self._betas = _stack_params(self.signomials)
-        # the largest |ln q| for which scaling one feature by q keeps every
-        # term (each below e^LOG_MAGNITUDE_LIMIT, then times at most
-        # q^max|beta|) and their sum inside float range, less one unit of
-        # margin for rounding: explain.counterfactual_scale needs no errstate
-        # below it
-        headroom = (math.log(sys.float_info.max) - LOG_MAGNITUDE_LIMIT - 1.0
-                    - math.log(max(self._betas.shape[1], 1)))
-        beta_max = float(np.abs(self._betas).max(initial=0.0))
-        self._quiet_log_q = headroom / beta_max if beta_max else math.copysign(math.inf, headroom)
+        # the exponents as Python floats, [c][j] -> one per term, for
+        # explain.counterfactual_scale
+        self._exponents = self._betas.transpose(0, 2, 1).tolist()
         # (row bytes, per-term values) of the last good input; one tuple, set
         # in one statement, so threads sharing the model need no lock
         self._last_terms: tuple[bytes, np.ndarray] | None = None

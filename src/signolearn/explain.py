@@ -105,11 +105,13 @@ def _check_index(idx: int, count: int, what: str, of: str) -> None:
 
 
 def _probability_gradient(model: EcselModel, p, log_gradients, class_idx: int):
-    """d p_c / d ln x = p_c (G_c - sum_r p_r G_r) from the probabilities (C,)
-    and the score log-gradients, with a zero row of G for a sigmoid model's
-    class 0, whose score is the constant 0."""
+    """d p_c / d ln x = p_c sum_{r != c} p_r (G_c - G_r) from the
+    probabilities (C,) and the score log-gradients, with a zero row of G for
+    a sigmoid model's class 0, whose score is the constant 0. Summing the
+    differences weighted by the other classes' probabilities keeps a class
+    whose probability is near 1 exact, where G_c - sum_r p_r G_r cancels."""
     g = _class_scores(model.link, log_gradients.T).T
-    return p[class_idx] * (g[class_idx] - p @ g)
+    return p[class_idx] * (p @ (g[class_idx] - g))
 
 
 def elasticity(model: EcselModel, class_idx: int, x) -> ElasticityVector:
@@ -130,31 +132,32 @@ def counterfactual_scale(
 ) -> float:
     """Exact class score after scaling one feature by a factor q.
 
-    sum_k q^beta_kj * z_k(x): equal (to float precision) to evaluating the
+    sum_k z_k(x) * q^beta_kj: equal (to float precision) to evaluating the
     model at the literally scaled input, but computed in O(K) from the
     per-term values at x, which the model keeps for its last input, so a
-    curve over many q on one row runs the kernel once.
+    curve over many q on one row runs the kernel once. The sum runs on
+    Python floats in term order.
 
-    A result that is not finite raises OverflowLimitError, as evaluating an
-    overflowing term does. The shortcut scales in linear space, so it also
-    raises where the scaled input still scores finitely but q**beta alone
-    overflows, as with 1e-300 * x^1100 at q = 2.
+    A score that is not finite raises OverflowLimitError, as evaluating an
+    overflowing term does: Python raises OverflowError where q**beta leaves
+    float range, and a product or sum that overflows reads inf or NaN, with
+    no numpy warning either way. The shortcut scales in linear space, so it
+    also raises where the scaled input still scores finitely but q**beta
+    alone overflows, as with 1e-300 * x^1100 at q = 2.
     """
     if not q > 0 or not math.isfinite(q):
         raise NonPositiveInputError(f"scale factor must be positive, got {q!r}")
+    # a numpy q would overflow to inf with a warning instead of raising
+    q = float(q)
     _check_index(class_idx, len(model.signomials), "class", "scores")
     _check_index(feature_idx, model.m, "feature", "features")
-    per_term = model._terms_at(x)[class_idx]
-    betas = model._betas[class_idx, :, feature_idx]
-    # numpy would warn before the OverflowLimitError below when q**beta
-    # (at most e^(|ln q| max|beta|)) or the sum leaves float range; only a q
-    # that can get there pays for the errstate, which costs as much as the
-    # rest of this call
-    if abs(math.log(q)) < model._quiet_log_q:
-        score = float(np.power(q, betas) @ per_term)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            score = float(np.power(q, betas) @ per_term)
+    terms = model._terms_at(x)[class_idx].tolist()
+    score = 0.0
+    try:
+        for z, b in zip(terms, model._exponents[class_idx][feature_idx]):
+            score += z * q**b
+    except OverflowError:
+        score = math.inf
     if not math.isfinite(score):
         raise OverflowLimitError(
             f"counterfactual score of class {class_idx} at q={q!r} is {score!r}"
@@ -193,9 +196,9 @@ def margin_sensitivity(
 def probability_sensitivity(model: EcselModel, class_idx: int, x) -> np.ndarray:
     """Derivative of one class probability w.r.t. each log-feature.
 
-    p_c * (G_c - sum_r p_r G_r), where a sigmoid model's class 0 scores the
-    constant 0 (G_0 = 0), so that class 0 gets -p_0 p_1 G and class 1
-    p_1 (G - p_1 G). Across classes these vectors sum to zero per feature.
+    p_c * sum_{r != c} p_r (G_c - G_r), where a sigmoid model's class 0
+    scores the constant 0 (G_0 = 0), so that class 0 gets -p_0 p_1 G and
+    class 1 p_1 p_0 G. Across classes these vectors sum to zero per feature.
     """
     _check_index(class_idx, model.C, "class", "classes")
     z, g = _row_values(model, x)
@@ -318,11 +321,11 @@ def default_baseline(data: Dataset, kind: str, row: int = 0) -> np.ndarray:
 
 
 def _ranked_map(names, values) -> dict:
-    """name -> {value, index} map ordered by |value| descending, stable."""
-    order = sorted(range(len(names)), key=lambda j: (-abs(float(values[j])), j))
-    return {
-        names[j]: {"value": float(values[j]), "index": j} for j in order
-    }
+    """name -> {value, index} map ordered by |value| descending, ties in
+    index order."""
+    values = np.asarray(values, dtype=float).tolist()
+    order = sorted(range(len(names)), key=lambda j: -abs(values[j]))
+    return {names[j]: {"value": values[j], "index": j} for j in order}
 
 
 def build_report(
@@ -372,8 +375,8 @@ def build_report(
         if other != class_idx and model.link != "sigmoid"
     ]
     return {
-        "input": {name: float(v) for name, v in zip(names, x)},
-        "baseline": {name: float(v) for name, v in zip(names, rep.baseline)},
+        "input": dict(zip(names, x.tolist())),
+        "baseline": dict(zip(names, rep.baseline.tolist())),
         "class": class_idx,
         "mode": rep.mode,
         "phi": _ranked_map(names, rep.phi),

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import sys
 import threading
@@ -259,10 +260,24 @@ def test_counterfactual_raises_instead_of_a_non_finite_score(terms, scaled_score
     assert counterfactual_scale(model, 0, [1.0], 0, 1.0) == model.scores([1.0])[0]
 
 
+def test_counterfactual_takes_numpy_scalars_without_a_warning():
+    # a numpy q**beta would overflow to inf with a RuntimeWarning; as a
+    # Python float it raises, and the caller sees only the typed error
+    model = EcselModel([Signomial([Term(1e-300, (1100.0,))])], link="sigmoid")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c, j, q in [(0, 0, np.float64(2.0)), (np.int64(0), np.intp(0), 2.0),
+                        (np.int32(0), np.int64(0), np.float64(2.0))]:
+            with pytest.raises(OverflowLimitError):
+                counterfactual_scale(model, c, [1.0], j, q)
+        at_one = counterfactual_scale(model, np.int64(0), [1.0], np.int64(0), np.float64(1.0))
+    assert type(at_one) is float and at_one == model.scores([1.0])[0]
+
+
 @pytest.mark.parametrize("log_q", [-0.05, 0.05, 0.1, 0.11])
 def test_counterfactual_near_float_range_warns_about_nothing(log_q):
     # a term of e^699 scaled by q^100: finite up to ln q = 0.1078, past which
-    # it raises; 0.05 skips the errstate, 0.1 and 0.11 need it
+    # the Python float product reads inf and the call raises
     model = EcselModel([Signomial([(1.0, (100.0,))])], link="sigmoid")
     x, q = [math.exp(6.99)], math.exp(log_q)
     with warnings.catch_warnings():
@@ -391,6 +406,34 @@ def test_sigmoid_class_0_keeps_its_digits_at_large_scores(z):
     assert p[1] == pytest.approx(p1, rel=1e-12, abs=0.0)
     sensitivity = probability_sensitivity(model, 0, [1.0])
     assert sensitivity == pytest.approx([-p0 * p1 * 2.0 * score], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("z", [30.0, 37.0, 40.0])
+def test_a_near_certain_class_keeps_its_probability_sensitivity(z):
+    # G_c - sum_r p_r G_r cancels once p_c rounds to 1; the sensitivity is
+    # still p_c sum_{r != c} p_r (G_c - G_r), far below that rounding
+    sigmoid = EcselModel([Signomial([Term(z, (2.0,))])], link="sigmoid")
+    p0 = math.exp(-z) / (1.0 + math.exp(-z))
+    p1 = 1.0 / (1.0 + math.exp(-z))
+    want = {0: -p0 * p1 * 2.0 * z, 1: p1 * p0 * 2.0 * z}
+    for c, expected in want.items():
+        got = probability_sensitivity(sigmoid, c, [1.0])
+        assert got == pytest.approx([expected], rel=1e-12, abs=0.0)
+
+    # class 0 scores z + 1 (G = 2z + 2) against 1 (G = 1) and 0.5 (G = -0.5)
+    softmax = EcselModel([
+        Signomial([Term(z + 1.0, (2.0,))]),
+        Signomial([Term(1.0, (1.0,))]),
+        Signomial([Term(0.5, (-1.0,))]),
+    ])
+    scores, grads = [z + 1.0, 1.0, 0.5], [2.0 * z + 2.0, 1.0, -0.5]
+    weights = [math.exp(s - scores[0]) for s in scores]
+    p = [w / sum(weights) for w in weights]
+    for c in range(3):
+        expected = p[c] * sum(p[r] * (grads[c] - grads[r]) for r in range(3) if r != c)
+        got = probability_sensitivity(softmax, c, [1.0])
+        assert got == pytest.approx([expected], rel=1e-12, abs=0.0)
+    assert probability_sensitivity(softmax, 0, [1.0])[0] > 0.0
 
 
 @pytest.mark.parametrize("link", ["softmax", "sigmoid"])
@@ -699,6 +742,35 @@ def test_build_report_undefined_elasticities():
     assert report["logGradients"]["x1"]["value"] == pytest.approx(-2.0)
 
 
+def test_ranked_map_takes_arrays_and_lists_alike():
+    names = ["a", "b", "c", "d"]
+    values = [0.5, -2.0, 0.5, 2.0]
+    from_list = explain._ranked_map(names, values)
+    assert explain._ranked_map(names, np.array(values)) == from_list
+    # |value| descending; the tied pairs keep their index order
+    assert list(from_list) == ["b", "d", "a", "c"]
+    assert [e["index"] for e in from_list.values()] == [1, 3, 0, 2]
+    assert all(type(e["value"]) is float for e in from_list.values())
+    assert all(type(e["value"]) is float
+               for e in explain._ranked_map(names[:2], [3, -1]).values())
+
+
+@pytest.mark.parametrize("mode, kw", [("gradient", {}), ("gradient", {"target": "probability"}),
+                                      ("exact-log", {"term_idx": 0})])
+def test_report_entries_are_python_floats_and_plain_json(mode, kw):
+    model = two_class_demo()
+    report = build_report(model, np.array([2.0, 1.5, 0.8]), 1, mode, [1.0, 1.0, 1.0], **kw)
+    assert report["input"] == {"x1": 2.0, "x2": 1.5, "x3": 0.8}
+    assert report["baseline"] == {"x1": 1.0, "x2": 1.0, "x3": 1.0}
+    maps = [report["phi"], report["elasticities"], report["logGradients"]]
+    maps += [m["perFeature"] for m in report["margins"]]
+    for entry in (e for ranked in maps for e in ranked.values()):
+        assert type(entry["value"]) is float
+    for v in [*report["input"].values(), *report["baseline"].values()]:
+        assert type(v) is float
+    assert json.loads(json.dumps(report, allow_nan=False)) == report
+
+
 def test_compare_scenarios():
     model = two_class_demo()
     out = compare_scenarios(
@@ -892,15 +964,16 @@ def test_each_explanation_runs_the_kernel_once_per_input(monkeypatch):
         fn(model)
     assert calls == []
 
-    # what an explained row costs: predict, a report against a baseline and
-    # the 41-point curve read x once alone and once beside the baseline
+    # what an explained row costs: predict reads x alone and the report reads
+    # it beside the baseline; the 41-point curve runs no kernel at all
     model = fresh()
     calls.clear()
     c = classifier.predict(model, x)
     build_report(model, x, c, "gradient", b)
+    assert len(calls) == 2
     for q in np.geomspace(0.1, 10.0, 41):
         counterfactual_scale(model, c, x, 0, float(q))
-    assert 1 <= len(calls) <= 2
+    assert len(calls) == 2
 
 
 def test_the_model_keeps_only_the_last_good_row():
