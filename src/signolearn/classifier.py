@@ -35,6 +35,7 @@ from .signomial import (
     forward,
     log_inputs,
     monomials,
+    numeric_array,
     single_input,
 )
 
@@ -146,30 +147,38 @@ class EcselModel:
         # the exponents as Python floats, [c][j] -> one per term, for
         # explain.counterfactual_scale
         self._exponents = self._betas.transpose(0, 2, 1).tolist()
-        # (row bytes, per-term values) of the last good input; one tuple, set
-        # in one statement, so threads sharing the model need no lock
-        self._last_terms: tuple[bytes, np.ndarray] | None = None
+        # (row bytes, per-term values, the same values as Python lists) of the
+        # last good input; one tuple, set in one statement, so threads sharing
+        # the model need no lock
+        self._last_row: tuple[bytes, np.ndarray, list[list[float]]] | None = None
 
     @property
     def num_terms(self) -> int:
         return max(s.num_terms for s in self.signomials)
 
-    def _terms_at(self, x) -> np.ndarray:
-        """Read-only per-term values (C, K) at one input.
+    def _row(self, x) -> tuple[bytes, np.ndarray, list[list[float]]]:
+        """The record (key, values, lists) of one input: its float64 bytes, its
+        read-only per-term values (C, K) and those values as Python lists.
 
-        The values for the last input are kept, keyed on its float64 bytes, so
-        reading one row many times runs the kernel once. An input that raises
-        is never kept, so it raises again on every call.
+        The record of the last input is kept, so reading one row many times
+        runs the kernel and the conversions once. An input that raises is
+        never kept, so it raises again on every call.
         """
-        row = single_input(x, self.m)
+        row = numeric_array(x)
+        if row.shape != (self.m,):
+            single_input(row, self.m)  # raises its DimensionMismatchError
         key = row.tobytes()
-        last = self._last_terms
+        last = self._last_row
         if last is not None and last[0] == key:
-            return last[1]
-        values = forward(self._alphas, self._betas, log_inputs(row, self.m))[0]
+            return last
+        values = forward(self._alphas, self._betas, log_inputs(row[None, :], self.m))[0]
         values.setflags(write=False)
-        self._last_terms = (key, values)
-        return values
+        last = self._last_row = (key, values, values.tolist())
+        return last
+
+    def _terms_at(self, x) -> np.ndarray:
+        """Read-only per-term values (C, K) at one input, from its record."""
+        return self._row(x)[1]
 
     def scores(self, x) -> np.ndarray:
         """Score vector (C,) at one input: the sum of its per-term values."""
@@ -359,8 +368,8 @@ def loss_and_grad(
     of the head training uses, so a sigmoid model's smooth part is the
     class-weighted mean softplus loss, with dL/dz = w (sigmoid(z) - y) / N.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
+    X = numeric_array(X)
+    y = numeric_array(y, dtype=int)
     if X.shape[0] == 0:
         raise DataFormatError("empty batch")
     if y.shape != (X.shape[0],):
@@ -437,8 +446,8 @@ def fit_trials(
     """
     for cfg in cfgs:
         cfg.validate()
-    X, y = np.asarray(train.X, dtype=float), np.asarray(train.y, dtype=int)
-    Xv, yv = np.asarray(val.X, dtype=float), np.asarray(val.y, dtype=int)
+    X, y = numeric_array(train.X), numeric_array(train.y, dtype=int)
+    Xv, yv = numeric_array(val.X), numeric_array(val.y, dtype=int)
     if X.shape[0] == 0 or Xv.shape[0] == 0:
         raise DataFormatError("training and validation sets must be non-empty")
     for labels, rows in ((y, X), (yv, Xv)):

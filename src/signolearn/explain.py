@@ -32,7 +32,7 @@ from .errors import (
     SameClassError,
     ZeroComponentScoreError,
 )
-from .signomial import forward, log_inputs, single_input
+from .signomial import forward, log_inputs, numeric_array, single_input
 
 
 @dataclass
@@ -100,6 +100,10 @@ def _kernel_values(model: EcselModel, *inputs):
 
 
 def _check_index(idx: int, count: int, what: str, of: str) -> None:
+    """Raise BadConfigError unless idx is a Python or numpy integer (not a
+    bool) in [0, count)."""
+    if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
+        raise BadConfigError(f"{what} index must be an integer, got {idx!r}")
     if not 0 <= idx < count:
         raise BadConfigError(f"{what} index {idx} out of range for {count} {of}")
 
@@ -149,9 +153,14 @@ def counterfactual_scale(
         raise NonPositiveInputError(f"scale factor must be positive, got {q!r}")
     # a numpy q would overflow to inf with a warning instead of raising
     q = float(q)
-    _check_index(class_idx, len(model.signomials), "class", "scores")
-    _check_index(feature_idx, model.m, "feature", "features")
-    terms = model._terms_at(x)[class_idx].tolist()
+    # plain comparisons for the common case; _check_index raises for the
+    # rest and passes numpy integers. A sigmoid model has one score.
+    num_scores = len(model.signomials)
+    if type(class_idx) is not int or not 0 <= class_idx < num_scores:
+        _check_index(class_idx, num_scores, "class", "scores")
+    if type(feature_idx) is not int or not 0 <= feature_idx < model.m:
+        _check_index(feature_idx, model.m, "feature", "features")
+    terms = model._row(x)[2][class_idx]
     score = 0.0
     try:
         for z, b in zip(terms, model._exponents[class_idx][feature_idx]):
@@ -178,12 +187,12 @@ def margin_sensitivity(
     model: EcselModel, class_idx: int, other_idx: int, x
 ) -> MarginSensitivity:
     """Margin between two class scores and its per-feature log-gradient."""
-    if class_idx == other_idx:
-        raise SameClassError(f"margin of class {class_idx} against itself is zero")
     if len(model.signomials) < 2:
         raise BadConfigError("margins need a model with per-class scores")
     _check_index(class_idx, len(model.signomials), "class", "scores")
     _check_index(other_idx, len(model.signomials), "class", "scores")
+    if class_idx == other_idx:
+        raise SameClassError(f"margin of class {class_idx} against itself is zero")
     z, g = _row_values(model, x)
     return MarginSensitivity(
         class_idx=class_idx,
@@ -240,8 +249,8 @@ def attribute_exact_log(
         raise MixedSignError(
             f"term {term_idx} changes sign between baseline and input"
         )
-    x = np.asarray(x, dtype=float)
-    b = np.asarray(baseline, dtype=float)
+    x = numeric_array(x)
+    b = numeric_array(baseline)
     phi = model._betas[class_idx, term_idx] * np.log(x / b)
     residual = math.log(abs(zx)) - math.log(abs(zb)) - float(phi.sum())
     return AttributionReport(
@@ -276,8 +285,8 @@ def attribute_gradient(
         _check_index(class_idx, model.C, "class", "classes")
     else:
         raise BadConfigError(f"target must be score or probability, got {target!r}")
-    x = np.asarray(x, dtype=float)
-    x_star = np.asarray(x_star, dtype=float)
+    x = numeric_array(x)
+    x_star = numeric_array(x_star)
     _, z, g = _kernel_values(model, x_star, x)
     if target == "score":
         values, grad = z, g[0, class_idx]
@@ -309,8 +318,7 @@ def default_baseline(data: Dataset, kind: str, row: int = 0) -> np.ndarray:
     if kind == "all-ones":
         return np.ones(X.shape[1])
     if kind == "sample":
-        if not 0 <= row < X.shape[0]:
-            raise BadConfigError(f"row {row} out of range for {X.shape[0]} rows")
+        _check_index(row, X.shape[0], "row", "rows")
         return X[row].copy()
     raise BadConfigError(
         f"baseline kind must be geometric-mean, all-ones or sample, got {kind!r}"
@@ -346,7 +354,7 @@ def build_report(
     BadConfigError rather than being ignored.
     """
     names = model.feature_names
-    x = np.asarray(x, dtype=float)
+    x = numeric_array(x)
     if mode == "exact-log":
         if target != "score":
             raise BadConfigError(
@@ -393,7 +401,7 @@ def compare_scenarios(model: EcselModel, scenarios: list[tuple[str, np.ndarray]]
     """Evaluate named inputs side by side: scores, probabilities, decision."""
     if not scenarios:
         raise DataFormatError("no scenarios given")
-    xs = [np.asarray(x, dtype=float) for _, x in scenarios]
+    xs = [numeric_array(x) for _, x in scenarios]
     _, scores, _ = _kernel_values(model, *xs)
     probs = _probabilities(model, scores)
     rows = []

@@ -50,6 +50,7 @@ from .signomial import (
     evaluate_batch,
     log_inputs,
     monomials,
+    numeric_array,
 )
 
 # fraction of a range's upper end used as the sampling floor when a benchmark
@@ -278,8 +279,8 @@ class RecoveryResult:
 
 
 def _checked_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X = numeric_array(X)
+    y = numeric_array(y)
     if X.ndim != 2 or X.shape[0] == 0:
         raise DataFormatError("need a non-empty 2-D feature matrix")
     if y.shape != (X.shape[0],):

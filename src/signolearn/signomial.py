@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    DataFormatError,
     DimensionMismatchError,
     NameCountMismatchError,
     NonPositiveInputError,
@@ -188,6 +189,16 @@ class Signomial:
         return hash((self._m, self._terms))
 
 
+def numeric_array(values, dtype=float) -> np.ndarray:
+    """np.asarray(values, dtype), raising DataFormatError where an entry is
+    not a number (a non-numeric string, a dict, a Python complex) or the
+    nesting is ragged, instead of numpy's ValueError or TypeError."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"expected numbers: {exc}") from exc
+
+
 def log_inputs(X, m: int | None = None) -> np.ndarray:
     """ln X for a batch of inputs of shape (N, m).
 
@@ -195,7 +206,7 @@ def log_inputs(X, m: int | None = None) -> np.ndarray:
     DimensionMismatchError, and an entry that is not finite and > 0 raises
     NonPositiveInputError.
     """
-    arr = np.asarray(X, dtype=float)
+    arr = numeric_array(X)
     if arr.ndim != 2 or (m is not None and arr.shape[1] != m):
         raise DimensionMismatchError(
             f"inputs have shape {arr.shape}, expected (N, {'m' if m is None else m})"
@@ -212,7 +223,7 @@ def log_inputs(X, m: int | None = None) -> np.ndarray:
 
 def single_input(x, m: int) -> np.ndarray:
     """One input of shape (m,) as a batch of one row."""
-    arr = np.asarray(x, dtype=float)
+    arr = numeric_array(x)
     if arr.shape != (m,):
         raise DimensionMismatchError(f"input has shape {arr.shape}, expected ({m},)")
     return arr[None, :]

@@ -121,6 +121,12 @@ def test_elasticity_zero_score_also_undefined():
 def test_elasticity_bad_class_index():
     with pytest.raises(BadConfigError):
         elasticity(poly_model(), 5, [1.0, 1.0])
+    # a sigmoid model has one score, though model.C is 2
+    sig = EcselModel([Signomial([Term(1.0, (1.0,))])], link="sigmoid")
+    for call in (lambda: elasticity(sig, 1, [1.0]),
+                 lambda: sensitivity_first_order(sig, 1, [1.0], 0, 0.01)):
+        with pytest.raises(BadConfigError, match="class index 1 out of range for 1 scores"):
+            call()
 
 
 def test_log_gradient_matches_finite_differences():
@@ -236,6 +242,32 @@ def test_counterfactual_rejects_bad_scale():
 def test_counterfactual_bad_feature_index():
     with pytest.raises(BadConfigError):
         counterfactual_scale(poly_model(), 0, [1.0, 1.0], 2, 2.0)
+    # the class index is bounded by the model's scores, one for sigmoid
+    sig = EcselModel([Signomial([Term(1.0, (1.0,))])], link="sigmoid")
+    with pytest.raises(BadConfigError, match="class index 1 out of range for 1 scores"):
+        counterfactual_scale(sig, 1, [1.0], 0, 2.0)
+    with pytest.raises(BadConfigError, match="class index -1 out of range for 1 scores"):
+        counterfactual_scale(sig, -1, [1.0], 0, 2.0)
+
+
+@pytest.mark.parametrize("link", ["softmax", "sigmoid"])
+def test_a_curve_point_is_the_python_float_sum_over_forward_terms(link):
+    # sum_k z_k * q**beta_kj in term order on Python floats, over forward's
+    # per-term values at x (zero padding terms included), bit for bit
+    rng = np.random.default_rng(27)
+    sigs = [Signomial([Term(float(rng.uniform(-2.0, 2.0)), tuple(rng.uniform(-2.0, 2.0, 3)))
+                       for _ in range(k)]) for k in (3, 2, 1)]
+    model = EcselModel(sigs if link == "softmax" else sigs[:1], link=link)
+    x = rng.uniform(0.5, 3.0, 3)
+    per_term = signomial.forward(model._alphas, model._betas, signomial.log_inputs(x[None]))
+    for c, terms in enumerate(per_term[0].tolist()):
+        for j in range(model.m):
+            exponents = model._betas[c, :, j].tolist()
+            for q in np.geomspace(0.1, 10.0, 41).tolist():
+                want = 0.0
+                for z, b in zip(terms, exponents):
+                    want += z * q**b
+                assert bits(counterfactual_scale(model, c, x, j, q)) == bits(want)
 
 
 @pytest.mark.parametrize("terms, scaled_score", [
@@ -858,6 +890,44 @@ def bits(obj):
     return obj
 
 
+# every explain entry that takes a class, feature, term or row index, as a
+# function of the model, the input and that index; index 1 is valid in each
+INDEX_ENTRIES = {
+    "elasticity": lambda m, x, i: elasticity(m, i, x),
+    "counterfactual class": lambda m, x, i: counterfactual_scale(m, i, x, 0, 2.0),
+    "counterfactual feature": lambda m, x, i: counterfactual_scale(m, 0, x, i, 2.0),
+    "first-order class": lambda m, x, i: sensitivity_first_order(m, i, x, 0, 0.01),
+    "first-order feature": lambda m, x, i: sensitivity_first_order(m, 0, x, i, 0.01),
+    "margin class": lambda m, x, i: margin_sensitivity(m, i, 0, x),
+    "margin other": lambda m, x, i: margin_sensitivity(m, 0, i, x),
+    "probability": lambda m, x, i: probability_sensitivity(m, i, x),
+    "exact-log class": lambda m, x, i: attribute_exact_log(m, i, x, np.ones(3), 0),
+    "exact-log term": lambda m, x, i: attribute_exact_log(m, 0, x, np.ones(3), i),
+    "gradient": lambda m, x, i: attribute_gradient(m, i, x, np.ones(3)),
+    "gradient-p": lambda m, x, i: attribute_gradient(m, i, x, np.ones(3), "probability"),
+    "report class": lambda m, x, i: build_report(m, x, i, "gradient", np.ones(3)),
+    "report term": lambda m, x, i: build_report(m, x, 0, "exact-log", np.ones(3), i),
+    "baseline row": lambda m, x, i: default_baseline(make_dataset([x, 2 * x]), "sample", i),
+}
+
+
+@pytest.mark.parametrize("entry", INDEX_ENTRIES)
+def test_an_index_must_be_an_integer(entry):
+    model, x = two_class_demo(), np.array([1.3, 0.8, 2.1])
+
+    def call(i):
+        return INDEX_ENTRIES[entry](model, x, i)
+
+    want = bits(call(1))
+    for i in (np.int64(1), np.intp(1), np.int32(1), np.uint8(1)):
+        assert bits(call(i)) == want
+    # a float or a bool would reach numpy or Python indexing and raise its
+    # untyped IndexError or TypeError
+    for bad in (1.0, np.float64(1.0), 1.5, True, np.bool_(True), "1"):
+        with pytest.raises(BadConfigError, match="index must be an integer"):
+            call(bad)
+
+
 def explanation_calls(model, x, c, pc):
     ones = np.ones(model.m)
     calls = {
@@ -992,21 +1062,33 @@ def test_the_model_keeps_only_the_last_good_row():
         (np.array([1.0, 0.0, 1.0]), NonPositiveInputError),
         (np.ones(4), DimensionMismatchError),
         (np.array([1e300, 1.0, 1.0]), OverflowLimitError),  # 1.6 * ln 1e300 > 700
+        (["a", 1.0, 1.0], DataFormatError),
     ]
     for row, error in bad_rows:
+        fresh = two_class_demo()
         for _ in range(2):
             with pytest.raises(error):
                 elasticity(model, 1, row)
             with pytest.raises(error):
                 counterfactual_scale(model, 1, row, 0, 2.0)
+            with pytest.raises(error):
+                counterfactual_scale(fresh, 1, row, 0, 2.0)
+        # a raising row leaves no record behind
+        assert fresh._last_row is None
+        assert model._last_row[0] == good.tobytes()
         assert bits(elasticity(model, 1, good)) == want
 
     # the key is the row's value, not the caller's array
     x = good.copy()
     before = model.scores(x)
+    point = counterfactual_scale(model, 1, x, 0, 2.0)
     x[0] = 3.0
     assert bits(model.scores(x)) == cold(lambda m: m.scores(x))
     assert not np.array_equal(model.scores(x), before)
+    x[2] = 0.5
+    got = counterfactual_scale(model, 1, x, 0, 2.0)
+    assert bits(got) == cold(lambda m: counterfactual_scale(m, 1, x, 0, 2.0))
+    assert got != point
 
     with pytest.raises(ValueError):
         model._terms_at(x)[0, 0] = 1.0

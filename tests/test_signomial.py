@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from signolearn import classifier, explain, regressor
 from signolearn.classifier import EcselModel, predict_proba, predict_proba_batch
+from signolearn.data_io import Dataset
 from signolearn.errors import (
+    DataFormatError,
     DimensionMismatchError,
     NameCountMismatchError,
     NonPositiveInputError,
@@ -223,6 +226,59 @@ def test_log_inputs_checks_shape_and_positivity():
     for bad in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(NonPositiveInputError, match="row 1, coordinate 0"):
             log_inputs([[1.0, 1.0], [bad, 1.0]])
+
+
+NOT_NUMBERS = {
+    "string": ["a", 1.0, 1.0],
+    "dict": [{"a": 1}, 1.0, 1.0],
+    "complex": [1j, 1.0, 1.0],
+    "bare string": "abc",
+    "ragged": [[1.0], [2.0, 3.0]],
+}
+
+
+def _entry_points():
+    """Each public entry that converts caller data, as a function of one bad
+    row (or label or target vector); every other argument is valid."""
+    s = Signomial([(0.8, (-1.2, 0.0, -0.6)), (0.6, (0.0, -1.5, -0.4))])
+    model = EcselModel([s, Signomial([(1.0, (0.5, 0.0, 0.0))])])
+    ones = np.ones(3)
+    sr, clf = regressor.SrConfig(), classifier.ClassifyConfig(epochs=1)
+
+    def good(r):
+        return np.ones((len(r), 3))
+
+    def data(X, y):
+        return Dataset(X, y, ["a", "b", "c"], ["0", "1"])
+
+    return {
+        "predict": lambda r: classifier.predict(model, r),
+        "predict_proba_batch": lambda r: predict_proba_batch(model, [r]),
+        "evaluate": lambda r: evaluate(s, r),
+        "counterfactual_scale": lambda r: explain.counterfactual_scale(model, 0, r, 0, 2.0),
+        "build_report": lambda r: explain.build_report(model, r, 0, "gradient", ones),
+        "build_report baseline": lambda r: explain.build_report(
+            model, ones, 0, "gradient", r),
+        "attribute_exact_log": lambda r: explain.attribute_exact_log(
+            model, 0, r, ones, term_idx=0),
+        "compare_scenarios": lambda r: explain.compare_scenarios(model, [("r", r)]),
+        "fit_sr": lambda r: regressor.fit_sr([r] * 4, np.ones(4), sr),
+        "fit_sr targets": lambda r: regressor.fit_sr(good(r), r, sr),
+        "score_fit": lambda r: regressor.score_fit(s, [r] * 4, np.ones(4)),
+        "score_fit targets": lambda r: regressor.score_fit(s, good(r), r),
+        "loss_and_grad": lambda r: classifier.loss_and_grad(model, [r], [0], 0.0),
+        "loss_and_grad labels": lambda r: classifier.loss_and_grad(model, good(r), r, 0.0),
+        "fit": lambda r: classifier.fit(data([r, r], [0, 1]), data(good([0, 1]), [0, 1]), clf),
+        "fit labels": lambda r: classifier.fit(data(good(r), r), data(good([0, 1]), [0, 1]), clf),
+    }
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS)
+@pytest.mark.parametrize("entry", _entry_points())
+def test_entries_that_are_not_numbers_raise_data_format_error(entry, bad):
+    # numpy's own ValueError or TypeError would leave the CLI without an exit code
+    with pytest.raises(DataFormatError, match="expected numbers"):
+        _entry_points()[entry](NOT_NUMBERS[bad])
 
 
 def test_forward_stacks_scores_like_separate_evaluations():
