@@ -17,6 +17,7 @@ model.scores, an overflowing term in any class raises OverflowLimitError.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,16 @@ def _check_index(idx: int, count: int, what: str, of: str) -> None:
         raise BadConfigError(f"{what} index {idx} out of range for {count} {of}")
 
 
+def _real_number(value, what: str) -> float:
+    """value as a Python float, or DataFormatError unless it is a real number
+    (a Python or numpy int or float; not a string, None, a sequence or a
+    complex). A numpy float would overflow to inf with a warning where a
+    Python float raises."""
+    if not isinstance(value, numbers.Real):
+        raise DataFormatError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _probability_gradient(model: EcselModel, p, log_gradients, class_idx: int):
     """d p_c / d ln x = p_c sum_{r != c} p_r (G_c - G_r) from the
     probabilities (C,) and the score log-gradients, with a zero row of G for
@@ -147,12 +158,15 @@ def counterfactual_scale(
     float range, and a product or sum that overflows reads inf or NaN, with
     no numpy warning either way. The shortcut scales in linear space, so it
     also raises where the scaled input still scores finitely but q**beta
-    alone overflows, as with 1e-300 * x^1100 at q = 2.
+    alone overflows, as with 1e-300 * x^1100 at q = 2. A q that is not a
+    real number raises DataFormatError, and one that is not finite and > 0
+    NonPositiveInputError.
     """
+    # a Python float passes on one type test, as every point of a curve does
+    if type(q) is not float:
+        q = _real_number(q, "scale factor")
     if not q > 0 or not math.isfinite(q):
         raise NonPositiveInputError(f"scale factor must be positive, got {q!r}")
-    # a numpy q would overflow to inf with a warning instead of raising
-    q = float(q)
     # plain comparisons for the common case; _check_index raises for the
     # rest and passes numpy integers. A sigmoid model has one score.
     num_scores = len(model.signomials)
@@ -177,7 +191,9 @@ def counterfactual_scale(
 def sensitivity_first_order(
     model: EcselModel, class_idx: int, x, feature_idx: int, eps: float
 ) -> float:
-    """First-order prediction of the score after scaling feature j by 1+eps."""
+    """First-order prediction of the score after scaling feature j by 1+eps;
+    an eps that is not a real number raises DataFormatError."""
+    eps = _real_number(eps, "eps")
     _check_index(feature_idx, model.m, "feature", "features")
     ev = elasticity(model, class_idx, x)
     return ev.score + eps * float(ev.log_gradient[feature_idx])

@@ -9,11 +9,14 @@ several short proximal-Adam runs over the exponents under L1 to select
 structure, then pruning, exponent freezing, and an unpenalized polish of the
 leaders' residuals. Both steps work by variable projection: z is linear in the
 coefficients, so they search only the exponents and solve the coefficients by
-least squares at every step, in one batched SVD over all stacked rows
-(`_solve_coefficients`), and both get the bare monomials from the kernel's
-coefficient-free entry `signomial.monomials`. The Adam stage takes its loss
-from an MSE head linear in the coefficients (`_mse_head`), and its gradient
-from `signomial.backward`, as the classifier does. Its restarts run as one
+least squares at every step, and both get the bare monomials from the kernel's
+coefficient-free entry `signomial.monomials`. The Adam stage solves all stacked
+rows from their K x K normal equations, in one stacked product and one batched
+eigh (`_gram_coefficients`); the polish, whose monomials can be nearly or
+exactly rank-deficient, solves by SVD (`_solve_coefficients`), and so does the
+log-space start. The Adam stage takes its loss from an MSE head linear in the
+coefficients (`_mse_head`), and its gradient from `signomial.backward`, as
+the classifier does. Its restarts run as one
 stacked loop over a leading restart axis (the kernel's C axis); a restart that
 diverges leaves it. The polish is Levenberg-Marquardt over the nonzero
 exponents. Recovered expressions are snapped to canonical form and compared
@@ -322,6 +325,12 @@ def _solve_coefficients(phi, rhs):
     rank-deficient phi (two terms sharing an exponent vector, a column that
     underflows to 0, an all-zero phi) still gives finite coefficients. The
     rows share no arithmetic: each row's result is the one it gets alone.
+
+    The polish and the log-space start solve here, not by the normal
+    equations of `_gram_coefficients`, since those square phi's condition
+    number: of the 1,903 polish points of the Jin-2 fits at seeds 42 to 56
+    (perfbench's sr-multi-term), 7 had a singular phi and 21 more a
+    condition number above 1e6, where the Gram matrix keeps too few digits.
     """
     n, _, k = phi.shape
     u, s, vt = np.linalg.svd(phi.transpose(1, 0, 2), full_matrices=False)
@@ -330,6 +339,39 @@ def _solve_coefficients(phi, rhs):
     ut_rhs = u.transpose(0, 2, 1) @ rhs.reshape(n, -1)
     solved = vt.transpose(0, 2, 1) @ (inv[:, :, None] * ut_rhs)
     return solved.reshape(solved.shape[:2] + rhs.shape[1:])
+
+
+def _gram_coefficients(phi, y):
+    """Least-squares coefficients (C, K) of each stacked row's bare monomials
+    phi (N, C, K), a view of `monomials`' rows-last (C, K, N) buffer, against
+    y (N,), from the K x K normal equations.
+
+    One stacked product of that buffer, with y appended as a last row, gives
+    every row's Gram matrix G = Phi^T Phi and Phi^T y, and one batched eigh
+    of G the minimum-norm solution V diag(1/lambda) V^T Phi^T y over the
+    eigenvalues above eps * max(N, K) * lambda_max; the rest are G's
+    rounding noise. So a repeated exponent row splits its share evenly, and
+    a zero column or an all-zero phi gets a coefficient of 0. Each row is
+    its own product and its own eigh, so its result is the one it gets alone.
+
+    The normal equations cost a factor of kappa^2 in accuracy, kappa being
+    phi's condition number (Bjorck, "Numerical Methods for Least Squares
+    Problems", 1996). The Adam stage can afford that: over its 15,120
+    solves in the Jin-2 fits at seeds 42 to 56 (perfbench's sr-multi-term)
+    kappa had a median of 10^1.5 and a maximum of 10^5.7, and no phi was
+    rank-deficient. A Gram matrix past float range gives NaN coefficients,
+    with no warning, so the MSE head's loss is non-finite and names the row.
+    """
+    n, c, k = phi.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.concatenate([phi.transpose(1, 2, 0), np.broadcast_to(y, (c, 1, n))], axis=1)
+        gram = rows @ rows.transpose(0, 2, 1)  # (C, K+1, K+1)
+        lam, v = np.linalg.eigh(gram[:, :k, :k])
+        cut = np.finfo(float).eps * max(n, k) * lam[:, -1:]
+        # written so that a NaN eigenvalue, which a Gram matrix past float
+        # range gives, is kept and its row's coefficients turn NaN
+        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=~(lam <= cut))
+        return (v @ (inv[:, :, None] * (v.transpose(0, 2, 1) @ gram[:, :k, k:])))[:, :, 0]
 
 
 def sr_loss_and_grad(s: Signomial, X, y, l1_penalty: float = 0.0):
@@ -362,15 +404,16 @@ def _adam_stage(betas, log_x, y, lam, epochs, lr):
 
     Each epoch makes one stacked `monomials` call, which gives every
     restart's bare monomials Phi, solves all restarts' coefficients on their
-    Phi in one stacked least-squares solve (`_solve_coefficients`,
-    minimum-norm where a Phi is rank-deficient), and takes one AdamStack step
-    on the exponents with the linear MSE head's gradient at those
-    coefficients, whose dL/dalpha the stage does not use. At the
-    solved coefficients that is the gradient of the projected loss (Golub &
-    Pereyra 1973; Newman et al., "Train Like a (Var)Pro", 2021). A restart
-    whose loss or gradient turns non-finite leaves the stack. Returns the
-    objectives (MSE + lam * L1) (R,), the coefficients solved at the final
-    exponents (R, K) and those exponents, inf and NaN for a diverged restart.
+    Phi from the normal equations in one stacked product and one batched
+    eigh (`_gram_coefficients`, minimum-norm where a Phi is rank-deficient),
+    and takes one AdamStack step on the exponents with the linear MSE head's
+    gradient at those coefficients, whose dL/dalpha the stage does not use.
+    At the solved coefficients that is the gradient of the projected loss
+    (Golub & Pereyra 1973; Newman et al., "Train Like a (Var)Pro", 2021). A
+    restart whose loss or gradient turns non-finite leaves the stack, as
+    does one whose Gram matrix passes float range. Returns the objectives
+    (MSE + lam * L1) (R,), the coefficients solved at the final exponents
+    (R, K) and those exponents, inf and NaN for a diverged restart.
     """
     r, k, _ = betas.shape
     # the rows carry no coefficients: every epoch solves them afresh
@@ -379,7 +422,7 @@ def _adam_stage(betas, log_x, y, lam, epochs, lr):
     def projected():
         b = stack.split(stack.params)[1]
         phi = monomials(b, log_x)
-        a = _solve_coefficients(phi, y)
+        a = _gram_coefficients(phi, y)
         losses, _, d_beta = _mse_head(phi, a, log_x, y)
         return losses, a, d_beta
 

@@ -189,12 +189,24 @@ class Signomial:
         return hash((self._m, self._terms))
 
 
+_FLOAT = np.dtype(float)
+
+
 def numeric_array(values, dtype=float) -> np.ndarray:
     """np.asarray(values, dtype), raising DataFormatError where an entry is
-    not a number (a non-numeric string, a dict, a Python complex) or the
-    nesting is ragged, instead of numpy's ValueError or TypeError."""
+    not a number (a non-numeric string, a dict, a Python or numpy complex)
+    or the nesting is ragged, instead of numpy's ValueError or TypeError.
+    numpy would take a complex array's real part with only a warning, so
+    the kind is checked before the cast. A float64 array comes back as it
+    is, as np.asarray returns it, on a check cheaper than that call: every
+    explained row and counterfactual point makes it."""
+    if type(values) is np.ndarray and values.dtype is _FLOAT and dtype is float:
+        return values
     try:
-        return np.asarray(values, dtype=dtype)
+        arr = np.asarray(values)
+        if arr.dtype.kind == "c":
+            raise DataFormatError(f"expected numbers, got complex ones ({arr.dtype})")
+        return np.asarray(arr, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"expected numbers: {exc}") from exc
 
@@ -315,14 +327,17 @@ def backward(dz, phi, alphas, log_x) -> tuple[np.ndarray, np.ndarray]:
     overflow check. With forward's leading trial axis, dz is (T, N, C), phi
     (T, N, C, K), alphas (T, C, K) and ln x (T, N, m) or shared (N, m); each
     trial's gradients come from its own slice.
+
+    Both are products per score: (..., C, K, N) against dz (..., C, N, 1)
+    and the weighted monomials against ln x (..., 1, N, m), so each score's
+    gradients are bit for bit the ones it gets alone. One merged
+    (C * K, N) @ (N, m) product gives a score slightly different last bits
+    in a stack, and the Adam stage's normal equations amplify them.
     """
-    lead = phi.shape[:-3]
-    n, c, k = phi.shape[-3:]
     phi = phi.swapaxes(-3, -1).swapaxes(-3, -2)  # (..., C, K, N), monomials' layout
     dz = dz.swapaxes(-1, -2)  # (..., C, N)
     d_alpha = (phi @ dz[..., None])[..., 0]
-    weighted = (dz[..., None, :] * phi).reshape(lead + (c * k, n))
-    d_beta = alphas[..., None] * (weighted @ log_x).reshape(lead + (c, k, -1))
+    d_beta = alphas[..., None] * ((dz[..., None, :] * phi) @ log_x[..., None, :, :])
     return d_alpha, d_beta
 
 

@@ -239,6 +239,28 @@ def test_counterfactual_rejects_bad_scale():
             counterfactual_scale(model, 0, [1.0, 1.0], 0, q)
 
 
+@pytest.mark.parametrize("q", ["2", None, [2.0], 2 + 0j, np.complex128(2.0)],
+                         ids=["string", "None", "list", "complex", "numpy complex"])
+def test_a_scale_factor_must_be_a_real_number(q):
+    # Python would raise its untyped TypeError, or take a complex's real part
+    model = two_class_demo()
+    x = [1.0, 2.0, 3.0]
+    with pytest.raises(DataFormatError, match="scale factor must be a real number"):
+        counterfactual_scale(model, 0, x, 0, q)
+    with pytest.raises(DataFormatError, match="eps must be a real number"):
+        sensitivity_first_order(model, 0, x, 0, q)
+
+
+def test_numpy_and_integer_scale_factors_are_taken_as_floats():
+    model = two_class_demo()
+    x = [1.0, 2.0, 3.0]
+    for q in (np.float64(2.0), np.float32(2.0), np.int64(2), 2):
+        assert bits(counterfactual_scale(model, 1, x, 2, q)) == bits(
+            counterfactual_scale(model, 1, x, 2, 2.0))
+        assert bits(sensitivity_first_order(model, 1, x, 2, q)) == bits(
+            sensitivity_first_order(model, 1, x, 2, 2.0))
+
+
 def test_counterfactual_bad_feature_index():
     with pytest.raises(BadConfigError):
         counterfactual_scale(poly_model(), 0, [1.0, 1.0], 2, 2.0)

@@ -515,6 +515,57 @@ def test_stacked_solve_is_lstsq_row_by_row(problem):
                                       solved[c])
 
 
+@settings(max_examples=100, deadline=None)
+@given(coefficient_problems())
+def test_stage_solve_is_lstsq_row_by_row(problem):
+    # the normal equations are good to about kappa^2 * eps, 2e-12 for the
+    # well-conditioned rows (kappa <= 100); a rank-deficient row gets the
+    # minimum-norm solution over the rest, which is no worse conditioned
+    phi, rhs = problem
+    y = rhs if rhs.ndim == 1 else rhs[:, 0]
+    solved = regressor._gram_coefficients(phi, y)
+    assert solved.shape == phi.shape[1:]
+    for c in range(phi.shape[1]):
+        want = np.linalg.lstsq(phi[:, c], y, rcond=None)[0]
+        assert_rows_close(solved[c][None], want[None], rel=1e-9)
+        if not phi[:, c, -1].any():  # a zero column, or an all-zero phi
+            assert solved[c, -1] == 0.0
+        if phi.shape[2] > 1 and (phi[:, c, 1] == phi[:, c, 0]).all():
+            assert solved[c, 1] == pytest.approx(solved[c, 0], rel=1e-9)
+        # each row is its own product and eigh, so alone it gets the same bits
+        np.testing.assert_array_equal(regressor._gram_coefficients(phi[:, [c]], y)[0],
+                                      solved[c])
+
+
+def test_a_restart_whose_gram_passes_float_range_leaves_the_stack(monkeypatch):
+    # restart 3's monomials reach e^400, under the overflow limit, but their
+    # squares pass float range: its normal equations have no finite solution,
+    # so it leaves the stack at once with a non-finite loss, and no warning
+    log_x, y, betas = jin2_stage_inputs()
+    bad = betas.copy()
+    bad[3] = 0.0
+    bad[3, 0, 0] = 400.0 / log_x[:, 0].min()
+    phi = signomial.monomials(bad, log_x)
+    assert np.isfinite(phi).all() and phi[:, 3, 0].max() == pytest.approx(math.exp(400.0))
+    stacks = []
+
+    class Recording(optim.AdamStack):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            stacks.append(self)
+
+    monkeypatch.setattr(regressor, "AdamStack", Recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        losses, a, b = run_stage(bad, log_x, y)
+    (stack,) = stacks
+    assert list(stack.errors) == [3]
+    assert isinstance(stack.errors[3], NonFiniteLossError)
+    assert stack.errors[3].stack_index == 3
+    assert losses[3] == math.inf and np.isnan(a[3]).all() and np.isnan(b[3]).all()
+    assert_rows_match_alone((losses, a, b), betas, [0, 1, 2, 4, 5, 6, 7], log_x, y)
+
+
 def test_each_multi_term_stage_is_one_stacked_adam_loop(monkeypatch):
     # one Adam step per epoch over the 8 restarts' exponents (K=3, m=2) and
     # no coefficients

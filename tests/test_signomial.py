@@ -232,6 +232,8 @@ NOT_NUMBERS = {
     "string": ["a", 1.0, 1.0],
     "dict": [{"a": 1}, 1.0, 1.0],
     "complex": [1j, 1.0, 1.0],
+    # numpy would take its real part, (1, 1, 1), with only a warning
+    "complex array": np.array([1.0 + 5j, 1.0, 1.0]),
     "bare string": "abc",
     "ragged": [[1.0], [2.0, 3.0]],
 }
@@ -253,6 +255,8 @@ def _entry_points():
 
     return {
         "predict": lambda r: classifier.predict(model, r),
+        "predict_proba": lambda r: predict_proba(model, r),
+        "scores_batch": lambda r: model.scores_batch([r]),
         "predict_proba_batch": lambda r: predict_proba_batch(model, [r]),
         "evaluate": lambda r: evaluate(s, r),
         "counterfactual_scale": lambda r: explain.counterfactual_scale(model, 0, r, 0, 2.0),
@@ -332,6 +336,27 @@ def test_trial_axis_gives_each_trial_its_lone_bits(shared_inputs):
         lx = log_x if shared_inputs else log_x[i]
         for got, want in zip(stacked, kernel_outputs(alphas[i], betas[i], lx, dz[i])):
             assert got[i].tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("trials", [None, 3])
+def test_backward_gives_each_score_of_a_stack_its_lone_bits(k, trials):
+    # each score's exponent gradient is its own (K, N) @ (N, m) product; one
+    # merged (C * K, N) product gives a score of a stack other last bits
+    # than it gets alone, which the regression stage's normal equations amplify
+    rng = np.random.default_rng(k)
+    lead = () if trials is None else (trials,)
+    c, n, m = 8, 400, 2
+    alphas = rng.standard_normal(lead + (c, k))
+    betas = rng.standard_normal(lead + (c, k, m))
+    log_x = np.log(rng.uniform(0.1, 3.0, size=lead + (n, m)))
+    dz = rng.standard_normal(lead + (n, c))
+    phi = monomials(betas, log_x)
+    d_alpha, d_beta = backward(dz, phi, alphas, log_x)
+    for i in range(c):
+        alone = backward(dz[..., [i]], phi[..., [i], :], alphas[..., [i], :], log_x)
+        np.testing.assert_array_equal(alone[0], d_alpha[..., [i], :])
+        np.testing.assert_array_equal(alone[1], d_beta[..., [i], :, :])
 
 
 @settings(max_examples=100, deadline=None)
