@@ -23,9 +23,11 @@ from .errors import (
     ClassTooSmallError,
     CorruptModelError,
     DataFormatError,
+    DimensionMismatchError,
     SchemaVersionError,
     SignolearnError,
 )
+from .signomial import numeric_array
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -72,7 +74,10 @@ class Scaler:
     """Min-max scaler into the fixed interval [lo, hi] = [1, 10].
 
     Unseen data is clamped into [lo, hi] after scaling; a feature that was
-    constant at fit time maps to lo.
+    constant at fit time maps to lo. Inputs that are not real numbers raise
+    DataFormatError, as does fitting no rows, and a row or batch of rows
+    with another number of features than the fit saw raises
+    DimensionMismatchError.
     """
 
     lo = 1.0
@@ -83,7 +88,9 @@ class Scaler:
         self.maxs: np.ndarray | None = None
 
     def fit(self, X: np.ndarray) -> "Scaler":
-        X = np.asarray(X, dtype=float)
+        X = numeric_array(X)
+        if X.ndim != 2 or X.size == 0:
+            raise DataFormatError(f"need a non-empty 2-D feature matrix, got shape {X.shape}")
         self.mins = X.min(axis=0)
         self.maxs = X.max(axis=0)
         return self
@@ -91,7 +98,12 @@ class Scaler:
     def transform(self, X: np.ndarray) -> np.ndarray:
         if self.mins is None:
             raise DataFormatError("scaler used before fit")
-        X = np.asarray(X, dtype=float)
+        X = numeric_array(X)
+        if X.ndim not in (1, 2) or X.shape[-1] != len(self.mins):
+            raise DimensionMismatchError(
+                f"inputs have shape {X.shape}, expected (N, {len(self.mins)}) or "
+                f"({len(self.mins)},)"
+            )
         span = self.maxs - self.mins
         scaled = np.where(
             span == 0,

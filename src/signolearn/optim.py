@@ -6,9 +6,15 @@ gradient-norm clipping, an L1 proximal step applied to exponent slots only,
 `finite_rows`, the one check that names a stack's first non-finite loss, an
 early-stopping monitor that snapshots the best parameters seen, and a
 Levenberg-Marquardt least-squares solver with Marquardt's diagonal damping,
-which polishes signomial regression fits. The package no longer calls its
-two-loop-recursion L-BFGS with a strong-Wolfe line search; it stays while the
-benchmark's tracer (`perfbench/tracer.py`) still looks it up by name.
+which polishes signomial regression fits. It stops converged on a zero
+gradient, a negligible accepted decrease, a negligible step, or a rejected
+trial whose predicted decrease is negligible (the noise floor, where raising
+the damping further buys nothing), and unconverged when the damping or the
+iteration budget runs out; `LmResult` names the stop and counts the
+residual evaluations, and its x is always a point it evaluated. The package
+no longer calls its two-loop-recursion L-BFGS with a strong-Wolfe line
+search; it stays while the benchmark's tracer (`perfbench/tracer.py`) still
+looks it up by name.
 """
 
 from __future__ import annotations
@@ -373,6 +379,11 @@ class LmResult:
     sse: float  # sum of squared residuals at x
     iterations: int
     converged: bool  # False when the budget ran out or no damped step improved
+    evaluations: int = 0  # residual calls, the one at x0 included
+    # why it stopped: "gradient", "decrease", "step" or "model" (converged),
+    # "damping" or "iterations" (not); None when unknown
+    stop: str | None = None
+    mu: float = math.nan  # the damping weight at the stop
 
 
 Residuals = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -409,43 +420,60 @@ def _lm_point(fun: Residuals, x: np.ndarray):
 def levenberg_marquardt(fun: Residuals, x0: np.ndarray) -> LmResult:
     """Minimize the sum of squares of fun(x)[0] from x0; fun(x) = (r (N,), J (N, P)).
 
-    Each iteration solves (J'J + mu diag(J'J)) step = -J'r, dividing mu by
-    LM_MU_FACTOR when the trial lowers the sum of squares and multiplying it
-    otherwise; a trial that overflows or turns non-finite is a rejected step.
-    Stops on a relative decrease below LM_FTOL or a relative step below
-    LM_XTOL (converged), or when mu passes LM_MU_MAX without an improving
-    step or LM_MAX_ITERS iterations are spent. Raises NonFiniteObjectiveError
-    if x0 itself is unusable.
+    Each iteration solves (J'J + mu D) h = -g, with g = J'r and Marquardt's
+    scale D = diag(J'J), dividing mu by LM_MU_FACTOR when the trial x + h
+    lowers the sum of squares and multiplying it otherwise; a trial that
+    overflows or turns non-finite is a rejected step. It stops, converged, on
+    a zero gradient ("gradient"), an accepted relative decrease below LM_FTOL
+    ("decrease"), a relative step below LM_XTOL ("step"), or a rejected trial
+    whose decrease the linear model predicts, mu h'Dh - h'g, is at most
+    LM_FTOL times the sum of squares ("model"): at the noise floor a larger
+    mu only shortens a step the model already calls worthless, as in
+    MINPACK's lmder (More 1978). It stops unconverged when mu passes
+    LM_MU_MAX without an improving step ("damping") or LM_MAX_ITERS
+    iterations are spent ("iterations"). The returned x is always a point
+    fun was called at. Raises NonFiniteObjectiveError if x0 itself is
+    unusable.
     """
     x = np.array(x0, dtype=float, copy=True)
     at = _lm_point(fun, x)
+    evaluations = 1
     if at is None:
         raise NonFiniteObjectiveError("residuals are non-finite at the initial point")
     r, jac, sse = at
     mu = LM_MU_INIT
+
+    def result(iterations, converged, stop):
+        return LmResult(x, sse, iterations, converged, evaluations, stop, mu)
+
     for iterations in range(LM_MAX_ITERS):
         grad = jac.T @ r
         if not grad.any():
-            return LmResult(x, sse, iterations, converged=True)
+            return result(iterations, True, "gradient")
         jtj = jac.T @ jac
         # a parameter the residuals ignore gets unit scale, as in MINPACK
         scale = np.diag(jtj).copy()
         scale[scale == 0.0] = 1.0
         x_norm = np.linalg.norm(x)
         while True:
-            step = np.linalg.solve(jtj + np.diag(mu * scale), -grad)
+            damped = jtj.copy()
+            damped.flat[:: len(x) + 1] += mu * scale
+            step = np.linalg.solve(damped, -grad)
             if np.linalg.norm(step) <= LM_XTOL * (x_norm + LM_XTOL):
-                return LmResult(x, sse, iterations + 1, converged=True)
+                return result(iterations + 1, True, "step")
             trial = _lm_point(fun, x + step)
+            evaluations += 1
             if trial is not None and trial[2] < sse:
                 break
+            if mu * ((step * scale) @ step) - step @ grad <= LM_FTOL * sse:
+                return result(iterations + 1, True, "model")
             mu *= LM_MU_FACTOR
             if mu > LM_MU_MAX:
-                return LmResult(x, sse, iterations + 1, converged=False)
+                return result(iterations + 1, False, "damping")
         mu /= LM_MU_FACTOR
         decrease = sse - trial[2]
         x = x + step
         r, jac, sse = trial
         if decrease <= LM_FTOL * (sse + decrease):
-            return LmResult(x, sse, iterations + 1, converged=True)
-    return LmResult(x, sse, LM_MAX_ITERS, converged=False)
+            return result(iterations + 1, True, "decrease")
+    return result(LM_MAX_ITERS, False, "iterations")

@@ -64,6 +64,9 @@ POSITIVE_PART_FLOOR = 1e-3
 # after its Adam stage
 POLISHED = 4
 
+# machine epsilon, which scales the least-squares solves' rank cut-offs
+FLOAT_EPS = float(np.finfo(float).eps)
+
 
 @dataclass
 class SrConfig:
@@ -334,7 +337,7 @@ def _solve_coefficients(phi, rhs):
     """
     n, _, k = phi.shape
     u, s, vt = np.linalg.svd(phi.transpose(1, 0, 2), full_matrices=False)
-    kept = s > np.finfo(float).eps * max(n, k) * s[:, :1]
+    kept = s > FLOAT_EPS * max(n, k) * s[:, :1]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
     ut_rhs = u.transpose(0, 2, 1) @ rhs.reshape(n, -1)
     solved = vt.transpose(0, 2, 1) @ (inv[:, :, None] * ut_rhs)
@@ -367,7 +370,7 @@ def _gram_coefficients(phi, y):
         rows = np.concatenate([phi.transpose(1, 2, 0), np.broadcast_to(y, (c, 1, n))], axis=1)
         gram = rows @ rows.transpose(0, 2, 1)  # (C, K+1, K+1)
         lam, v = np.linalg.eigh(gram[:, :k, :k])
-        cut = np.finfo(float).eps * max(n, k) * lam[:, -1:]
+        cut = FLOAT_EPS * max(n, k) * lam[:, -1:]
         # written so that a NaN eigenvalue, which a Gram matrix past float
         # range gives, is kept and its row's coefficients turn NaN
         inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=~(lam <= cut))
@@ -445,33 +448,46 @@ def _polish(betas, log_x, y):
     least-squares problem against the bare monomials Phi (N, K). LM searches
     only the exponents, zeroed ones stay frozen, on the residual Phi alpha - y
     with Kaufman's Jacobian: the columns of (I - Phi Phi^+) dPhi/dbeta, each
-    scaled by its term's alpha (Golub & Pereyra 1973; Kaufman 1975). Returns
-    the coefficients projected at the final exponents, the exponents and
-    their MSE. A point where a monomial overflows is a rejected step, and a
-    start where one does raises NonFiniteObjectiveError. Each point's Phi
-    comes from one `monomials` call, and its coefficients and projection
-    from one C = 1 `_solve_coefficients` call, whose minimum-norm solution
-    stays finite when Phi is rank-deficient.
+    scaled by its term's alpha (Golub & Pereyra 1973; Kaufman 1975). LM stops
+    on any of `levenberg_marquardt`'s stops, the noise-floor one ("model")
+    included. Returns the coefficients projected at the final exponents, the
+    exponents and their MSE. A point where a monomial overflows is a rejected
+    step, and a start where one does raises NonFiniteObjectiveError. Each
+    point's Phi comes from one `monomials` call, and its coefficients and
+    projection from one C = 1 `_solve_coefficients` call, whose minimum-norm
+    solution stays finite when Phi is rank-deficient. Every projection LM
+    makes is kept by its exponents, and LM returns one of its points, so the
+    result is that point's projection, not a new one; only a point LM never
+    evaluated, as when every exponent is frozen, is projected afterwards.
     """
     k, m = betas.shape
     free = np.flatnonzero(betas.ravel())
     term, feature = np.divmod(free, m)
+    log_x_free = log_x[:, feature]
+    projected = {}  # theta's bytes -> (coefficients, exponents, sum of squares)
 
     def project(theta):
         b = np.zeros(k * m)
         b[free] = theta
         b = b.reshape(k, m)
         phi = monomials(b[None], log_x)
-        d_phi = phi[:, 0, term] * log_x[:, feature]
+        d_phi = phi[:, 0, term] * log_x_free
+        # the SVD's last digits follow the right-hand side's memory order,
+        # which column_stack chooses from its operands
         solved = _solve_coefficients(phi, np.column_stack([y, d_phi]))[0]
         phi, a = phi[:, 0], solved[:, 0]
-        return a, b, phi @ a - y, (d_phi - phi @ solved[:, 1:]) * a[term]
+        r = phi @ a - y
+        projected[theta.tobytes()] = a, b, float(r @ r)
+        return r, (d_phi - phi @ solved[:, 1:]) * a[term]
 
     theta = betas.ravel()[free]
     if len(free):
-        theta = levenberg_marquardt(lambda t: project(t)[2:], theta).x
-    a, b, r, _ = project(theta)
-    return a, b, float(r @ r) / len(y)
+        theta = levenberg_marquardt(project, theta).x
+    key = theta.tobytes()
+    if key not in projected:
+        project(theta)
+    a, b, sse = projected[key]
+    return a, b, sse / len(y)
 
 
 def _log_start(log_x, y):

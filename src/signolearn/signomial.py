@@ -143,8 +143,8 @@ class Signomial:
 
     @classmethod
     def from_arrays(cls, alphas, betas) -> "Signomial":
-        alphas = np.asarray(alphas, dtype=float)
-        betas = np.asarray(betas, dtype=float)
+        alphas = numeric_array(alphas)
+        betas = numeric_array(betas)
         if betas.ndim != 2 or alphas.shape != (betas.shape[0],):
             raise DimensionMismatchError(
                 f"need alphas (K,) and betas (K, m); got {alphas.shape} and {betas.shape}"

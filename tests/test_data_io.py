@@ -22,6 +22,7 @@ from signolearn.errors import (
     ClassTooSmallError,
     CorruptModelError,
     DataFormatError,
+    DimensionMismatchError,
     SchemaVersionError,
 )
 
@@ -95,6 +96,23 @@ def test_scaler_rejects_bad_bounds():
         payload.update(edit)
         with pytest.raises(DataFormatError):
             Scaler.from_dict(payload)
+
+
+def test_scaler_transform_checks_the_feature_count():
+    sc = Scaler().fit(np.array([[1.0, 2.0], [3.0, 8.0]]))
+    # one row (m,) scales like a batch of one
+    assert sc.transform(np.array([2.0, 5.0])) == pytest.approx([5.5, 5.5])
+    # numpy would broadcast an (N, 1) batch to (N, 2) and reject (N, 3) untyped
+    for bad in (np.ones((4, 1)), np.ones((4, 3)), np.ones(3), np.float64(2.0),
+                np.ones((1, 4, 2))):
+        with pytest.raises(DimensionMismatchError, match="expected"):
+            sc.transform(bad)
+
+
+@pytest.mark.parametrize("empty", [np.empty((0, 2)), np.empty((3, 0)), [], [[]]])
+def test_scaler_fit_of_no_data_raises_data_format_error(empty):
+    with pytest.raises(DataFormatError, match="non-empty"):
+        Scaler().fit(empty)
 
 
 def test_scaler_output_strictly_positive():

@@ -396,6 +396,7 @@ def test_lm_solves_linear_least_squares_in_three_iterations(monkeypatch):
     res = levenberg_marquardt(lambda x: (A @ x - b, A), np.zeros(4))
     want, *_ = np.linalg.lstsq(A, b, rcond=None)
     assert res.iterations <= 3
+    assert (res.converged, res.stop, res.evaluations) == (True, "decrease", res.iterations + 1)
     np.testing.assert_allclose(res.x, want, rtol=0, atol=1e-10)
     assert res.sse == pytest.approx(float(np.sum((A @ want - b) ** 2)), rel=1e-12)
 
@@ -407,7 +408,7 @@ def test_lm_rosenbrock_residuals():
         return r, jac
 
     res = levenberg_marquardt(rosen, np.array([-1.2, 1.0]))
-    assert res.converged
+    assert res.converged and res.stop == "gradient"
     assert res.sse < 1e-20
     np.testing.assert_allclose(res.x, [1.0, 1.0], rtol=0, atol=1e-10)
 
@@ -420,6 +421,12 @@ def test_lm_zero_budget_returns_initial_point(monkeypatch):
     assert res.sse == 8.0
     assert res.iterations == 0
     assert not res.converged
+    assert (res.stop, res.evaluations, res.mu) == ("iterations", 1, optim.LM_MU_INIT)
+
+
+def test_lm_zero_gradient_at_the_start_is_converged():
+    res = levenberg_marquardt(lambda x: (x - 1.0, np.eye(2)), np.ones(2))
+    assert (res.converged, res.stop, res.iterations, res.evaluations) == (True, "gradient", 0, 1)
 
 
 def test_lm_non_finite_start_rejected():
@@ -449,7 +456,40 @@ def test_lm_overflowing_trial_is_a_rejected_step():
     assert np.array_equal(res.x, x0)
     assert res.sse == 1.25
     assert res.iterations == 1
+    assert (res.converged, res.stop, res.evaluations) == (True, "step", len(trials) + 1)
     # every trial started from x0, with a step that shrinks as mu grows
     steps = np.linalg.norm(np.array(trials) - x0, axis=1)
     assert len(trials) > 10
     assert np.all(np.diff(steps) < 0)
+
+
+def test_lm_damping_cap_ends_unconverged(monkeypatch):
+    # every trial overflows, and the cap is reached before the step is negligible
+    monkeypatch.setattr(optim, "LM_MU_MAX", 1.0)
+    x0 = np.array([0.5, 2.0])
+
+    def fun(x):
+        if not np.array_equal(x, x0):
+            raise OverflowLimitError("term log-magnitude too large")
+        return x - 1.0, np.eye(2)
+
+    res = levenberg_marquardt(fun, x0)
+    assert np.array_equal(res.x, x0)
+    assert (res.converged, res.stop, res.evaluations, res.mu) == (False, "damping", 5, 10.0)
+
+
+def test_lm_stops_once_its_model_predicts_no_decrease():
+    # r = (1, 1e-9 x): moving x changes the sum of squares, 1, by less than
+    # its last digit, so no trial can lower it. The first trial's predicted
+    # decrease, about 1e-18, is below LM_FTOL * sse: LM stops there instead
+    # of raising mu until the step falls below LM_XTOL, 15 trials later
+    calls = []
+
+    def fun(x):
+        calls.append(x.copy())
+        return np.array([1.0, 1e-9 * x[0]]), np.array([[0.0], [1e-9]])
+
+    res = levenberg_marquardt(fun, np.array([1.0]))
+    assert (res.converged, res.stop, res.iterations) == (True, "model", 1)
+    assert res.evaluations == len(calls) == 2
+    assert np.array_equal(res.x, [1.0]) and res.sse == 1.0 and res.mu == optim.LM_MU_INIT

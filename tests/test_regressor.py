@@ -791,6 +791,76 @@ def test_projected_jacobian_matches_finite_differences(generator, seed):
         np.testing.assert_allclose(jac[:, i], fd, rtol=0, atol=1e-6 * size)
 
 
+def recorded_polish(betas, log_x, y):
+    """_polish's result, its LmResult, and the number of `monomials` calls it made."""
+    results, calls = [], []
+    real_lm, real_monomials = regressor.levenberg_marquardt, regressor.monomials
+
+    def lm(fun, x0):
+        results.append(real_lm(fun, x0))
+        return results[-1]
+
+    def counting(b, lx):
+        calls.append(1)
+        return real_monomials(b, lx)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regressor, "levenberg_marquardt", lm)
+        patch.setattr(regressor, "monomials", counting)
+        out = regressor._polish(betas, log_x, y)
+    (res,) = results
+    return out, res, len(calls)
+
+
+def k1_specs():
+    return [TargetSpec.from_dict(e) for e in json.loads(Path(SUITE).read_text())["specs"]
+            if e["K"] == 1]
+
+
+def seeded_data(spec, seed):
+    """The data evaluate_recovery fits for spec at seed."""
+    n = int(np.random.default_rng([seed, 7]).integers(spec.samples[0], spec.samples[1] + 1))
+    return generate_benchmark_data(spec, n, 0.01, seed)
+
+
+def test_polish_stops_at_the_noise_floor_and_returns_its_last_projection(monkeypatch):
+    # from I.12.1's log start at seed 50, LM reaches the noise floor after
+    # two accepted steps; without the model test it made six more trials
+    spec = next(s for s in k1_specs() if s.name == "I.12.1")
+    data = seeded_data(spec, 50)
+    log_x = log_inputs(data.X)
+    start = regressor._log_start(log_x, data.y)
+    (a, b, mse), res, calls = recorded_polish(start, log_x, data.y)
+    assert (res.converged, res.stop) == (True, "model") and res.evaluations <= 4
+    # one projection per LM evaluation, and none after it
+    assert calls == res.evaluations
+    np.testing.assert_array_equal(b.ravel()[b.ravel() != 0], res.x)
+    assert mse == res.sse / len(data.y)
+    # a fresh projection at the returned exponents gives the same bits
+    monkeypatch.setattr(regressor, "levenberg_marquardt",
+                        lambda fun, x0: LmResult(res.x.copy(), math.nan, 0, converged=False))
+    a2, b2, mse2 = regressor._polish(start, log_x, data.y)
+    assert a.tobytes() == a2.tobytes() and b.tobytes() == b2.tobytes() and mse == mse2
+
+
+@pytest.mark.parametrize("spec", k1_specs(), ids=lambda s: s.name)
+def test_k1_specs_recover_within_four_lm_evaluations_per_polish(monkeypatch, spec):
+    # the noise-floor stop ends every polish of these fits within four
+    # residual evaluations (three to eleven without it)
+    evaluations = []
+    real = regressor.levenberg_marquardt
+
+    def counting(fun, x0):
+        res = real(fun, x0)
+        evaluations.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(regressor, "levenberg_marquardt", counting)
+    res = evaluate_recovery(spec, SrConfig(num_terms=1, seed_list=(42, 43, 44, 45, 46)))
+    assert res.recovery_rate == 1.0
+    assert len(evaluations) >= 5 and max(evaluations) <= 4
+
+
 @pytest.mark.parametrize("name, seed", [("I.14.3", 179), ("I.14.4", 90)])
 def test_recovery_from_wrong_sign_random_starts(name, seed):
     # every random start at these seeds has alpha of the wrong sign; beside

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from signolearn import classifier, explain, regressor
 from signolearn.classifier import EcselModel, predict_proba, predict_proba_batch
-from signolearn.data_io import Dataset
+from signolearn.data_io import Dataset, Scaler
 from signolearn.errors import (
     DataFormatError,
     DimensionMismatchError,
@@ -274,6 +274,10 @@ def _entry_points():
         "loss_and_grad labels": lambda r: classifier.loss_and_grad(model, good(r), r, 0.0),
         "fit": lambda r: classifier.fit(data([r, r], [0, 1]), data(good([0, 1]), [0, 1]), clf),
         "fit labels": lambda r: classifier.fit(data(good(r), r), data(good([0, 1]), [0, 1]), clf),
+        "Scaler.fit": lambda r: Scaler().fit([r, r]),
+        "Scaler.transform": lambda r: Scaler().fit(good([0, 1])).transform(r),
+        "from_arrays": lambda r: Signomial.from_arrays(np.ones(1), [r]),
+        "from_arrays alphas": lambda r: Signomial.from_arrays(r, np.ones((3, 1))),
     }
 
 
