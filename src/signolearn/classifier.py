@@ -367,6 +367,8 @@ def loss_and_grad(
     since training handles it with a proximal step. It is the one-trial case
     of the head training uses, so a sigmoid model's smooth part is the
     class-weighted mean softplus loss, with dL/dz = w (sigmoid(z) - y) / N.
+    weights, one per class, must be finite and non-negative, as
+    `class_weights` gives them: a negative one makes the loss unbounded below.
     """
     X = numeric_array(X)
     y = numeric_array(y, dtype=int)
@@ -378,6 +380,11 @@ def loss_and_grad(
         raise LabelOutOfRangeError(f"labels must lie in [0, {model.C})")
     if weights is None:
         weights = np.ones(model.C)
+    weights = numeric_array(weights)
+    if weights.shape != (model.C,):
+        raise DimensionMismatchError(f"weights have shape {weights.shape}, expected ({model.C},)")
+    if not (np.isfinite(weights).all() and (weights >= 0).all()):
+        raise BadConfigError(f"class weights must be finite and non-negative, got {weights}")
     alphas, betas = model._alphas, model._betas
     smooth, grad = _smooth_loss(
         alphas[None], betas[None], log_inputs(X, model.m)[None], y[None], weights, model.link

@@ -128,7 +128,10 @@ class Scaler:
         """Rebuild a scaler from `to_dict`'s payload.
 
         A payload with another range, any preprocessing step, or bounds that
-        are not finite is a DataFormatError.
+        `fit` cannot give is a DataFormatError: one of mins and maxs without
+        the other, bounds that are not two equal-length lists of finite
+        numbers, or a min above its max, which would invert the scaling. A
+        min equal to its max is a constant feature.
         """
         fixed = {k: data.get(k) for k in ("lo", "hi", "steps", "stepParams")}
         if fixed != {"lo": cls.lo, "hi": cls.hi, "steps": [], "stepParams": []}:
@@ -137,11 +140,23 @@ class Scaler:
                 f"got {fixed}"
             )
         sc = cls()
-        if data.get("mins") is not None:
-            sc.mins = np.asarray(data["mins"], dtype=float)
-            sc.maxs = np.asarray(data["maxs"], dtype=float)
-            if not (np.isfinite(sc.mins).all() and np.isfinite(sc.maxs).all()):
-                raise DataFormatError("scaler bounds must be finite")
+        mins, maxs = data.get("mins"), data.get("maxs")
+        if mins is None and maxs is None:
+            return sc
+        if mins is None or maxs is None:
+            raise DataFormatError("scaler needs both mins and maxs, or neither")
+        sc.mins, sc.maxs = numeric_array(mins), numeric_array(maxs)
+        if sc.mins.ndim != 1 or sc.mins.shape != sc.maxs.shape:
+            raise DataFormatError(
+                f"scaler mins {sc.mins.shape} and maxs {sc.maxs.shape} must be equal-length lists"
+            )
+        if not (np.isfinite(sc.mins).all() and np.isfinite(sc.maxs).all()):
+            raise DataFormatError("scaler bounds must be finite")
+        if (sc.mins > sc.maxs).any():
+            j = int(np.argmax(sc.mins > sc.maxs))
+            raise DataFormatError(
+                f"scaler bound of feature {j} has min {sc.mins[j]} above max {sc.maxs[j]}"
+            )
         return sc
 
 

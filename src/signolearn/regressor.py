@@ -12,11 +12,12 @@ coefficients, so they search only the exponents and solve the coefficients by
 least squares at every step, and both get the bare monomials from the kernel's
 coefficient-free entry `signomial.monomials`. The Adam stage solves all stacked
 rows from their K x K normal equations, in one stacked product and one batched
-eigh (`_gram_coefficients`); the polish, whose monomials can be nearly or
-exactly rank-deficient, solves by SVD (`_solve_coefficients`), and so does the
-log-space start. The Adam stage takes its loss from an MSE head linear in the
-coefficients (`_mse_head`), and its gradient from `signomial.backward`, as
-the classifier does. Its restarts run as one
+eigh (`_gram_coefficients`). The polish and the log-space start solve in
+`_solve_coefficients`: a one-term polish in closed form, since one column has
+condition number 1, and every K >= 2 solve by SVD, since those monomials can be
+nearly or exactly rank-deficient. The Adam stage takes its loss from an MSE
+head linear in the coefficients (`_mse_head`), and its gradient from
+`signomial.backward`, as the classifier does. Its restarts run as one
 stacked loop over a leading restart axis (the kernel's C axis); a restart that
 diverges leaves it. The polish is Levenberg-Marquardt over the nonzero
 exponents. Recovered expressions are snapped to canonical form and compared
@@ -320,22 +321,39 @@ def _mse_head(phi, alphas, log_x, y):
 
 def _solve_coefficients(phi, rhs):
     """Least-squares coefficients (C, K, ...) of each stacked row's bare
-    monomials phi (N, C, K) against rhs (N, ...), shared by every row.
-
-    One batched SVD over the (C, N, K) stack gives every row's
-    minimum-norm solution V diag(1/s) U^T rhs. Singular values at or below
-    eps * max(N, K) * s_max are dropped, lstsq's rcond=None cut-off, so a
-    rank-deficient phi (two terms sharing an exponent vector, a column that
-    underflows to 0, an all-zero phi) still gives finite coefficients. The
+    monomials phi (N, C, K) against rhs (N, ...), shared by every row. The
     rows share no arithmetic: each row's result is the one it gets alone.
 
-    The polish and the log-space start solve here, not by the normal
-    equations of `_gram_coefficients`, since those square phi's condition
-    number: of the 1,903 polish points of the Jin-2 fits at seeds 42 to 56
-    (perfbench's sr-multi-term), 7 had a singular phi and 21 more a
-    condition number above 1e6, where the Gram matrix keeps too few digits.
+    One column (K = 1, a one-term polish) is solved in closed form,
+    phi^T rhs / phi^T phi: its condition number is 1, so the normal equation
+    loses nothing (Bjorck, "Numerical Methods for Least Squares Problems",
+    1996). phi is first divided by its largest |phi|, since monomials reach
+    e^700 and phi^T phi passes float range above e^354. An all-zero column
+    gets exactly 0, as the SVD's cut-off gives it.
+
+    K >= 2 takes one batched SVD over the (C, N, K) stack, which gives every
+    row's minimum-norm solution V diag(1/s) U^T rhs. Singular values at or
+    below eps * max(N, K) * s_max are dropped, lstsq's rcond=None cut-off,
+    so a rank-deficient phi (two terms sharing an exponent vector, a column
+    that underflows to 0, an all-zero phi) still gives finite coefficients.
+    The K >= 2 polishes and the log-space start (m + 1 columns) solve by
+    SVD, not by the normal equations of `_gram_coefficients`, since those
+    square phi's condition number: of the 1,903 polish points of the Jin-2
+    fits at seeds 42 to 56 (perfbench's sr-multi-term), 7 had a singular phi
+    and 21 more a condition number above 1e6, where the Gram matrix keeps
+    too few digits.
     """
-    n, _, k = phi.shape
+    n, c, k = phi.shape
+    if k == 1:
+        col = phi.reshape(n, 1, c).T  # (C, 1, N)
+        top = np.abs(col).max(axis=2, keepdims=True)
+        top[top == 0.0] = 1.0  # an all-zero column: its unit column is 0
+        # C order, so each row's products are the ones it gets alone
+        unit = np.divide(col, top, order="C")
+        norm = unit @ unit.transpose(0, 2, 1)
+        norm[norm == 0.0] = 1.0
+        solved = (unit @ rhs.reshape(n, -1)) / norm / top
+        return solved.reshape((c, 1) + rhs.shape[1:])
     u, s, vt = np.linalg.svd(phi.transpose(1, 0, 2), full_matrices=False)
     kept = s > FLOAT_EPS * max(n, k) * s[:, :1]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
@@ -454,8 +472,12 @@ def _polish(betas, log_x, y):
     exponents and their MSE. A point where a monomial overflows is a rejected
     step, and a start where one does raises NonFiniteObjectiveError. Each
     point's Phi comes from one `monomials` call, and its coefficients and
-    projection from one C = 1 `_solve_coefficients` call, whose minimum-norm
-    solution stays finite when Phi is rank-deficient. Every projection LM
+    projection from one C = 1 `_solve_coefficients` call: in closed form for
+    one term, whose one column has condition number 1, scaled against
+    overflow, and by SVD for K >= 2, whose minimum-norm solution stays
+    finite when Phi is rank-deficient or nearly so. With one term the
+    residual and Jacobian take elementwise products where K >= 2 takes
+    matmuls, the same bits for one column. Every projection LM
     makes is kept by its exponents, and LM returns one of its points, so the
     result is that point's projection, not a new one; only a point LM never
     evaluated, as when every exponent is frozen, is projected afterwards.
@@ -472,13 +494,22 @@ def _polish(betas, log_x, y):
         b = b.reshape(k, m)
         phi = monomials(b[None], log_x)
         d_phi = phi[:, 0, term] * log_x_free
-        # the SVD's last digits follow the right-hand side's memory order,
-        # which column_stack chooses from its operands
+        # for K >= 2 the SVD's last digits follow the right-hand side's
+        # memory order, which column_stack chooses from its operands
         solved = _solve_coefficients(phi, np.column_stack([y, d_phi]))[0]
         phi, a = phi[:, 0], solved[:, 0]
-        r = phi @ a - y
+        if k == 1:
+            # one column: phi @ v is one multiply per entry, so elementwise
+            # products give its bits at less cost; the outer product is laid
+            # out column-major, as d_phi is, which numpy subtracts fastest
+            col, coef = phi[:, 0], solved[0]
+            r = col * coef[0] - y
+            jac = (d_phi - (coef[1:, None] * col).T) * coef[0]
+        else:
+            r = phi @ a - y
+            jac = (d_phi - phi @ solved[:, 1:]) * a[term]
         projected[theta.tobytes()] = a, b, float(r @ r)
-        return r, (d_phi - phi @ solved[:, 1:]) * a[term]
+        return r, jac
 
     theta = betas.ravel()[free]
     if len(free):

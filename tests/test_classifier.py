@@ -317,6 +317,16 @@ def test_loss_rejects_empty_batch_and_bad_labels():
         loss_and_grad(model, [[1.0, 1.0, 1.0]] * 2, [1], l1_penalty=0.0)
     with pytest.raises(DimensionMismatchError):
         loss_and_grad(model, [[1.0, 1.0, 1.0]], [0, 1], l1_penalty=0.0)
+    # one weight per class, each finite and non-negative as class_weights gives
+    x, y = [[1.0, 1.0, 1.0]] * 2, [0, 1]
+    for weights in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], 1.0):
+        with pytest.raises(DimensionMismatchError):
+            loss_and_grad(model, x, y, l1_penalty=0.0, weights=weights)
+    for weights in ([1.0, -1.0], [1.0, np.nan], [np.inf, 1.0]):
+        with pytest.raises(BadConfigError):
+            loss_and_grad(model, x, y, l1_penalty=0.0, weights=weights)
+    assert loss_and_grad(model, x, y, 0.0, weights=[1.0, 0.0])[0] == pytest.approx(
+        loss_and_grad(model, x[:1], y[:1], 0.0)[0] / 2)
 
 
 # --- class weights ---------------------------------------------------------------
@@ -847,6 +857,13 @@ def test_load_rejects_wrong_kind(tmp_path):
 def test_from_dict_rejects_garbage():
     with pytest.raises(CorruptModelError):
         EcselModel.from_dict({"kind": "classifier", "link": "softmax"})
+    # swapped scaler bounds would invert the scaling
+    model = EcselModel([Signomial([(1.0, (1.0, -1.0))]), Signomial([(1.0, (-1.0, 1.0))])],
+                       scaler=data_io.Scaler().fit(np.array([[1.0, 2.0], [3.0, 5.0]])))
+    payload = model.to_dict()
+    payload["scaler"]["mins"], payload["scaler"]["maxs"] = [3.0, 5.0], [1.0, 2.0]
+    with pytest.raises(CorruptModelError):
+        EcselModel.from_dict(payload)
 
 
 @pytest.mark.parametrize("key", ["featureNames", "classNames"])

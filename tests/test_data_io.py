@@ -89,13 +89,23 @@ def test_scaler_from_dict_checks_step_parameters(edit):
 
 def test_scaler_rejects_bad_bounds():
     # a file may only hold the fixed range [1, 10] and finite feature bounds
+    # that fit could give: both lists, equally long, no min above its max
     edits = [{"lo": 5.0, "hi": 1.0}, {"lo": 0.0, "hi": 1.0}, {"hi": 20.0},
-             {"mins": [math.nan, 5.0]}, {"maxs": [2.0, math.inf]}]
+             {"mins": [math.nan, 5.0]}, {"maxs": [2.0, math.inf]},
+             {"mins": [2.0, 7.0], "maxs": [1.0, 5.0]}, {"maxs": [2.0]}, {"maxs": None},
+             {"mins": None}, {"mins": ["a", 5.0]}, {"mins": 1.0, "maxs": 2.0}]
     for edit in edits:
         payload = Scaler().fit(np.array([[1.0, 5.0], [2.0, 7.0]])).to_dict()
         payload.update(edit)
         with pytest.raises(DataFormatError):
             Scaler.from_dict(payload)
+    payload = Scaler().fit(np.array([[1.0, 5.0], [2.0, 7.0]])).to_dict()
+    del payload["maxs"]
+    with pytest.raises(DataFormatError):
+        Scaler.from_dict(payload)
+    # a min equal to its max is a constant feature
+    payload = Scaler().fit(np.array([[1.0, 5.0], [1.0, 7.0]])).to_dict()
+    assert Scaler.from_dict(payload).transform([1.0, 6.0]) == pytest.approx([1.0, 5.5])
 
 
 def test_scaler_transform_checks_the_feature_count():

@@ -474,12 +474,13 @@ def test_linear_mse_head_names_the_restart_whose_loss_overflows():
 
 
 @st.composite
-def coefficient_problems(draw):
+def coefficient_problems(draw, huge_columns=False):
     """A stack phi (N, C, K) of bare-monomial matrices and a shared 1-D or 2-D
     rhs. Each row is well conditioned (singular values in [1, 100] times a
     scale of its own, 1e-30 to 1e30) unless made rank-deficient: a repeated
     exponent row (two equal columns), a column that underflowed to 0, or an
-    all-zero phi."""
+    all-zero phi. With huge_columns, a one-column row's scale reaches up to
+    1e300, and phi^T phi passes float range from about 1e154."""
     c = draw(st.integers(1, 8))
     k = draw(st.integers(1, 4))
     n = draw(st.integers(k, k + 12))
@@ -487,11 +488,12 @@ def coefficient_problems(draw):
                           min_size=c, max_size=c))
     columns = draw(st.sampled_from((None, 1, 3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = 301 if huge_columns and k == 1 else 31
     phi = np.empty((n, c, k))
     for i, kind in enumerate(kinds):
         q = np.linalg.qr(rng.standard_normal((n, k)))[0]
         w = np.linalg.qr(rng.standard_normal((k, k)))[0]
-        phi[:, i] = (q * rng.uniform(1.0, 100.0, k)) @ w * 10.0 ** rng.integers(-30, 31)
+        phi[:, i] = (q * rng.uniform(1.0, 100.0, k)) @ w * 10.0 ** rng.integers(-30, top)
         if kind == "repeat" and k > 1:
             phi[:, i, 1] = phi[:, i, 0]
         elif kind == "zero column":
@@ -502,14 +504,26 @@ def coefficient_problems(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(coefficient_problems())
+@given(coefficient_problems(huge_columns=True))
 def test_stacked_solve_is_lstsq_row_by_row(problem):
+    # one column is solved in closed form, scaled so that phi^T phi cannot
+    # overflow; K >= 2 is the batched SVD below, bit for bit
     phi, rhs = problem
+    n, _, k = phi.shape
     solved = regressor._solve_coefficients(phi, rhs)
     assert solved.shape == phi.shape[1:] + rhs.shape[1:]
+    if k > 1:
+        u, s, vt = np.linalg.svd(phi.transpose(1, 0, 2), full_matrices=False)
+        kept = s > np.finfo(float).eps * max(n, k) * s[:, :1]
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+        ut_rhs = u.transpose(0, 2, 1) @ rhs.reshape(n, -1)
+        svd = vt.transpose(0, 2, 1) @ (inv[:, :, None] * ut_rhs)
+        np.testing.assert_array_equal(solved, svd.reshape(solved.shape))
     for c in range(phi.shape[1]):
         want = np.linalg.lstsq(phi[:, c], rhs, rcond=None)[0]
         assert_rows_close(solved[c][None], want[None])
+        if not phi[:, c].any():  # an all-zero phi gets coefficients of exactly 0
+            assert not solved[c].any()
         # the rows share no arithmetic, so a row solved alone gets the same bits
         np.testing.assert_array_equal(regressor._solve_coefficients(phi[:, [c]], rhs)[0],
                                       solved[c])
@@ -730,6 +744,17 @@ def test_polish_with_duplicate_exponent_rows_is_finite(start, truth):
     assert_rows_close(alphas[None], expected[None])
     np.testing.assert_allclose(alphas, [1.5, 1.5], rtol=1e-6)
     assert mse < 1e-12
+
+
+def test_one_term_polish_past_the_gram_range():
+    # x^44 reaches 1e176 on [1e3, 1e4], so an unscaled phi^T phi passes float
+    # range at the start; the closed form divides phi by its largest entry
+    X = np.random.default_rng(5).uniform(1e3, 1e4, size=(40, 1))
+    y = 1e-170 * X[:, 0] ** 45
+    alphas, betas, mse = regressor._polish(np.array([[44.0]]), log_inputs(X), y)
+    assert alphas[0] == pytest.approx(1e-170, rel=1e-9)
+    assert betas[0, 0] == pytest.approx(45.0, abs=1e-9)
+    assert mse <= 1e-20 * np.mean(y * y)
 
 
 def test_polish_with_every_exponent_frozen_is_one_solve(monkeypatch):
