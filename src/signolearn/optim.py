@@ -10,11 +10,15 @@ which polishes signomial regression fits. It stops converged on a zero
 gradient, a negligible accepted decrease, a negligible step, or a rejected
 trial whose predicted decrease is negligible (the noise floor, where raising
 the damping further buys nothing), and unconverged when the damping or the
-iteration budget runs out; `LmResult` names the stop and counts the
-residual evaluations, and its x is always a point it evaluated. The package
-no longer calls its two-loop-recursion L-BFGS with a strong-Wolfe line
-search; it stays while the benchmark's tracer (`perfbench/tracer.py`) still
-looks it up by name.
+iteration budget runs out, or when it loses a race: given a ceiling on the
+sum of squares, it abandons a run still above it after LM_RACE_EVALS
+residual evaluations. A multi-term regression fit races its candidates this
+way, with a ceiling of `regressor.RACE_MARGIN` times the best sum of squares
+it has so far, so it stops polishing a candidate that cannot win.
+`LmResult` names the stop and counts the residual evaluations, and its x is
+always a point it evaluated. The package no longer calls its
+two-loop-recursion L-BFGS with a strong-Wolfe line search; it stays while
+the benchmark's tracer (`perfbench/tracer.py`) still looks it up by name.
 """
 
 from __future__ import annotations
@@ -381,7 +385,9 @@ class LmResult:
     converged: bool  # False when the budget ran out or no damped step improved
     evaluations: int = 0  # residual calls, the one at x0 included
     # why it stopped: "gradient", "decrease", "step" or "model" (converged),
-    # "damping" or "iterations" (not); None when unknown
+    # "damping", "iterations" or "abandoned" (not; the last when a race lost:
+    # above the ceiling, RACE_MARGIN times the leader's sum of squares in a
+    # regression fit, after LM_RACE_EVALS evaluations); None when unknown
     stop: str | None = None
     mu: float = math.nan  # the damping weight at the stop
 
@@ -391,13 +397,14 @@ Residuals = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 # Marquardt's damping weight: its start, the factor it moves by after each
 # trial, and the weight past which no step counts as improving; the relative
 # decrease and relative step length that count as converged; the iteration
-# budget
+# budget; the residual evaluations a run gets before a ceiling can stop it
 LM_MU_INIT = 1e-3
 LM_MU_FACTOR = 10.0
 LM_MU_MAX = 1e16
 LM_FTOL = 1e-14
 LM_XTOL = 1e-12
 LM_MAX_ITERS = 200
+LM_RACE_EVALS = 20
 
 
 def _lm_point(fun: Residuals, x: np.ndarray):
@@ -417,7 +424,9 @@ def _lm_point(fun: Residuals, x: np.ndarray):
     return r, jac, sse
 
 
-def levenberg_marquardt(fun: Residuals, x0: np.ndarray) -> LmResult:
+def levenberg_marquardt(
+    fun: Residuals, x0: np.ndarray, ceiling: float = math.inf
+) -> LmResult:
     """Minimize the sum of squares of fun(x)[0] from x0; fun(x) = (r (N,), J (N, P)).
 
     Each iteration solves (J'J + mu D) h = -g, with g = J'r and Marquardt's
@@ -430,10 +439,16 @@ def levenberg_marquardt(fun: Residuals, x0: np.ndarray) -> LmResult:
     LM_FTOL times the sum of squares ("model"): at the noise floor a larger
     mu only shortens a step the model already calls worthless, as in
     MINPACK's lmder (More 1978). It stops unconverged when mu passes
-    LM_MU_MAX without an improving step ("damping") or LM_MAX_ITERS
-    iterations are spent ("iterations"). The returned x is always a point
-    fun was called at. Raises NonFiniteObjectiveError if x0 itself is
-    unusable.
+    LM_MU_MAX without an improving step ("damping"), LM_MAX_ITERS
+    iterations are spent ("iterations"), or, at an accepted step after at
+    least LM_RACE_EVALS evaluations, the sum of squares is still above
+    ceiling ("abandoned"): a caller racing several starts passes a margin
+    over the best sum of squares it already has, as `regressor.fit_sr`
+    passes RACE_MARGIN times its leader's, and the default, inf, never
+    stops a run. This is a deterministic form of Maron & Moore's "Hoeffding
+    races" (1993) and of successive halving (Karnin, Koren & Somekh 2013).
+    The returned x is always a point fun was called at. Raises
+    NonFiniteObjectiveError if x0 itself is unusable.
     """
     x = np.array(x0, dtype=float, copy=True)
     at = _lm_point(fun, x)
@@ -476,4 +491,6 @@ def levenberg_marquardt(fun: Residuals, x0: np.ndarray) -> LmResult:
         r, jac, sse = trial
         if decrease <= LM_FTOL * (sse + decrease):
             return result(iterations + 1, True, "decrease")
+        if evaluations >= LM_RACE_EVALS and sse > ceiling:
+            return result(iterations + 1, False, "abandoned")
     return result(LM_MAX_ITERS, False, "iterations")

@@ -7,9 +7,11 @@ least-squares fit of ln|y| on [1, ln x], once: unless that leaves a term to
 prune or an exponent to freeze, its polish is the fit. Multi-term fits run
 several short proximal-Adam runs over the exponents under L1 to select
 structure, then pruning, exponent freezing, and an unpenalized polish of the
-leaders' residuals. Both steps work by variable projection: z is linear in the
-coefficients, so they search only the exponents and solve the coefficients by
-least squares at every step, and both get the bare monomials from the kernel's
+leaders' residuals, raced: LM abandons a candidate still above RACE_MARGIN
+times the best sum of squares so far after LM_RACE_EVALS evaluations. Both
+steps work by variable projection: z is linear in the coefficients, so they
+search only the exponents and solve the coefficients by least squares at
+every step, and both get the bare monomials from the kernel's
 coefficient-free entry `signomial.monomials`. The Adam stage solves all stacked
 rows from their K x K normal equations, in one stacked product and one batched
 eigh (`_gram_coefficients`). The polish and the log-space start solve in
@@ -62,8 +64,12 @@ from .signomial import (
 POSITIVE_PART_FLOOR = 1e-3
 
 # a multi-term fit polishes the POLISHED restarts with the lowest objective
-# after its Adam stage
+# after its Adam stage, in that order; each after the first races the best
+# sum of squares already polished: LM abandons it if, after LM_RACE_EVALS
+# residual evaluations, its sum of squares is still above RACE_MARGIN times
+# that best
 POLISHED = 4
+RACE_MARGIN = 10.0
 
 # machine epsilon, which scales the least-squares solves' rank cut-offs
 FLOAT_EPS = float(np.finfo(float).eps)
@@ -182,6 +188,8 @@ class FitStats:
     stage_a_best_mse: float = math.inf
     pruned_terms: int = 0
     zeroed_exponents: int = 0
+    lm_evaluations: int = 0  # residual evaluations over all the fit's polishes
+    abandoned_candidates: int = 0  # candidates whose polish lost the race
 
     def to_dict(self) -> dict:
         return {
@@ -194,6 +202,8 @@ class FitStats:
             "stageABestMse": self.stage_a_best_mse,
             "prunedTerms": self.pruned_terms,
             "zeroedExponents": self.zeroed_exponents,
+            "lmEvaluations": self.lm_evaluations,
+            "abandonedCandidates": self.abandoned_candidates,
         }
 
 
@@ -459,7 +469,7 @@ def _adam_stage(betas, log_x, y, lam, epochs, lr):
     return objectives, alphas, final
 
 
-def _polish(betas, log_x, y):
+def _polish(betas, log_x, y, ceiling=math.inf):
     """Levenberg-Marquardt over the nonzero exponents by variable projection.
 
     z is linear in the coefficients, so at any exponents the best ones solve a
@@ -468,9 +478,12 @@ def _polish(betas, log_x, y):
     with Kaufman's Jacobian: the columns of (I - Phi Phi^+) dPhi/dbeta, each
     scaled by its term's alpha (Golub & Pereyra 1973; Kaufman 1975). LM stops
     on any of `levenberg_marquardt`'s stops, the noise-floor one ("model")
-    included. Returns the coefficients projected at the final exponents, the
-    exponents and their MSE. A point where a monomial overflows is a rejected
-    step, and a start where one does raises NonFiniteObjectiveError. Each
+    included, and abandons the race ("abandoned") if its sum of squares is
+    still above ceiling at an accepted step after LM_RACE_EVALS evaluations.
+    Returns the coefficients projected at the final exponents, the
+    exponents, their MSE and LM's `LmResult`, None when every exponent is
+    frozen. A point where a monomial overflows is a rejected step, and a
+    start where one does raises NonFiniteObjectiveError. Each
     point's Phi comes from one `monomials` call, and its coefficients and
     projection from one C = 1 `_solve_coefficients` call: in closed form for
     one term, whose one column has condition number 1, scaled against
@@ -511,14 +524,15 @@ def _polish(betas, log_x, y):
         projected[theta.tobytes()] = a, b, float(r @ r)
         return r, jac
 
-    theta = betas.ravel()[free]
+    theta, run = betas.ravel()[free], None
     if len(free):
-        theta = levenberg_marquardt(project, theta).x
+        run = levenberg_marquardt(project, theta, ceiling=ceiling)
+        theta = run.x
     key = theta.tobytes()
     if key not in projected:
         project(theta)
     a, b, sse = projected[key]
-    return a, b, sse / len(y)
+    return a, b, sse / len(y), run
 
 
 def _log_start(log_x, y):
@@ -539,32 +553,39 @@ def _log_start(log_x, y):
     return solved[:, 1:]
 
 
-def _prune_freeze_polish(alphas, betas, log_x, y, mse):
+def _prune_freeze_polish(alphas, betas, log_x, y, mse, ceiling=math.inf):
     """Alternate pruning and polishing until the sparsity pattern is stable.
 
-    Returns (alphas, betas, mse, pruned_terms, zeroed_exponents); terms with
-    tiny coefficients are dropped, tiny exponents are pinned at exactly zero,
-    and each change triggers a fresh unpenalized polish of the survivors.
-    mse is the MSE of a candidate the caller has polished, or None; one with
-    nothing to prune or freeze comes back without a second polish.
+    Returns (alphas, betas, mse, pruned_terms, zeroed_exponents, runs); terms
+    with tiny coefficients are dropped, tiny exponents are pinned at exactly
+    zero, and each change triggers a fresh unpenalized polish of the
+    survivors, racing ceiling on the sum of squares; runs holds each polish's
+    `LmResult`. A polish that LM abandons ends the loop, since the candidate
+    cannot win. mse is the MSE of a candidate the caller has polished, or
+    None; one with nothing to prune or freeze comes back without a second
+    polish.
     """
     a, b = np.array(alphas, dtype=float), np.array(betas, dtype=float)
     small = np.abs(b) < DEFAULT_EXPONENT_ZERO_THRESHOLD
-    pruned, zeroed = 0, int(np.count_nonzero(b[small]))
+    pruned, zeroed, runs = 0, int(np.count_nonzero(b[small])), []
     if mse is not None and not zeroed and (np.abs(a) >= DEFAULT_COEF_PRUNE_THRESHOLD).all():
-        return a, b, mse, pruned, zeroed
+        return a, b, mse, pruned, zeroed, runs
     b[small] = 0.0
     while True:
         keep = np.abs(a) >= DEFAULT_COEF_PRUNE_THRESHOLD
         pruned += int(np.sum(~keep))
         a, b = a[keep], b[keep]
         if len(a) == 0:
-            return a, b, float(y @ y) / len(y), pruned, zeroed
-        a, b, mse = _polish(b, log_x, y)
+            return a, b, float(y @ y) / len(y), pruned, zeroed, runs
+        a, b, mse, run = _polish(b, log_x, y, ceiling)
+        if run is not None:
+            runs.append(run)
+            if run.stop == "abandoned":
+                return a, b, mse, pruned, zeroed, runs
         small_beta = (b != 0.0) & (np.abs(b) < DEFAULT_EXPONENT_ZERO_THRESHOLD)
         small_alpha = np.abs(a) < DEFAULT_COEF_PRUNE_THRESHOLD
         if not small_beta.any() and not small_alpha.any():
-            return a, b, mse, pruned, zeroed
+            return a, b, mse, pruned, zeroed, runs
         zeroed += int(small_beta.sum())
         b[small_beta] = 0.0
 
@@ -580,8 +601,15 @@ def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
     a term or freeze an exponent. K>1 runs one stage of proximal Adam over
     the exponents of all restarts in one stacked loop under lambda_struct,
     solving the coefficients by least squares every epoch (`_adam_stage`),
-    then prunes, freezes and polishes the best POLISHED of them. Both polish
-    by variable-projection Levenberg-Marquardt (`_polish`). Candidates are
+    then prunes, freezes and polishes the best POLISHED of them, in order of
+    their Adam objective, as a race: each candidate after the first is
+    abandoned once LM has made LM_RACE_EVALS residual evaluations on it and
+    its sum of squares is still above RACE_MARGIN times the lowest final sum
+    of squares among the candidates before it. An abandoned candidate keeps
+    the MSE of the point LM stopped at, more than RACE_MARGIN times the
+    leader's, so it ranks behind the leader without a special case. Both
+    polish by variable-projection Levenberg-Marquardt (`_polish`); the first
+    candidate and every K=1 polish run with no ceiling. Candidates are
     always ranked by (loss, restart index), so ties break deterministically.
     """
     cfg.validate()
@@ -609,10 +637,11 @@ def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
         starts = [_log_start(log_x, y)] + [b for _, b in inits[1:]]
         for r, b0 in enumerate(starts):
             try:
-                a, b, loss = _polish(b0, log_x, y)
+                a, b, loss, run = _polish(b0, log_x, y)
             except SignolearnError:
                 stats.stage_a_losses.append(math.inf)
                 continue
+            stats.lm_evaluations += run.evaluations if run is not None else 0
             stats.stage_a_losses.append(loss)
             if math.isfinite(loss):
                 pool.append((loss, r, a, b))
@@ -637,12 +666,16 @@ def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
         pool = [(loss, r, alphas[r] * scale, betas[r]) for loss, r in ranked[:POLISHED]]
 
     finals = []
+    ceiling = math.inf  # on the sum of squares; the first candidate has none
     for order, (loss, _, a, b) in enumerate(pool):
         # a K=1 candidate comes polished, its loss the MSE of that polish
-        a2, b2, mse, pruned, zeroed = _prune_freeze_polish(
-            a, b, log_x, y, loss if k == 1 else None)
+        a2, b2, mse, pruned, zeroed, polishes = _prune_freeze_polish(
+            a, b, log_x, y, loss if k == 1 else None, ceiling)
+        stats.lm_evaluations += sum(run.evaluations for run in polishes)
+        stats.abandoned_candidates += any(run.stop == "abandoned" for run in polishes)
         stats.candidate_mses.append(mse)
         finals.append((mse, order, a2, b2, pruned, zeroed))
+        ceiling = min(ceiling, RACE_MARGIN * mse * len(y))
     finals.sort(key=lambda c: (c[0], c[1]))
     mse, _, a_fin, b_fin, pruned, zeroed = finals[0]
     stats.final_mse = mse

@@ -18,7 +18,7 @@ from signolearn.classifier import (
     predict_batch,
 )
 from signolearn.errors import BadConfigError, CorruptModelError
-from signolearn.regressor import RegressorModel
+from signolearn.regressor import RegressorModel, TargetSpec, generate_benchmark_data
 from signolearn.signomial import Signomial
 
 ASSETS = os.path.join(os.path.dirname(cli.__file__), "assets")
@@ -141,6 +141,25 @@ def test_train_regress_task(tmp_path):
     assert metrics["metrics"]["r2"] > 0.999
     with open(tmp_path / "sr.trace.csv") as fh:
         assert next(csv.reader(fh)) == ["stage", "index", "loss"]
+
+
+def test_train_regress_reports_the_polish_race(tmp_path):
+    # Jin-2 at seed 1: the first candidate polishes to the truth, and the
+    # race abandons the other three, whose MSEs stay finite and rank last
+    entry = next(e for e in json.loads(Path(SUITE).read_text())["specs"] if e["name"] == "Jin-2")
+    data = generate_benchmark_data(TargetSpec.from_dict(entry), 300, 0.01, 1)
+    path = tmp_path / "jin2.csv"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x1", "x2", "t"])
+        w.writerows([[a, b, t] for (a, b), t in zip(data.X, data.y)])
+    assert cli.main(["train", "--data", str(path), "--target", "t", "--task", "regress",
+                     "--k", "3", "--seed", "1", "--out", str(tmp_path / "m.json")]) == 0
+    stats = json.loads((tmp_path / "m.metrics.json").read_text())["fitStats"]
+    assert stats["abandonedCandidates"] == 3
+    assert isinstance(stats["lmEvaluations"], int) and stats["lmEvaluations"] > 0
+    first, *rest = stats["candidateMses"]
+    assert len(rest) == 3 and all(math.isfinite(v) and v > 10 * first for v in rest)
 
 
 def test_train_reads_a_csv_with_a_byte_order_mark(tmp_path):

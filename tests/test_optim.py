@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -401,12 +403,13 @@ def test_lm_solves_linear_least_squares_in_three_iterations(monkeypatch):
     assert res.sse == pytest.approx(float(np.sum((A @ want - b) ** 2)), rel=1e-12)
 
 
-def test_lm_rosenbrock_residuals():
-    def rosen(x):
-        r = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
-        jac = np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
-        return r, jac
+def rosen(x):
+    r = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+    jac = np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+    return r, jac
 
+
+def test_lm_rosenbrock_residuals():
     res = levenberg_marquardt(rosen, np.array([-1.2, 1.0]))
     assert res.converged and res.stop == "gradient"
     assert res.sse < 1e-20
@@ -493,3 +496,38 @@ def test_lm_stops_once_its_model_predicts_no_decrease():
     assert (res.converged, res.stop, res.iterations) == (True, "model", 1)
     assert res.evaluations == len(calls) == 2
     assert np.array_equal(res.x, [1.0]) and res.sse == 1.0 and res.mu == optim.LM_MU_INIT
+
+
+@pytest.mark.parametrize("ceiling", [math.inf, 24.3])
+def test_lm_ceiling_above_every_sum_of_squares_changes_nothing(ceiling):
+    # Rosenbrock starts at a sum of squares of 24.2 and takes 45 evaluations;
+    # a ceiling it never exceeds leaves every field as without one
+    x0 = np.array([-1.2, 1.0])
+    plain, raced = levenberg_marquardt(rosen, x0), levenberg_marquardt(rosen, x0, ceiling=ceiling)
+    assert plain.evaluations > optim.LM_RACE_EVALS
+    assert raced.x.tobytes() == plain.x.tobytes()
+    assert (raced.sse, raced.iterations, raced.converged, raced.evaluations, raced.stop,
+            raced.mu) == (plain.sse, plain.iterations, plain.converged, plain.evaluations,
+                          plain.stop, plain.mu)
+
+
+def test_lm_ceiling_below_the_optimum_abandons_at_an_evaluated_point():
+    # a constant residual of 1 puts Rosenbrock's optimum at a sum of squares
+    # of 1, so a ceiling of 0.5 is out of reach: LM gives up at its first
+    # accepted step after LM_RACE_EVALS evaluations
+    seen = {}
+
+    def shifted(x):
+        r, jac = rosen(x)
+        r, jac = np.append(r, 1.0), np.vstack([jac, [0.0, 0.0]])
+        seen[x.tobytes()] = float(r @ r)
+        return r, jac
+
+    res = levenberg_marquardt(shifted, np.array([-1.2, 1.0]), ceiling=0.5)
+    assert (res.converged, res.stop) == (False, "abandoned")
+    assert optim.LM_RACE_EVALS <= res.evaluations == len(seen)
+    assert seen[res.x.tobytes()] == res.sse > 0.5
+    # unraced, the same problem converges at its optimum
+    full = levenberg_marquardt(shifted, np.array([-1.2, 1.0]))
+    assert full.converged and full.sse == pytest.approx(1.0, abs=1e-12)
+    assert full.evaluations > res.evaluations

@@ -269,9 +269,9 @@ def test_a_restart_diverging_in_the_stage_leaves_the_ranking(monkeypatch):
     polished = []
     real = regressor._prune_freeze_polish
 
-    def recording(alphas, betas, log_x, y, mse):
+    def recording(alphas, betas, *args, **kwargs):
         polished.append((alphas, betas))
-        return real(alphas, betas, log_x, y, mse)
+        return real(alphas, betas, *args, **kwargs)
 
     monkeypatch.setattr(regressor, "_prune_freeze_polish", recording)
     data = generate_benchmark_data(two_term_spec(), 200, 0.01, 0)
@@ -631,9 +631,9 @@ def test_a_k1_winner_is_polished_again_only_to_freeze_or_prune(monkeypatch, expo
     calls = []
     real = regressor._polish
 
-    def counting(betas, log_x, y):
+    def counting(betas, *args, **kwargs):
         calls.append(np.array(betas))
-        return real(betas, log_x, y)
+        return real(betas, *args, **kwargs)
 
     monkeypatch.setattr(regressor, "_polish", counting)
     data = generate_benchmark_data(monomial_spec(exponents=exponents), 200, 0.0, 3)
@@ -737,7 +737,7 @@ def test_polish_with_duplicate_exponent_rows_is_finite(start, truth):
     X = np.random.default_rng(3).uniform(1.0, 5.0, size=(60, 2))
     log_x = log_inputs(X)
     y = 3.0 * np.prod(X ** np.array(truth), axis=1)
-    alphas, betas, mse = regressor._polish(np.array(start), log_x, y)
+    alphas, betas, mse, _ = regressor._polish(np.array(start), log_x, y)
     assert np.isfinite(alphas).all()
     np.testing.assert_allclose(betas, [truth, truth], atol=1e-6)
     expected = np.linalg.lstsq(monomials(betas, log_x), y, rcond=None)[0]
@@ -751,7 +751,7 @@ def test_one_term_polish_past_the_gram_range():
     # range at the start; the closed form divides phi by its largest entry
     X = np.random.default_rng(5).uniform(1e3, 1e4, size=(40, 1))
     y = 1e-170 * X[:, 0] ** 45
-    alphas, betas, mse = regressor._polish(np.array([[44.0]]), log_inputs(X), y)
+    alphas, betas, mse, _ = regressor._polish(np.array([[44.0]]), log_inputs(X), y)
     assert alphas[0] == pytest.approx(1e-170, rel=1e-9)
     assert betas[0, 0] == pytest.approx(45.0, abs=1e-9)
     assert mse <= 1e-20 * np.mean(y * y)
@@ -765,7 +765,8 @@ def test_polish_with_every_exponent_frozen_is_one_solve(monkeypatch):
     rng = np.random.default_rng(4)
     log_x = log_inputs(rng.uniform(1.0, 5.0, size=(30, 2)))
     y = 4.2 + rng.standard_normal(30)
-    alphas, betas, mse = regressor._polish(np.zeros((1, 2)), log_x, y)
+    alphas, betas, mse, run = regressor._polish(np.zeros((1, 2)), log_x, y)
+    assert run is None
     np.testing.assert_array_equal(betas, np.zeros((1, 2)))
     assert alphas[0] == pytest.approx(y.mean(), rel=1e-12)
     assert mse == pytest.approx(y.var(), rel=1e-12)
@@ -794,7 +795,7 @@ def test_projected_jacobian_matches_finite_differences(generator, seed):
     y = monomials(betas, log_x) @ alphas
     captured = []
 
-    def capture(fun, x0):
+    def capture(fun, x0, *args, **kwargs):
         captured.append((fun, x0))
         return LmResult(x0, math.nan, 0, converged=False)
 
@@ -821,8 +822,8 @@ def recorded_polish(betas, log_x, y):
     results, calls = [], []
     real_lm, real_monomials = regressor.levenberg_marquardt, regressor.monomials
 
-    def lm(fun, x0):
-        results.append(real_lm(fun, x0))
+    def lm(fun, x0, *args, **kwargs):
+        results.append(real_lm(fun, x0, *args, **kwargs))
         return results[-1]
 
     def counting(b, lx):
@@ -832,8 +833,9 @@ def recorded_polish(betas, log_x, y):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(regressor, "levenberg_marquardt", lm)
         patch.setattr(regressor, "monomials", counting)
-        out = regressor._polish(betas, log_x, y)
+        *out, run = regressor._polish(betas, log_x, y)
     (res,) = results
+    assert run is res
     return out, res, len(calls)
 
 
@@ -863,8 +865,9 @@ def test_polish_stops_at_the_noise_floor_and_returns_its_last_projection(monkeyp
     assert mse == res.sse / len(data.y)
     # a fresh projection at the returned exponents gives the same bits
     monkeypatch.setattr(regressor, "levenberg_marquardt",
-                        lambda fun, x0: LmResult(res.x.copy(), math.nan, 0, converged=False))
-    a2, b2, mse2 = regressor._polish(start, log_x, data.y)
+                        lambda fun, x0, *args, **kwargs: LmResult(res.x.copy(), math.nan, 0,
+                                                                  converged=False))
+    a2, b2, mse2, _ = regressor._polish(start, log_x, data.y)
     assert a.tobytes() == a2.tobytes() and b.tobytes() == b2.tobytes() and mse == mse2
 
 
@@ -875,8 +878,8 @@ def test_k1_specs_recover_within_four_lm_evaluations_per_polish(monkeypatch, spe
     evaluations = []
     real = regressor.levenberg_marquardt
 
-    def counting(fun, x0):
-        res = real(fun, x0)
+    def counting(fun, x0, *args, **kwargs):
+        res = real(fun, x0, *args, **kwargs)
         evaluations.append(res.evaluations)
         return res
 
@@ -895,6 +898,72 @@ def test_recovery_from_wrong_sign_random_starts(name, seed):
     res = evaluate_recovery(TargetSpec.from_dict(entry), cfg)
     assert res.seeds[0].recovered
     assert res.seeds[0].r2 > 0.9999
+
+
+def fit_with_and_without_the_race(monkeypatch, data, cfg, seed):
+    """fit_sr's (signomial, stats) as it ships, then with RACE_MARGIN = inf."""
+    raced = fit_sr(data.X, data.y, cfg, seed)
+    with monkeypatch.context() as patch:
+        patch.setattr(regressor, "RACE_MARGIN", math.inf)
+        unraced = fit_sr(data.X, data.y, cfg, seed)
+    return raced, unraced
+
+
+def assert_same_bits(s1, s2):
+    assert s1.alphas.tobytes() == s2.alphas.tobytes()
+    assert s1.betas.tobytes() == s2.betas.tobytes()
+
+
+def test_an_abandoned_polish_ends_the_prune_and_freeze_loop():
+    # y = 3 x1^2 + 1e-6 x2: unraced, the polish leaves a coefficient to prune
+    # and exponents to freeze, so it polishes again; under a ceiling of 0 the
+    # first polish is abandoned and comes back as LM stopped it
+    X = np.random.default_rng(3).uniform(1.0, 5.0, size=(60, 2))
+    log_x = log_inputs(X)
+    y = 3.0 * X[:, 0] ** 2 + 1e-6 * X[:, 1]
+    start = np.array([[1.0, 0.3], [0.5, 1.2]])
+    full = regressor._prune_freeze_polish(np.ones(2), start, log_x, y, None)
+    assert [run.stop for run in full[5]] == ["step", "step"] and full[3:5] == (1, 2)
+    a, b, mse, pruned, zeroed, runs = regressor._prune_freeze_polish(
+        np.ones(2), start, log_x, y, None, 0.0)
+    (run,) = runs
+    assert run.stop == "abandoned" and run.evaluations >= optim.LM_RACE_EVALS
+    assert (pruned, zeroed) == (0, 0) and a.shape == (2,) and b.shape == (2, 2)
+    assert mse == run.sse / len(y)
+
+
+def test_racing_jin2_polishes_keeps_every_fit_at_fewer_lm_evaluations(monkeypatch):
+    # perfbench's sr-multi-term fits: the race abandons only losing candidates
+    spec = TargetSpec.from_dict(
+        next(e for e in json.loads(Path(SUITE).read_text())["specs"] if e["name"] == "Jin-2"))
+    totals = np.zeros(2, dtype=int)
+    abandoned = 0
+    for seed in range(42, 57):
+        (s1, st1), (s2, st2) = fit_with_and_without_the_race(
+            monkeypatch, seeded_data(spec, seed), SrConfig(num_terms=3), seed)
+        assert_same_bits(s1, s2)
+        assert st2.abandoned_candidates == 0
+        assert st1.lm_evaluations <= st2.lm_evaluations
+        assert all(map(math.isfinite, st1.candidate_mses))
+        totals += st1.lm_evaluations, st2.lm_evaluations
+        abandoned += st1.abandoned_candidates
+    assert totals[0] < totals[1] and abandoned > 0
+
+
+def test_a_noiseless_k3_fit_races_against_a_near_zero_ceiling(monkeypatch):
+    # noiseless Jin-2 at seed 55: the leader ends at an MSE of about 3e-25,
+    # and a later true copy still above ten times that after 20 evaluations
+    # is abandoned; the winner is the same
+    spec = TargetSpec.from_dict(
+        next(e for e in json.loads(Path(SUITE).read_text())["specs"] if e["name"] == "Jin-2"))
+    n = int(np.random.default_rng([55, 7]).integers(spec.samples[0], spec.samples[1] + 1))
+    data = generate_benchmark_data(spec, n, 0.0, 55)
+    (s1, st1), (s2, _) = fit_with_and_without_the_race(
+        monkeypatch, data, SrConfig(num_terms=3, noise_sigma=0.0), 55)
+    assert equivalent(canonicalize(s1), canonicalize(spec.truth))
+    assert_same_bits(s1, s2)
+    assert st1.abandoned_candidates == 1 and min(st1.candidate_mses) < 1e-20
+    assert all(map(math.isfinite, st1.candidate_mses))
 
 
 @pytest.mark.parametrize("seed", [24, 28, 96, 129, 189, 270])
@@ -922,9 +991,12 @@ def test_hard_suite_at_ci_size(entry, monkeypatch, record_property):
     # -o junit_family=xunit1` writes the recorded rates)
     real_fit = regressor.fit_sr
 
+    fits = []
+
     def checked_fit(*args, **kwargs):
         s, stats = real_fit(*args, **kwargs)
         assert np.isfinite(s.alphas).all() and np.isfinite(s.betas).all()
+        fits.append(stats)
         return s, stats
 
     monkeypatch.setattr(regressor, "fit_sr", checked_fit)
@@ -940,6 +1012,10 @@ def test_hard_suite_at_ci_size(entry, monkeypatch, record_property):
         recovered += res.seeds[0].recovered
     record_property("recovery_rate", recovered / len(seeds))
     record_property("failed_fits", failed)
+    # the cost beside the rate: LM residual evaluations over the finished
+    # fits, and the candidates whose polish the race abandoned
+    record_property("lm_evaluations", sum(stats.lm_evaluations for stats in fits))
+    record_property("abandoned_candidates", sum(stats.abandoned_candidates for stats in fits))
 
 
 def test_monomial_recovery_across_random_seeds():
