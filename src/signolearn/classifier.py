@@ -61,18 +61,12 @@ class ClassifyConfig:
     threshold_grid_step: float = 1e-3
 
     def validate(self) -> None:
-        if self.num_terms < 1:
-            raise BadConfigError(f"num_terms must be >= 1, got {self.num_terms}")
+        for name in ("num_terms", "batch_size", "epochs", "patience"):
+            data_io.check_count(getattr(self, name), name)
+        data_io.check_seed(self.seed)
         # written so that NaN fails them too
         if not (math.isfinite(self.l1_penalty) and self.l1_penalty >= 0):
             raise BadConfigError(f"l1_penalty must be finite and >= 0, got {self.l1_penalty}")
-        if self.batch_size < 1:
-            raise BadConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise BadConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.patience < 1:
-            raise BadConfigError(f"patience must be >= 1, got {self.patience}")
-        data_io.check_seed(self.seed)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise BadConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not math.isfinite(self.class_weight_multiplier):

@@ -35,10 +35,22 @@ MODEL_SCHEMA_VERSION = 1
 SEED_LIMIT = 2**128
 
 
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer, False for a bool: 2.5 or True would
+    pass a range check, then fail in numpy or act as 2 or 1 without a word."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_seed(seed: int, what: str = "seed") -> None:
-    """Raise BadConfigError unless 0 <= seed < SEED_LIMIT."""
-    if not 0 <= seed < SEED_LIMIT:
-        raise BadConfigError(f"{what} must be in [0, 2**128), got {seed}")
+    """Raise BadConfigError unless seed is an integer with 0 <= seed < SEED_LIMIT."""
+    if not (_is_int(seed) and 0 <= seed < SEED_LIMIT):
+        raise BadConfigError(f"{what} must be an integer in [0, 2**128), got {seed!r}")
+
+
+def check_count(value: int, what: str) -> None:
+    """Raise BadConfigError unless value is an integer >= 1."""
+    if not (_is_int(value) and value >= 1):
+        raise BadConfigError(f"{what} must be an integer >= 1, got {value!r}")
 
 
 @dataclass

@@ -1,29 +1,30 @@
 """Symbolic regression with a single signomial.
 
 Fits z(x) = sum_k alpha_k * prod_j x_j^beta_kj to real targets by mean squared
-error plus an L1 penalty on the exponents. A single-term fit is a monomial,
-whose ln|z| is affine in ln x, so by default it polishes one start, the
-least-squares fit of ln|y| on [1, ln x], once: unless that leaves a term to
-prune or an exponent to freeze, its polish is the fit. Multi-term fits run
-several short proximal-Adam runs over the exponents under L1 to select
-structure, then pruning, exponent freezing, and an unpenalized polish of the
-leaders' residuals, raced: LM abandons a candidate still above RACE_MARGIN
-times the best sum of squares so far after LM_RACE_EVALS evaluations. Both
-steps work by variable projection: z is linear in the coefficients, so they
-search only the exponents and solve the coefficients by least squares at
-every step, and both get the bare monomials from the kernel's
-coefficient-free entry `signomial.monomials`. The Adam stage solves all stacked
-rows from their K x K normal equations, in one stacked product and one batched
-eigh (`_gram_coefficients`). The polish and the log-space start solve in
-`_solve_coefficients`: a one-term polish in closed form, since one column has
-condition number 1, and every K >= 2 solve by SVD, since those monomials can be
-nearly or exactly rank-deficient. The Adam stage takes its loss from an MSE
-head linear in the coefficients (`_mse_head`), and its gradient from
-`signomial.backward`, as the classifier does. Its restarts run as one
-stacked loop over a leading restart axis (the kernel's C axis); a restart that
-diverges leaves it. The polish is Levenberg-Marquardt over the nonzero
-exponents. Recovered expressions are snapped to canonical form and compared
-against the generating equation up to algebraic equivalence.
+error plus an L1 penalty on the exponents, as candidate generators followed by
+one raced polish loop. A single-term fit is a monomial, whose ln|z| is affine
+in ln x, so its generator makes one candidate per start: the least-squares fit
+of ln|y| on [1, ln x] by default, then seeded random draws. The multi-term
+generator runs several short proximal-Adam runs over the exponents under L1 to
+select structure, and makes candidates of the leaders. Every candidate then
+goes through one loop of exponent freezing, pruning and an unpenalized polish
+of its residuals, raced: LM abandons a candidate still above RACE_MARGIN times
+the best sum of squares so far after LM_RACE_EVALS evaluations. Both the Adam
+stage and the polish work by variable projection: z is linear in the
+coefficients, so they search only the exponents and solve the coefficients by
+least squares at every step, and both get the bare monomials from the
+kernel's coefficient-free entry `signomial.monomials`. The Adam stage solves
+all stacked rows from their K x K normal equations, in one stacked product and
+one batched eigh (`_gram_coefficients`). The polish and the log-space start
+solve in `_solve_coefficients`: a one-term polish in closed form, since one
+column has condition number 1, and every K >= 2 solve by SVD, since those
+monomials can be nearly or exactly rank-deficient. The Adam stage takes its
+loss from an MSE head linear in the coefficients (`_mse_head`), and its
+gradient from `signomial.backward`, as the classifier does. Its restarts run
+as one stacked loop over a leading restart axis (the kernel's C axis); a
+restart that diverges leaves it. The polish is Levenberg-Marquardt over the
+nonzero exponents. Recovered expressions are snapped to canonical form and
+compared against the generating equation up to algebraic equivalence.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_io import Dataset, check_seed, name_list, save_model
+from .data_io import Dataset, check_count, check_seed, name_list, save_model
 from .errors import (
     AllRestartsFailedError,
     BadConfigError,
@@ -88,18 +89,16 @@ class SrConfig:
     noise_sigma: float = 0.01
 
     def validate(self) -> None:
-        if self.num_terms < 1:
-            raise BadConfigError(f"num_terms must be >= 1, got {self.num_terms}")
+        check_count(self.num_terms, "num_terms")
         if not (math.isfinite(self.lambda_struct) and self.lambda_struct >= 0):
             raise BadConfigError(f"lambda_struct must be finite and >= 0, got {self.lambda_struct}")
-        if self.restarts is not None and self.restarts < 1:
-            raise BadConfigError(f"restarts must be >= 1, got {self.restarts}")
+        if self.restarts is not None:
+            check_count(self.restarts, "restarts")
         if not self.seed_list:
             raise BadConfigError("seed_list must be non-empty")
         for seed in self.seed_list:
             check_seed(seed)
-        if self.adam_epochs_per_stage < 1:
-            raise BadConfigError("adam_epochs_per_stage must be >= 1")
+        check_count(self.adam_epochs_per_stage, "adam_epochs_per_stage")
         # written so that NaN fails them too
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise BadConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
@@ -177,17 +176,21 @@ class TargetSpec:
 
 @dataclass
 class FitStats:
-    """Bookkeeping from one fit_sr run."""
+    """Bookkeeping from one fit_sr run; a candidate that dropped out has an MSE of inf."""
 
     seed: int
     num_terms: int
     restarts: int
+    # one entry per restart: K>1, each restart's Adam objective (inf if it
+    # diverged); K=1, each start's candidate MSE, as in candidate_mses
     stage_a_losses: list[float] = field(default_factory=list)
+    # the MSE each candidate ended with, in polish order: K>1, the best
+    # POLISHED restarts by Adam objective; K=1, every start
     candidate_mses: list[float] = field(default_factory=list)
-    final_mse: float = math.inf
-    stage_a_best_mse: float = math.inf
-    pruned_terms: int = 0
-    zeroed_exponents: int = 0
+    final_mse: float = math.inf  # the winner's MSE
+    stage_a_best_mse: float = math.inf  # the first candidate's MSE
+    pruned_terms: int = 0  # the winner's pruned terms
+    zeroed_exponents: int = 0  # the winner's frozen exponents
     lm_evaluations: int = 0  # residual evaluations over all the fit's polishes
     abandoned_candidates: int = 0  # candidates whose polish lost the race
 
@@ -553,64 +556,65 @@ def _log_start(log_x, y):
     return solved[:, 1:]
 
 
-def _prune_freeze_polish(alphas, betas, log_x, y, mse, ceiling=math.inf):
-    """Alternate pruning and polishing until the sparsity pattern is stable.
+def _prune_freeze_polish(alphas, betas, log_x, y, ceiling=math.inf):
+    """Freeze, prune and polish one candidate until its sparsity pattern is stable.
 
-    Returns (alphas, betas, mse, pruned_terms, zeroed_exponents, runs); terms
-    with tiny coefficients are dropped, tiny exponents are pinned at exactly
-    zero, and each change triggers a fresh unpenalized polish of the
-    survivors, racing ceiling on the sum of squares; runs holds each polish's
-    `LmResult`. A polish that LM abandons ends the loop, since the candidate
-    cannot win. mse is the MSE of a candidate the caller has polished, or
-    None; one with nothing to prune or freeze comes back without a second
-    polish.
+    Each pass pins every nonzero exponent below DEFAULT_EXPONENT_ZERO_THRESHOLD
+    in magnitude at exactly zero, drops every term whose coefficient is below
+    DEFAULT_COEF_PRUNE_THRESHOLD, and polishes the survivors without penalty,
+    racing ceiling on the sum of squares. The candidate is always polished
+    once; after that a pass with nothing small ends the loop, and so does a
+    polish that LM abandons, since the candidate cannot win. Returns
+    (alphas, betas, mse, pruned_terms, zeroed_exponents, runs), runs holding
+    each polish's `LmResult`; a candidate with every term pruned is the zero
+    signomial, whose MSE is that of y.
     """
     a, b = np.array(alphas, dtype=float), np.array(betas, dtype=float)
-    small = np.abs(b) < DEFAULT_EXPONENT_ZERO_THRESHOLD
-    pruned, zeroed, runs = 0, int(np.count_nonzero(b[small])), []
-    if mse is not None and not zeroed and (np.abs(a) >= DEFAULT_COEF_PRUNE_THRESHOLD).all():
-        return a, b, mse, pruned, zeroed, runs
-    b[small] = 0.0
+    pruned, zeroed, runs, mse = 0, 0, [], None
     while True:
+        small = (b != 0.0) & (np.abs(b) < DEFAULT_EXPONENT_ZERO_THRESHOLD)
         keep = np.abs(a) >= DEFAULT_COEF_PRUNE_THRESHOLD
-        pruned += int(np.sum(~keep))
-        a, b = a[keep], b[keep]
-        if len(a) == 0:
-            return a, b, float(y @ y) / len(y), pruned, zeroed, runs
+        if small.any() or not keep.all():
+            zeroed += int(small.sum())
+            b[small] = 0.0
+            pruned += int(np.sum(~keep))
+            a, b = a[keep], b[keep]
+            if len(a) == 0:
+                return a, b, float(y @ y) / len(y), pruned, zeroed, runs
+        elif mse is not None:
+            return a, b, mse, pruned, zeroed, runs
         a, b, mse, run = _polish(b, log_x, y, ceiling)
         if run is not None:
             runs.append(run)
             if run.stop == "abandoned":
                 return a, b, mse, pruned, zeroed, runs
-        small_beta = (b != 0.0) & (np.abs(b) < DEFAULT_EXPONENT_ZERO_THRESHOLD)
-        small_alpha = np.abs(a) < DEFAULT_COEF_PRUNE_THRESHOLD
-        if not small_beta.any() and not small_alpha.any():
-            return a, b, mse, pruned, zeroed, runs
-        zeroed += int(small_beta.sum())
-        b[small_beta] = 0.0
 
 
 def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
-    """Fit one signomial to (X, y) with the staged multi-start strategy.
+    """Fit one signomial to (X, y): candidate generators, then one raced polish loop.
 
-    K=1 polishes the exponents of each start on the raw residuals and keeps
-    the lowest loss: start 0 is the log-space least-squares monomial
-    (`_log_start`), any further ones (cfg.restarts > 1) the seeded random
-    draws. A start's coefficient is not used, since the polish solves it by
-    least squares at every step; the winner is polished again only to prune
-    a term or freeze an exponent. K>1 runs one stage of proximal Adam over
-    the exponents of all restarts in one stacked loop under lambda_struct,
+    One of two generators makes the candidates, in order. K=1 makes one per
+    start: start 0 is the log-space least-squares monomial (`_log_start`),
+    any further ones (cfg.restarts > 1) the seeded random draws, each with a
+    placeholder coefficient of 1, since the polish solves the real one by
+    least squares at every step. K>1 runs one stage of proximal Adam over the
+    exponents of all restarts in one stacked loop under lambda_struct,
     solving the coefficients by least squares every epoch (`_adam_stage`),
-    then prunes, freezes and polishes the best POLISHED of them, in order of
-    their Adam objective, as a race: each candidate after the first is
+    and makes one candidate of each of the best POLISHED restarts, in order
+    of their Adam objective, with their coefficients scaled back to y.
+
+    One loop then freezes, prunes and polishes every candidate
+    (`_prune_freeze_polish`, by variable-projection Levenberg-Marquardt) as
+    a race: the first candidate has no ceiling, and each later one is
     abandoned once LM has made LM_RACE_EVALS residual evaluations on it and
     its sum of squares is still above RACE_MARGIN times the lowest final sum
     of squares among the candidates before it. An abandoned candidate keeps
     the MSE of the point LM stopped at, more than RACE_MARGIN times the
-    leader's, so it ranks behind the leader without a special case. Both
-    polish by variable-projection Levenberg-Marquardt (`_polish`); the first
-    candidate and every K=1 polish run with no ceiling. Candidates are
-    always ranked by (loss, restart index), so ties break deterministically.
+    leader's, so it ranks behind the leader without a special case. A
+    candidate that raises a SignolearnError drops out with an MSE of inf, and
+    one whose MSE is not finite drops out too; when none is left, the fit
+    raises AllRestartsFailedError. The winner is the lowest (MSE, candidate
+    index), so ties break deterministically.
     """
     cfg.validate()
     check_seed(seed)
@@ -628,27 +632,9 @@ def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
     ]
     stats = FitStats(seed=seed, num_terms=k, restarts=restarts)
 
-    # candidate pool entries: (sort_loss, order_index, alphas, betas)
-    pool: list[tuple[float, int, np.ndarray, np.ndarray]] = []
-
     if k == 1:
-        # the polish freezes an exponent that starts at exactly zero, as the
-        # log start of an all-zero y does; the random draws never do
         starts = [_log_start(log_x, y)] + [b for _, b in inits[1:]]
-        for r, b0 in enumerate(starts):
-            try:
-                a, b, loss, run = _polish(b0, log_x, y)
-            except SignolearnError:
-                stats.stage_a_losses.append(math.inf)
-                continue
-            stats.lm_evaluations += run.evaluations if run is not None else 0
-            stats.stage_a_losses.append(loss)
-            if math.isfinite(loss):
-                pool.append((loss, r, a, b))
-        if not pool:
-            raise AllRestartsFailedError(f"all {restarts} restarts diverged (seed {seed})")
-        pool.sort(key=lambda c: (c[0], c[1]))
-        pool = pool[:1]
+        candidates = [(np.ones(1), b) for b in starts]
     else:
         # the Adam stage runs against variance-scaled targets so the L1
         # strength means the same thing whatever the raw target magnitude;
@@ -661,28 +647,30 @@ def fit_sr(X, y, cfg: SrConfig, seed: int = 0) -> tuple[Signomial, FitStats]:
         stats.stage_a_losses = losses.tolist()
         ranked = sorted((loss, r) for r, loss in enumerate(stats.stage_a_losses)
                         if math.isfinite(loss))
-        if not ranked:
-            raise AllRestartsFailedError(f"all {restarts} restarts diverged (seed {seed})")
-        pool = [(loss, r, alphas[r] * scale, betas[r]) for loss, r in ranked[:POLISHED]]
+        candidates = [(alphas[r] * scale, betas[r]) for _, r in ranked[:POLISHED]]
 
     finals = []
     ceiling = math.inf  # on the sum of squares; the first candidate has none
-    for order, (loss, _, a, b) in enumerate(pool):
-        # a K=1 candidate comes polished, its loss the MSE of that polish
-        a2, b2, mse, pruned, zeroed, polishes = _prune_freeze_polish(
-            a, b, log_x, y, loss if k == 1 else None, ceiling)
+    for order, (a, b) in enumerate(candidates):
+        try:
+            a, b, mse, pruned, zeroed, polishes = _prune_freeze_polish(a, b, log_x, y, ceiling)
+        except SignolearnError:
+            stats.candidate_mses.append(math.inf)
+            continue
         stats.lm_evaluations += sum(run.evaluations for run in polishes)
         stats.abandoned_candidates += any(run.stop == "abandoned" for run in polishes)
         stats.candidate_mses.append(mse)
-        finals.append((mse, order, a2, b2, pruned, zeroed))
-        ceiling = min(ceiling, RACE_MARGIN * mse * len(y))
+        if math.isfinite(mse):
+            finals.append((mse, order, a, b, pruned, zeroed))
+            ceiling = min(ceiling, RACE_MARGIN * mse * len(y))
+    if not finals:
+        raise AllRestartsFailedError(f"all {restarts} restarts failed (seed {seed})")
     finals.sort(key=lambda c: (c[0], c[1]))
-    mse, _, a_fin, b_fin, pruned, zeroed = finals[0]
-    stats.final_mse = mse
-    stats.stage_a_best_mse = stats.candidate_mses[0] if k > 1 else mse
-    stats.pruned_terms = pruned
-    stats.zeroed_exponents = zeroed
-    return Signomial.from_arrays(a_fin, b_fin), stats
+    stats.final_mse, _, a, b, stats.pruned_terms, stats.zeroed_exponents = finals[0]
+    stats.stage_a_best_mse = stats.candidate_mses[0]
+    if k == 1:
+        stats.stage_a_losses = list(stats.candidate_mses)
+    return Signomial.from_arrays(a, b), stats
 
 
 # --- benchmark data ----------------------------------------------------------------

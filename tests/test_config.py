@@ -35,6 +35,25 @@ def test_validate_rejects_every_non_finite_float(cls, name, value):
         cls(**{name: value}).validate()
 
 
+INT_FIELDS = [
+    (cls, name)
+    for cls in (ClassifyConfig, SrConfig)
+    for name, hint in typing.get_type_hints(cls).items()
+    if hint in (int, int | None)
+]
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"], ids=repr)
+@pytest.mark.parametrize("cls, name", INT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in INT_FIELDS])
+def test_validate_rejects_every_non_integer_count_and_seed(cls, name, value):
+    # 2.5 would fail later in numpy, and True or a seed of 2.0 or 2.5 would
+    # silently act as 1 or 2
+    with pytest.raises(BadConfigError):
+        cls(**{name: value}).validate()
+    cls(**{name: np.int64(2)}).validate()
+
+
 # every config field and the resolvedConfig key that records it
 CLASSIFY_KEYS = {
     "num_terms": "k",
@@ -122,6 +141,19 @@ def test_seeds_of_2_to_the_128_or_more_are_config_errors():
     X = np.array([[1.0], [2.0], [3.0]])
     with pytest.raises(BadConfigError):
         regressor.fit_sr(X, 2.0 * X[:, 0], SrConfig(), seed=2**128)
+
+
+@pytest.mark.parametrize("seed", [2.5, 2.0, True], ids=repr)
+def test_non_integer_seeds_are_config_errors(seed):
+    # Philox(key=2.5) draws seed 2's stream, so 2.5 would repeat seed 2
+    with pytest.raises(BadConfigError):
+        SrConfig(seed_list=(42, seed)).validate()
+    data = data_io.load_csv(IRIS, "species")
+    with pytest.raises(BadConfigError):
+        data_io.split(data, data_io.SplitSpec(seed=seed))
+    X = np.array([[1.0], [2.0], [3.0]])
+    with pytest.raises(BadConfigError):
+        regressor.fit_sr(X, 2.0 * X[:, 0], SrConfig(), seed=seed)
 
 
 @pytest.mark.parametrize("argv", [

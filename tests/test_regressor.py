@@ -284,9 +284,9 @@ def test_a_restart_diverging_in_the_stage_leaves_the_ranking(monkeypatch):
     assert all(map(math.isfinite, stats.candidate_mses))
 
 
-def test_every_restart_diverging_in_the_stage_fails_typed(monkeypatch, tmp_path):
-    diverge_in_the_stage(monkeypatch, slice(None))
-    data = generate_benchmark_data(two_term_spec(), 200, 0.01, 0)
+def assert_every_restart_fails_typed(data, tmp_path):
+    """A K=2 fit of data raises AllRestartsFailedError, and `train --task
+    regress` on it exits 4 and writes no model."""
     with pytest.raises(AllRestartsFailedError):
         fit_sr(data.X, data.y, SrConfig(num_terms=2), seed=0)
     rows = "".join(f"{a},{b},{t}\n" for (a, b), t in zip(data.X, data.y))
@@ -295,6 +295,60 @@ def test_every_restart_diverging_in_the_stage_fails_typed(monkeypatch, tmp_path)
     assert cli.main(["train", "--data", str(tmp_path / "d.csv"), "--target", "t",
                      "--task", "regress", "--k", "2", "--out", str(out)]) == 4
     assert not out.exists()
+
+
+def test_every_restart_diverging_in_the_stage_fails_typed(monkeypatch, tmp_path):
+    diverge_in_the_stage(monkeypatch, slice(None))
+    assert_every_restart_fails_typed(generate_benchmark_data(two_term_spec(), 200, 0.01, 0),
+                                     tmp_path)
+
+
+def fail_polishes(monkeypatch, count):
+    """Make the first count _polish calls raise NonFiniteObjectiveError."""
+    real, calls = regressor._polish, []
+
+    def polish(*args):
+        calls.append(1)
+        if len(calls) <= count:
+            raise NonFiniteObjectiveError("residuals are non-finite at the initial point")
+        return real(*args)
+
+    monkeypatch.setattr(regressor, "_polish", polish)
+
+
+def test_a_multi_term_candidate_whose_polish_raises_drops_out(monkeypatch, tmp_path):
+    # the first candidate's polish raises: it drops out with an MSE of inf,
+    # and the others polish as before; at this seed all four reach the truth
+    # and the third has the lowest MSE, so the fit is the same
+    data = generate_benchmark_data(two_term_spec(), 200, 0.01, 0)
+    want, want_stats = fit_sr(data.X, data.y, SrConfig(num_terms=2), seed=0)
+    fail_polishes(monkeypatch, 1)
+    s, stats = fit_sr(data.X, data.y, SrConfig(num_terms=2), seed=0)
+    assert len(stats.candidate_mses) == regressor.POLISHED
+    assert stats.candidate_mses[0] == math.inf == stats.stage_a_best_mse
+    assert stats.candidate_mses[1:] == want_stats.candidate_mses[1:]
+    assert stats.final_mse == stats.candidate_mses[2] == want_stats.final_mse
+    assert s.to_dict() == want.to_dict()
+    assert equivalent(canonicalize(s), canonicalize(two_term_spec().truth))
+    # every polish raises: nothing is left
+    fail_polishes(monkeypatch, math.inf)
+    assert_every_restart_fails_typed(data, tmp_path)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_candidates_whose_mse_is_not_finite_leave_nothing(monkeypatch, k):
+    # as y @ y past float range gives when every term is pruned: the fit
+    # fails typed instead of returning a signomial with an MSE of inf
+    real = regressor._prune_freeze_polish
+
+    def overflowing(*args):
+        a, b, _, *rest = real(*args)
+        return (a, b, math.inf, *rest)
+
+    monkeypatch.setattr(regressor, "_prune_freeze_polish", overflowing)
+    data = generate_benchmark_data(two_term_spec(), 200, 0.01, 0)
+    with pytest.raises(AllRestartsFailedError):
+        fit_sr(data.X, data.y, SrConfig(num_terms=k), seed=0)
 
 
 def test_fit_is_deterministic():
@@ -623,11 +677,10 @@ def test_k1_fits_targets_of_either_sign():
             np.testing.assert_allclose(s.betas[0], [1.0, 1.0], atol=1e-6)
 
 
-@pytest.mark.parametrize("exponents, polishes", [((1.5, -0.5), 1), ((1.5, 0.002), 2)])
-def test_a_k1_winner_is_polished_again_only_to_freeze_or_prune(monkeypatch, exponents,
-                                                               polishes):
+@pytest.mark.parametrize("exponents, zeroed", [((1.5, -0.5), 0), ((1.5, 0.002), 1)])
+def test_a_k1_start_is_frozen_before_its_polish(monkeypatch, exponents, zeroed):
     # noiseless, the log start is the truth and its polish is the fit; an
-    # exponent of 0.002 is frozen at 0, which takes a second polish
+    # exponent of 0.002 is frozen at 0 before that one polish
     calls = []
     real = regressor._polish
 
@@ -638,13 +691,13 @@ def test_a_k1_winner_is_polished_again_only_to_freeze_or_prune(monkeypatch, expo
     monkeypatch.setattr(regressor, "_polish", counting)
     data = generate_benchmark_data(monomial_spec(exponents=exponents), 200, 0.0, 3)
     s, stats = fit_sr(data.X, data.y, SrConfig(num_terms=1), seed=0)
-    assert len(calls) == polishes
-    # each polish after the first is for the one frozen exponent
-    assert stats.zeroed_exponents == polishes - 1
-    if polishes == 1:
+    assert len(calls) == 1
+    assert stats.zeroed_exponents == zeroed
+    assert stats.final_mse == stats.stage_a_losses[0] == stats.candidate_mses[0]
+    if not zeroed:
         np.testing.assert_allclose(s.betas[0], exponents, rtol=0, atol=1e-8)
-        assert stats.final_mse == stats.stage_a_losses[0]
     else:
+        assert calls[0][0, 1] == 0.0
         assert s.betas[0, 1] == 0.0 and s.betas[0, 0] == pytest.approx(1.5, abs=1e-3)
 
 
@@ -685,15 +738,14 @@ def test_k1_start_0_is_the_log_start_and_the_rest_are_random(monkeypatch):
     starts = []
     real = regressor._polish
 
-    def recording(betas, log_x, y):
+    def recording(betas, log_x, y, ceiling):
         starts.append(np.array(betas))
-        return real(betas, log_x, y)
+        return real(betas, log_x, y, ceiling)
 
     monkeypatch.setattr(regressor, "_polish", recording)
     cfg = SrConfig(num_terms=1, restarts=3)
     s1, st1 = fit_sr(data.X, data.y, cfg, seed=9)
-    # three starts; the winner has nothing to prune or freeze, so it is
-    # not polished again
+    # three starts, each polished once: none has anything to prune or freeze
     assert len(st1.stage_a_losses) == len(starts) == 3
     np.testing.assert_array_equal(starts[0], regressor._log_start(log_inputs(data.X), data.y))
     # starts 1 and 2 are the seed's random draws, as without the log start
@@ -922,10 +974,10 @@ def test_an_abandoned_polish_ends_the_prune_and_freeze_loop():
     log_x = log_inputs(X)
     y = 3.0 * X[:, 0] ** 2 + 1e-6 * X[:, 1]
     start = np.array([[1.0, 0.3], [0.5, 1.2]])
-    full = regressor._prune_freeze_polish(np.ones(2), start, log_x, y, None)
+    full = regressor._prune_freeze_polish(np.ones(2), start, log_x, y)
     assert [run.stop for run in full[5]] == ["step", "step"] and full[3:5] == (1, 2)
     a, b, mse, pruned, zeroed, runs = regressor._prune_freeze_polish(
-        np.ones(2), start, log_x, y, None, 0.0)
+        np.ones(2), start, log_x, y, 0.0)
     (run,) = runs
     assert run.stop == "abandoned" and run.evaluations >= optim.LM_RACE_EVALS
     assert (pruned, zeroed) == (0, 0) and a.shape == (2,) and b.shape == (2, 2)
