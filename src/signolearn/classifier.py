@@ -11,6 +11,7 @@ step; early stopping restores the best snapshot.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -307,42 +308,61 @@ def class_weights(y: np.ndarray, num_classes: int, multiplier: float) -> np.ndar
     return weights
 
 
-def _smooth_loss(alphas, betas, log_x, y, weights, link):
+@functools.lru_cache(maxsize=32)
+def _row_index(t: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The trial (T, 1) and row (N,) indices that, broadcast with labels
+    (T, N) or (N,), pick each trial's and row's own class; built once per
+    stack and batch size, since a training loop asks for the same few."""
+    trials, rows = np.arange(t)[:, None], np.arange(n)
+    trials.flags.writeable = rows.flags.writeable = False
+    return trials, rows
+
+
+def _labels(y, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Labels y (..., N) in the three forms the head takes: y itself, their
+    one-hot indicator (..., N, C), a view of a (..., C, N) block, which is
+    the scores' layout, and each row's class weight (..., N) from weights
+    (C,)."""
+    hot = (np.arange(len(weights))[:, None] == y[..., None, :]).swapaxes(-1, -2)
+    return y, hot, weights[y]
+
+
+def _smooth_loss(alphas, betas, log_x, labels, link):
     """Weighted cross-entropy of T stacked models, the kernel's classifier head.
 
     Takes alphas (T, C, K), betas (T, C, K, m), log-inputs (T, N, m) and
-    labels (T, N), or log-inputs (N, m) and labels (N,) shared by every
-    trial. Returns the losses (T,) and a function that returns dL/dalpha
-    (T, C, K) and dL/dbeta (T, C, K, m) from `backward`; a caller that needs
-    only the loss never runs it. Both links take one max-shifted log-softmax
-    of `_class_scores`, so a sigmoid model (C = 1) trains on [0, z]. The
+    the `_labels` of labels (T, N), or log-inputs (N, m) and labels (N,)
+    shared by every trial. Returns the losses (T,) and a function that
+    returns dL/dalpha (T, C, K) and dL/dbeta (T, C, K, m) from `backward`,
+    written into its optional out pair; a caller that needs only the loss
+    never runs it. Both links take one max-shifted log-softmax of
+    `_class_scores`, so a sigmoid model (C = 1) trains on [0, z]. The
     scores are Phi alpha over the bare monomials of `monomials`, whose limit
     raises OverflowLimitError; a score past float range below it gives a
-    non-finite loss, with no numpy warning. Every operation stays within one
-    trial's slice, so a trial's values do not depend on the rest of the stack.
+    non-finite loss, and the caller runs both the loss and the gradient
+    under one np.errstate(over="ignore", invalid="ignore") so that numpy
+    does not warn. Every operation stays within one trial's slice, so a
+    trial's values do not depend on the rest of the stack.
     """
+    y, hot, w = labels
     n = log_x.shape[-2]
     phi = monomials(betas, log_x)  # (T, N, C, K)
-    w = weights[y]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # (T, C, 1, K) @ (T, C, K, N): Z is a (T, N, C) view of a (T, C, N) block
-        Z = (alphas[..., None, :] @ phi.swapaxes(-3, -1).swapaxes(-3, -2))[..., 0, :]
-        Z = _class_scores(link, Z.swapaxes(-1, -2))
-        shifted = Z - Z.max(axis=-1, keepdims=True)
-        log_norm = np.log(np.exp(shifted).sum(axis=-1))
-        log_p = shifted - log_norm[..., None]
-        # each trial's and row's own label: (T, 1) and (N,) broadcast with y
-        at_label = (np.arange(len(Z))[:, None], np.arange(n), y)
-        loss = -(w * log_p[at_label]).sum(axis=-1) / n
+    # (T, C, 1, K) @ (T, C, K, N): Z is a (T, N, C) view of a (T, C, N) block
+    Z = (alphas[..., None, :] @ phi.swapaxes(-3, -1).swapaxes(-3, -2))[..., 0, :]
+    Z = _class_scores(link, Z.swapaxes(-1, -2))
+    shifted = Z - Z.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=-1))
+    log_p = shifted - log_norm[..., None]
+    at_label = (*_row_index(len(Z), n), y)
+    loss = -(w * log_p[at_label]).sum(axis=-1) / n
 
-    def grad():
-        with np.errstate(over="ignore", invalid="ignore"):
-            # dL/dz in the scores' (T, C, N) layout, contiguous for backward
-            d = np.exp(log_p)
-            d[at_label] -= 1.0
-            d *= (w / n)[..., None]
-            # a sigmoid model's class 0 scores a constant 0, with no parameters
-            return backward(d[..., -alphas.shape[-2]:], phi, alphas, log_x)
+    def grad(out=None):
+        # dL/dz in the scores' (T, C, N) layout, contiguous for backward
+        d = np.exp(log_p)
+        d -= hot  # minus 1 at each row's label, minus 0 elsewhere: the same bits
+        d *= (w / n)[..., None]
+        # a sigmoid model's class 0 scores a constant 0, with no parameters
+        return backward(d[..., -alphas.shape[-2]:], phi, alphas, log_x, out)
 
     return loss, grad
 
@@ -380,13 +400,13 @@ def loss_and_grad(
     if not (np.isfinite(weights).all() and (weights >= 0).all()):
         raise BadConfigError(f"class weights must be finite and non-negative, got {weights}")
     alphas, betas = model._alphas, model._betas
-    smooth, grad = _smooth_loss(
-        alphas[None], betas[None], log_inputs(X, model.m)[None], y[None], weights, model.link
-    )
-    loss = float(smooth[0]) + l1_penalty * float(np.sum(np.abs(betas)))
-    if not math.isfinite(loss):
-        raise NonFiniteLossError("loss is non-finite")
-    d_alpha, d_beta = grad()
+    with np.errstate(over="ignore", invalid="ignore"):
+        smooth, grad = _smooth_loss(alphas[None], betas[None], log_inputs(X, model.m)[None],
+                                    _labels(y[None], weights), model.link)
+        loss = float(smooth[0]) + l1_penalty * float(np.sum(np.abs(betas)))
+        if not math.isfinite(loss):
+            raise NonFiniteLossError("loss is non-finite")
+        d_alpha, d_beta = grad()
     return loss, np.concatenate([d_alpha[0].ravel(), d_beta[0].ravel()])
 
 
@@ -497,12 +517,16 @@ def fit_trials(
 def _train_stack(cfgs, log_x, y, log_xv, yv, weights, c_rows) -> list:
     """Mini-batch proximal Adam for T trials of one K, batch size and link.
 
-    The trials are the rows of one AdamStack. Each step makes one
-    loss-and-gradient call on every live trial's next batch (T, B, m) and one
-    stack step; each epoch ends with one forward-only validation loss. A
-    trial leaves the stack when its epochs or patience run out, or when it
-    diverges. Returns per trial the best snapshot's alphas (C, K) and betas
-    (C, K, m) with its FitTrace, or the error that stopped it.
+    The trials are the rows of one AdamStack. Each epoch gathers every live
+    trial's shuffled rows, labels and row weights once, so a batch is a
+    slice of them. Each step makes one loss-and-gradient call on every live
+    trial's next batch (T, B, m), whose backward pass writes into the
+    stack's gradient buffer, and one in-place stack step, all under one
+    np.errstate; each epoch ends with one forward-only validation loss under
+    another. A trial leaves the stack when its epochs or patience run out,
+    or when it diverges. Returns per trial the best snapshot's alphas
+    (C, K) and betas (C, K, m) with its FitTrace, or the error that stopped
+    it.
     """
     n, m = log_x.shape
     k, batch, link = cfgs[0].num_terms, cfgs[0].batch_size, cfgs[0].link
@@ -514,10 +538,11 @@ def _train_stack(cfgs, log_x, y, log_xv, yv, weights, c_rows) -> list:
                       [cfg.l1_penalty for cfg in cfgs], GRAD_CLIP_NORM)
     monitors = [EarlyStopMonitor(cfg.patience) for cfg in cfgs]
     traces = [FitTrace() for _ in cfgs]
+    val_labels = _labels(yv, weights)
 
     def objective(lx, labels):
         """Losses (smooth + L1) of the live trials, and their gradient function."""
-        smooth, grad = _smooth_loss(*stack.split(stack.params), lx, labels, weights, link)
+        smooth, grad = _smooth_loss(*stack.split(stack.params), lx, labels, link)
         return smooth + stack.penalty(), grad
 
     def at_epoch(fn, *args):
@@ -530,16 +555,32 @@ def _train_stack(cfgs, log_x, y, log_xv, yv, weights, c_rows) -> list:
 
     def train_step(start):
         """One step of the live trials on their batch at start; their losses."""
-        idx = orders[stack.live, start : start + batch]
-        loss, grad = objective(log_x[idx], y[idx])
-        finite_rows(loss, f"non-finite training loss at epoch {epoch}", epoch)
-        stack.step(*grad())
+        nonlocal ids, rows
+        if len(ids) > len(stack.live):  # a trial left during this epoch
+            kept = np.isin(ids, stack.live)
+            ids, rows = ids[kept], [a[kept] for a in rows]
+        lx, *labels = (a[:, start : start + batch] for a in rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grad = objective(lx, labels)
+            finite_rows(loss, f"non-finite training loss at epoch {epoch}", epoch)
+            grad(stack.gradient())
+            stack.step()
         return loss
 
+    def validate():
+        """The live trials' validation losses."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return finite_rows(objective(log_xv, val_labels)[0],
+                               f"non-finite validation loss at epoch {epoch}", epoch)
+
     for epoch in range(max(cfg.epochs for cfg in cfgs)):
-        orders = np.zeros((len(cfgs), n), dtype=int)  # by index in cfgs
-        for t in stack.live:
-            orders[t] = rngs[t].permutation(n)
+        # each live trial's permutation(n), which shuffles an arange(n) in place
+        ids, orders = stack.live, np.repeat(np.arange(n)[None], len(stack.live), axis=0)
+        for t, order in zip(ids.tolist(), orders):
+            rngs[t].shuffle(order)
+        # the epoch's shuffled rows and labels, a batch a slice of them; np.take
+        # gathers what log_x[orders] does at a fraction of its cost
+        rows = [np.take(log_x, orders, axis=0), *_labels(y[orders], weights)]
         # per trial, the sum of batch loss times size; for a few trials a list is cheapest
         running = [0.0] * len(cfgs)
         for start in range(0, n, batch):
@@ -549,8 +590,7 @@ def _train_stack(cfgs, log_x, y, log_xv, yv, weights, c_rows) -> list:
             size = min(batch, n - start)
             for t, x in zip(stack.live.tolist(), loss.tolist()):
                 running[t] += x * size
-        val = stack.run(at_epoch, lambda: finite_rows(
-            objective(log_xv, yv)[0], f"non-finite validation loss at epoch {epoch}", epoch))
+        val = stack.run(at_epoch, validate)
         if val is None:
             break
         go_on = []

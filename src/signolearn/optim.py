@@ -2,7 +2,9 @@
 
 Everything here is deterministic given its inputs: Adam with per-row
 gradient-norm clipping, an L1 proximal step applied to exponent slots only,
-`AdamStack`, which runs both on stacked rows and drops a row that diverges,
+`AdamStack`, which runs both in place on stacked rows, on buffers it owns
+(parameters, moments and a gradient its trainer's backward pass fills), and
+drops a row that diverges,
 `finite_rows`, the one check that names a stack's first non-finite loss, an
 early-stopping monitor that snapshots the best parameters seen, and a
 Levenberg-Marquardt least-squares solver with Marquardt's diagonal damping,
@@ -73,16 +75,18 @@ def adam_step(
     grad: np.ndarray,
     learning_rate,
     clip_norm: float | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One Adam update, after clipping grad to L2 norm clip_norm if given.
 
     params and grad are one vector (P,) or R stacked rows (R, P); rows are
-    clipped one by one, and learning_rate is a number or broadcasts against
-    params, as one rate per row (R, 1) does. No arithmetic crosses rows, so
-    a row's update is the one it would get on its own. A non-finite gradient
-    raises NonFiniteGradientError, naming the first such row of a stack in
-    stack_index, before state changes. Mutates state, returns the new
-    parameters.
+    clipped one by one, and learning_rate is a number or one rate per row
+    (R, 1). No arithmetic crosses rows, so a row's update is the one it
+    would get on its own. A non-finite gradient raises
+    NonFiniteGradientError, naming the first such row of a stack in
+    stack_index, before state changes. Updates state's moments in place and
+    returns the new parameters, written into out if given (params itself
+    may be out) and into a new array otherwise; grad is never written.
     """
     grad = np.asarray(grad, dtype=float)
     if not np.isfinite(grad).all():
@@ -92,32 +96,51 @@ def adam_step(
         )
     grad = clip_gradient(grad, clip_norm)
     state.t += 1
-    state.m = BETA1 * state.m + (1 - BETA1) * grad
-    state.v = BETA2 * state.v + (1 - BETA2) * grad**2
-    m_hat = state.m / (1 - BETA1**state.t)
-    v_hat = state.v / (1 - BETA2**state.t)
-    return params - learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
+    # the moments in place, each product and sum the one the textbook
+    # m = b1 m + (1 - b1) g gives, so the bits are the same
+    state.m *= BETA1
+    state.m += (1 - BETA1) * grad
+    state.v *= BETA2
+    state.v += (1 - BETA2) * np.square(grad)
+    # lr * m_hat / (sqrt(v_hat) + eps), in two buffers
+    step = state.m / (1 - BETA1**state.t)
+    step *= learning_rate
+    root = state.v / (1 - BETA2**state.t)
+    np.sqrt(root, out=root)
+    root += EPS
+    step /= root
+    return np.subtract(params, step, out=out)
 
 
-def prox_l1(params: np.ndarray, mask: np.ndarray, step_size, lam) -> np.ndarray:
+def prox_l1(params: np.ndarray, mask: np.ndarray, step_size, lam,
+            out: np.ndarray | None = None) -> np.ndarray:
     """Soft-threshold the masked slots by step_size * lam; others pass through.
 
     params is one vector (P,) or stacked rows (R, P), and the mask (P,)
     selects the same slots in every row. step_size and lam are >= 0, numbers
-    or one per row (R, 1); a zero product leaves the slots as they are.
+    or one per row (R, 1); a zero product leaves the slots as they are. The
+    result is written into out if given (params itself may be out) and into
+    a new array otherwise.
     """
     params = np.asarray(params, dtype=float)
-    shrunk = np.sign(params) * np.maximum(np.abs(params) - np.multiply(step_size, lam), 0.0)
-    return np.where(mask, shrunk, params)
+    shrunk = np.abs(params)
+    shrunk -= np.multiply(step_size, lam)
+    np.maximum(shrunk, 0.0, out=shrunk)
+    shrunk *= np.sign(params)
+    if out is None:
+        out = np.empty_like(params)
+    np.copyto(out, params)  # nothing to copy when out is params
+    np.copyto(out, shrunk, where=np.asarray(mask, dtype=bool))
+    return out
 
 
 def finite_rows(losses: np.ndarray, message: str, epoch: int | None = None) -> np.ndarray:
     """losses, one per stacked row, or a NonFiniteLossError with message that
     names the first non-finite row in stack_index, so AdamStack.run drops it."""
-    bad = np.flatnonzero(~np.isfinite(losses))
-    if len(bad):
-        raise NonFiniteLossError(message, epoch=epoch, stack_index=int(bad[0]))
-    return losses
+    if np.isfinite(losses).all():
+        return losses
+    bad = int(np.flatnonzero(~np.isfinite(losses))[0])
+    raise NonFiniteLossError(message, epoch=epoch, stack_index=bad)
 
 
 class AdamStack:
@@ -127,13 +150,20 @@ class AdamStack:
     crosses rows. A trainer that solves its coefficients instead passes
     zero-width alphas (R, 0), and its rows hold only the betas. live holds
     the original indices of the rows in the stack, and errors the error of
-    each row that left it, by original index."""
+    each row that left it, by original index.
+
+    The stack owns its buffers and updates them in place: the (R, P)
+    parameters, the Adam moments, and one (R, P) gradient buffer that a
+    trainer fills through the views `gradient` returns (`signomial.backward`
+    writes into them) before each `step`.
+    """
 
     def __init__(self, alphas, betas, lr, l1, clip_norm: float | None = None):
         r = len(alphas)
         self._shapes = alphas.shape[1:], betas.shape[1:]
         self._n_alpha = alphas[0].size
         self.params = np.concatenate([alphas.reshape(r, -1), betas.reshape(r, -1)], axis=1)
+        self._grad = np.zeros_like(self.params)
         self.mask = np.arange(self.params.shape[1]) >= self._n_alpha
         self.lr = np.broadcast_to(np.reshape(lr, (-1, 1)), (r, 1)).astype(float)
         self.l1 = np.broadcast_to(np.reshape(l1, (-1, 1)), (r, 1)).astype(float)
@@ -141,26 +171,36 @@ class AdamStack:
         self.adam = AdamState.init(self.params.shape)
         self.live = np.arange(r)
         self.errors: dict[int, NumericalError] = {}
+        self._views = self.split(self._grad)
 
     def split(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The alphas and betas of parameter rows (..., P), in their own shapes."""
+        """The alphas and betas of parameter rows (..., P), in their own
+        shapes, as views of params."""
         lead, n = params.shape[:-1], self._n_alpha
         return (params[..., :n].reshape(lead + self._shapes[0]),
                 params[..., n:].reshape(lead + self._shapes[1]))
+
+    def gradient(self) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the live rows' gradient buffer in the alphas' and betas'
+        shapes, (L, ...) each, for the trainer to fill before `step`."""
+        return self._views
 
     def penalty(self) -> np.ndarray:
         """Each live row's L1 term: its strength times the sum of |beta|."""
         return self.l1[:, 0] * np.abs(self.params[:, self._n_alpha :]).sum(axis=1)
 
-    def step(self, d_alpha: np.ndarray, d_beta: np.ndarray) -> None:
-        """One Adam and L1 proximal step; a non-finite gradient changes nothing."""
-        grad = np.concatenate([d.reshape(len(self.live), -1) for d in (d_alpha, d_beta)], axis=1)
-        params = adam_step(self.adam, self.params, grad, self.lr, self.clip_norm)
-        self.params = prox_l1(params, self.mask, self.lr, self.l1)
+    def step(self) -> None:
+        """One Adam and L1 proximal step, in place, on the gradient the views
+        of `gradient` hold; a non-finite gradient changes nothing."""
+        grad = self._grad[: len(self.live)]
+        # each writes its result over params: the last argument is out
+        adam_step(self.adam, self.params, grad, self.lr, self.clip_norm, self.params)
+        prox_l1(self.params, self.mask, self.lr, self.l1, self.params)
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep the live rows where the boolean array rows is true."""
         self.live, self.params = self.live[rows], self.params[rows]
+        self._views = self.split(self._grad[: len(self.live)])
         self.lr, self.l1 = self.lr[rows], self.l1[rows]
         self.adam.m, self.adam.v = self.adam.m[rows], self.adam.v[rows]
 

@@ -299,6 +299,9 @@ class RecoveryResult:
 
 
 def _checked_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """X (N, m) and finite targets y (N,) as float arrays. A target whose sum
+    of squares passes float range raises DataFormatError, with no numpy
+    warning: every fit's error measure and polish residual squares it."""
     X = numeric_array(X)
     y = numeric_array(y)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -308,25 +311,32 @@ def _checked_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(y)):
         i = int(np.flatnonzero(~np.isfinite(y))[0])
         raise DataFormatError(f"target row {i} is not finite")
+    with np.errstate(over="ignore"):
+        if not math.isfinite(y @ y):
+            raise DataFormatError(
+                f"targets up to {np.abs(y).max():.3g} in magnitude: their sum of "
+                "squares passes float range"
+            )
     return X, y
 
 
-def _mse_head(phi, alphas, log_x, y):
+def _mse_head(phi, alphas, log_x, y, out=None):
     """MSE and its gradient for C stacked signomials, linear in the coefficients.
 
     Takes the bare monomials phi (N, C, K) of `monomials` at ln x (N, m) and
     the coefficients alphas (C, K); returns the losses (C,), dL/dalpha
     (C, K) and dL/dbeta (C, K, m). The residual y - Phi alpha is one stacked
     matrix-vector product, and the gradient is `signomial.backward` at
-    dz = dL/dz, the one the classifier's head also uses. A loss past float
-    range raises NonFiniteLossError naming its signomial in stack_index.
+    dz = dL/dz, the one the classifier's head also uses, written into
+    backward's optional out pair. A loss past float range raises
+    NonFiniteLossError naming its signomial in stack_index.
     """
     n = len(y)
     # monomials below the limit can still multiply, square or sum past float
     # range, which is also an infinite loss
     with np.errstate(over="ignore", invalid="ignore"):
         resid = y - (alphas[:, None, :] @ phi.transpose(1, 2, 0))[:, 0]  # (C, N)
-        d_alpha, d_beta = backward(((-2.0 / n) * resid).T, phi, alphas, log_x)
+        d_alpha, d_beta = backward(((-2.0 / n) * resid).T, phi, alphas, log_x, out)
         # a stacked dot product: for C = 1 it is bit for bit resid @ resid
         losses = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0] / n
     return finite_rows(losses, "regression loss is non-finite"), d_alpha, d_beta
@@ -453,15 +463,20 @@ def _adam_stage(betas, log_x, y, lam, epochs, lr):
     # the rows carry no coefficients: every epoch solves them afresh
     stack = AdamStack(np.zeros((r, 0)), betas, lr, lam)
 
-    def projected():
+    def projected(out=None):
         b = stack.split(stack.params)[1]
         phi = monomials(b, log_x)
         a = _gram_coefficients(phi, y)
-        losses, _, d_beta = _mse_head(phi, a, log_x, y)
-        return losses, a, d_beta
+        return _mse_head(phi, a, log_x, y, out)[0], a
+
+    def step():
+        # dL/dbeta straight into the stack's gradient buffer; the rows hold
+        # no coefficients, so dL/dalpha has nowhere to go
+        projected((None, stack.gradient()[1]))
+        stack.step()
 
     for _ in range(epochs):
-        stack.run(lambda: stack.step(np.zeros((len(stack.live), 0)), projected()[2]))
+        stack.run(step)
     objectives, alphas = np.full(r, math.inf), np.full((r, k), np.nan)
     final = np.full(betas.shape, np.nan)
     last = stack.run(projected)

@@ -318,7 +318,7 @@ def monomials(betas, log_x) -> np.ndarray:
     return mono.transpose(_ROWS_FIRST[mono.ndim])
 
 
-def backward(dz, phi, alphas, log_x) -> tuple[np.ndarray, np.ndarray]:
+def backward(dz, phi, alphas, log_x, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Parameter gradient of the scores z = Phi alpha from dL/dz (N, C).
 
     Takes the bare monomials phi (N, C, K) of `monomials` at ln x (N, m) and
@@ -326,7 +326,9 @@ def backward(dz, phi, alphas, log_x) -> tuple[np.ndarray, np.ndarray]:
     dL/dbeta = alpha * ((dz Phi) @ ln x) (C, K, m), with no exp and no
     overflow check. With forward's leading trial axis, dz is (T, N, C), phi
     (T, N, C, K), alphas (T, C, K) and ln x (T, N, m) or shared (N, m); each
-    trial's gradients come from its own slice.
+    trial's gradients come from its own slice. out, a pair of arrays of
+    those shapes (either may be None), receives the gradients in place of
+    new arrays, as the views of an `optim.AdamStack`'s gradient buffer do.
 
     Both are products per score: (..., C, K, N) against dz (..., C, N, 1)
     and the weighted monomials against ln x (..., 1, N, m), so each score's
@@ -334,10 +336,13 @@ def backward(dz, phi, alphas, log_x) -> tuple[np.ndarray, np.ndarray]:
     (C * K, N) @ (N, m) product gives a score slightly different last bits
     in a stack, and the Adam stage's normal equations amplify them.
     """
+    d_alpha, d_beta = (None, None) if out is None else out
     phi = phi.swapaxes(-3, -1).swapaxes(-3, -2)  # (..., C, K, N), monomials' layout
     dz = dz.swapaxes(-1, -2)  # (..., C, N)
-    d_alpha = (phi @ dz[..., None])[..., 0]
-    d_beta = alphas[..., None] * ((dz[..., None, :] * phi) @ log_x[..., None, :, :])
+    d_alpha = np.matmul(phi, dz[..., None],
+                        out=None if d_alpha is None else d_alpha[..., None])[..., 0]
+    d_beta = np.multiply(alphas[..., None],
+                         (dz[..., None, :] * phi) @ log_x[..., None, :, :], out=d_beta)
     return d_alpha, d_beta
 
 

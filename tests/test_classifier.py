@@ -653,6 +653,38 @@ def test_a_trial_whose_score_overflows_leaves_with_the_error_it_raises_alone():
         assert results[i][1] == trace
 
 
+def test_fit_trials_leaves_numpy_error_state_as_it_found_it():
+    # trial 1's score passes float range and trial 3's monomial passes the
+    # limit, so each leaves the stack by an error raised inside a step's
+    # errstate; the caller's error state is the same afterwards
+    train, val = make_sets(seed=2)
+    cfgs = [ClassifyConfig(num_terms=2, epochs=5, learning_rate=lr, seed=seed)
+            for lr, seed in ((1e-2, 0), (1e5, 1), (1e-2, 2), (1e3, 0))]
+    before = np.geterr()
+    results = fit_trials(train, val, cfgs)
+    assert np.geterr() == before
+    assert [isinstance(r, Exception) for r in results] == [False, True, False, True]
+
+
+def test_training_takes_one_errstate_per_step_and_per_validation(monkeypatch):
+    # the guard for the step-scoped errstate: 3 trials, 6 epochs of 4
+    # batches of 120 rows, so 24 stacked steps and 6 validation passes
+    entries = []
+
+    class Counting(np.errstate):
+        def __enter__(self):
+            entries.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(np, "errstate", Counting)
+    train, val = make_sets(seed=2)
+    cfgs = [ClassifyConfig(num_terms=2, epochs=6, patience=6, learning_rate=1e-2, seed=s)
+            for s in range(3)]
+    results = fit_trials(train, val, cfgs)
+    assert all(len(trace.epochs) == 6 for _, trace in results)
+    assert 0 < len(entries) <= 6 * 4 + 6
+
+
 def test_fit_trials_checks_labels_before_training():
     train, val = make_sets(seed=0)
     cfg = ClassifyConfig(epochs=1)

@@ -201,6 +201,13 @@ def test_prox_scalar_step_keeps_its_bits():
 # --- stacked proximal Adam -----------------------------------------------------
 
 
+def _step(stack, d_alpha, d_beta):
+    """Fill the stack's gradient views with d_alpha and d_beta, then step."""
+    for view, grad in zip(stack.gradient(), (d_alpha, d_beta)):
+        view[...] = np.reshape(grad, view.shape)
+    stack.step()
+
+
 def _stack_inputs(rng, rows):
     """alphas (R, 2, 3), betas (R, 2, 3, 4), and one rate and penalty per row."""
     alphas = rng.standard_normal((rows, 2, 3))
@@ -217,9 +224,9 @@ def test_adam_stack_steps_each_row_as_a_one_row_stack_bit_for_bit():
     for step in range(20):
         # row 0's gradients are clipped on every step, the rest mostly not
         g = _row_grads(rng, step, 4, 6 + 24)
-        stack.step(g[:, :6], g[:, 6:])
+        _step(stack, g[:, :6], g[:, 6:])
         for r, one in enumerate(alone):
-            one.step(g[r : r + 1, :6], g[r : r + 1, 6:])
+            _step(one, g[r : r + 1, :6], g[r : r + 1, 6:])
     assert stack.params.tobytes() == np.concatenate([one.params for one in alone]).tobytes()
     assert stack.penalty().tobytes() == np.concatenate([one.penalty() for one in alone]).tobytes()
     a, b = stack.split(stack.params)
@@ -233,7 +240,7 @@ def test_adam_stack_run_drops_the_row_an_error_names():
     rng = np.random.default_rng(5)
     alphas, betas, lrs, l1s = _stack_inputs(rng, 4)
     stack = AdamStack(alphas, betas, lrs, l1s)
-    stack.step(np.ones((4, 2, 3)), np.ones((4, 2, 3, 4)))
+    _step(stack, np.ones((4, 2, 3)), np.ones((4, 2, 3, 4)))
     moments = stack.adam.m.copy(), stack.adam.v.copy()
     seen = []
 
@@ -291,9 +298,67 @@ def test_adam_stack_step_rejects_a_non_finite_gradient_unchanged():
     d_beta = np.ones((3, 2, 3, 4))
     d_beta[1, 0, 2, 3] = np.nan
     with pytest.raises(NonFiniteGradientError) as exc:
-        stack.step(np.ones((3, 2, 3)), d_beta)
+        _step(stack, np.ones((3, 2, 3)), d_beta)
     assert exc.value.stack_index == 1
     assert np.array_equal(stack.params, before) and stack.adam.t == 0
+    assert not stack.adam.m.any() and not stack.adam.v.any()
+    # the same after a step has made the moments nonzero
+    _step(stack, np.ones((3, 2, 3)), np.ones((3, 2, 3, 4)))
+    before = stack.params.copy(), stack.adam.m.copy(), stack.adam.v.copy()
+    with pytest.raises(NonFiniteGradientError):
+        _step(stack, np.ones((3, 2, 3)), d_beta)
+    after = stack.params, stack.adam.m, stack.adam.v
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
+    assert stack.adam.t == 1
+
+
+@pytest.mark.parametrize("n_alpha", [6, 0])
+def test_adam_stack_steps_in_place_as_the_pure_helpers_do(n_alpha):
+    # 60 in-place stack steps against prox_l1(adam_step(...)) on an
+    # independent AdamState: row 0 is clipped on every step, row 2 leaves
+    # after step 25, and n_alpha = 0 is the regressor's zero-width alphas
+    rng = np.random.default_rng(8)
+    rows, width = 4, n_alpha + 24
+    alphas, betas = rng.standard_normal((rows, n_alpha)), rng.standard_normal((rows, 2, 3, 4))
+    lrs, l1s = np.array([[1e-3], [3e-2], [0.5], [1e-4]]), np.array([[1e-2], [0.0], [0.3], [2.0]])
+    stack = AdamStack(alphas, betas, lrs, l1s, clip_norm=1.0)
+    ref = np.concatenate([alphas, betas.reshape(rows, -1)], axis=1)
+    state, mask = AdamState.init(ref.shape), np.arange(width) >= n_alpha
+    for step in range(60):
+        if step == 25:
+            kept = np.arange(len(ref)) != 2
+            stack.keep(kept)
+            ref, lrs, l1s = ref[kept], lrs[kept], l1s[kept]
+            state.m, state.v = state.m[kept], state.v[kept]
+        g = _row_grads(rng, step, len(ref), width)
+        _step(stack, g[:, :n_alpha], g[:, n_alpha:])
+        ref = prox_l1(adam_step(state, ref, g, lrs, clip_norm=1.0), mask, lrs, l1s)
+        assert stack.params.tobytes() == ref.tobytes()
+    assert stack.adam.m.tobytes() == state.m.tobytes()
+    assert stack.adam.v.tobytes() == state.v.tobytes()
+    assert stack.live.tolist() == [0, 1, 3] and stack.adam.t == state.t == 60
+
+
+def test_the_helpers_leave_their_array_arguments_alone():
+    rng = np.random.default_rng(9)
+    params, grad = rng.standard_normal((3, 5)), rng.standard_normal((3, 5)) * 10.0
+    mask, lrs = np.arange(5) >= 2, np.array([[0.1], [0.2], [0.3]])
+    saved = params.tobytes(), grad.tobytes()
+    clipped = clip_gradient(grad, 1.0)
+    state = AdamState.init(params.shape)
+    stepped = adam_step(state, params, grad, lrs, clip_norm=1.0)
+    shrunk = prox_l1(params, mask, lrs, 0.5)
+    assert (params.tobytes(), grad.tobytes()) == saved
+    # each result is a new array, not a view of an argument
+    assert not any(np.shares_memory(out, arg) for out in (clipped, stepped, shrunk)
+                   for arg in (params, grad))
+    # out receives the result, and may be params itself
+    out = params.copy()
+    assert adam_step(AdamState.init(params.shape), out, grad, lrs, 1.0, out) is out
+    assert out.tobytes() == stepped.tobytes()
+    out = params.copy()
+    assert prox_l1(out, mask, lrs, 0.5, out) is out
+    assert out.tobytes() == shrunk.tobytes()
 
 
 # --- early stopping ----------------------------------------------------------

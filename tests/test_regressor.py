@@ -129,6 +129,20 @@ def test_loss_input_validation():
         sr_loss_and_grad(s, [[1.0]], [np.nan])
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_target_whose_sum_of_squares_overflows_is_refused_without_a_warning(k):
+    # 20 * (1e300)^2 passes float range: one typed error and no numpy
+    # warning, before any fit squares the target
+    X = np.random.default_rng(0).uniform(1.0, 2.0, size=(20, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataFormatError, match="sum of squares"):
+            fit_sr(X, np.full(20, 1e300), SrConfig(num_terms=k), seed=0)
+    # a target just inside float range is still fitted
+    s, _ = fit_sr(X, np.full(20, 1e150), SrConfig(num_terms=1), seed=0)
+    assert s.alphas[0] == pytest.approx(1e150, rel=1e-9)
+
+
 def test_loss_and_score_raise_the_same_overflow():
     # 800 ln 10 is far past the kernel's log-magnitude limit
     s = Signomial([Term(1.0, (800.0,))])
