@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,6 +83,19 @@ class ClassifyConfig:
             )
 
 
+class InputRecord(NamedTuple):
+    """What a model keeps for one input, made by one kernel pass: the input's
+    float64 bytes, its per-term values (C, K), the same values as Python
+    lists, its scores (C,) and its score log-gradients (C, m),
+    G_c = sum_k z_ck * beta_ck. The arrays are read-only."""
+
+    key: bytes
+    terms: np.ndarray
+    lists: list[list[float]]
+    scores: np.ndarray
+    log_gradients: np.ndarray
+
+
 class EcselModel:
     """A trained signomial classifier.
 
@@ -142,42 +156,56 @@ class EcselModel:
         # the exponents as Python floats, [c][j] -> one per term, for
         # explain.counterfactual_scale
         self._exponents = self._betas.transpose(0, 2, 1).tolist()
-        # (row bytes, per-term values, the same values as Python lists) of the
-        # last good input; one tuple, set in one statement, so threads sharing
-        # the model need no lock
-        self._last_row: tuple[bytes, np.ndarray, list[list[float]]] | None = None
+        # the records of the last explained row and of the last reference
+        # input (an attribution's baseline), in two slots so that neither
+        # evicts the other; each is one tuple, set in one statement, so
+        # threads sharing the model need no lock
+        self._last_row: InputRecord | None = None
+        self._last_reference: InputRecord | None = None
 
     @property
     def num_terms(self) -> int:
         return max(s.num_terms for s in self.signomials)
 
-    def _row(self, x) -> tuple[bytes, np.ndarray, list[list[float]]]:
-        """The record (key, values, lists) of one input: its float64 bytes, its
-        read-only per-term values (C, K) and those values as Python lists.
+    def _record(self, x, slot: str) -> InputRecord:
+        """The InputRecord of one input, kept in the attribute named slot.
 
-        The record of the last input is kept, so reading one row many times
-        runs the kernel and the conversions once. An input that raises is
-        never kept, so it raises again on every call.
+        The slot keeps the record of its last input, so reading one input
+        many times runs the kernel and the conversions once. An input that
+        raises is never kept, so it raises again on every call.
         """
         row = numeric_array(x)
         if row.shape != (self.m,):
             single_input(row, self.m)  # raises its DimensionMismatchError
         key = row.tobytes()
-        last = self._last_row
-        if last is not None and last[0] == key:
+        last = getattr(self, slot)
+        if last is not None and last.key == key:
             return last
-        values = forward(self._alphas, self._betas, log_inputs(row[None, :], self.m))[0]
-        values.setflags(write=False)
-        last = self._last_row = (key, values, values.tolist())
+        terms = forward(self._alphas, self._betas, log_inputs(row[None, :], self.m))[0]
+        scores = terms.sum(axis=1)
+        log_gradients = (terms[:, None, :] @ self._betas)[:, 0, :]
+        for values in (terms, scores, log_gradients):
+            values.setflags(write=False)
+        last = InputRecord(key, terms, terms.tolist(), scores, log_gradients)
+        setattr(self, slot, last)
         return last
 
-    def _terms_at(self, x) -> np.ndarray:
-        """Read-only per-term values (C, K) at one input, from its record."""
-        return self._row(x)[1]
+    def _row(self, x) -> InputRecord:
+        """The record of an explained row: what predict and every one-row
+        explanation read, so that predicting a row, reporting on it and
+        drawing its counterfactual curve run the kernel once."""
+        return self._record(x, "_last_row")
+
+    def _reference(self, x) -> InputRecord:
+        """The record of a reference input, an attribution's baseline, kept
+        beside the explained row's, so that rows explained against one
+        baseline evaluate it once."""
+        return self._record(x, "_last_reference")
 
     def scores(self, x) -> np.ndarray:
-        """Score vector (C,) at one input: the sum of its per-term values."""
-        return self._terms_at(x).sum(axis=1)
+        """Score vector (C,) at one input, the sum of its per-term values, as
+        a fresh array."""
+        return self._row(x).scores.copy()
 
     def scores_batch(self, X) -> np.ndarray:
         """Score matrix (N, C) over a batch of inputs."""
@@ -257,7 +285,7 @@ def _decide(model: EcselModel, P: np.ndarray) -> np.ndarray:
 
 def predict_proba(model: EcselModel, x) -> np.ndarray:
     """Class-probability vector at one input."""
-    return _probabilities(model, model.scores(x)[None, :])[0]
+    return _probabilities(model, model._row(x).scores[None, :])[0]
 
 
 def predict_proba_batch(model: EcselModel, X) -> np.ndarray:

@@ -7,11 +7,13 @@ sensitivities, and additive attributions in log-space (exact per term,
 first-order for whole scores). Pure functions over an immutable model.
 
 Each function is closed-form algebra on the per-term values of every
-class. A one-row read takes them from the model, which keeps the values for
-the last input it evaluated, so a report and a counterfactual curve on one
-row share one kernel pass; a read over several rows (an attribution against
-a baseline, a scenario table) runs one forward pass over those rows. As in
-model.scores, an overflowing term in any class raises OverflowLimitError.
+class. A read takes them, with the scores and log-gradients, from the
+records the model keeps: one for the last explained row and one for the
+last reference input, an attribution's baseline. So predicting a row,
+reporting on it against a baseline and drawing its counterfactual curve run
+the kernel once on that row, and N rows explained against one baseline run
+it N + 1 times. A scenario table runs one forward pass over its inputs. As
+in model.scores, an overflowing term in any class raises OverflowLimitError.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     SameClassError,
     ZeroComponentScoreError,
 )
-from .signomial import forward, log_inputs, numeric_array, single_input
+from .signomial import log_inputs, numeric_array, single_input
 
 
 @dataclass
@@ -76,28 +78,11 @@ class AttributionReport:
     target: str | None = None  # "score" or "probability" (gradient mode)
 
 
-def _log_gradients(model: EcselModel, per_term: np.ndarray) -> np.ndarray:
-    """G_c = sum_k z_ck * beta_ck, (..., C, m), from per-term values (..., C, K)."""
-    return (per_term[..., None, :] @ model._betas)[..., 0, :]
-
-
 def _row_values(model: EcselModel, x):
-    """The scores (C,) and log-gradients (C, m) at one input, from the
-    per-term values the model keeps for its last input."""
-    per_term = model._terms_at(x)
-    return per_term.sum(axis=1), _log_gradients(model, per_term)
-
-
-def _kernel_values(model: EcselModel, *inputs):
-    """One forward pass of the model's stacked kernel over the given inputs.
-
-    Returns, with one leading row per input, the per-term values z_ck
-    (N, C, K), the scores (N, C) and the log-gradients (N, C, m); a class
-    with fewer than K terms has zero padding terms.
-    """
-    X = np.concatenate([single_input(x, model.m) for x in inputs])
-    per_term = forward(model._alphas, model._betas, log_inputs(X, model.m))
-    return per_term, per_term.sum(axis=2), _log_gradients(model, per_term)
+    """The read-only scores (C,) and log-gradients (C, m) at one input, from
+    the record the model keeps for its explained row."""
+    row = model._row(x)
+    return row.scores, row.log_gradients
 
 
 def _check_index(idx: int, count: int, what: str, of: str) -> None:
@@ -138,7 +123,7 @@ def elasticity(model: EcselModel, class_idx: int, x) -> ElasticityVector:
     """
     _check_index(class_idx, len(model.signomials), "class", "scores")
     z, g = _row_values(model, x)
-    z, g = float(z[class_idx]), g[class_idx]
+    z, g = float(z[class_idx]), g[class_idx].copy()
     return ElasticityVector(score=z, log_gradient=g, elasticity=g / z if z > 0 else None)
 
 
@@ -149,7 +134,7 @@ def counterfactual_scale(
 
     sum_k z_k(x) * q^beta_kj: equal (to float precision) to evaluating the
     model at the literally scaled input, but computed in O(K) from the
-    per-term values at x, which the model keeps for its last input, so a
+    per-term values at x, which the model keeps for its explained row, so a
     curve over many q on one row runs the kernel once. The sum runs on
     Python floats in term order.
 
@@ -174,7 +159,7 @@ def counterfactual_scale(
         _check_index(class_idx, num_scores, "class", "scores")
     if type(feature_idx) is not int or not 0 <= feature_idx < model.m:
         _check_index(feature_idx, model.m, "feature", "features")
-    terms = model._row(x)[2][class_idx]
+    terms = model._row(x).lists[class_idx]
     score = 0.0
     try:
         for z, b in zip(terms, model._exponents[class_idx][feature_idx]):
@@ -254,8 +239,8 @@ def attribute_exact_log(
             )
         term_idx = 0
     _check_index(term_idx, num_terms, "term", "terms")
-    per_term, _, _ = _kernel_values(model, x, baseline)
-    zx, zb = map(float, per_term[:, class_idx, term_idx])
+    zx = model._row(x).lists[class_idx][term_idx]
+    zb = model._reference(baseline).lists[class_idx][term_idx]
     if zx == 0.0 or zb == 0.0:
         raise ZeroComponentScoreError(
             f"term {term_idx} of class {class_idx} evaluates to zero; "
@@ -303,13 +288,14 @@ def attribute_gradient(
         raise BadConfigError(f"target must be score or probability, got {target!r}")
     x = numeric_array(x)
     x_star = numeric_array(x_star)
-    _, z, g = _kernel_values(model, x_star, x)
+    ref, row = model._reference(x_star), model._row(x)
     if target == "score":
-        values, grad = z, g[0, class_idx]
+        before, after = ref.scores[class_idx], row.scores[class_idx]
+        grad = ref.log_gradients[class_idx]
     else:
-        values = _probabilities(model, z)
-        grad = _probability_gradient(model, values[0], g[0], class_idx)
-    before, after = values[:, class_idx]
+        p_ref, p_row = _probabilities(model, np.stack([ref.scores, row.scores]))
+        before, after = p_ref[class_idx], p_row[class_idx]
+        grad = _probability_gradient(model, p_ref, ref.log_gradients, class_idx)
     phi = grad * (np.log(x) - np.log(x_star))
     residual = float(after - before) - float(phi.sum())
     return AttributionReport(
@@ -418,7 +404,7 @@ def compare_scenarios(model: EcselModel, scenarios: list[tuple[str, np.ndarray]]
     if not scenarios:
         raise DataFormatError("no scenarios given")
     xs = [numeric_array(x) for _, x in scenarios]
-    _, scores, _ = _kernel_values(model, *xs)
+    scores = model.scores_batch(np.concatenate([single_input(x, model.m) for x in xs]))
     probs = _probabilities(model, scores)
     rows = []
     for (name, _), x, z, p, c in zip(scenarios, xs, scores, probs, _decide(model, probs)):

@@ -328,8 +328,9 @@ def _mse_head(phi, alphas, log_x, y, out=None):
     (C, K) and dL/dbeta (C, K, m). The residual y - Phi alpha is one stacked
     matrix-vector product, and the gradient is `signomial.backward` at
     dz = dL/dz, the one the classifier's head also uses, written into
-    backward's optional out pair. A loss past float range raises
-    NonFiniteLossError naming its signomial in stack_index.
+    backward's optional out pair, which skips a gradient whose slot is None.
+    A loss past float range raises NonFiniteLossError naming its signomial
+    in stack_index.
     """
     n = len(y)
     # monomials below the limit can still multiply, square or sum past float
@@ -405,12 +406,21 @@ def _gram_coefficients(phi, y):
     kappa had a median of 10^1.5 and a maximum of 10^5.7, and no phi was
     rank-deficient. A Gram matrix past float range gives NaN coefficients,
     with no warning, so the MSE head's loss is non-finite and names the row.
+    eigh gives NaN for some such matrices and raises LinAlgError for others
+    (inf beside finite entries, or all NaN); then each non-finite row is
+    solved on an identity placeholder and given NaN eigenvalues, so only
+    that failure pays for a second eigh.
     """
     n, c, k = phi.shape
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.concatenate([phi.transpose(1, 2, 0), np.broadcast_to(y, (c, 1, n))], axis=1)
         gram = rows @ rows.transpose(0, 2, 1)  # (C, K+1, K+1)
-        lam, v = np.linalg.eigh(gram[:, :k, :k])
+        try:
+            lam, v = np.linalg.eigh(gram[:, :k, :k])
+        except np.linalg.LinAlgError:
+            bad = ~np.isfinite(gram[:, :k, :k]).all(axis=(1, 2))
+            lam, v = np.linalg.eigh(np.where(bad[:, None, None], np.eye(k), gram[:, :k, :k]))
+            lam[bad] = np.nan
         cut = FLOAT_EPS * max(n, k) * lam[:, -1:]
         # written so that a NaN eigenvalue, which a Gram matrix past float
         # range gives, is kept and its row's coefficients turn NaN
@@ -451,7 +461,7 @@ def _adam_stage(betas, log_x, y, lam, epochs, lr):
     Phi from the normal equations in one stacked product and one batched
     eigh (`_gram_coefficients`, minimum-norm where a Phi is rank-deficient),
     and takes one AdamStack step on the exponents with the linear MSE head's
-    gradient at those coefficients, whose dL/dalpha the stage does not use.
+    dL/dbeta at those coefficients; the head skips dL/dalpha.
     At the solved coefficients that is the gradient of the projected loss
     (Golub & Pereyra 1973; Newman et al., "Train Like a (Var)Pro", 2021). A
     restart whose loss or gradient turns non-finite leaves the stack, as
@@ -471,7 +481,7 @@ def _adam_stage(betas, log_x, y, lam, epochs, lr):
 
     def step():
         # dL/dbeta straight into the stack's gradient buffer; the rows hold
-        # no coefficients, so dL/dalpha has nowhere to go
+        # no coefficients, so dL/dalpha is not computed
         projected((None, stack.gradient()[1]))
         stack.step()
 

@@ -327,8 +327,9 @@ def backward(dz, phi, alphas, log_x, out=None) -> tuple[np.ndarray, np.ndarray]:
     overflow check. With forward's leading trial axis, dz is (T, N, C), phi
     (T, N, C, K), alphas (T, C, K) and ln x (T, N, m) or shared (N, m); each
     trial's gradients come from its own slice. out, a pair of arrays of
-    those shapes (either may be None), receives the gradients in place of
-    new arrays, as the views of an `optim.AdamStack`'s gradient buffer do.
+    those shapes, receives the gradients in place of new arrays, as the
+    views of an `optim.AdamStack`'s gradient buffer do; a gradient whose
+    slot in out is None is not computed and comes back None.
 
     Both are products per score: (..., C, K, N) against dz (..., C, N, 1)
     and the weighted monomials against ln x (..., 1, N, m), so each score's
@@ -339,10 +340,12 @@ def backward(dz, phi, alphas, log_x, out=None) -> tuple[np.ndarray, np.ndarray]:
     d_alpha, d_beta = (None, None) if out is None else out
     phi = phi.swapaxes(-3, -1).swapaxes(-3, -2)  # (..., C, K, N), monomials' layout
     dz = dz.swapaxes(-1, -2)  # (..., C, N)
-    d_alpha = np.matmul(phi, dz[..., None],
-                        out=None if d_alpha is None else d_alpha[..., None])[..., 0]
-    d_beta = np.multiply(alphas[..., None],
-                         (dz[..., None, :] * phi) @ log_x[..., None, :, :], out=d_beta)
+    if out is None or d_alpha is not None:
+        d_alpha = np.matmul(phi, dz[..., None],
+                            out=None if d_alpha is None else d_alpha[..., None])[..., 0]
+    if out is None or d_beta is not None:
+        d_beta = np.multiply(alphas[..., None],
+                             (dz[..., None, :] * phi) @ log_x[..., None, :, :], out=d_beta)
     return d_alpha, d_beta
 
 

@@ -1056,8 +1056,8 @@ def test_each_explanation_runs_the_kernel_once_per_input(monkeypatch):
         fn(model)
     assert calls == []
 
-    # what an explained row costs: predict reads x alone and the report reads
-    # it beside the baseline; the 41-point curve runs no kernel at all
+    # what an explained row costs: predict reads x and the report reads only
+    # the baseline; the 41-point curve runs no kernel at all
     model = fresh()
     calls.clear()
     c = classifier.predict(model, x)
@@ -1113,7 +1113,7 @@ def test_the_model_keeps_only_the_last_good_row():
     assert got != point
 
     with pytest.raises(ValueError):
-        model._terms_at(x)[0, 0] = 1.0
+        model._row(x).terms[0, 0] = 1.0
 
     # threads explaining different rows on one model read their own rows
     rows = np.random.default_rng(8).uniform(0.5, 3.0, (4, 3))
@@ -1149,3 +1149,119 @@ def test_the_model_keeps_only_the_last_good_row():
     # a memo that kept its key and values in two attributes failed this in
     # five of six runs, since a thread switch may fall between the two
     assert got == [[want] * passes for want in wants]
+
+
+def counting_kernel_passes(monkeypatch):
+    """A list that gets one entry per kernel pass, from a wrapper on the
+    beta . ln x matmul that forward and monomials share."""
+    passes = []
+    real = signomial._mono_log
+
+    def counting(betas, log_x):
+        passes.append(log_x.shape[-2])
+        return real(betas, log_x)
+
+    monkeypatch.setattr(signomial, "_mono_log", counting)
+    return passes
+
+
+@pytest.mark.parametrize("target", ["score", "probability"])
+def test_rows_explained_against_one_baseline_cost_one_pass_each_and_one_more(
+    monkeypatch, target
+):
+    # predict, a gradient report and a 41-point curve per row, as
+    # `explain --counterfactual` and the serving benchmark run them
+    passes = counting_kernel_passes(monkeypatch)
+    model = random_model(np.random.default_rng(12), C=3, K=3, m=4)
+    rng = np.random.default_rng(13)
+    rows, baseline = rng.uniform(0.5, 3.0, (25, 4)), rng.uniform(0.5, 3.0, 4)
+    for x in rows:
+        c = classifier.predict(model, x)
+        build_report(model, x, c, "gradient", baseline, target=target)
+        for q in np.geomspace(0.1, 10.0, 41):
+            counterfactual_scale(model, c, x, 1, float(q))
+    assert passes == [1] * (len(rows) + 1)
+
+
+@pytest.mark.parametrize("link", ["softmax", "sigmoid"])
+def test_a_gradient_residual_is_the_score_change_minus_the_contributions(link):
+    # bit for bit, with both scores read through model.scores: the report's
+    # attribution and its margins read one evaluation of each input
+    rng = np.random.default_rng(14)
+    model = random_model(rng, C=3, K=2, m=3)
+    if link == "sigmoid":
+        model = EcselModel([model.signomials[0]], link="sigmoid")
+    baseline = rng.uniform(0.5, 3.0, 3)
+    for x in rng.uniform(0.5, 3.0, (20, 3)):
+        c = classifier.predict(model, x) if link == "softmax" else 0
+        report = build_report(model, x, c, "gradient", baseline)
+        phi = np.empty(3)
+        for entry in report["phi"].values():
+            phi[entry["index"]] = entry["value"]
+        zx, zb = model.scores(x), model.scores(baseline)
+        assert report["residual"] == float(zx[c] - zb[c]) - float(phi.sum())
+
+
+def test_the_row_and_reference_records_do_not_evict_each_other(monkeypatch):
+    passes = counting_kernel_passes(monkeypatch)
+    model = two_class_demo()
+    x, y, b = np.array([1.5, 0.7, 2.0]), np.array([0.6, 1.1, 1.3]), np.ones(3)
+    attribute_gradient(model, 1, x, b)
+    assert len(passes) == 2
+    for row in (y, x, y):
+        classifier.predict(model, row)  # replaces the row's record only
+        attribute_gradient(model, 1, row, b)
+        attribute_exact_log(model, 1, row, b, term_idx=0)
+    assert len(passes) == 5
+    assert model._last_row.key == y.tobytes()
+    assert model._last_reference.key == b.tobytes()
+    # a baseline read as a row, and a row read as a baseline, each take a
+    # slot of their own
+    elasticity(model, 1, b)
+    attribute_gradient(model, 1, b, x)
+    assert len(passes) == 7
+    assert model._last_row.key == b.tobytes()
+    assert model._last_reference.key == x.tobytes()
+
+
+def test_records_are_read_only_and_public_returns_fresh():
+    model = two_class_demo()
+    x, b = np.array([1.5, 0.7, 2.0]), np.ones(3)
+    attribute_gradient(model, 1, x, b)
+    for record in (model._last_row, model._last_reference):
+        for values in (record.terms, record.scores, record.log_gradients):
+            with pytest.raises(ValueError):
+                values[...] = 0.0
+    want = model.scores(x).tobytes()
+    returned = [
+        model.scores(x),
+        predict_proba(model, x),
+        elasticity(model, 1, x).log_gradient,
+        margin_sensitivity(model, 1, 0, x).per_feature,
+        probability_sensitivity(model, 1, x),
+        attribute_gradient(model, 1, x, b).phi,
+    ]
+    for values in returned:
+        assert values.flags.writeable
+        values[...] = 7.0
+    assert model.scores(x).tobytes() == want
+    assert bits(elasticity(model, 1, x)) == bits(elasticity(two_class_demo(), 1, x))
+
+
+def test_an_overflowing_input_raises_on_every_call_in_either_slot():
+    model = two_class_demo()
+    good, bad = np.array([1.5, 0.7, 2.0]), np.array([1e300, 1.0, 1.0])
+    attribute_gradient(model, 1, good, good * 2.0)
+    for _ in range(3):
+        with pytest.raises(OverflowLimitError):
+            attribute_gradient(model, 1, bad, good)
+        with pytest.raises(OverflowLimitError):
+            attribute_gradient(model, 1, good, bad)
+        with pytest.raises(OverflowLimitError):
+            attribute_exact_log(model, 1, good, bad, term_idx=0)
+        with pytest.raises(OverflowLimitError):
+            build_report(model, good, 1, "gradient", bad)
+        with pytest.raises(OverflowLimitError):
+            model.scores(bad)
+    # neither slot kept the input that raised
+    assert model._last_row.key == model._last_reference.key == good.tobytes()

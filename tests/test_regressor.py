@@ -648,6 +648,50 @@ def test_a_restart_whose_gram_passes_float_range_leaves_the_stack(monkeypatch):
     assert_rows_match_alone((losses, a, b), betas, [0, 1, 2, 4, 5, 6, 7], log_x, y)
 
 
+def test_a_restart_whose_gram_makes_eigh_raise_leaves_the_stack(monkeypatch):
+    # restart 3's middle monomial reaches e^480, so its Gram matrix holds an
+    # inf beside finite entries: eigh raises LinAlgError on such a matrix
+    # (where it gives NaN for restart 3 of the test above), and the restart
+    # must still leave with a non-finite loss, not take the stage down
+    log_x, y, betas = jin2_stage_inputs()
+    bad = betas.copy()
+    bad[3] = [[200.0, 0.0], [300.0, 0.0], [202.0, 0.0]]
+    phi = signomial.monomials(bad, log_x)[:, 3]
+    assert np.isfinite(phi).all()
+    with np.errstate(over="ignore"):
+        gram = phi.T @ phi
+    assert np.isinf(gram).any() and np.isfinite(gram).any()
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigh(gram)
+    stacks = []
+
+    class Recording(optim.AdamStack):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            stacks.append(self)
+
+    monkeypatch.setattr(regressor, "AdamStack", Recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        losses, a, b = run_stage(bad, log_x, y)
+    (stack,) = stacks
+    assert list(stack.errors) == [3]
+    assert isinstance(stack.errors[3], NonFiniteLossError)
+    assert losses[3] == math.inf and np.isnan(a[3]).all() and np.isnan(b[3]).all()
+    assert_rows_match_alone((losses, a, b), betas, [0, 1, 2, 4, 5, 6, 7], log_x, y)
+
+
+def test_a_fit_whose_restarts_pass_float_range_raises_only_typed_errors():
+    # at a learning rate of 30 the restarts' exponents reach about 76, whose
+    # Gram matrices made eigh raise LinAlgError out of fit_sr at seed 0
+    spec = next(s for s in json.loads(Path(SUITE).read_text())["specs"] if s["name"] == "Jin-2")
+    data = generate_benchmark_data(TargetSpec.from_dict(spec), 200, 0.01, 0)
+    try:
+        fit_sr(data.X, data.y, SrConfig(num_terms=3, learning_rate=30.0), seed=0)
+    except SignolearnError:
+        pass
+
+
 def test_each_multi_term_stage_is_one_stacked_adam_loop(monkeypatch):
     # one Adam step per epoch over the 8 restarts' exponents (K=3, m=2) and
     # no coefficients

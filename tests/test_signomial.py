@@ -363,6 +363,32 @@ def test_backward_gives_each_score_of_a_stack_its_lone_bits(k, trials):
         np.testing.assert_array_equal(alone[1], d_beta[..., [i], :, :])
 
 
+@pytest.mark.parametrize("trials", [None, 3])
+def test_backward_writes_into_out_and_skips_a_none_slot(trials):
+    # out's arrays receive the bits backward returns without it; a slot that
+    # is None is not computed and comes back None, as the regression stage's
+    # dL/dalpha, which its coefficient-free rows have no use for
+    rng = np.random.default_rng(11)
+    lead = () if trials is None else (trials,)
+    c, k, n, m = 4, 3, 50, 2
+    alphas = rng.standard_normal(lead + (c, k))
+    betas = rng.standard_normal(lead + (c, k, m))
+    log_x = np.log(rng.uniform(0.1, 3.0, size=lead + (n, m)))
+    dz = rng.standard_normal(lead + (n, c))
+    phi = monomials(betas, log_x)
+    want = backward(dz, phi, alphas, log_x)
+    out = (np.empty(lead + (c, k)), np.empty(lead + (c, k, m)))
+    got = backward(dz, phi, alphas, log_x, out)
+    for g, o, w in zip(got, out, want):
+        assert np.shares_memory(g, o) and o.tobytes() == np.ascontiguousarray(w).tobytes()
+    d_beta = np.empty(lead + (c, k, m))
+    assert backward(dz, phi, alphas, log_x, (None, d_beta))[0] is None
+    assert d_beta.tobytes() == np.ascontiguousarray(want[1]).tobytes()
+    d_alpha = np.empty(lead + (c, k))
+    assert backward(dz, phi, alphas, log_x, (d_alpha, None))[1] is None
+    assert d_alpha.tobytes() == np.ascontiguousarray(want[0]).tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
        st.integers(1, 20), st.integers(0, 2**32 - 1))
