@@ -11,7 +11,6 @@ step; early stopping restores the best snapshot.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -34,6 +33,7 @@ from .optim import AdamStack, EarlyStopMonitor, finite_rows
 from .signomial import (
     Signomial,
     backward,
+    default_names,
     forward,
     log_inputs,
     monomials,
@@ -132,7 +132,7 @@ class EcselModel:
         self.C = 2 if link == "sigmoid" else len(signomials)
         # None means the default names; an empty list is a wrong count
         if feature_names is None:
-            feature_names = [f"x{j + 1}" for j in range(self.m)]
+            feature_names = default_names(self.m)
         if class_names is None:
             class_names = [str(c) for c in range(self.C)]
         self.feature_names, self.class_names = feature_names, class_names
@@ -336,31 +336,22 @@ def class_weights(y: np.ndarray, num_classes: int, multiplier: float) -> np.ndar
     return weights
 
 
-@functools.lru_cache(maxsize=32)
-def _row_index(t: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The trial (T, 1) and row (N,) indices that, broadcast with labels
-    (T, N) or (N,), pick each trial's and row's own class; built once per
-    stack and batch size, since a training loop asks for the same few."""
-    trials, rows = np.arange(t)[:, None], np.arange(n)
-    trials.flags.writeable = rows.flags.writeable = False
-    return trials, rows
-
-
-def _labels(y, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Labels y (..., N) in the three forms the head takes: y itself, their
-    one-hot indicator (..., N, C), a view of a (..., C, N) block, which is
-    the scores' layout, and each row's class weight (..., N) from weights
-    (C,)."""
+def _labels(y, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Labels y (..., N) in the two forms the head takes: their one-hot
+    indicator (..., N, C), a view of a (..., C, N) block, which is the
+    scores' layout, and each row's class weight (..., N) from weights (C,)."""
     hot = (np.arange(len(weights))[:, None] == y[..., None, :]).swapaxes(-1, -2)
-    return y, hot, weights[y]
+    return hot, weights[y]
 
 
 def _smooth_loss(alphas, betas, log_x, labels, link):
     """Weighted cross-entropy of T stacked models, the kernel's classifier head.
 
     Takes alphas (T, C, K), betas (T, C, K, m), log-inputs (T, N, m) and
-    the `_labels` of labels (T, N), or log-inputs (N, m) and labels (N,)
-    shared by every trial. Returns the losses (T,) and a function that
+    the `_labels` pair (one-hot mask, row weights) of labels (T, N), or
+    log-inputs (N, m) and labels (N,) shared by every trial. The mask picks
+    each row's log-probability at its label for the loss and subtracts its
+    label's 1 for dL/dz. Returns the losses (T,) and a function that
     returns dL/dalpha (T, C, K) and dL/dbeta (T, C, K, m) from `backward`,
     written into its optional out pair; a caller that needs only the loss
     never runs it. Both links take one max-shifted log-softmax of
@@ -372,7 +363,7 @@ def _smooth_loss(alphas, betas, log_x, labels, link):
     does not warn. Every operation stays within one trial's slice, so a
     trial's values do not depend on the rest of the stack.
     """
-    y, hot, w = labels
+    hot, w = labels
     n = log_x.shape[-2]
     phi = monomials(betas, log_x)  # (T, N, C, K)
     # (T, C, 1, K) @ (T, C, K, N): Z is a (T, N, C) view of a (T, C, N) block
@@ -381,8 +372,10 @@ def _smooth_loss(alphas, betas, log_x, labels, link):
     shifted = Z - Z.max(axis=-1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=-1))
     log_p = shifted - log_norm[..., None]
-    at_label = (*_row_index(len(Z), n), y)
-    loss = -(w * log_p[at_label]).sum(axis=-1) / n
+    # each row's log-probability at its label, bit for bit: the zeros the
+    # mask puts elsewhere add exactly nothing, where a -inf log-probability
+    # (two scores more than float range apart) times 0 would be NaN
+    loss = -(w * np.where(hot, log_p, 0.0).sum(axis=-1)).sum(axis=-1) / n
 
     def grad(out=None):
         # dL/dz in the scores' (T, C, N) layout, contiguous for backward

@@ -15,16 +15,17 @@ coefficients, so they search only the exponents and solve the coefficients by
 least squares at every step, and both get the bare monomials from the
 kernel's coefficient-free entry `signomial.monomials`. The Adam stage solves
 all stacked rows from their K x K normal equations, in one stacked product and
-one batched eigh (`_gram_coefficients`). The polish and the log-space start
-solve in `_solve_coefficients`: a one-term polish in closed form, since one
-column has condition number 1, and every K >= 2 solve by SVD, since those
-monomials can be nearly or exactly rank-deficient. The Adam stage takes its
-loss from an MSE head linear in the coefficients (`_mse_head`), and its
-gradient from `signomial.backward`, as the classifier does. Its restarts run
-as one stacked loop over a leading restart axis (the kernel's C axis); a
-restart that diverges leaves it. The polish is Levenberg-Marquardt over the
-nonzero exponents. Recovered expressions are snapped to canonical form and
-compared against the generating equation up to algebraic equivalence.
+one batched eigh (`_gram_coefficients`). A one-term polish solves its one
+column in closed form, since it has condition number 1; the K >= 2 polishes
+and the log-space start solve one (N, K) system each by SVD
+(`_solve_coefficients`), since those can be nearly or exactly
+rank-deficient. The Adam stage takes its loss from an MSE head linear in the
+coefficients (`_mse_head`), and its gradient from `signomial.backward`, as
+the classifier does. Its restarts run as one stacked loop over a leading
+restart axis (the kernel's C axis); a restart that diverges leaves it. The
+polish is Levenberg-Marquardt over the nonzero exponents. Recovered
+expressions are snapped to canonical form and compared against the
+generating equation up to algebraic equivalence.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .signomial import (
     Signomial,
     backward,
     canonicalize,
+    default_names,
     equivalent,
     evaluate_batch,
     log_inputs,
@@ -249,7 +251,7 @@ class RegressorModel:
             # only an absent key means the default names; [] is corrupt
             names = name_list(data, "featureNames")
             if names is None:
-                names = [f"x{j + 1}" for j in range(s.m)]
+                names = default_names(s.m)
             return cls(s, list(names))
         except (KeyError, TypeError, DimensionMismatchError) as exc:
             raise CorruptModelError(f"invalid regressor payload: {exc}") from exc
@@ -344,46 +346,25 @@ def _mse_head(phi, alphas, log_x, y, out=None):
 
 
 def _solve_coefficients(phi, rhs):
-    """Least-squares coefficients (C, K, ...) of each stacked row's bare
-    monomials phi (N, C, K) against rhs (N, ...), shared by every row. The
-    rows share no arithmetic: each row's result is the one it gets alone.
+    """Minimum-norm least-squares coefficients (K, ...) of the bare monomials
+    phi (N, K) against rhs (N, ...), by SVD: V diag(1/s) U^T rhs.
 
-    One column (K = 1, a one-term polish) is solved in closed form,
-    phi^T rhs / phi^T phi: its condition number is 1, so the normal equation
-    loses nothing (Bjorck, "Numerical Methods for Least Squares Problems",
-    1996). phi is first divided by its largest |phi|, since monomials reach
-    e^700 and phi^T phi passes float range above e^354. An all-zero column
-    gets exactly 0, as the SVD's cut-off gives it.
-
-    K >= 2 takes one batched SVD over the (C, N, K) stack, which gives every
-    row's minimum-norm solution V diag(1/s) U^T rhs. Singular values at or
-    below eps * max(N, K) * s_max are dropped, lstsq's rcond=None cut-off,
-    so a rank-deficient phi (two terms sharing an exponent vector, a column
-    that underflows to 0, an all-zero phi) still gives finite coefficients.
-    The K >= 2 polishes and the log-space start (m + 1 columns) solve by
-    SVD, not by the normal equations of `_gram_coefficients`, since those
-    square phi's condition number: of the 1,903 polish points of the Jin-2
-    fits at seeds 42 to 56 (perfbench's sr-multi-term), 7 had a singular phi
-    and 21 more a condition number above 1e6, where the Gram matrix keeps
-    too few digits.
+    Singular values at or below eps * max(N, K) * s_max are dropped,
+    lstsq's rcond=None cut-off, so a rank-deficient phi (two terms sharing
+    an exponent vector, a column that underflows to 0, an all-zero phi)
+    still gives finite coefficients. The K >= 2 polishes and the log-space
+    start (m + 1 columns) solve here, not by the normal equations of
+    `_gram_coefficients`, since those square phi's condition number: of the
+    1,903 polish points of the Jin-2 fits at seeds 42 to 56 (perfbench's
+    sr-multi-term), 7 had a singular phi and 21 more a condition number
+    above 1e6, where the Gram matrix keeps too few digits.
     """
-    n, c, k = phi.shape
-    if k == 1:
-        col = phi.reshape(n, 1, c).T  # (C, 1, N)
-        top = np.abs(col).max(axis=2, keepdims=True)
-        top[top == 0.0] = 1.0  # an all-zero column: its unit column is 0
-        # C order, so each row's products are the ones it gets alone
-        unit = np.divide(col, top, order="C")
-        norm = unit @ unit.transpose(0, 2, 1)
-        norm[norm == 0.0] = 1.0
-        solved = (unit @ rhs.reshape(n, -1)) / norm / top
-        return solved.reshape((c, 1) + rhs.shape[1:])
-    u, s, vt = np.linalg.svd(phi.transpose(1, 0, 2), full_matrices=False)
-    kept = s > FLOAT_EPS * max(n, k) * s[:, :1]
+    n, k = phi.shape
+    u, s, vt = np.linalg.svd(phi, full_matrices=False)
+    kept = s > FLOAT_EPS * max(n, k) * s[:1]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
-    ut_rhs = u.transpose(0, 2, 1) @ rhs.reshape(n, -1)
-    solved = vt.transpose(0, 2, 1) @ (inv[:, :, None] * ut_rhs)
-    return solved.reshape(solved.shape[:2] + rhs.shape[1:])
+    solved = vt.T @ (inv[:, None] * (u.T @ rhs.reshape(n, -1)))
+    return solved.reshape((k,) + rhs.shape[1:])
 
 
 def _gram_coefficients(phi, y):
@@ -489,7 +470,7 @@ def _adam_stage(betas, log_x, y, lam, epochs, lr):
         stack.run(step)
     objectives, alphas = np.full(r, math.inf), np.full((r, k), np.nan)
     final = np.full(betas.shape, np.nan)
-    last = stack.run(projected)
+    last = stack.run(projected, (None, None))  # the loss alone: no gradient
     if last is not None:
         objectives[stack.live] = last[0] + stack.penalty()
         alphas[stack.live] = last[1]
@@ -512,13 +493,13 @@ def _polish(betas, log_x, y, ceiling=math.inf):
     exponents, their MSE and LM's `LmResult`, None when every exponent is
     frozen. A point where a monomial overflows is a rejected step, and a
     start where one does raises NonFiniteObjectiveError. Each
-    point's Phi comes from one `monomials` call, and its coefficients and
-    projection from one C = 1 `_solve_coefficients` call: in closed form for
-    one term, whose one column has condition number 1, scaled against
-    overflow, and by SVD for K >= 2, whose minimum-norm solution stays
-    finite when Phi is rank-deficient or nearly so. With one term the
-    residual and Jacobian take elementwise products where K >= 2 takes
-    matmuls, the same bits for one column. Every projection LM
+    point's Phi comes from one `monomials` call. One branch owns the
+    one-term case: its coefficient and projection are solved in closed
+    form, since one column has condition number 1, scaled against overflow,
+    and its residual and Jacobian take elementwise products where K >= 2
+    takes matmuls, the same bits for one column. K >= 2 solves by
+    `_solve_coefficients`' SVD, whose minimum-norm solution stays finite
+    when Phi is rank-deficient or nearly so. Every projection LM
     makes is kept by its exponents, and LM returns one of its points, so the
     result is that point's projection, not a new one; only a point LM never
     evaluated, as when every exponent is frozen, is projected afterwards.
@@ -533,20 +514,32 @@ def _polish(betas, log_x, y, ceiling=math.inf):
         b = np.zeros(k * m)
         b[free] = theta
         b = b.reshape(k, m)
-        phi = monomials(b[None], log_x)
-        d_phi = phi[:, 0, term] * log_x_free
+        phi = monomials(b[None], log_x)[:, 0]
+        d_phi = phi[:, term] * log_x_free
         # for K >= 2 the SVD's last digits follow the right-hand side's
         # memory order, which column_stack chooses from its operands
-        solved = _solve_coefficients(phi, np.column_stack([y, d_phi]))[0]
-        phi, a = phi[:, 0], solved[:, 0]
+        rhs = np.column_stack([y, d_phi])
         if k == 1:
-            # one column: phi @ v is one multiply per entry, so elementwise
-            # products give its bits at less cost; the outer product is laid
-            # out column-major, as d_phi is, which numpy subtracts fastest
-            col, coef = phi[:, 0], solved[0]
-            r = col * coef[0] - y
-            jac = (d_phi - (coef[1:, None] * col).T) * coef[0]
+            # one column has condition number 1, so its normal equation
+            # phi^T rhs / phi^T phi loses nothing (Bjorck, "Numerical Methods
+            # for Least Squares Problems", 1996). phi is first divided by its
+            # largest |phi|, since monomials reach e^700 and phi^T phi passes
+            # float range above e^354; an all-zero column gets exactly 0, as
+            # the SVD's cut-off gives it. col is a (1, N) row so that both
+            # products stay 2-D, which fixes the BLAS routine and its bits
+            col = phi.T
+            top = np.abs(col).max() or 1.0
+            unit = np.divide(col, top, order="C")
+            coef = (unit @ rhs)[0] / ((unit @ unit.T)[0, 0] or 1.0) / top
+            a = coef[:1]
+            # phi @ v is one multiply per entry, so elementwise products give
+            # its bits at less cost; the outer product is laid out
+            # column-major, as d_phi is, which numpy subtracts fastest
+            r = col[0] * coef[0] - y
+            jac = (d_phi - (coef[1:, None] * col[0]).T) * coef[0]
         else:
+            solved = _solve_coefficients(phi, rhs)
+            a = solved[:, 0]
             r = phi @ a - y
             jac = (d_phi - phi @ solved[:, 1:]) * a[term]
         projected[theta.tobytes()] = a, b, float(r @ r)
@@ -570,15 +563,14 @@ def _log_start(log_x, y):
     noiseless monomial this is the truth (Boyd et al., "A tutorial on
     geometric programming", 2007). Rows with y = 0 have no logarithm and are
     left out; with none left the start is beta = 0. The design matrix is
-    solved as a C = 1 stack by `_solve_coefficients`. The intercept and the
-    sign are not kept: the polish solves the coefficient.
+    solved by `_solve_coefficients`. The intercept and the sign are not
+    kept: the polish solves the coefficient.
     """
     rows = y != 0
     if not rows.any():
         return np.zeros((1, log_x.shape[1]))
     design = np.column_stack([np.ones(int(rows.sum())), log_x[rows]])
-    solved = _solve_coefficients(design[:, None], np.log(np.abs(y[rows])))
-    return solved[:, 1:]
+    return _solve_coefficients(design, np.log(np.abs(y[rows])))[None, 1:]
 
 
 def _prune_freeze_polish(alphas, betas, log_x, y, ceiling=math.inf):
@@ -723,8 +715,7 @@ def generate_benchmark_data(
     y, _ = evaluate_batch(spec.truth, X)
     if noise_sigma > 0:
         y = y + noise_sigma * rng.standard_normal(n_samples)
-    names = [f"x{j + 1}" for j in range(spec.truth.m)]
-    return Dataset(X=X, y=y, feature_names=names, class_names=None)
+    return Dataset(X=X, y=y, feature_names=default_names(spec.truth.m), class_names=None)
 
 
 def score_fit(s: Signomial, X, y) -> FitScore:

@@ -215,13 +215,14 @@ def log_inputs(X, m: int | None = None) -> np.ndarray:
     """ln X for a batch of inputs of shape (N, m).
 
     This is the package's one positivity check: any other shape raises
-    DimensionMismatchError, and an entry that is not finite and > 0 raises
+    DimensionMismatchError, as does one with no feature columns, which no
+    signomial takes, and an entry that is not finite and > 0 raises
     NonPositiveInputError.
     """
     arr = numeric_array(X)
-    if arr.ndim != 2 or (m is not None and arr.shape[1] != m):
+    if arr.ndim != 2 or arr.shape[1] == 0 or (m is not None and arr.shape[1] != m):
         raise DimensionMismatchError(
-            f"inputs have shape {arr.shape}, expected (N, {'m' if m is None else m})"
+            f"inputs have shape {arr.shape}, expected (N, {'m >= 1' if m is None else m})"
         )
     # min and max propagate NaN, so two reductions catch every bad entry
     if arr.size and not (arr.min() > 0 and arr.max() < np.inf):
@@ -464,7 +465,8 @@ def equivalent(a: CanonicalForm, b: CanonicalForm) -> bool:
     return _match_terms(a.terms, b.terms)
 
 
-def _default_names(m: int) -> list[str]:
+def default_names(m: int) -> list[str]:
+    """The names x1..xm a model without feature names shows and saves."""
     return [f"x{j + 1}" for j in range(m)]
 
 
@@ -479,7 +481,7 @@ def _is_one(e: float) -> bool:
 def render(s: Signomial, names: Sequence[str] | None = None, style: str = "plain") -> str:
     """Render a signomial as text. style is 'plain' or 'latex'."""
     if names is None:
-        names = _default_names(s.m)
+        names = default_names(s.m)
     elif len(names) != s.m:
         raise NameCountMismatchError(
             f"got {len(names)} names for {s.m} features"

@@ -4,10 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from signolearn import classifier, data_io, optim
+from signolearn import classifier, data_io, optim, signomial
 from signolearn.classifier import (
     ClassifyConfig,
     EcselModel,
@@ -283,6 +283,53 @@ def test_sigmoid_loss_and_grad_are_the_weighted_softplus_and_its_gradient(case):
     assert loss == pytest.approx(float(w @ softplus), rel=1e-12, abs=loss_floor)
     grad_floor = 1e-15 * np.concatenate([[w @ phi], abs(alpha) * ((w * phi) @ np.log(X))])
     assert np.all(np.abs(grad - expected) <= 1e-12 * np.abs(expected) + grad_floor)
+
+
+@st.composite
+def stacked_heads(draw):
+    """Head inputs for T stacked models: alphas (T, C, K), betas
+    (T, C, K, m), log-inputs (T, N, m) with labels (T, N), or (N, m) with
+    (N,) shared by every trial, class weights and the link. Coefficients
+    reach 1e308, so two scores can lie more than float range apart, or
+    overflow."""
+    link = draw(st.sampled_from(classifier.LINKS))
+    t, n, k, m = (draw(st.integers(1, 4)) for _ in range(4))
+    classes = 2 if link == "sigmoid" else draw(st.integers(2, 4))
+    rows = 1 if link == "sigmoid" else classes
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.sampled_from((0, 100, 307, 308)))
+    alphas = scale * rng.uniform(-1.0, 1.0, (t, rows, k))
+    betas = rng.standard_normal((t, rows, k, m))
+    shared = draw(st.booleans())
+    log_x = rng.uniform(-1.0, 1.0, (n, m) if shared else (t, n, m))
+    y = rng.integers(0, classes, n if shared else (t, n))
+    return alphas, betas, log_x, y, rng.uniform(0.1, 5.0, classes), link
+
+
+def index_gather_loss(alphas, betas, log_x, y, weights, link):
+    """The head's loss, each row's label term taken by an index gather."""
+    phi = signomial.monomials(betas, log_x)
+    Z = (alphas[..., None, :] @ phi.swapaxes(-3, -1).swapaxes(-3, -2))[..., 0, :]
+    Z = classifier._class_scores(link, Z.swapaxes(-1, -2))
+    shifted = Z - Z.max(axis=-1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=-1))[..., None]
+    t, n = log_p.shape[:2]
+    at_label = log_p[np.arange(t)[:, None], np.arange(n), y]
+    return -(weights[y] * at_label).sum(axis=-1) / n
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacked_heads())
+# class 1's score is 2e308 below class 0's, so its log-probability is -inf
+@example((np.array([[[1e308], [-1e308], [0.0]]]), np.zeros((1, 3, 1, 1)),
+          np.zeros((1, 2, 1)), np.array([[0, 2]]), np.ones(3), "softmax"))
+def test_the_masked_label_loss_is_the_index_gather_bit_for_bit(case):
+    alphas, betas, log_x, y, weights, link = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, _ = classifier._smooth_loss(alphas, betas, log_x,
+                                          classifier._labels(y, weights), link)
+        want = index_gather_loss(alphas, betas, log_x, y, weights, link)
+    np.testing.assert_array_equal(loss, want)
 
 
 @pytest.mark.parametrize("link", ["softmax", "sigmoid"])
@@ -697,6 +744,17 @@ def test_fit_trials_checks_labels_before_training():
     negative[3] = -1
     with pytest.raises(LabelOutOfRangeError):
         fit_trials(train, data_io.Dataset(val.X, negative, val.feature_names), [cfg])
+
+
+def test_a_fit_on_zero_feature_columns_fails_before_any_training(monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a fit on no features trained")
+
+    monkeypatch.setattr(classifier, "_train_stack", unexpected)
+    y = np.array([0, 1] * 4)
+    empty = data_io.Dataset(np.ones((8, 0)), y, [])
+    with pytest.raises(DimensionMismatchError, match=r"\(8, 0\)"):
+        fit(empty, empty, ClassifyConfig(epochs=1))
 
 
 # --- threshold grid ---------------------------------------------------------------

@@ -130,6 +130,17 @@ def test_loss_input_validation():
 
 
 @pytest.mark.parametrize("k", [1, 2])
+def test_a_fit_on_zero_feature_columns_fails_before_any_work(monkeypatch, k):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a fit on no features trained")
+
+    monkeypatch.setattr(regressor, "_adam_stage", unexpected)
+    monkeypatch.setattr(regressor, "_polish", unexpected)
+    with pytest.raises(DimensionMismatchError, match=r"\(5, 0\)"):
+        fit_sr(np.ones((5, 0)), np.arange(1.0, 6.0), SrConfig(num_terms=k), 0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
 def test_a_target_whose_sum_of_squares_overflows_is_refused_without_a_warning(k):
     # 20 * (1e300)^2 passes float range: one typed error and no numpy
     # warning, before any fit squares the target
@@ -436,6 +447,23 @@ def assert_rows_match_alone(stacked, betas, rows, log_x, y):
         assert_rows_close(got[rows], want)
 
 
+def test_the_adam_stage_computes_only_the_gradients_it_uses(monkeypatch):
+    # every epoch's step needs dL/dbeta alone, and the last pass, which
+    # scores the final exponents, needs the loss alone
+    real, returned = regressor.backward, []
+
+    def recording(*args):
+        returned.append(real(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(regressor, "backward", recording)
+    log_x, y, betas = jin2_stage_inputs()
+    regressor._adam_stage(betas, log_x, y, 1e-2, 5, 0.05)
+    assert len(returned) == 6
+    assert all(d_alpha is None and d_beta is not None for d_alpha, d_beta in returned[:-1])
+    assert returned[-1] == (None, None)
+
+
 def test_stacked_adam_stage_equals_one_restart_at_a_time():
     log_x, y, betas = jin2_stage_inputs()
     stacked = run_stage(betas, log_x, y)
@@ -542,26 +570,24 @@ def test_linear_mse_head_names_the_restart_whose_loss_overflows():
 
 
 @st.composite
-def coefficient_problems(draw, huge_columns=False):
-    """A stack phi (N, C, K) of bare-monomial matrices and a shared 1-D or 2-D
-    rhs. Each row is well conditioned (singular values in [1, 100] times a
-    scale of its own, 1e-30 to 1e30) unless made rank-deficient: a repeated
-    exponent row (two equal columns), a column that underflowed to 0, or an
-    all-zero phi. With huge_columns, a one-column row's scale reaches up to
-    1e300, and phi^T phi passes float range from about 1e154."""
+def coefficient_problems(draw, min_terms=1):
+    """A stack phi (N, C, K) of bare-monomial matrices, K >= min_terms, and a
+    shared 1-D or 2-D rhs. Each row is well conditioned (singular values in
+    [1, 100] times a scale of its own, 1e-30 to 1e30) unless made
+    rank-deficient: a repeated exponent row (two equal columns), a column
+    that underflowed to 0, or an all-zero phi."""
     c = draw(st.integers(1, 8))
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(min_terms, 4))
     n = draw(st.integers(k, k + 12))
     kinds = draw(st.lists(st.sampled_from(("full", "repeat", "zero column", "all zero")),
                           min_size=c, max_size=c))
     columns = draw(st.sampled_from((None, 1, 3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    top = 301 if huge_columns and k == 1 else 31
     phi = np.empty((n, c, k))
     for i, kind in enumerate(kinds):
         q = np.linalg.qr(rng.standard_normal((n, k)))[0]
         w = np.linalg.qr(rng.standard_normal((k, k)))[0]
-        phi[:, i] = (q * rng.uniform(1.0, 100.0, k)) @ w * 10.0 ** rng.integers(-30, top)
+        phi[:, i] = (q * rng.uniform(1.0, 100.0, k)) @ w * 10.0 ** rng.integers(-30, 31)
         if kind == "repeat" and k > 1:
             phi[:, i, 1] = phi[:, i, 0]
         elif kind == "zero column":
@@ -572,29 +598,18 @@ def coefficient_problems(draw, huge_columns=False):
 
 
 @settings(max_examples=100, deadline=None)
-@given(coefficient_problems(huge_columns=True))
-def test_stacked_solve_is_lstsq_row_by_row(problem):
-    # one column is solved in closed form, scaled so that phi^T phi cannot
-    # overflow; K >= 2 is the batched SVD below, bit for bit
+@given(coefficient_problems(min_terms=2))
+def test_svd_solve_is_minimum_norm_lstsq(problem):
+    # the K >= 2 polishes and the log start solve one (N, K) system each;
+    # a rank-deficient phi gets lstsq's minimum-norm solution
     phi, rhs = problem
-    n, _, k = phi.shape
-    solved = regressor._solve_coefficients(phi, rhs)
-    assert solved.shape == phi.shape[1:] + rhs.shape[1:]
-    if k > 1:
-        u, s, vt = np.linalg.svd(phi.transpose(1, 0, 2), full_matrices=False)
-        kept = s > np.finfo(float).eps * max(n, k) * s[:, :1]
-        inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
-        ut_rhs = u.transpose(0, 2, 1) @ rhs.reshape(n, -1)
-        svd = vt.transpose(0, 2, 1) @ (inv[:, :, None] * ut_rhs)
-        np.testing.assert_array_equal(solved, svd.reshape(solved.shape))
     for c in range(phi.shape[1]):
+        solved = regressor._solve_coefficients(phi[:, c], rhs)
+        assert solved.shape == phi.shape[2:] + rhs.shape[1:]
         want = np.linalg.lstsq(phi[:, c], rhs, rcond=None)[0]
-        assert_rows_close(solved[c][None], want[None])
+        assert_rows_close(solved[None], want[None])
         if not phi[:, c].any():  # an all-zero phi gets coefficients of exactly 0
-            assert not solved[c].any()
-        # the rows share no arithmetic, so a row solved alone gets the same bits
-        np.testing.assert_array_equal(regressor._solve_coefficients(phi[:, [c]], rhs)[0],
-                                      solved[c])
+            assert not solved.any()
 
 
 @settings(max_examples=100, deadline=None)
@@ -854,6 +869,36 @@ def test_polish_with_duplicate_exponent_rows_is_finite(start, truth):
     assert_rows_close(alphas[None], expected[None])
     np.testing.assert_allclose(alphas, [1.5, 1.5], rtol=1e-6)
     assert mse < 1e-12
+
+
+@pytest.mark.parametrize("low, beta, alpha", [(1e3, 75.0, 3e-300), (1e-10, 40.0, 0.0)],
+                         ids=["column near 1e300", "all-zero column"])
+def test_one_term_projection_in_closed_form(monkeypatch, low, beta, alpha):
+    # x^75 reaches 1e300 on [1e3, 1e4], where phi^T phi passes float range,
+    # so the closed form divides phi by its largest entry; x^40 underflows
+    # to 0 on [1e-10, 1e-9], and an all-zero column gets exactly 0
+    captured = []
+
+    def capture(fun, x0, *args, **kwargs):
+        captured.append((fun, x0))
+        return LmResult(x0, math.nan, 0, converged=False)
+
+    monkeypatch.setattr(regressor, "levenberg_marquardt", capture)
+    X = np.random.default_rng(6).uniform(low, 10.0 * low, size=(40, 1))
+    y = alpha * X[:, 0] ** beta + 1e-3 * np.cos(X[:, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alphas, _, mse, _ = regressor._polish(np.array([[beta]]), log_inputs(X), y)
+        (fun, theta), = captured
+        r, jac = fun(theta)
+    if alpha:
+        want = np.linalg.lstsq(X ** beta, y, rcond=None)[0]
+        assert alphas[0] == pytest.approx(want[0], rel=1e-12)
+        assert np.isfinite(jac).all() and jac.any()
+    else:
+        assert alphas[0] == 0.0 and not jac.any()
+        np.testing.assert_array_equal(r, -y)
+    assert mse == pytest.approx(r @ r / len(y), rel=1e-12)
 
 
 def test_one_term_polish_past_the_gram_range():
