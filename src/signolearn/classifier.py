@@ -181,7 +181,7 @@ class EcselModel:
         last = getattr(self, slot)
         if last is not None and last.key == key:
             return last
-        terms = forward(self._alphas, self._betas, log_inputs(row[None, :], self.m))[0]
+        terms = forward(self._alphas, self._betas, log_inputs(row[None, :], self.m))[..., 0]
         scores = terms.sum(axis=1)
         log_gradients = (terms[:, None, :] @ self._betas)[:, 0, :]
         for values in (terms, scores, log_gradients):
@@ -209,7 +209,7 @@ class EcselModel:
 
     def scores_batch(self, X) -> np.ndarray:
         """Score matrix (N, C) over a batch of inputs."""
-        return forward(self._alphas, self._betas, log_inputs(X, self.m)).sum(axis=2)
+        return forward(self._alphas, self._betas, log_inputs(X, self.m)).sum(axis=1).T
 
     def to_dict(self) -> dict:
         payload = {
@@ -258,19 +258,20 @@ class EcselModel:
 
 
 def _class_scores(link: str, Z: np.ndarray) -> np.ndarray:
-    """Every class's scores (..., N, C) from a model's scores Z (..., N, C): a
-    sigmoid model's one score is class 1's, beside an exact 0 for class 0."""
+    """Every class's rows (..., C, n) from a model's rows Z (..., C, n), the
+    class axis second to last, as in the training scores (T, C, N) and the
+    log-gradients (C, m): a sigmoid model's one row is class 1's, beside an
+    exact 0 row for class 0."""
     if link != "sigmoid":
         return Z
-    # a view of a (..., C, N) block, the training scores' layout
-    padded = np.zeros(Z.shape[:-2] + (2, Z.shape[-2])).swapaxes(-1, -2)
-    padded[..., 1:] = Z
+    padded = np.zeros(Z.shape[:-2] + (2, Z.shape[-1]))
+    padded[..., 1:, :] = Z
     return padded
 
 
 def _probabilities(model: EcselModel, Z: np.ndarray) -> np.ndarray:
     """Class probabilities (N, C) from model scores (N, C): a max-shifted softmax."""
-    Z = _class_scores(model.link, Z)
+    Z = _class_scores(model.link, Z.T).T
     e = np.exp(Z - Z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
@@ -338,10 +339,9 @@ def class_weights(y: np.ndarray, num_classes: int, multiplier: float) -> np.ndar
 
 def _labels(y, weights) -> tuple[np.ndarray, np.ndarray]:
     """Labels y (..., N) in the two forms the head takes: their one-hot
-    indicator (..., N, C), a view of a (..., C, N) block, which is the
-    scores' layout, and each row's class weight (..., N) from weights (C,)."""
-    hot = (np.arange(len(weights))[:, None] == y[..., None, :]).swapaxes(-1, -2)
-    return hot, weights[y]
+    indicator (..., C, N), the scores' layout, and each row's class weight
+    (..., N) from weights (C,)."""
+    return np.arange(len(weights))[:, None] == y[..., None, :], weights[y]
 
 
 def _smooth_loss(alphas, betas, log_x, labels, link):
@@ -365,25 +365,23 @@ def _smooth_loss(alphas, betas, log_x, labels, link):
     """
     hot, w = labels
     n = log_x.shape[-2]
-    phi = monomials(betas, log_x)  # (T, N, C, K)
-    # (T, C, 1, K) @ (T, C, K, N): Z is a (T, N, C) view of a (T, C, N) block
-    Z = (alphas[..., None, :] @ phi.swapaxes(-3, -1).swapaxes(-3, -2))[..., 0, :]
-    Z = _class_scores(link, Z.swapaxes(-1, -2))
-    shifted = Z - Z.max(axis=-1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=-1))
-    log_p = shifted - log_norm[..., None]
+    phi = monomials(betas, log_x)
+    # (T, C, 1, K) @ (T, C, K, N): the scores Z (T, C, N), classes on axis -2
+    Z = _class_scores(link, (alphas[..., None, :] @ phi)[..., 0, :])
+    shifted = Z - Z.max(axis=-2, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=-2, keepdims=True))
     # each row's log-probability at its label, bit for bit: the zeros the
     # mask puts elsewhere add exactly nothing, where a -inf log-probability
     # (two scores more than float range apart) times 0 would be NaN
-    loss = -(w * np.where(hot, log_p, 0.0).sum(axis=-1)).sum(axis=-1) / n
+    loss = -(w * np.where(hot, log_p, 0.0).sum(axis=-2)).sum(axis=-1) / n
 
     def grad(out=None):
-        # dL/dz in the scores' (T, C, N) layout, contiguous for backward
+        # dL/dz (T, C, N), in the scores' layout
         d = np.exp(log_p)
         d -= hot  # minus 1 at each row's label, minus 0 elsewhere: the same bits
-        d *= (w / n)[..., None]
+        d *= (w / n)[..., None, :]
         # a sigmoid model's class 0 scores a constant 0, with no parameters
-        return backward(d[..., -alphas.shape[-2]:], phi, alphas, log_x, out)
+        return backward(d[..., -alphas.shape[-2]:, :], phi, alphas, log_x, out)
 
     return loss, grad
 
@@ -580,9 +578,11 @@ def _train_stack(cfgs, log_x, y, log_xv, yv, weights, c_rows) -> list:
         if len(ids) > len(stack.live):  # a trial left during this epoch
             kept = np.isin(ids, stack.live)
             ids, rows = ids[kept], [a[kept] for a in rows]
-        lx, *labels = (a[:, start : start + batch] for a in rows)
+        # rows are on axis 1 of the inputs (T, N, m), last in the labels
+        lx, hot, w = rows
+        cut = slice(start, start + batch)
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, grad = objective(lx, labels)
+            loss, grad = objective(lx[:, cut], (hot[..., cut], w[..., cut]))
             finite_rows(loss, f"non-finite training loss at epoch {epoch}", epoch)
             grad(stack.gradient())
             stack.step()

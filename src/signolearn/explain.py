@@ -110,7 +110,7 @@ def _probability_gradient(model: EcselModel, p, log_gradients, class_idx: int):
     a sigmoid model's class 0, whose score is the constant 0. Summing the
     differences weighted by the other classes' probabilities keeps a class
     whose probability is near 1 exact, where G_c - sum_r p_r G_r cancels."""
-    g = _class_scores(model.link, log_gradients.T).T
+    g = _class_scores(model.link, log_gradients)
     return p[class_idx] * (p @ (g[class_idx] - g))
 
 

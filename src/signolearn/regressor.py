@@ -12,20 +12,16 @@ of its residuals, raced: LM abandons a candidate still above RACE_MARGIN times
 the best sum of squares so far after LM_RACE_EVALS evaluations. Both the Adam
 stage and the polish work by variable projection: z is linear in the
 coefficients, so they search only the exponents and solve the coefficients by
-least squares at every step, and both get the bare monomials from the
-kernel's coefficient-free entry `signomial.monomials`. The Adam stage solves
-all stacked rows from their K x K normal equations, in one stacked product and
-one batched eigh (`_gram_coefficients`). A one-term polish solves its one
-column in closed form, since it has condition number 1; the K >= 2 polishes
-and the log-space start solve one (N, K) system each by SVD
-(`_solve_coefficients`), since those can be nearly or exactly
-rank-deficient. The Adam stage takes its loss from an MSE head linear in the
-coefficients (`_mse_head`), and its gradient from `signomial.backward`, as
-the classifier does. Its restarts run as one stacked loop over a leading
-restart axis (the kernel's C axis); a restart that diverges leaves it. The
-polish is Levenberg-Marquardt over the nonzero exponents. Recovered
-expressions are snapped to canonical form and compared against the
-generating equation up to algebraic equivalence.
+least squares at every step, on the bare monomials of the kernel's
+coefficient-free entry `signomial.monomials`. The Adam stage runs its
+restarts as the kernel's C axis, solves them all from their normal equations
+(`_gram_coefficients`), and takes its loss from an MSE head linear in the
+coefficients (`_mse_head`) and its gradient from `signomial.backward`, as the
+classifier does; a restart that diverges leaves the stack. The polish is
+Levenberg-Marquardt over the nonzero exponents, with a closed-form solve for
+one term and an SVD (`_solve_coefficients`) for more. Recovered expressions
+are snapped to canonical form and compared against the generating equation
+up to algebraic equivalence.
 """
 
 from __future__ import annotations
@@ -164,14 +160,19 @@ class TargetSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "TargetSpec":
         try:
-            return cls(
-                name=data["name"],
-                truth=Signomial.from_dict(data["truth"]),
-                ranges=tuple(tuple(map(float, r)) for r in data["ranges"]),
-                samples=(int(data["samples"][0]), int(data["samples"][1])),
-                num_terms=int(data["K"]),
-                positive_domain_only=bool(data.get("positiveDomainOnly", False)),
-            )
+            name, samples, k, ranges = (data[key] for key in ("name", "samples", "K", "ranges"))
+            positive = data.get("positiveDomainOnly", False)
+            # JSON types, not coercions: "false" must not read as True, 2.7 as K = 2,
+            # nor the range "15" as [1, 5]
+            pairs = type(ranges) is list and all(
+                type(r) is list and len(r) == 2 and {type(v) for v in r} <= {int, float}
+                for r in ranges)
+            if not (pairs and type(name) is str and type(k) is int and type(positive) is bool
+                    and type(samples) is list and [type(n) for n in samples] == [int, int]):
+                raise TypeError("need a string name, [low, high] number pairs as ranges, "
+                                "integers K and samples and a boolean positiveDomainOnly")
+            return cls(name, Signomial.from_dict(data["truth"]),
+                       tuple(tuple(map(float, r)) for r in ranges), tuple(samples), k, positive)
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise DataFormatError(f"invalid target spec: {exc}") from exc
 
@@ -325,7 +326,7 @@ def _checked_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
 def _mse_head(phi, alphas, log_x, y, out=None):
     """MSE and its gradient for C stacked signomials, linear in the coefficients.
 
-    Takes the bare monomials phi (N, C, K) of `monomials` at ln x (N, m) and
+    Takes the bare monomials phi (C, K, N) of `monomials` at ln x (N, m) and
     the coefficients alphas (C, K); returns the losses (C,), dL/dalpha
     (C, K) and dL/dbeta (C, K, m). The residual y - Phi alpha is one stacked
     matrix-vector product, and the gradient is `signomial.backward` at
@@ -338,8 +339,8 @@ def _mse_head(phi, alphas, log_x, y, out=None):
     # monomials below the limit can still multiply, square or sum past float
     # range, which is also an infinite loss
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = y - (alphas[:, None, :] @ phi.transpose(1, 2, 0))[:, 0]  # (C, N)
-        d_alpha, d_beta = backward(((-2.0 / n) * resid).T, phi, alphas, log_x, out)
+        resid = y - (alphas[:, None, :] @ phi)[:, 0]  # (C, N)
+        d_alpha, d_beta = backward((-2.0 / n) * resid, phi, alphas, log_x, out)
         # a stacked dot product: for C = 1 it is bit for bit resid @ resid
         losses = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0] / n
     return finite_rows(losses, "regression loss is non-finite"), d_alpha, d_beta
@@ -369,10 +370,10 @@ def _solve_coefficients(phi, rhs):
 
 def _gram_coefficients(phi, y):
     """Least-squares coefficients (C, K) of each stacked row's bare monomials
-    phi (N, C, K), a view of `monomials`' rows-last (C, K, N) buffer, against
-    y (N,), from the K x K normal equations.
+    phi (C, K, N) of `monomials` against y (N,), from the K x K normal
+    equations.
 
-    One stacked product of that buffer, with y appended as a last row, gives
+    One stacked product of phi, with y appended as a last row, gives
     every row's Gram matrix G = Phi^T Phi and Phi^T y, and one batched eigh
     of G the minimum-norm solution V diag(1/lambda) V^T Phi^T y over the
     eigenvalues above eps * max(N, K) * lambda_max; the rest are G's
@@ -392,9 +393,9 @@ def _gram_coefficients(phi, y):
     solved on an identity placeholder and given NaN eigenvalues, so only
     that failure pays for a second eigh.
     """
-    n, c, k = phi.shape
+    c, k, n = phi.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = np.concatenate([phi.transpose(1, 2, 0), np.broadcast_to(y, (c, 1, n))], axis=1)
+        rows = np.concatenate([phi, np.broadcast_to(y, (c, 1, n))], axis=1)
         gram = rows @ rows.transpose(0, 2, 1)  # (C, K+1, K+1)
         try:
             lam, v = np.linalg.eigh(gram[:, :k, :k])
@@ -514,7 +515,7 @@ def _polish(betas, log_x, y, ceiling=math.inf):
         b = np.zeros(k * m)
         b[free] = theta
         b = b.reshape(k, m)
-        phi = monomials(b[None], log_x)[:, 0]
+        phi = monomials(b[None], log_x)[0].T
         d_phi = phi[:, term] * log_x_free
         # for K >= 2 the SVD's last digits follow the right-hand side's
         # memory order, which column_stack chooses from its operands

@@ -167,7 +167,12 @@ class Signomial:
             # a JSON integer: 2.5 or "2" must not decode as 2
             if isinstance(m, bool) or not isinstance(m, int):
                 raise TypeError(f"m must be an integer, got {m!r}")
-            terms = [Term(t["alpha"], tuple(t["beta"])) for t in data["terms"]]
+            terms = data["terms"]
+            # JSON numbers only: "3" must not decode as 3.0, "12" as [1, 2] or true as 1.0
+            if not all(type(t["beta"]) is list and all(type(v) in (int, float)
+                       for v in (t["alpha"], *t["beta"])) for t in terms):
+                raise TypeError("every alpha must be a number and every beta a list of numbers")
+            terms = [Term(t["alpha"], tuple(t["beta"])) for t in terms]
             # checked on decode, not in __init__, which the fitting code calls often
             if not all(math.isfinite(v) for t in terms for v in (t.alpha, *t.beta)):
                 raise ValueError("coefficients and exponents must be finite")
@@ -242,12 +247,6 @@ def single_input(x, m: int) -> np.ndarray:
     return arr[None, :]
 
 
-# the kernel works on (C, K, N) blocks and returns (N, C, K) views of them,
-# with or without a leading trial axis; the permutation is looked up, not
-# built, since the kernel runs on every training step and explained row
-_ROWS_FIRST = {3: (2, 0, 1), 4: (0, 3, 1, 2)}
-
-
 def _check_log_magnitude(log_mag: np.ndarray, what: str) -> None:
     """Raise OverflowLimitError if any entry of a (..., C, K, N) array is too large.
 
@@ -280,15 +279,16 @@ def forward(alphas, betas, log_x) -> np.ndarray:
     """Evaluate C stacked signomials of K terms each at N log-inputs.
 
     Takes alphas (C, K), betas (C, K, m) and ln x (N, m), and returns the
-    per-term values sign(alpha) * exp(ln|alpha| + beta . ln x) (N, C, K); a
+    per-term values sign(alpha) * exp(ln|alpha| + beta . ln x) (C, K, N); a
     term whose log-magnitude exceeds LOG_MAGNITUDE_LIMIT raises
     OverflowLimitError. A zero coefficient has ln 0 = -inf, so its term is
     exactly 0 and never overflows; that is also how a class with fewer terms
-    is padded. The work runs with rows last, where numpy is fastest for a
-    signomial's small C and K, and the result is an (N, C, K) view.
+    is padded. Rows come last, where numpy is fastest for a signomial's
+    small C and K, and that C-contiguous block is the layout every head
+    reads; only the public results turn it to rows first.
 
     Every argument may carry a leading trial axis T, as (T, C, K),
-    (T, C, K, m) and (T, N, m), and the result is then (T, N, C, K); ln x
+    (T, C, K, m) and (T, N, m), and the result is then (T, C, K, N); ln x
     of shape (N, m) is shared by every trial. Each trial is computed on its
     own slice, so its values do not depend on which trials share the stack.
     """
@@ -300,7 +300,7 @@ def forward(alphas, betas, log_x) -> np.ndarray:
     # in place, so a call allocates one (..., C, K, N) buffer, not three
     per_term = np.exp(log_mag, out=log_mag)
     per_term *= sign_alpha[..., None]
-    return per_term.transpose(_ROWS_FIRST[per_term.ndim])
+    return per_term
 
 
 def monomials(betas, log_x) -> np.ndarray:
@@ -308,39 +308,36 @@ def monomials(betas, log_x) -> np.ndarray:
     per-term values at unit coefficients, without the coefficients.
 
     Takes betas (C, K, m) and ln x (N, m), each with or without forward's
-    leading trial axis T, and returns an (N, C, K) or (T, N, C, K) view, bit
-    for bit forward(np.ones(...), betas, log_x). A monomial whose log
+    leading trial axis T, and returns forward's (C, K, N) or (T, C, K, N)
+    block, bit for bit forward(np.ones(...), betas, log_x). A monomial whose log
     exceeds LOG_MAGNITUDE_LIMIT raises OverflowLimitError, labelled
     "monomial" where forward says "term".
     """
     mono = _mono_log(betas, log_x)
     _check_log_magnitude(mono, "monomial")
-    np.exp(mono, out=mono)
-    return mono.transpose(_ROWS_FIRST[mono.ndim])
+    return np.exp(mono, out=mono)
 
 
 def backward(dz, phi, alphas, log_x, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """Parameter gradient of the scores z = Phi alpha from dL/dz (N, C).
+    """Parameter gradient of the scores z = Phi alpha from dL/dz (C, N).
 
-    Takes the bare monomials phi (N, C, K) of `monomials` at ln x (N, m) and
+    Takes the bare monomials phi (C, K, N) of `monomials` at ln x (N, m) and
     the coefficients alphas (C, K); returns dL/dalpha = Phi^T dz (C, K) and
     dL/dbeta = alpha * ((dz Phi) @ ln x) (C, K, m), with no exp and no
-    overflow check. With forward's leading trial axis, dz is (T, N, C), phi
-    (T, N, C, K), alphas (T, C, K) and ln x (T, N, m) or shared (N, m); each
+    overflow check. With forward's leading trial axis, dz is (T, C, N), phi
+    (T, C, K, N), alphas (T, C, K) and ln x (T, N, m) or shared (N, m); each
     trial's gradients come from its own slice. out, a pair of arrays of
     those shapes, receives the gradients in place of new arrays, as the
     views of an `optim.AdamStack`'s gradient buffer do; a gradient whose
     slot in out is None is not computed and comes back None.
 
-    Both are products per score: (..., C, K, N) against dz (..., C, N, 1)
-    and the weighted monomials against ln x (..., 1, N, m), so each score's
+    Both are products per score: phi against dz (..., C, N, 1) and the
+    weighted monomials against ln x (..., 1, N, m), so each score's
     gradients are bit for bit the ones it gets alone. One merged
     (C * K, N) @ (N, m) product gives a score slightly different last bits
     in a stack, and the Adam stage's normal equations amplify them.
     """
     d_alpha, d_beta = (None, None) if out is None else out
-    phi = phi.swapaxes(-3, -1).swapaxes(-3, -2)  # (..., C, K, N), monomials' layout
-    dz = dz.swapaxes(-1, -2)  # (..., C, N)
     if out is None or d_alpha is not None:
         d_alpha = np.matmul(phi, dz[..., None],
                             out=None if d_alpha is None else d_alpha[..., None])[..., 0]
@@ -358,7 +355,7 @@ def evaluate(s: Signomial, x) -> ScoreBreakdown:
 
 def evaluate_batch(s: Signomial, X) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate s at every row of X. Returns (totals (N,), per-term (N, K))."""
-    per_term = forward(s._alphas[None], s._betas[None], log_inputs(X, s.m))[:, 0, :]
+    per_term = forward(s._alphas[None], s._betas[None], log_inputs(X, s.m))[0].T
     return per_term.sum(axis=1), per_term
 
 

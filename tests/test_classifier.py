@@ -309,12 +309,11 @@ def stacked_heads(draw):
 def index_gather_loss(alphas, betas, log_x, y, weights, link):
     """The head's loss, each row's label term taken by an index gather."""
     phi = signomial.monomials(betas, log_x)
-    Z = (alphas[..., None, :] @ phi.swapaxes(-3, -1).swapaxes(-3, -2))[..., 0, :]
-    Z = classifier._class_scores(link, Z.swapaxes(-1, -2))
-    shifted = Z - Z.max(axis=-1, keepdims=True)
-    log_p = shifted - np.log(np.exp(shifted).sum(axis=-1))[..., None]
-    t, n = log_p.shape[:2]
-    at_label = log_p[np.arange(t)[:, None], np.arange(n), y]
+    Z = classifier._class_scores(link, (alphas[..., None, :] @ phi)[..., 0, :])  # (T, C, N)
+    shifted = Z - Z.max(axis=-2, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=-2))[..., None, :]
+    t, n = log_p.shape[0], log_p.shape[-1]
+    at_label = log_p[np.arange(t)[:, None], y, np.arange(n)]
     return -(weights[y] * at_label).sum(axis=-1) / n
 
 

@@ -773,6 +773,36 @@ def test_recover_missing_spec_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+MISTYPED_SPEC_FIELDS = {
+    "string-bool": {"positiveDomainOnly": "false"},
+    "fractional-K": {"K": 2.7},
+    "bool-K": {"K": True},
+    "fractional-samples": {"samples": [10.9, 20.5]},
+    "number-name": {"name": 5},
+    "string-range": {"ranges": [[1.0, 5.0], "15"]},
+    "string-bound": {"ranges": [["1", "5"], [1.0, 5.0]]},
+}
+
+
+@pytest.mark.parametrize("edit", MISTYPED_SPEC_FIELDS.values(), ids=MISTYPED_SPEC_FIELDS)
+def test_a_spec_field_of_the_wrong_json_type_is_refused(tmp_path, capsys, edit):
+    # "false" once read as True, 2.7 as K = 2, true as K = 1, 10.9 as 10 and
+    # the range "15" as [1, 5]
+    path = Path(single_spec_file(tmp_path))
+    spec = {**json.loads(path.read_text()), **edit}
+    path.write_text(json.dumps(spec))
+    assert cli.main(["recover", "--spec", str(path), "--seeds", "42"]) == 3
+    assert capsys.readouterr().err.startswith("error: DataFormatError")
+    suite_path = tmp_path / "suite.json"
+    suite_path.write_text(json.dumps({"version": 1, "specs": [spec]}))
+    out = tmp_path / "bench.csv"
+    assert cli.main(["benchmark", "--suite", str(suite_path), "--seeds", "42",
+                     "--out", str(out)]) == 0
+    with open(out) as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["status"] == "error" and "invalid target spec" in row["message"]
+
+
 def test_benchmark_isolates_bad_specs(tmp_path):
     suite = json.loads(Path(SUITE).read_text())
     good = next(s for s in suite["specs"] if s["name"] == "Livermore-13")

@@ -282,7 +282,7 @@ def test_a_curve_point_is_the_python_float_sum_over_forward_terms(link):
     model = EcselModel(sigs if link == "softmax" else sigs[:1], link=link)
     x = rng.uniform(0.5, 3.0, 3)
     per_term = signomial.forward(model._alphas, model._betas, signomial.log_inputs(x[None]))
-    for c, terms in enumerate(per_term[0].tolist()):
+    for c, terms in enumerate(per_term[..., 0].tolist()):
         for j in range(model.m):
             exponents = model._betas[c, :, j].tolist()
             for q in np.geomspace(0.1, 10.0, 41).tolist():
@@ -512,6 +512,46 @@ def test_probability_sensitivity_matches_fd(link):
                 2 * h
             )
             assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than float64 here")
+def test_sensitivities_match_a_long_double_evaluation():
+    # central differences carry about 1e-9 of rounding on scores near 16, so
+    # they cannot show an analytic error below that; G_cj = sum_k z_ck beta_ckj
+    # in long double bounds it at 1e-12 of sum_k |z_ck beta_ckj|
+    rng = np.random.default_rng(41)
+    for _ in range(500):
+        link = "sigmoid" if rng.random() < 0.25 else "softmax"
+        rows = 1 if link == "sigmoid" else int(rng.integers(2, 5))
+        k, m = (int(v) for v in rng.integers(1, 5, 2))
+        alphas = rng.uniform(0.2, 2.0, (rows, k)) * rng.choice([-1.0, 1.0], (rows, k))
+        betas = rng.uniform(-2.0, 2.0, (rows, k, m))
+        model = EcselModel([Signomial.from_arrays(a, b) for a, b in zip(alphas, betas)],
+                           link=link)
+        x = rng.uniform(0.5, 3.0, m)
+        wide_betas = betas.astype(np.longdouble)
+        log_terms = np.log(np.abs(alphas).astype(np.longdouble)) + wide_betas @ np.log(
+            x.astype(np.longdouble))
+        terms = np.sign(alphas) * np.exp(log_terms)  # z_ck
+        g = (terms[..., None] * wide_betas).sum(axis=1)
+        gross = np.abs(terms[..., None] * wide_betas).sum(axis=1)
+        for c in range(rows):
+            got = elasticity(model, c, x).log_gradient
+            assert (np.abs(got - g[c]) <= 1e-12 * gross[c]).all()
+            for r in range(c + 1, rows):
+                got = margin_sensitivity(model, c, r, x).per_feature
+                assert (np.abs(got - (g[c] - g[r])) <= 1e-12 * (gross[c] + gross[r])).all()
+        scores = terms.sum(axis=1)
+        if link == "sigmoid":  # class 0 scores the constant 0, so G_0 = 0
+            scores = np.concatenate([np.zeros(1, np.longdouble), scores])
+            g = np.concatenate([np.zeros_like(g), g])
+        p = np.exp(scores - scores.max())
+        p /= p.sum()
+        for c in range(model.C):
+            want = p[c] * (p @ (g[c] - g))
+            got = probability_sensitivity(model, c, x)
+            assert (np.abs(got - want) <= 1e-12 * gross.sum(axis=0)).all()
 
 
 # --- exact log-space attribution -------------------------------------------------

@@ -527,10 +527,10 @@ def forward_backward_mse_head(alphas, betas, log_x, y):
     per_term = forward(alphas, betas, log_x)
     phi = forward(np.ones_like(alphas), betas, log_x)
     n = len(y)
-    resid = y - per_term.sum(axis=2).T
-    dz = (-2.0 / n) * resid.T  # (N, C)
-    d_alpha = np.einsum("nc,nck->ck", dz, phi)
-    d_beta = np.einsum("nc,nck,nj->ckj", dz, per_term, log_x)
+    resid = y - per_term.sum(axis=1)
+    dz = (-2.0 / n) * resid  # (C, N)
+    d_alpha = np.einsum("cn,ckn->ck", dz, phi)
+    d_beta = np.einsum("cn,ckn,nj->ckj", dz, per_term, log_x)
     return (resid * resid).sum(axis=1) / n, d_alpha, d_beta
 
 
@@ -571,7 +571,7 @@ def test_linear_mse_head_names_the_restart_whose_loss_overflows():
 
 @st.composite
 def coefficient_problems(draw, min_terms=1):
-    """A stack phi (N, C, K) of bare-monomial matrices, K >= min_terms, and a
+    """A stack phi (C, K, N) of bare-monomial matrices, K >= min_terms, and a
     shared 1-D or 2-D rhs. Each row is well conditioned (singular values in
     [1, 100] times a scale of its own, 1e-30 to 1e30) unless made
     rank-deficient: a repeated exponent row (two equal columns), a column
@@ -583,17 +583,17 @@ def coefficient_problems(draw, min_terms=1):
                           min_size=c, max_size=c))
     columns = draw(st.sampled_from((None, 1, 3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    phi = np.empty((n, c, k))
+    phi = np.empty((c, k, n))
     for i, kind in enumerate(kinds):
         q = np.linalg.qr(rng.standard_normal((n, k)))[0]
         w = np.linalg.qr(rng.standard_normal((k, k)))[0]
-        phi[:, i] = (q * rng.uniform(1.0, 100.0, k)) @ w * 10.0 ** rng.integers(-30, 31)
+        phi[i] = ((q * rng.uniform(1.0, 100.0, k)) @ w * 10.0 ** rng.integers(-30, 31)).T
         if kind == "repeat" and k > 1:
-            phi[:, i, 1] = phi[:, i, 0]
+            phi[i, 1] = phi[i, 0]
         elif kind == "zero column":
-            phi[:, i, k - 1] = 0.0
+            phi[i, k - 1] = 0.0
         elif kind == "all zero":
-            phi[:, i] = 0.0
+            phi[i] = 0.0
     return phi, rng.standard_normal(n if columns is None else (n, columns))
 
 
@@ -603,12 +603,12 @@ def test_svd_solve_is_minimum_norm_lstsq(problem):
     # the K >= 2 polishes and the log start solve one (N, K) system each;
     # a rank-deficient phi gets lstsq's minimum-norm solution
     phi, rhs = problem
-    for c in range(phi.shape[1]):
-        solved = regressor._solve_coefficients(phi[:, c], rhs)
-        assert solved.shape == phi.shape[2:] + rhs.shape[1:]
-        want = np.linalg.lstsq(phi[:, c], rhs, rcond=None)[0]
+    for design in phi:  # (K, N): the system is its transpose
+        solved = regressor._solve_coefficients(design.T, rhs)
+        assert solved.shape == design.shape[:1] + rhs.shape[1:]
+        want = np.linalg.lstsq(design.T, rhs, rcond=None)[0]
         assert_rows_close(solved[None], want[None])
-        if not phi[:, c].any():  # an all-zero phi gets coefficients of exactly 0
+        if not design.any():  # an all-zero phi gets coefficients of exactly 0
             assert not solved.any()
 
 
@@ -621,16 +621,16 @@ def test_stage_solve_is_lstsq_row_by_row(problem):
     phi, rhs = problem
     y = rhs if rhs.ndim == 1 else rhs[:, 0]
     solved = regressor._gram_coefficients(phi, y)
-    assert solved.shape == phi.shape[1:]
-    for c in range(phi.shape[1]):
-        want = np.linalg.lstsq(phi[:, c], y, rcond=None)[0]
+    assert solved.shape == phi.shape[:2]
+    for c in range(len(phi)):
+        want = np.linalg.lstsq(phi[c].T, y, rcond=None)[0]
         assert_rows_close(solved[c][None], want[None], rel=1e-9)
-        if not phi[:, c, -1].any():  # a zero column, or an all-zero phi
+        if not phi[c, -1].any():  # a zero column, or an all-zero phi
             assert solved[c, -1] == 0.0
-        if phi.shape[2] > 1 and (phi[:, c, 1] == phi[:, c, 0]).all():
+        if phi.shape[1] > 1 and (phi[c, 1] == phi[c, 0]).all():
             assert solved[c, 1] == pytest.approx(solved[c, 0], rel=1e-9)
         # each row is its own product and eigh, so alone it gets the same bits
-        np.testing.assert_array_equal(regressor._gram_coefficients(phi[:, [c]], y)[0],
+        np.testing.assert_array_equal(regressor._gram_coefficients(phi[[c]], y)[0],
                                       solved[c])
 
 
@@ -643,7 +643,7 @@ def test_a_restart_whose_gram_passes_float_range_leaves_the_stack(monkeypatch):
     bad[3] = 0.0
     bad[3, 0, 0] = 400.0 / log_x[:, 0].min()
     phi = signomial.monomials(bad, log_x)
-    assert np.isfinite(phi).all() and phi[:, 3, 0].max() == pytest.approx(math.exp(400.0))
+    assert np.isfinite(phi).all() and phi[3, 0].max() == pytest.approx(math.exp(400.0))
     stacks = []
 
     class Recording(optim.AdamStack):
@@ -671,7 +671,7 @@ def test_a_restart_whose_gram_makes_eigh_raise_leaves_the_stack(monkeypatch):
     log_x, y, betas = jin2_stage_inputs()
     bad = betas.copy()
     bad[3] = [[200.0, 0.0], [300.0, 0.0], [202.0, 0.0]]
-    phi = signomial.monomials(bad, log_x)[:, 3]
+    phi = signomial.monomials(bad, log_x)[3].T
     assert np.isfinite(phi).all()
     with np.errstate(over="ignore"):
         gram = phi.T @ phi
@@ -848,7 +848,7 @@ def test_sr_loss_at_a_zero_coefficient_warns_about_nothing():
 
 def monomials(betas, log_x):
     """The bare monomials Phi (N, K) of one signomial's exponents (K, m)."""
-    return signomial.monomials(betas[None], log_x)[:, 0]
+    return signomial.monomials(betas[None], log_x)[0].T
 
 
 @pytest.mark.parametrize("start, truth", [

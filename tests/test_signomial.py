@@ -10,6 +10,7 @@ from signolearn import classifier, explain, regressor
 from signolearn.classifier import EcselModel, predict_proba, predict_proba_batch
 from signolearn.data_io import Dataset, Scaler
 from signolearn.errors import (
+    CorruptModelError,
     DataFormatError,
     DimensionMismatchError,
     NameCountMismatchError,
@@ -111,6 +112,25 @@ def test_from_dict_needs_an_integer_feature_count(m):
     payload = {"m": m, "terms": [{"alpha": 1.0, "beta": [1.0, -2.0]}]}
     with pytest.raises(DimensionMismatchError, match="m must be an integer"):
         Signomial.from_dict(payload)
+
+
+@pytest.mark.parametrize("term", [
+    {"alpha": "3", "beta": "12"}, {"alpha": 3, "beta": "12"}, {"alpha": True, "beta": [1, 2]},
+    {"alpha": "3", "beta": [1, 2]}, {"alpha": 3, "beta": [1, False]},
+], ids=["both-strings", "string-beta", "bool-alpha", "string-alpha", "bool-exponent"])
+def test_from_dict_takes_only_json_numbers(term):
+    # a string exponent list once read as one exponent per character, and
+    # true as 1.0; a model loader reports the fault as a corrupt model
+    payload = {"m": 2, "terms": [term]}
+    with pytest.raises(DimensionMismatchError, match="every alpha must be a number"):
+        Signomial.from_dict(payload)
+    with pytest.raises(CorruptModelError):
+        regressor.RegressorModel.from_dict({"kind": "regressor", "signomial": payload})
+
+
+def test_from_dict_takes_ints_and_floats():
+    payload = {"m": 2, "terms": [{"alpha": 3, "beta": [1, 2.5]}]}
+    assert Signomial.from_dict(payload) == Signomial([(3.0, (1.0, 2.5))])
 
 
 # --- evaluation --------------------------------------------------------------
@@ -297,10 +317,10 @@ def test_forward_stacks_scores_like_separate_evaluations():
     ]
     X = rng.uniform(1.0, 10.0, size=(6, 2))
     per_term = forward(*kernel_args(sigs, X))
-    assert per_term.shape == (6, 2, 2)
+    assert per_term.shape == (2, 2, 6)
     for c, s in enumerate(sigs):
         _, expected = evaluate_batch(s, X)
-        assert np.allclose(per_term[:, c, :], expected, rtol=1e-14, atol=0.0)
+        assert np.allclose(per_term[c].T, expected, rtol=1e-14, atol=0.0)
 
 
 def test_backward_sums_rows_and_weights_scores():
@@ -308,13 +328,13 @@ def test_backward_sums_rows_and_weights_scores():
     sigs = [Signomial([(0.7, (1.0, -0.5)), (-1.2, (0.3, 0.8))]),
             Signomial([(0.4, (-1.0, 0.0)), (0.9, (0.0, 2.0))])]
     X = rng.uniform(1.0, 5.0, size=(5, 2))
-    dz = rng.standard_normal((5, 2))
+    dz = rng.standard_normal((2, 5))
     alphas, betas, log_x = kernel_args(sigs, X)
     d_alpha, d_beta = backward(dz, monomials(betas, log_x), alphas, log_x)
     for c, s in enumerate(sigs):
         rows = [gradient(s, x) for x in X]
-        assert d_alpha[c] == pytest.approx(sum(dz[i, c] * r[0] for i, r in enumerate(rows)))
-        assert d_beta[c] == pytest.approx(sum(dz[i, c] * r[1] for i, r in enumerate(rows)))
+        assert d_alpha[c] == pytest.approx(sum(dz[c, i] * r[0] for i, r in enumerate(rows)))
+        assert d_beta[c] == pytest.approx(sum(dz[c, i] * r[1] for i, r in enumerate(rows)))
 
 
 def kernel_outputs(alphas, betas, log_x, dz):
@@ -333,9 +353,9 @@ def test_trial_axis_gives_each_trial_its_lone_bits(shared_inputs):
     alphas = rng.normal(0.2, 0.5, size=(t, c, k))
     betas = rng.uniform(-1.5, 1.5, size=(t, c, k, m))
     log_x = np.log(rng.uniform(1.0, 10.0, size=(n, m) if shared_inputs else (t, n, m)))
-    dz = rng.standard_normal((t, n, c))
+    dz = rng.standard_normal((t, c, n))
     stacked = kernel_outputs(alphas, betas, log_x, dz)
-    assert stacked[0].shape == (t, n, c, k) and stacked[3].shape == (t, c, k, m)
+    assert stacked[0].shape == (t, c, k, n) and stacked[3].shape == (t, c, k, m)
     for i in range(t):
         lx = log_x if shared_inputs else log_x[i]
         for got, want in zip(stacked, kernel_outputs(alphas[i], betas[i], lx, dz[i])):
@@ -354,11 +374,11 @@ def test_backward_gives_each_score_of_a_stack_its_lone_bits(k, trials):
     alphas = rng.standard_normal(lead + (c, k))
     betas = rng.standard_normal(lead + (c, k, m))
     log_x = np.log(rng.uniform(0.1, 3.0, size=lead + (n, m)))
-    dz = rng.standard_normal(lead + (n, c))
+    dz = rng.standard_normal(lead + (c, n))
     phi = monomials(betas, log_x)
     d_alpha, d_beta = backward(dz, phi, alphas, log_x)
     for i in range(c):
-        alone = backward(dz[..., [i]], phi[..., [i], :], alphas[..., [i], :], log_x)
+        alone = backward(dz[..., [i], :], phi[..., [i], :, :], alphas[..., [i], :], log_x)
         np.testing.assert_array_equal(alone[0], d_alpha[..., [i], :])
         np.testing.assert_array_equal(alone[1], d_beta[..., [i], :, :])
 
@@ -374,7 +394,7 @@ def test_backward_writes_into_out_and_skips_a_none_slot(trials):
     alphas = rng.standard_normal(lead + (c, k))
     betas = rng.standard_normal(lead + (c, k, m))
     log_x = np.log(rng.uniform(0.1, 3.0, size=lead + (n, m)))
-    dz = rng.standard_normal(lead + (n, c))
+    dz = rng.standard_normal(lead + (c, n))
     phi = monomials(betas, log_x)
     want = backward(dz, phi, alphas, log_x)
     out = (np.empty(lead + (c, k)), np.empty(lead + (c, k, m)))
@@ -399,7 +419,7 @@ def test_backward_gives_each_trial_of_a_stack_its_lone_bits(t, c, k, m, n, seed)
     alphas = rng.normal(0.0, 1.0, size=(t, c, k)) * (rng.random((t, c, k)) > 0.2)
     betas = rng.uniform(-3.0, 3.0, size=(t, c, k, m))
     log_x = np.log(rng.uniform(0.1, 10.0, size=(t, n, m)))
-    dz = rng.standard_normal((t, n, c))
+    dz = rng.standard_normal((t, c, n))
     d_alpha, d_beta = backward(dz, monomials(betas, log_x), alphas, log_x)
     assert d_alpha.shape == (t, c, k) and d_beta.shape == (t, c, k, m)
     for i in range(t):
@@ -418,14 +438,14 @@ def test_backward_matches_finite_differences_of_weighted_scores(t, c, k, m, n, s
     alphas = rng.normal(0.0, 1.0, size=(t, c, k))
     betas = rng.uniform(-2.0, 2.0, size=(t, c, k, m))
     x = rng.uniform(0.5, 3.0, size=(t, n, m))
-    dz = rng.standard_normal((t, n, c))
+    dz = rng.standard_normal((t, c, n))
     log_x = np.log(x)
     d_alpha, d_beta = backward(dz, monomials(betas, log_x), alphas, log_x)
 
     def weighted(a, b):
-        # z[t, n, c] = sum_k a[t, c, k] * prod_j x[t, n, j] ** b[t, c, k, j]
+        # z[t, c, n] = sum_k a[t, c, k] * prod_j x[t, n, j] ** b[t, c, k, j]
         powers = np.prod(x[:, :, None, None, :] ** b[:, None], axis=-1)
-        return float(np.sum(dz * np.einsum("tnck,tck->tnc", powers, a)))
+        return float(np.sum(dz * np.einsum("tnck,tck->tcn", powers, a)))
 
     def moved(which, at, h):
         params = [alphas.copy(), betas.copy()]
@@ -465,7 +485,7 @@ def test_forward_makes_a_zero_coefficient_term_exactly_zero(trials):
         expected = [evaluate_batch(s, X)[1] for s in sigs]
     for stack in per_term if trials else [per_term]:
         for c in range(len(sigs)):
-            assert stack[:, c].tobytes() == expected[c].tobytes()
+            assert stack[c].T.tobytes() == expected[c].tobytes()
     assert not expected[0][:, 1].any() and not expected[1][:, 0].any()
 
 
@@ -483,8 +503,21 @@ def test_monomials_are_forward_at_unit_coefficients_bit_for_bit(c, k, m, n, tria
     log_x = np.log(rng.uniform(0.1, 10.0, size=x_shape))
     got = monomials(betas, log_x)
     want = forward(np.ones(lead + (c, k)), betas, log_x)
-    assert got.shape == want.shape == lead + (n, c, k)
+    assert got.shape == want.shape == lead + (c, k, n)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("trials", [None, 2], ids=["C,K", "T,C,K"])
+def test_the_kernel_returns_its_own_rows_last_blocks(trials):
+    # forward and monomials hand the heads the (..., C, K, N) buffer they
+    # computed in, C-contiguous, not a rows-first view of it
+    lead = () if trials is None else (trials,)
+    rng = np.random.default_rng(12)
+    betas = rng.uniform(-2.0, 2.0, size=lead + (3, 2, 4))
+    log_x = np.log(rng.uniform(0.5, 4.0, size=(5, 4)))
+    for got in (forward(rng.standard_normal(lead + (3, 2)), betas, log_x),
+                monomials(betas, log_x)):
+        assert got.shape == lead + (3, 2, 5) and got.flags.c_contiguous
 
 
 @pytest.mark.parametrize("trials", [None, 2], ids=["C,K", "T,C,K"])
