@@ -1,9 +1,10 @@
 """Signomial classifiers: per-class scores, softmax/sigmoid link, training.
 
-Each class carries one signomial score function. A binary sigmoid model's
-one score is class 1's and class 0 scores exactly 0; the softmax of [0, z]
-is the logistic sigmoid of z, so one max-shifted softmax gives both links'
-probabilities, training loss and probability sensitivities. Training
+Each class carries one signomial score function. A binary sigmoid model
+learns class 1's score only and class 0 scores exactly 0; the softmax of
+[0, z] is the logistic sigmoid of z, so one max-shifted softmax gives both
+links' probabilities, training loss and probability sensitivities, and
+scores and explanations address classes 0..C-1 for both links. Training
 minimizes class-weighted cross-entropy plus an L1 penalty on the exponents,
 using mini-batch Adam with gradient clipping and a proximal soft-threshold
 step; early stopping restores the best snapshot.
@@ -101,7 +102,9 @@ class EcselModel:
 
     Softmax models hold one signomial per class; sigmoid models hold a single
     score signomial for the positive class, beside class 0's score of exactly
-    zero, and a decision threshold.
+    zero, and a decision threshold. Scores and records have one row per
+    class either way: class 0 of a sigmoid model has no terms, and its
+    per-term values, score and log-gradients are exact zeros.
     """
 
     def __init__(
@@ -152,20 +155,22 @@ class EcselModel:
                 raise DimensionMismatchError(
                     f"scaler bounds have shapes {sorted(shapes)} for {self.m} features"
                 )
+        # the trained rows, one per signomial; every output is padded to C rows
         self._alphas, self._betas = _stack_params(self.signomials)
+        # the term count of each class, none for a sigmoid model's class 0
+        rows, k = self._alphas.shape
+        self.term_counts = [0] * (self.C - rows) + [s.num_terms for s in self.signomials]
         # the exponents as Python floats, [c][j] -> one per term, for
-        # explain.counterfactual_scale
-        self._exponents = self._betas.transpose(0, 2, 1).tolist()
+        # explain.counterfactual_scale; a sigmoid model's class 0 gets zeros,
+        # so its zero per-term values scale to the exact 0 of its score
+        betas = _class_scores(link, self._betas.reshape(rows, -1)).reshape(self.C, k, self.m)
+        self._exponents = betas.transpose(0, 2, 1).tolist()
         # the records of the last explained row and of the last reference
         # input (an attribution's baseline), in two slots so that neither
         # evicts the other; each is one tuple, set in one statement, so
         # threads sharing the model need no lock
         self._last_row: InputRecord | None = None
         self._last_reference: InputRecord | None = None
-
-    @property
-    def num_terms(self) -> int:
-        return max(s.num_terms for s in self.signomials)
 
     def _record(self, x, slot: str) -> InputRecord:
         """The InputRecord of one input, kept in the attribute named slot.
@@ -182,8 +187,9 @@ class EcselModel:
         if last is not None and last.key == key:
             return last
         terms = forward(self._alphas, self._betas, log_inputs(row[None, :], self.m))[..., 0]
-        scores = terms.sum(axis=1)
         log_gradients = (terms[:, None, :] @ self._betas)[:, 0, :]
+        terms, log_gradients = (_class_scores(self.link, v) for v in (terms, log_gradients))
+        scores = terms.sum(axis=1)
         for values in (terms, scores, log_gradients):
             values.setflags(write=False)
         last = InputRecord(key, terms, terms.tolist(), scores, log_gradients)
@@ -209,20 +215,19 @@ class EcselModel:
 
     def scores_batch(self, X) -> np.ndarray:
         """Score matrix (N, C) over a batch of inputs."""
-        return forward(self._alphas, self._betas, log_inputs(X, self.m)).sum(axis=1).T
+        terms = forward(self._alphas, self._betas, log_inputs(X, self.m))
+        return _class_scores(self.link, terms.sum(axis=1)).T
 
     def to_dict(self) -> dict:
-        payload = {
+        return {
             "kind": "classifier",
             "link": self.link,
             "featureNames": list(self.feature_names),
             "classNames": list(self.class_names),
             "scaler": None if self.scaler is None else self.scaler.to_dict(),
             "signomials": [s.to_dict() for s in self.signomials],
+            **_threshold_entry(self),
         }
-        if self.link == "sigmoid":
-            payload["threshold"] = self.threshold
-        return payload
 
     @classmethod
     def from_dict(cls, data: dict) -> "EcselModel":
@@ -258,10 +263,11 @@ class EcselModel:
 
 
 def _class_scores(link: str, Z: np.ndarray) -> np.ndarray:
-    """Every class's rows (..., C, n) from a model's rows Z (..., C, n), the
-    class axis second to last, as in the training scores (T, C, N) and the
-    log-gradients (C, m): a sigmoid model's one row is class 1's, beside an
-    exact 0 row for class 0."""
+    """Every class's rows (..., C, n) from the trained rows Z (..., C, n),
+    the class axis second to last, as in the training scores (T, C, N), a
+    record's per-term values (C, K) and log-gradients (C, m) and the batch
+    scores (C, N): a sigmoid model's one row is class 1's, beside an exact 0
+    row for class 0."""
     if link != "sigmoid":
         return Z
     padded = np.zeros(Z.shape[:-2] + (2, Z.shape[-1]))
@@ -269,9 +275,8 @@ def _class_scores(link: str, Z: np.ndarray) -> np.ndarray:
     return padded
 
 
-def _probabilities(model: EcselModel, Z: np.ndarray) -> np.ndarray:
+def _probabilities(Z: np.ndarray) -> np.ndarray:
     """Class probabilities (N, C) from model scores (N, C): a max-shifted softmax."""
-    Z = _class_scores(model.link, Z.T).T
     e = np.exp(Z - Z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
@@ -284,13 +289,19 @@ def _decide(model: EcselModel, P: np.ndarray) -> np.ndarray:
     return np.argmax(P, axis=-1)
 
 
+def _threshold_entry(model: EcselModel) -> dict:
+    """The payload entry of the threshold a sigmoid model decides by; none
+    for softmax, which takes the argmax."""
+    return {"threshold": model.threshold} if model.link == "sigmoid" else {}
+
+
 def predict_proba(model: EcselModel, x) -> np.ndarray:
     """Class-probability vector at one input."""
-    return _probabilities(model, model._row(x).scores[None, :])[0]
+    return _probabilities(model._row(x).scores[None, :])[0]
 
 
 def predict_proba_batch(model: EcselModel, X) -> np.ndarray:
-    return _probabilities(model, model.scores_batch(X))
+    return _probabilities(model.scores_batch(X))
 
 
 def predict(model: EcselModel, x) -> int:

@@ -26,6 +26,8 @@ from .classifier import (
     LINKS,
     ClassifyConfig,
     EcselModel,
+    _decide,
+    _threshold_entry,
     compute_metrics,
     fit,
     fit_trials,
@@ -205,9 +207,8 @@ def _train_classifier(args, data: data_io.Dataset) -> tuple[dict, dict, list, fl
         "bestEpoch": trace.best_epoch,
         "stoppedEarly": trace.stopped_early,
         "resolvedConfig": resolved,
+        **_threshold_entry(model),
     }
-    if model.link == "sigmoid":
-        payload["threshold"] = model.threshold
     trace_rows = [
         (e, tr, va)
         for e, tr, va in zip(trace.epochs, trace.train_loss, trace.val_loss)
@@ -301,9 +302,8 @@ def cmd_predict(args) -> int:
     data = data_io.load_csv(args.data, args.target, task="classify" if classify else "regress",
                             features=model.feature_names)
     if classify:
-        Xs = _transform(model.scaler, data.X)
-        y_pred = predict_batch(model, Xs)
-        proba = predict_proba_batch(model, Xs)
+        proba = predict_proba_batch(model, _transform(model.scaler, data.X))
+        y_pred = _decide(model, proba)
         payload = {
             "version": RESULT_SCHEMA_VERSION,
             "kind": "classifier",
@@ -371,15 +371,13 @@ def cmd_explain(args) -> int:
     if not 0 <= args.row < len(Xs):
         raise BadConfigError(f"row {args.row} out of range for {len(Xs)} rows")
     x = Xs[args.row]
-    # a sigmoid model has one score (the positive class's), explained whatever
-    # the prediction; a softmax model explains its predicted class by default
+    # a sigmoid model explains class 1, whose score it learned, whatever the
+    # prediction; a softmax model explains its predicted class by default
     class_idx = args.class_idx
     if class_idx is None:
-        class_idx = 0 if model.link == "sigmoid" else int(predict(model, x))
-    elif not 0 <= class_idx < len(model.signomials):
-        raise BadConfigError(
-            f"--class {class_idx} out of range for {len(model.signomials)} model scores"
-        )
+        class_idx = 1 if model.link == "sigmoid" else int(predict(model, x))
+    elif not 0 <= class_idx < model.C:
+        raise BadConfigError(f"--class {class_idx} out of range for {model.C} classes")
 
     # a term index asks for exact-log mode and a probability target for
     # gradient mode; build_report refuses either in the other mode
@@ -390,8 +388,7 @@ def cmd_explain(args) -> int:
         elif args.gradient_target == "probability":
             mode = "gradient"
         else:
-            k = model.signomials[class_idx].num_terms
-            mode = "exact-log" if k == 1 else "gradient"
+            mode = "exact-log" if model.term_counts[class_idx] == 1 else "gradient"
     baseline_row = args.baseline_row
     if args.baseline != "sample" and baseline_row is not None:
         raise BadConfigError(
@@ -409,10 +406,7 @@ def cmd_explain(args) -> int:
     )
     if args.counterfactual is not None:
         j, q = _parse_counterfactual(args.counterfactual, model.feature_names)
-        per_class = [
-            counterfactual_scale(model, c, x, j, q)
-            for c in range(len(model.signomials))
-        ]
+        per_class = [counterfactual_scale(model, c, x, j, q) for c in range(model.C)]
         # a curve point past float range has a null score; the curve itself
         # goes on
         curve = []

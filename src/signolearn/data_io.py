@@ -141,9 +141,10 @@ class Scaler:
 
         A payload with another range, any preprocessing step, or bounds that
         `fit` cannot give is a DataFormatError: one of mins and maxs without
-        the other, bounds that are not two equal-length lists of finite
-        numbers, or a min above its max, which would invert the scaling. A
-        min equal to its max is a constant feature.
+        the other, bounds that are not two equal-length lists of finite JSON
+        numbers ("1" must not decode as 1.0, nor true as 1.0), or a min
+        above its max, which would invert the scaling. A min equal to its
+        max is a constant feature.
         """
         fixed = {k: data.get(k) for k in ("lo", "hi", "steps", "stepParams")}
         if fixed != {"lo": cls.lo, "hi": cls.hi, "steps": [], "stepParams": []}:
@@ -157,8 +158,11 @@ class Scaler:
             return sc
         if mins is None or maxs is None:
             raise DataFormatError("scaler needs both mins and maxs, or neither")
+        if not all(type(b) is list and all(type(v) in (int, float) for v in b)
+                   for b in (mins, maxs)):
+            raise DataFormatError("scaler mins and maxs must be lists of numbers")
         sc.mins, sc.maxs = numeric_array(mins), numeric_array(maxs)
-        if sc.mins.ndim != 1 or sc.mins.shape != sc.maxs.shape:
+        if sc.mins.shape != sc.maxs.shape:
             raise DataFormatError(
                 f"scaler mins {sc.mins.shape} and maxs {sc.maxs.shape} must be equal-length lists"
             )
@@ -386,7 +390,8 @@ def load_model(path: str) -> dict:
     data = read_json(path, CorruptModelError)
     if not isinstance(data, dict) or "version" not in data:
         raise CorruptModelError(f"{path}: missing schema version")
-    if data["version"] != MODEL_SCHEMA_VERSION:
+    # the JSON integer 1: true and 1.0 compare equal to it in Python
+    if type(data["version"]) is not int or data["version"] != MODEL_SCHEMA_VERSION:
         raise SchemaVersionError(
             f"{path}: schema version {data['version']!r}, supported: {MODEL_SCHEMA_VERSION}"
         )

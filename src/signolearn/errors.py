@@ -96,7 +96,3 @@ class SameClassError(SignolearnError):
 
 class ZeroComponentScoreError(SignolearnError):
     """Log-space attribution needs nonzero per-term scores."""
-
-
-class MixedSignError(SignolearnError):
-    """Log-space attribution needs the two scores to share a sign."""

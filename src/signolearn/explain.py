@@ -14,6 +14,11 @@ reporting on it against a baseline and drawing its counterfactual curve run
 the kernel once on that row, and N rows explained against one baseline run
 it N + 1 times. A scenario table runs one forward pass over its inputs. As
 in model.scores, an overflowing term in any class raises OverflowLimitError.
+
+Every function takes a class index in [0, model.C) for both links. A
+sigmoid model's class 0 scores the constant 0: its score, per-term values,
+log-gradients and counterfactual scores are exact zeros, and its class 1
+is the learned score.
 """
 
 from __future__ import annotations
@@ -24,12 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import EcselModel, _class_scores, _decide, _probabilities
+from .classifier import EcselModel, _decide, _probabilities, _threshold_entry
 from .data_io import Dataset
 from .errors import (
     BadConfigError,
     DataFormatError,
-    MixedSignError,
     NonPositiveInputError,
     OverflowLimitError,
     SameClassError,
@@ -104,13 +108,11 @@ def _real_number(value, what: str) -> float:
     return float(value)
 
 
-def _probability_gradient(model: EcselModel, p, log_gradients, class_idx: int):
+def _probability_gradient(p, g, class_idx: int):
     """d p_c / d ln x = p_c sum_{r != c} p_r (G_c - G_r) from the
-    probabilities (C,) and the score log-gradients, with a zero row of G for
-    a sigmoid model's class 0, whose score is the constant 0. Summing the
+    probabilities (C,) and the score log-gradients G (C, m). Summing the
     differences weighted by the other classes' probabilities keeps a class
     whose probability is near 1 exact, where G_c - sum_r p_r G_r cancels."""
-    g = _class_scores(model.link, log_gradients)
     return p[class_idx] * (p @ (g[class_idx] - g))
 
 
@@ -121,7 +123,7 @@ def elasticity(model: EcselModel, class_idx: int, x) -> ElasticityVector:
     G_j / z divides by the score and is only defined where the score is
     positive.
     """
-    _check_index(class_idx, len(model.signomials), "class", "scores")
+    _check_index(class_idx, model.C, "class", "classes")
     z, g = _row_values(model, x)
     z, g = float(z[class_idx]), g[class_idx].copy()
     return ElasticityVector(score=z, log_gradient=g, elasticity=g / z if z > 0 else None)
@@ -153,10 +155,9 @@ def counterfactual_scale(
     if not q > 0 or not math.isfinite(q):
         raise NonPositiveInputError(f"scale factor must be positive, got {q!r}")
     # plain comparisons for the common case; _check_index raises for the
-    # rest and passes numpy integers. A sigmoid model has one score.
-    num_scores = len(model.signomials)
-    if type(class_idx) is not int or not 0 <= class_idx < num_scores:
-        _check_index(class_idx, num_scores, "class", "scores")
+    # rest and passes numpy integers
+    if type(class_idx) is not int or not 0 <= class_idx < model.C:
+        _check_index(class_idx, model.C, "class", "classes")
     if type(feature_idx) is not int or not 0 <= feature_idx < model.m:
         _check_index(feature_idx, model.m, "feature", "features")
     terms = model._row(x).lists[class_idx]
@@ -188,10 +189,8 @@ def margin_sensitivity(
     model: EcselModel, class_idx: int, other_idx: int, x
 ) -> MarginSensitivity:
     """Margin between two class scores and its per-feature log-gradient."""
-    if len(model.signomials) < 2:
-        raise BadConfigError("margins need a model with per-class scores")
-    _check_index(class_idx, len(model.signomials), "class", "scores")
-    _check_index(other_idx, len(model.signomials), "class", "scores")
+    _check_index(class_idx, model.C, "class", "classes")
+    _check_index(other_idx, model.C, "class", "classes")
     if class_idx == other_idx:
         raise SameClassError(f"margin of class {class_idx} against itself is zero")
     z, g = _row_values(model, x)
@@ -212,7 +211,7 @@ def probability_sensitivity(model: EcselModel, class_idx: int, x) -> np.ndarray:
     """
     _check_index(class_idx, model.C, "class", "classes")
     z, g = _row_values(model, x)
-    return _probability_gradient(model, _probabilities(model, z[None, :])[0], g, class_idx)
+    return _probability_gradient(_probabilities(z[None, :])[0], g, class_idx)
 
 
 def attribute_exact_log(
@@ -229,8 +228,8 @@ def attribute_exact_log(
     noise. For a single-term score this covers the entire class score; for
     multi-term scores a term index must be chosen (or use gradient mode).
     """
-    _check_index(class_idx, len(model.signomials), "class", "scores")
-    num_terms = model.signomials[class_idx].num_terms
+    _check_index(class_idx, model.C, "class", "classes")
+    num_terms = model.term_counts[class_idx]
     if term_idx is None:
         if num_terms != 1:
             raise BadConfigError(
@@ -246,13 +245,9 @@ def attribute_exact_log(
             f"term {term_idx} of class {class_idx} evaluates to zero; "
             "log attribution is undefined"
         )
-    if (zx > 0) != (zb > 0):
-        raise MixedSignError(
-            f"term {term_idx} changes sign between baseline and input"
-        )
     x = numeric_array(x)
     b = numeric_array(baseline)
-    phi = model._betas[class_idx, term_idx] * np.log(x / b)
+    phi = np.array(model._exponents[class_idx])[:, term_idx] * np.log(x / b)
     residual = math.log(abs(zx)) - math.log(abs(zb)) - float(phi.sum())
     return AttributionReport(
         mode="exact-log",
@@ -280,12 +275,9 @@ def attribute_gradient(
     the true change minus the sum of contributions and is reported, never
     hidden.
     """
-    if target == "score":
-        _check_index(class_idx, len(model.signomials), "class", "scores")
-    elif target == "probability":
-        _check_index(class_idx, model.C, "class", "classes")
-    else:
+    if target not in ("score", "probability"):
         raise BadConfigError(f"target must be score or probability, got {target!r}")
+    _check_index(class_idx, model.C, "class", "classes")
     x = numeric_array(x)
     x_star = numeric_array(x_star)
     ref, row = model._reference(x_star), model._row(x)
@@ -293,9 +285,9 @@ def attribute_gradient(
         before, after = ref.scores[class_idx], row.scores[class_idx]
         grad = ref.log_gradients[class_idx]
     else:
-        p_ref, p_row = _probabilities(model, np.stack([ref.scores, row.scores]))
+        p_ref, p_row = _probabilities(np.stack([ref.scores, row.scores]))
         before, after = p_ref[class_idx], p_row[class_idx]
-        grad = _probability_gradient(model, p_ref, ref.log_gradients, class_idx)
+        grad = _probability_gradient(p_ref, ref.log_gradients, class_idx)
     phi = grad * (np.log(x) - np.log(x_star))
     residual = float(after - before) - float(phi.sum())
     return AttributionReport(
@@ -373,7 +365,6 @@ def build_report(
         rep = attribute_gradient(model, class_idx, x, baseline, target)
     else:
         raise BadConfigError(f"mode must be exact-log or gradient, got {mode!r}")
-    _check_index(class_idx, len(model.signomials), "class", "scores")
     z, g = _row_values(model, x)
     margins = [
         {
@@ -381,8 +372,7 @@ def build_report(
             "margin": float(z[class_idx] - z[other]),
             "perFeature": _ranked_map(names, g[class_idx] - g[other]),
         }
-        for other in range(model.C)
-        if other != class_idx and model.link != "sigmoid"
+        for other in range(model.C) if other != class_idx
     ]
     return {
         "input": dict(zip(names, x.tolist())),
@@ -405,17 +395,15 @@ def compare_scenarios(model: EcselModel, scenarios: list[tuple[str, np.ndarray]]
         raise DataFormatError("no scenarios given")
     xs = [numeric_array(x) for _, x in scenarios]
     scores = model.scores_batch(np.concatenate([single_input(x, model.m) for x in xs]))
-    probs = _probabilities(model, scores)
+    probs = _probabilities(scores)
     rows = []
     for (name, _), x, z, p, c in zip(scenarios, xs, scores, probs, _decide(model, probs)):
-        entry = {
+        rows.append({
             "name": name,
             "input": {fn: float(v) for fn, v in zip(model.feature_names, x)},
             "scores": [float(s) for s in z],
             "probabilities": [float(v) for v in p],
-        }
-        if model.link == "sigmoid":
-            entry["threshold"] = model.threshold
-        entry["predicted"] = int(c)
-        rows.append(entry)
+            **_threshold_entry(model),
+            "predicted": int(c),
+        })
     return {"scenarios": rows}

@@ -16,8 +16,9 @@ from signolearn.classifier import (
     fit,
     fit_trials,
     predict_batch,
+    predict_proba,
 )
-from signolearn.errors import BadConfigError, CorruptModelError
+from signolearn.errors import BadConfigError, CorruptModelError, NonFiniteLossError
 from signolearn.regressor import RegressorModel, TargetSpec, generate_benchmark_data
 from signolearn.signomial import Signomial
 
@@ -374,6 +375,27 @@ def test_predict_skips_blank_lines_with_and_without_target(tmp_path):
     assert predictions[0] == predictions[1]
 
 
+def test_predict_scores_a_classifier_csv_once(tmp_path, monkeypatch):
+    # the predictions are decided from the probabilities, not from a second pass
+    data = tmp_path / "x.csv"
+    data.write_text("x1,x2,x3\n1.0,1.0,1.0\n2.0,0.5,3.0\n")
+    calls = []
+    real = EcselModel.scores_batch
+
+    def counting(self, X):
+        calls.append(len(X))
+        return real(self, X)
+
+    monkeypatch.setattr(EcselModel, "scores_batch", counting)
+    out = tmp_path / "p.json"
+    assert cli.main(["predict", "--model", TOY, "--data", str(data), "--out", str(out)]) == 0
+    assert calls == [2]
+    payload = json.loads(out.read_text())
+    model = EcselModel.load(TOY)
+    X = data_io.load_csv(str(data), None, features=model.feature_names).X
+    assert payload["predictions"] == predict_batch(model, X).tolist() == [0, 1]
+
+
 def test_model_with_mis_sized_scaler_is_corrupt(tmp_path, capsys):
     data = write_blobs_csv(tmp_path / "blobs.csv")
     out = str(tmp_path / "m.json")
@@ -412,6 +434,9 @@ def scaled_model_file(tmp_path):
     lambda p: p["scaler"].pop("stepParams"),
     lambda p: p["scaler"].update(steps=["warp"]),
     lambda p: p["scaler"].update(mins=[1.0, "low"]),
+    # JSON numbers only: "0.5" must not decode as 0.5, nor false and true as 0 and 1
+    lambda p: p["scaler"].update(mins=[str(v) for v in p["scaler"]["mins"]]),
+    lambda p: p["scaler"].update(mins=[False, False], maxs=[True, True]),
     lambda p: p["scaler"]["maxs"].__setitem__(1, math.inf),
     lambda p: p["signomials"][0]["terms"][0].update(alpha=math.nan),
     lambda p: p["signomials"][1]["terms"][0]["beta"].__setitem__(0, math.inf),
@@ -430,7 +455,8 @@ def scaled_model_file(tmp_path):
     lambda p: p.update(kind="forest"),
     lambda p: p.update(kind=["classifier"]),
 ], ids=["scaler-with-steps", "scaler-other-range", "no-step-params", "unknown-step",
-        "bad-bound", "infinite-bound", "nan-alpha", "infinite-beta", "fractional-m", "string-m",
+        "bad-bound", "string-bounds", "bool-bounds", "infinite-bound", "nan-alpha",
+        "infinite-beta", "fractional-m", "string-m",
         "feature-names-not-strings", "string-feature-names", "regressor-string-feature-names",
         "string-class-names", "class-names-not-strings", "duplicate-feature-names",
         "regressor-duplicate-feature-names", "regressor-without-signomial", "unknown-kind",
@@ -448,6 +474,18 @@ def test_malformed_model_file_is_corrupt(tmp_path, capsys, edit):
         err = capsys.readouterr().err
         assert err.startswith("error: CorruptModelError") and err.count("\n") == 1
         assert str(bad) in err
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_model_file_version_must_be_the_json_integer_1(tmp_path, capsys, version):
+    path, data = scaled_model_file(tmp_path)
+    payload = json.loads(Path(path).read_text())
+    payload["version"] = version
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    for command in ("predict", "explain"):
+        assert cli.main([command, "--model", str(bad), "--data", data]) == 3
+        assert capsys.readouterr().err.startswith("error: SchemaVersionError")
 
 
 def test_predict_regressor_on_constant_target_reports_mse_only(tmp_path):
@@ -579,9 +617,14 @@ def test_explain_sigmoid_model_explains_its_single_score(tmp_path, capsys):
     # x1 = 3 scores 9, so the row is predicted positive (class 1)
     assert cli.main(["explain", "--model", path, "--data", str(data), "--out", out]) == 0
     report = json.loads(Path(out).read_text())
-    assert report["class"] == report["resolvedConfig"]["class"] == 0
+    assert report["class"] == report["resolvedConfig"]["class"] == 1
     assert report["logGradients"]["x1"]["value"] == pytest.approx(18.0)  # 2 * 3**2
-    for bad in ("1", "-1"):
+    # --class 0 names the constant class, whose score and gradients are 0
+    assert cli.main(["explain", "--model", path, "--data", str(data), "--out", out,
+                     "--class", "0"]) == 0
+    report = json.loads(Path(out).read_text())
+    assert report["class"] == 0 and report["logGradients"]["x1"]["value"] == 0.0
+    for bad in ("2", "-1"):
         assert cli.main(["explain", "--model", path, "--data", str(data),
                          "--class", bad]) == 2
         assert capsys.readouterr().err.startswith("error: BadConfigError")
@@ -615,6 +658,31 @@ def test_explain_probability_target_chooses_gradient_mode(tmp_path):
     report = json.loads(Path(out).read_text())
     assert report["mode"] == report["resolvedConfig"]["mode"] == "gradient"
     assert report["resolvedConfig"]["gradientTarget"] == "probability"
+
+
+def test_explain_sigmoid_probability_target_attributes_class_1(tmp_path):
+    # z = 1.5 x1 x2^-0.5; the report's phi, logGradients and elasticities all
+    # describe class 1, and phi plus the residual is the change in p1
+    model = EcselModel([Signomial([(1.5, (1.0, -0.5))])], link="sigmoid")
+    path = str(tmp_path / "sig.json")
+    model.save(path)
+    data = tmp_path / "x.csv"
+    data.write_text("x1,x2\n2.0,3.0\n1.0,1.0\n")
+    out = tmp_path / "e.json"
+    assert cli.main(["explain", "--model", path, "--data", str(data), "--out", str(out),
+                     "--gradient-target", "probability"]) == 0
+    report = json.loads(out.read_text())
+    assert report["class"] == 1
+    x, baseline = [2.0, 3.0], [math.sqrt(2.0), math.sqrt(3.0)]  # the geometric mean
+    assert [report["baseline"][n] for n in ("x1", "x2")] == pytest.approx(baseline, rel=1e-15)
+    p1 = [predict_proba(model, v)[1] for v in (x, baseline)]
+    phi = {name: entry["value"] for name, entry in report["phi"].items()}
+    assert sum(phi.values()) + report["residual"] == pytest.approx(p1[0] - p1[1], abs=1e-15)
+    # class 1's probability rises with x1 and falls with x2, as its score does
+    assert phi["x1"] > 0 > phi["x2"]
+    assert report["logGradients"]["x1"]["value"] > 0 > report["logGradients"]["x2"]["value"]
+    assert report["elasticities"]["x1"]["value"] == pytest.approx(1.0)
+    assert report["elasticities"]["x2"]["value"] == pytest.approx(-0.5)
 
 
 def test_explain_records_the_baseline_row_it_used(tmp_path):
@@ -968,3 +1036,49 @@ def test_search_space_entries_must_be_numbers(tmp_path, capsys, space):
     err = capsys.readouterr().err
     (key,) = space
     assert err.startswith("error: BadConfigError") and repr(key) in err
+
+
+def test_search_space_override_is_used_and_recorded(tmp_path):
+    data = write_blobs_csv(tmp_path / "blobs.csv")
+    space = {"K": [1, 1], "batch": [64, 128], "epochs": [3, 4]}
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    out = str(tmp_path / "m.json")
+    assert cli.main(["search", "--data", data, "--target", "cls", "--trials", "2",
+                     "--space", str(path), "--out", out]) == 0
+    log = json.loads((tmp_path / "m.search.json").read_text())
+    assert log["resolvedConfig"]["space"] == {**cli.DEFAULT_SEARCH_SPACE, **space}
+    for trial in log["trials"]:
+        assert trial["params"]["k"] == 1 and trial["params"]["batch"] in (64, 128)
+        assert 3 <= trial["params"]["epochs"] <= 4
+
+
+@pytest.mark.parametrize("space", [
+    {"K": [3, 1]},
+    {"epochs": [5, 10, 20]},
+    {"l1": [0, 1e-2]},
+], ids=["reversed-K", "three-epochs", "zero-l1"])
+def test_search_space_ranges_must_be_positive_pairs(tmp_path, capsys, space):
+    data = write_blobs_csv(tmp_path / "blobs.csv")
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    assert cli.main(["search", "--data", data, "--target", "cls", "--trials", "1",
+                     "--space", str(path), "--out", str(tmp_path / "m.json")]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: BadConfigError") and err.count("\n") == 1
+    assert out == "" and not (tmp_path / "m.json").exists()
+
+
+def test_search_whose_every_trial_diverges_exits_4(tmp_path, capsys, monkeypatch):
+    data = write_blobs_csv(tmp_path / "blobs.csv")
+
+    def diverging(train, val, cfgs, **kwargs):
+        return [NonFiniteLossError(f"trial {i} diverged") for i in range(len(cfgs))]
+
+    monkeypatch.setattr(cli, "fit_trials", diverging)
+    out = tmp_path / "m.json"
+    assert cli.main(["search", "--data", data, "--target", "cls", "--trials", "3",
+                     "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: AllRestartsFailedError") and err.count("\n") == 1
+    assert not out.exists() and not (tmp_path / "m.search.json").exists()

@@ -93,7 +93,11 @@ def test_scaler_rejects_bad_bounds():
     edits = [{"lo": 5.0, "hi": 1.0}, {"lo": 0.0, "hi": 1.0}, {"hi": 20.0},
              {"mins": [math.nan, 5.0]}, {"maxs": [2.0, math.inf]},
              {"mins": [2.0, 7.0], "maxs": [1.0, 5.0]}, {"maxs": [2.0]}, {"maxs": None},
-             {"mins": None}, {"mins": ["a", 5.0]}, {"mins": 1.0, "maxs": 2.0}]
+             {"mins": None}, {"mins": ["a", 5.0]}, {"mins": 1.0, "maxs": 2.0},
+             # JSON numbers only: numpy would read "1" and true as 1.0
+             {"mins": ["1", "5"]}, {"maxs": [2.0, "7"]},
+             {"mins": [False, False], "maxs": [True, True]}, {"mins": [1.0, True]},
+             {"mins": [[1.0], [5.0]], "maxs": [[2.0], [7.0]]}]
     for edit in edits:
         payload = Scaler().fit(np.array([[1.0, 5.0], [2.0, 7.0]])).to_dict()
         payload.update(edit)
@@ -103,8 +107,10 @@ def test_scaler_rejects_bad_bounds():
     del payload["maxs"]
     with pytest.raises(DataFormatError):
         Scaler.from_dict(payload)
-    # a min equal to its max is a constant feature
+    # a min equal to its max is a constant feature; integers are JSON numbers
     payload = Scaler().fit(np.array([[1.0, 5.0], [1.0, 7.0]])).to_dict()
+    assert Scaler.from_dict(payload).transform([1.0, 6.0]) == pytest.approx([1.0, 5.5])
+    payload.update(mins=[1, 5], maxs=[1, 7])
     assert Scaler.from_dict(payload).transform([1.0, 6.0]) == pytest.approx([1.0, 5.5])
 
 
@@ -371,9 +377,11 @@ def test_model_writes_are_byte_stable(tmp_path):
 def test_load_model_rejects_wrong_version(tmp_path):
     path = str(tmp_path / "model.json")
     path2 = str(tmp_path / "m2.json")
-    (tmp_path / "model.json").write_text(json.dumps({"version": 99}))
-    with pytest.raises(SchemaVersionError):
-        load_model(path)
+    # true and 1.0 compare equal to 1 in Python, but only the JSON integer 1 is it
+    for version in (99, True, 1.0, "1", None):
+        (tmp_path / "model.json").write_text(json.dumps({"version": version}))
+        with pytest.raises(SchemaVersionError):
+            load_model(path)
     (tmp_path / "m2.json").write_text(json.dumps({"no_version": True}))
     with pytest.raises(CorruptModelError):
         load_model(path2)

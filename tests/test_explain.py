@@ -121,11 +121,11 @@ def test_elasticity_zero_score_also_undefined():
 def test_elasticity_bad_class_index():
     with pytest.raises(BadConfigError):
         elasticity(poly_model(), 5, [1.0, 1.0])
-    # a sigmoid model has one score, though model.C is 2
+    # a sigmoid model has two classes, though it learns one score
     sig = EcselModel([Signomial([Term(1.0, (1.0,))])], link="sigmoid")
-    for call in (lambda: elasticity(sig, 1, [1.0]),
-                 lambda: sensitivity_first_order(sig, 1, [1.0], 0, 0.01)):
-        with pytest.raises(BadConfigError, match="class index 1 out of range for 1 scores"):
+    for call in (lambda: elasticity(sig, 2, [1.0]),
+                 lambda: sensitivity_first_order(sig, 2, [1.0], 0, 0.01)):
+        with pytest.raises(BadConfigError, match="class index 2 out of range for 2 classes"):
             call()
 
 
@@ -264,11 +264,11 @@ def test_numpy_and_integer_scale_factors_are_taken_as_floats():
 def test_counterfactual_bad_feature_index():
     with pytest.raises(BadConfigError):
         counterfactual_scale(poly_model(), 0, [1.0, 1.0], 2, 2.0)
-    # the class index is bounded by the model's scores, one for sigmoid
+    # the class index is bounded by the model's classes, two for sigmoid
     sig = EcselModel([Signomial([Term(1.0, (1.0,))])], link="sigmoid")
-    with pytest.raises(BadConfigError, match="class index 1 out of range for 1 scores"):
-        counterfactual_scale(sig, 1, [1.0], 0, 2.0)
-    with pytest.raises(BadConfigError, match="class index -1 out of range for 1 scores"):
+    with pytest.raises(BadConfigError, match="class index 2 out of range for 2 classes"):
+        counterfactual_scale(sig, 2, [1.0], 0, 2.0)
+    with pytest.raises(BadConfigError, match="class index -1 out of range for 2 classes"):
         counterfactual_scale(sig, -1, [1.0], 0, 2.0)
 
 
@@ -282,9 +282,12 @@ def test_a_curve_point_is_the_python_float_sum_over_forward_terms(link):
     model = EcselModel(sigs if link == "softmax" else sigs[:1], link=link)
     x = rng.uniform(0.5, 3.0, 3)
     per_term = signomial.forward(model._alphas, model._betas, signomial.log_inputs(x[None]))
-    for c, terms in enumerate(per_term[..., 0].tolist()):
+    # a sigmoid model's one trained row is class 1's
+    first = model.C - len(model.signomials)
+    for row, terms in enumerate(per_term[..., 0].tolist()):
+        c = first + row
         for j in range(model.m):
-            exponents = model._betas[c, :, j].tolist()
+            exponents = model._betas[row, :, j].tolist()
             for q in np.geomspace(0.1, 10.0, 41).tolist():
                 want = 0.0
                 for z, b in zip(terms, exponents):
@@ -305,13 +308,13 @@ def test_counterfactual_raises_instead_of_a_non_finite_score(terms, scaled_score
         with pytest.raises(OverflowLimitError):
             model.scores([2.0])
     else:
-        assert model.scores([2.0])[0] == scaled_score
+        assert model.scores([2.0])[1] == scaled_score
     # the shortcut's q**beta and sum overflow before the check sees them,
     # and the caller gets the typed error with no numpy warning
     with warnings.catch_warnings(), pytest.raises(OverflowLimitError):
         warnings.simplefilter("error")
-        counterfactual_scale(model, 0, [1.0], 0, 2.0)
-    assert counterfactual_scale(model, 0, [1.0], 0, 1.0) == model.scores([1.0])[0]
+        counterfactual_scale(model, 1, [1.0], 0, 2.0)
+    assert counterfactual_scale(model, 1, [1.0], 0, 1.0) == model.scores([1.0])[1]
 
 
 def test_counterfactual_takes_numpy_scalars_without_a_warning():
@@ -320,12 +323,12 @@ def test_counterfactual_takes_numpy_scalars_without_a_warning():
     model = EcselModel([Signomial([Term(1e-300, (1100.0,))])], link="sigmoid")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for c, j, q in [(0, 0, np.float64(2.0)), (np.int64(0), np.intp(0), 2.0),
-                        (np.int32(0), np.int64(0), np.float64(2.0))]:
+        for c, j, q in [(1, 0, np.float64(2.0)), (np.int64(1), np.intp(0), 2.0),
+                        (np.int32(1), np.int64(0), np.float64(2.0))]:
             with pytest.raises(OverflowLimitError):
                 counterfactual_scale(model, c, [1.0], j, q)
-        at_one = counterfactual_scale(model, np.int64(0), [1.0], np.int64(0), np.float64(1.0))
-    assert type(at_one) is float and at_one == model.scores([1.0])[0]
+        at_one = counterfactual_scale(model, np.int64(1), [1.0], np.int64(0), np.float64(1.0))
+    assert type(at_one) is float and at_one == model.scores([1.0])[1]
 
 
 @pytest.mark.parametrize("log_q", [-0.05, 0.05, 0.1, 0.11])
@@ -338,9 +341,9 @@ def test_counterfactual_near_float_range_warns_about_nothing(log_q):
         warnings.simplefilter("error")
         if log_q > 0.1078:
             with pytest.raises(OverflowLimitError):
-                counterfactual_scale(model, 0, x, 0, q)
+                counterfactual_scale(model, 1, x, 0, q)
         else:
-            got = counterfactual_scale(model, 0, x, 0, q)
+            got = counterfactual_scale(model, 1, x, 0, q)
             assert got == pytest.approx(math.exp(699.0 + 100 * log_q), rel=1e-9)
 
 
@@ -403,10 +406,38 @@ def test_margin_same_class_rejected():
         margin_sensitivity(poly_model(), 1, 1, [1.0, 1.0])
 
 
-def test_margin_needs_per_class_scores():
-    sig = EcselModel([Signomial([Term(1.0, (1.0,))])], link="sigmoid")
-    with pytest.raises(BadConfigError):
-        margin_sensitivity(sig, 0, 1, [1.0])
+def test_a_sigmoid_margin_is_its_learned_score():
+    # class 1 against the constant class 0: the margin is z and its gradient G
+    sig = EcselModel([Signomial([Term(1.5, (1.0, -0.5))])], link="sigmoid")
+    x = [2.0, 3.0]
+    ms = margin_sensitivity(sig, 1, 0, x)
+    z, g = sig.scores(x)[1], elasticity(sig, 1, x).log_gradient
+    assert ms.margin == z and z == pytest.approx(math.sqrt(3.0), rel=1e-15)
+    assert (ms.per_feature == g).all() and ms.per_feature == pytest.approx([z, -0.5 * z])
+    back = margin_sensitivity(sig, 0, 1, x)
+    assert back.margin == -z and (back.per_feature == -g).all()
+
+
+def test_sigmoid_class_0_scores_an_exact_zero():
+    # class 0 of a sigmoid model has no terms; everything read from its
+    # score is an exact 0, and class 1 is the learned score
+    model = EcselModel([Signomial([Term(1.5, (1.0, -0.5)), Term(-0.3, (2.0, 1.0))])],
+                       link="sigmoid")
+    x, b = [2.0, 3.0], [1.0, 1.5]
+    assert model.term_counts == [0, 2]
+    z = model.scores(x)
+    assert z.shape == (2,) and z[0] == 0.0 and z[1] == evaluate(model.signomials[0], x).total
+    assert (model.scores_batch([x, b])[:, 0] == 0.0).all()
+    ev = elasticity(model, 0, x)
+    assert ev.score == 0.0 and (ev.log_gradient == 0.0).all() and ev.elasticity is None
+    for j in range(model.m):
+        for q in (1e-3, 0.5, 1.0, 7.0, 1e6):
+            assert counterfactual_scale(model, 0, x, j, q) == 0.0
+        assert sensitivity_first_order(model, 0, x, j, 0.1) == 0.0
+    rep = attribute_gradient(model, 0, x, b)
+    assert (rep.phi == 0.0).all() and rep.residual == 0.0
+    with pytest.raises(BadConfigError, match="0 terms"):
+        attribute_exact_log(model, 0, x, b)
 
 
 # --- probability sensitivity ----------------------------------------------------
@@ -452,7 +483,7 @@ def test_sigmoid_class_0_keeps_its_digits_at_large_scores(z):
     # score z x^2 at x = 1, so G = 2z; p0 = e^-z / (1 + e^-z) is far below
     # the spacing of floats near 1, where 1 - p1 reads 0 from z = 37 on
     model = EcselModel([Signomial([Term(z, (2.0,))])], link="sigmoid")
-    score = float(model.scores([1.0])[0])
+    score = float(model.scores([1.0])[1])
     p0 = math.exp(-score) / (1.0 + math.exp(-score))
     p1 = 1.0 / (1.0 + math.exp(-score))
     p = predict_proba(model, [1.0])
@@ -536,16 +567,16 @@ def test_sensitivities_match_a_long_double_evaluation():
         terms = np.sign(alphas) * np.exp(log_terms)  # z_ck
         g = (terms[..., None] * wide_betas).sum(axis=1)
         gross = np.abs(terms[..., None] * wide_betas).sum(axis=1)
-        for c in range(rows):
-            got = elasticity(model, c, x).log_gradient
-            assert (np.abs(got - g[c]) <= 1e-12 * gross[c]).all()
-            for r in range(c + 1, rows):
-                got = margin_sensitivity(model, c, r, x).per_feature
-                assert (np.abs(got - (g[c] - g[r])) <= 1e-12 * (gross[c] + gross[r])).all()
         scores = terms.sum(axis=1)
         if link == "sigmoid":  # class 0 scores the constant 0, so G_0 = 0
             scores = np.concatenate([np.zeros(1, np.longdouble), scores])
-            g = np.concatenate([np.zeros_like(g), g])
+            g, gross = (np.concatenate([np.zeros_like(v), v]) for v in (g, gross))
+        for c in range(model.C):
+            got = elasticity(model, c, x).log_gradient
+            assert (np.abs(got - g[c]) <= 1e-12 * gross[c]).all()
+            for r in range(c + 1, model.C):
+                got = margin_sensitivity(model, c, r, x).per_feature
+                assert (np.abs(got - (g[c] - g[r])) <= 1e-12 * (gross[c] + gross[r])).all()
         p = np.exp(scores - scores.max())
         p /= p.sum()
         for c in range(model.C):
@@ -806,12 +837,15 @@ def test_build_report_schema_and_ordering():
 def test_build_report_gradient_mode_and_sigmoid():
     model = EcselModel([Signomial([Term(1.0, (2.0,))])], link="sigmoid")
     report = build_report(
-        model, [1.5], class_idx=0, mode="gradient", baseline=[1.0]
+        model, [1.5], class_idx=1, mode="gradient", baseline=[1.0]
     )
     assert report["mode"] == "gradient"
-    assert report["margins"] == []
+    # class 1 against the constant class 0: the margin is z = 1.5^2, G = 2z
+    assert report["margins"] == [
+        {"against": 0, "margin": 2.25, "perFeature": {"x1": {"value": 4.5, "index": 0}}}
+    ]
     with pytest.raises(BadConfigError):
-        build_report(model, [1.5], 0, "shapley", [1.0])
+        build_report(model, [1.5], 1, "shapley", [1.0])
 
 
 def test_build_report_refuses_options_its_mode_ignores():
@@ -923,9 +957,7 @@ def models_and_inputs(draw):
         x.append(1.0)
     elif flaw == "value":
         x[draw(st.integers(0, m - 1))] = draw(st.sampled_from([0.0, -1.0, math.nan, math.inf]))
-    score_idx = draw(st.integers(0, len(sigs) - 1))
-    class_idx = draw(st.integers(0, model.C - 1))
-    return model, np.array(x), score_idx, class_idx
+    return model, np.array(x), draw(st.integers(0, model.C - 1))
 
 
 def outcome(fn):
@@ -990,37 +1022,37 @@ def test_an_index_must_be_an_integer(entry):
             call(bad)
 
 
-def explanation_calls(model, x, c, pc):
+def explanation_calls(model, x, c):
     ones = np.ones(model.m)
     calls = {
         "elasticity": lambda: elasticity(model, c, x),
         "counterfactual": lambda: counterfactual_scale(model, c, x, 0, 2.0),
         "first-order": lambda: sensitivity_first_order(model, c, x, 0, 0.01),
-        "probability": lambda: probability_sensitivity(model, pc, x),
-        "exact-log": lambda: attribute_exact_log(model, c, x, ones, term_idx=0),
+        "probability": lambda: probability_sensitivity(model, c, x),
         "gradient": lambda: attribute_gradient(model, c, x, ones),
-        "gradient-p": lambda: attribute_gradient(model, pc, x, ones, "probability"),
+        "gradient-p": lambda: attribute_gradient(model, c, x, ones, "probability"),
         "report": lambda: build_report(model, x, c, "gradient", ones),
         "scenarios": lambda: compare_scenarios(model, [("ones", ones), ("x", x)]),
+        "margin": lambda: margin_sensitivity(model, c, (c + 1) % model.C, x),
     }
-    if model.link == "softmax":
-        calls["margin"] = lambda: margin_sensitivity(model, c, (c + 1) % model.C, x)
+    if model.term_counts[c]:  # a sigmoid model's class 0 has no term to attribute
+        calls["exact-log"] = lambda: attribute_exact_log(model, c, x, ones, term_idx=0)
     return calls
 
 
 @settings(max_examples=200, deadline=None)
 @given(models_and_inputs())
 def test_explanations_agree_with_the_kernel_or_raise_alike(case):
-    model, x, c, pc = case
+    model, x, c = case
     ones = np.ones(model.m)
-    calls = explanation_calls(model, x, c, pc)
+    calls = explanation_calls(model, x, c)
     scores = outcome(lambda: model.scores(x))
     # every call after scores reads x warm; each equals, bit for bit, the
     # same call on a model that has read nothing yet, or raises alike
     warm = {name: outcome(fn) for name, fn in calls.items()}
     for name, result in warm.items():
         cold = EcselModel(list(model.signomials), link=model.link)
-        assert bits(result) == bits(outcome(explanation_calls(cold, x, c, pc)[name])), name
+        assert bits(result) == bits(outcome(explanation_calls(cold, x, c)[name])), name
     if isinstance(scores, type):
         assert warm == dict.fromkeys(calls, scores)
         return
@@ -1028,10 +1060,58 @@ def test_explanations_agree_with_the_kernel_or_raise_alike(case):
     for entry in build_report(model, x, c, "gradient", ones)["margins"]:
         margin = scores[c] - scores[entry["against"]]
         assert entry["margin"] == pytest.approx(margin, rel=1e-12, abs=0.0)
-    rep = attribute_gradient(model, pc, x, ones, "probability")
-    change = predict_proba(model, x)[pc] - predict_proba(model, ones)[pc]
+    rep = attribute_gradient(model, c, x, ones, "probability")
+    change = predict_proba(model, x)[c] - predict_proba(model, ones)[c]
     total = float(rep.phi.sum())
     assert total + rep.residual == pytest.approx(change, rel=0.0, abs=1e-12 * (1 + abs(total)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["softmax", "sigmoid"]), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+def test_both_links_take_the_class_indices_0_to_C(link, k, m, seed):
+    # every entry that takes a class accepts [0, C) for both links and
+    # refuses C; the scores of one row and of a batch agree
+    rng = np.random.default_rng(seed)
+    rows = 1 if link == "sigmoid" else int(rng.integers(2, 5))
+    model = EcselModel([Signomial.from_arrays(rng.uniform(-2.0, 2.0, k),
+                                              rng.uniform(-2.0, 2.0, (k, m)))
+                        for _ in range(rows)], link=link)
+    X = rng.uniform(0.5, 3.0, (3, m))
+    x, ones = X[0], np.ones(m)
+    batch = model.scores_batch(X)
+    assert batch.shape == (3, model.C)
+    # to rounding: a batch's matmul may sum ln x in another order
+    for row, want in zip(X, batch):
+        assert model.scores(row) == pytest.approx(want, rel=1e-12, abs=1e-9)
+    scenario = compare_scenarios(model, [("x", x)])["scenarios"][0]
+    assert scenario["scores"] == pytest.approx(batch[0], rel=1e-12, abs=1e-9)
+    entries = {
+        "score": lambda c: model.scores(x)[c],
+        "batch score": lambda c: batch[:, c],
+        "elasticity": lambda c: elasticity(model, c, x),
+        "counterfactual": lambda c: counterfactual_scale(model, c, x, 0, 2.0),
+        "first-order": lambda c: sensitivity_first_order(model, c, x, 0, 0.01),
+        "margin": lambda c: margin_sensitivity(model, c, (c + 1) % model.C, x),
+        "margin other": lambda c: margin_sensitivity(model, (c + 1) % model.C, c, x),
+        "probability": lambda c: probability_sensitivity(model, c, x),
+        "exact-log": lambda c: attribute_exact_log(model, c, x, ones, term_idx=0),
+        "gradient": lambda c: attribute_gradient(model, c, x, ones),
+        "gradient-p": lambda c: attribute_gradient(model, c, x, ones, "probability"),
+        "report": lambda c: build_report(model, x, c, "gradient", ones),
+    }
+    for name, call in entries.items():
+        for c in range(model.C):
+            if name == "exact-log" and not model.term_counts[c]:
+                continue  # a class without terms has no term 0 to attribute
+            call(c)
+        if name not in ("score", "batch score"):
+            with pytest.raises(BadConfigError, match=f"class index {model.C} out of range"):
+                call(model.C)
+    for c in range(model.C):
+        assert elasticity(model, c, x).score == model.scores(x)[c]
+        assert counterfactual_scale(model, c, x, 0, 1.0) == pytest.approx(
+            model.scores(x)[c], rel=1e-12, abs=1e-9)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1039,7 +1119,7 @@ def test_explanations_agree_with_the_kernel_or_raise_alike(case):
 def test_every_decision_path_picks_the_same_class(case):
     # predict, a one-row predict_batch and compare_scenarios share one
     # decision rule: the threshold for sigmoid, the first argmax for softmax
-    model, x, _, _ = case
+    model, x, _ = case
     single = outcome(lambda: classifier.predict(model, x))
     batch = outcome(lambda: classifier.predict_batch(model, x[None, :]))
     scenario = outcome(lambda: compare_scenarios(model, [("x", x)]))
